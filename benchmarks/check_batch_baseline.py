@@ -364,11 +364,15 @@ def main(argv: list[str] | None = None) -> int:
                 "mixed-distribution keyset (deterministic simulation)"
             )
         two_cpus = (os.cpu_count() or 1) >= 2
+        ops = got["ops_per_s"]
+        throughput = (
+            f"{ops['1']:,} keys/s at 1 worker, {ops['2']:,} at 2"
+        )
         if two_cpus and got["scaling_2"] < MIN_SHARD_SCALING_2:
             failures.append(
                 f"sharded: 2-worker scaling {got['scaling_2']:.2f}x "
-                f"below the {MIN_SHARD_SCALING_2}x floor on a "
-                f"{os.cpu_count()}-CPU machine"
+                f"({throughput}) below the {MIN_SHARD_SCALING_2}x "
+                f"floor on a {os.cpu_count()}-CPU machine"
             )
         scaling_note = (
             f"scaling_2 {got['scaling_2']:.2f}x"
@@ -376,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
                f" (not gated: {got['cpu_count']} CPU)")
         )
         print(
-            f"sharded: {scaling_note}, "
+            f"sharded: {scaling_note} ({throughput}), "
             f"wrong reads {got['wrong_reads']}, "
             f"tuning gain {tuning['gain_pct']:.2f}% "
             f"(local {tuning['local_cycles_per_op']:.1f} vs global "

@@ -18,7 +18,7 @@ slot-level changes (insert into an empty slot, delete of a top-frame
 pair, value update) patch the buffers in place (``patch_insert_many`` /
 ``patch_delete_many`` / ``patch_value``), structural changes (nested
 leaf spawn, ``_adjust``, single-pair collapse) recompile only the
-affected top-level leaf's subtree (``recompile_subtree``), and a full
+affected top-level leaves' subtrees (``recompile_subtrees``), and a full
 recompile is the last resort (see ``DILI._invalidate_plan`` and the
 ``plan_patches`` / ``plan_subtree_recompiles`` / ``plan_recompiles``
 counters).
@@ -56,7 +56,9 @@ slot_ref   int64  pair index (kind 1) or node row (kind 2)
 ``pair_keys`` / ``dense_keys`` hold the keys (both ascending -- a DFS of
 the tree visits keys in order) and ``values`` holds every payload, pair
 payloads first, so a lookup resolves to ``values[i]`` for a single flat
-index ``i``.
+index ``i``.  ``values`` is a 1-D object ndarray (one element per
+payload, whatever its type), so :meth:`FlatPlan.gather_values` fetches a
+batch's hits with one ``take``: a read costs O(batch), not O(index).
 
 Cost tracing
 ------------
@@ -80,7 +82,7 @@ mutate in place while the plan is private (the pre-publication fast
 path, identical to the old behavior) and switch to copy-on-write once
 it is frozen: the clone shares every unmodified SoA buffer with its
 parent and copies only the arrays the patch writes (the slot tables
-for inserts/deletes, the value list for updates; subtree splices
+for inserts/deletes, the payload table for updates; subtree splices
 rebuild whole arrays and need no private copies at all).  Lint rule
 CHK008 keeps all other code off the in-place mutators.
 """
@@ -146,7 +148,7 @@ class FlatPlan:
         slot_ref: np.ndarray,
         pair_keys: np.ndarray,
         dense_keys: np.ndarray,
-        values: list,
+        values: np.ndarray,
         sorted_keys: np.ndarray,
         depth: int,
     ) -> None:
@@ -199,8 +201,8 @@ class FlatPlan:
         known, small subset of the tables in place (everything else is
         rebuilt as fresh arrays), so the clone copies exactly that
         subset: ``copy_slots`` privatizes the slot tables
-        (insert/delete patches), ``copy_values`` the value list (value
-        patches).  Subtree splices reassign whole arrays and need
+        (insert/delete patches), ``copy_values`` the payload table
+        (value patches).  Subtree splices reassign whole arrays and need
         neither.
         """
         clone = FlatPlan.__new__(FlatPlan)
@@ -210,7 +212,7 @@ class FlatPlan:
             clone.slot_kind = self.slot_kind.copy()
             clone.slot_ref = self.slot_ref.copy()
         if copy_values:
-            clone.values = list(self.values)
+            clone.values = self.values.copy()
         clone.version = next_plan_version()
         clone.frozen = False
         return clone
@@ -340,12 +342,18 @@ class FlatPlan:
         return self.gather_values(out)
 
     def gather_values(self, out: np.ndarray) -> list:
-        """Map flat value indices (-1 = miss) to payloads, vectorised."""
-        values_arr = np.empty(len(self.values), dtype=object)
-        if len(self.values):
-            values_arr[:] = self.values
-        picked = values_arr[np.maximum(out, 0)] if len(out) else values_arr[:0]
-        picked[out < 0] = None
+        """Map flat value indices (-1 = miss) to payloads.
+
+        Only the hits are fetched, with one ``take`` from the payload
+        table into a ``None``-filled object array, so the work is
+        O(batch) at C speed however large the index.  ``take`` hands
+        back a 1-D object array, which a boolean mask can receive even
+        when every payload is an equal-length tuple or array (a Python
+        list of those would be read as an extra dimension).
+        """
+        picked = np.full(len(out), None, dtype=object)
+        hits = out >= 0
+        picked[hits] = self.values.take(out[hits])
         return picked.tolist()
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
@@ -386,7 +394,7 @@ class FlatPlan:
     # ------------------------------------------------------------------
     #
     # All patch methods return False (leaving the plan untouched or --
-    # for recompile_subtree -- only consistently updated) when they
+    # for recompile_subtrees -- only consistently updated) when they
     # cannot prove the in-place edit is equivalent to a fresh
     # compile_plan(root); callers then fall back to full invalidation.
     # On success, the patched arrays are *identical* to what a fresh
@@ -456,18 +464,14 @@ class FlatPlan:
         self.values[p] = value
         return True
 
-    def patch_insert(self, key: float, value) -> bool:
-        """Single-pair form of :meth:`patch_insert_many`."""
-        return self.patch_insert_many([(key, value)])
-
     def patch_insert_many(self, pairs: list) -> bool:
         """Splice newly inserted pairs into the buffers in place.
 
         ``pairs`` are ``(key, value)`` tuples the live tree just placed
         into previously *empty* slots (no spawn, no adjust).  Slot
         positions come from re-running the descent on the plan itself;
-        the flat key/value arrays grow by one vectorized ``np.insert``
-        with the existing pair references shifted in bulk.
+        the key and payload tables each grow by one vectorized
+        ``np.insert`` with the existing pair references shifted in bulk.
         """
         self._frozen_guard()
         if len(self.dense_keys):
@@ -510,22 +514,12 @@ class FlatPlan:
             ref = refs[int(order[t])]
             slot_kind[ref] = SLOT_PAIR
             slot_ref[ref] = final[t]
-        vals = self.values
-        out_vals: list = []
-        prev = 0
-        for t in range(k):
-            cut = int(ins[t])
-            out_vals.extend(vals[prev:cut])
-            out_vals.append(pairs[int(order[t])][1])
-            prev = cut
-        out_vals.extend(vals[prev:])
-        self.values = out_vals
+        self.values = np.insert(
+            self.values, ins,
+            _object_array([pairs[int(t)][1] for t in order]),
+        )
         self.num_pairs += k
         return True
-
-    def patch_delete(self, key: float) -> bool:
-        """Single-key form of :meth:`patch_delete_many`."""
-        return self.patch_delete_many([key])
 
     def patch_delete_many(self, keys: Sequence[float]) -> bool:
         """Remove deleted top-frame pairs from the buffers in place.
@@ -568,20 +562,9 @@ class FlatPlan:
         self.slot_ref[pair_mask] = prefs - np.searchsorted(drop, prefs)
         self.pair_keys = np.delete(pair_keys, drop)
         self.sorted_keys = self.pair_keys
-        vals = self.values
-        out_vals = []
-        prev = 0
-        for p in drop.tolist():
-            out_vals.extend(vals[prev:p])
-            prev = p + 1
-        out_vals.extend(vals[prev:])
-        self.values = out_vals
+        self.values = np.delete(self.values, drop)
         self.num_pairs -= k
         return True
-
-    def recompile_subtree(self, key: float, top_leaf) -> bool:
-        """Single-leaf form of :meth:`recompile_subtrees`."""
-        return self.recompile_subtrees([(key, top_leaf)])
 
     def recompile_subtrees(self, items: list) -> bool:
         """Recompile structurally changed top-level leaves, one splice.
@@ -705,7 +688,7 @@ class FlatPlan:
         sk_parts = []
         sr_parts = []
         pk_parts = []
-        out_vals: list = []
+        val_parts = []
         prev_n = 0
         prev_s = 0
         prev_p = 0
@@ -743,8 +726,7 @@ class FlatPlan:
                 self.pair_keys[prev_p:pl],
                 np.asarray(b.pair_keys, dtype=np.float64),
             ]
-            out_vals.extend(vals[prev_p:pl])
-            out_vals.extend(b.pair_vals)
+            val_parts += [vals[prev_p:pl], _object_array(b.pair_vals)]
             prev_n, prev_s, prev_p = ne, se, pe
             if hops + b.max_depth > max_new_depth:
                 max_new_depth = hops + b.max_depth
@@ -757,7 +739,7 @@ class FlatPlan:
         sk_parts.append(old_sk[prev_s:])
         sr_parts.append(old_sr[prev_s:])
         pk_parts.append(self.pair_keys[prev_p:])
-        out_vals.extend(vals[prev_p:])
+        val_parts.append(vals[prev_p:])
         self.kind = np.concatenate(kind_parts)
         self.slope = np.concatenate(slope_parts)
         self.intercept = np.concatenate(intercept_parts)
@@ -768,7 +750,7 @@ class FlatPlan:
         self.slot_ref = np.concatenate(sr_parts)
         self.pair_keys = np.concatenate(pk_parts)
         self.sorted_keys = self.pair_keys
-        self.values = out_vals
+        self.values = np.concatenate(val_parts)
         self.num_pairs += dp[k]
         # Upper bound: nesting may have shrunk elsewhere, but depth is
         # informational (the descent loops run until resolution).
@@ -988,12 +970,22 @@ class FlatPlan:
                                  "outside the node table")
 
 
+def _object_array(items: list) -> np.ndarray:
+    """1-D object ndarray holding each of ``items`` as one element.
+
+    ``np.asarray`` would read equal-length tuples, lists or arrays as
+    an extra dimension; ``fromiter`` never looks inside a payload.
+    """
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
 class _PlanBuilder:
     """Accumulates SoA rows for a (sub)tree in DFS preorder.
 
     Shared by :func:`compile_plan` (whole tree) and
-    :meth:`FlatPlan.recompile_subtree` (one top-level leaf's subtree,
-    whose locally 0-based references the caller offsets into place).
+    :meth:`FlatPlan.recompile_subtrees` (one builder per changed
+    top-level leaf's subtree, whose locally 0-based references the
+    caller offsets into place).
     """
 
     __slots__ = (
@@ -1111,7 +1103,7 @@ def compile_plan(root) -> FlatPlan:
         slot_ref=np.asarray(b.slot_ref, dtype=np.int64),
         pair_keys=pair_arr,
         dense_keys=dense_arr,
-        values=b.pair_vals + b.dense_vals,
+        values=_object_array(b.pair_vals + b.dense_vals),
         sorted_keys=sorted_keys,
         depth=b.max_depth,
     )

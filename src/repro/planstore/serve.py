@@ -388,22 +388,28 @@ class MmapDILI:
     # Reads (retry down the ladder on lazy-verify failure)
     # ------------------------------------------------------------------
 
-    def _read(self, method: str, *args, **kwargs):
-        # Bounded by the artifacts that can fail: each retry quarantines
-        # at least one file, so the ladder strictly shrinks.
-        attempts = len(self.plans.generations()) + 2
-        for _ in range(attempts):
+    def _retry(self, attempt):
+        """Run ``attempt(store, fallback, rung)`` against the current
+        rung, quarantining and re-descending each time the served plan
+        fails lazy verification.
+
+        Bounded by the artifacts that can fail: each retry quarantines
+        at least one file, so the ladder strictly shrinks.  Counting
+        them lists the plan directory, so the bound is taken only once
+        an attempt has failed -- a clean read never touches the
+        directory.
+        """
+        attempts = None
+        tries = 0
+        while attempts is None or tries < attempts:
+            tries += 1
             with self._lock:
                 store, fallback, rung = self._store, self._fallback, self.rung
-            if rung == 4:
-                raise ServingUnavailable(
-                    f"{self.dirpath}: no plan, no snapshot+WAL rebuild; "
-                    f"serving is DEGRADED"
-                )
-            target = store if store is not None else fallback
             try:
-                return getattr(target, method)(*args, **kwargs)
+                return attempt(store, fallback, rung)
             except PlanStoreError as exc:
+                if attempts is None:
+                    attempts = len(self.plans.generations()) + 2
                 with self._lock:
                     if self._store is store and store is not None:
                         store.close()
@@ -412,6 +418,18 @@ class MmapDILI:
         raise ServingUnavailable(
             f"{self.dirpath}: fallback ladder exhausted"
         )
+
+    def _read(self, method: str, *args, **kwargs):
+        def attempt(store, fallback, rung):
+            if rung == 4:
+                raise ServingUnavailable(
+                    f"{self.dirpath}: no plan, no snapshot+WAL rebuild; "
+                    f"serving is DEGRADED"
+                )
+            target = store if store is not None else fallback
+            return getattr(target, method)(*args, **kwargs)
+
+        return self._retry(attempt)
 
     def get_batch(self, keys, tracer: Tracer = NULL_TRACER) -> list:
         """Values for a key batch, ``None`` where absent."""
@@ -431,24 +449,11 @@ class MmapDILI:
         # Not routed through _read: a retry that lands on the rung-3
         # rebuild has nothing left to verify and must no-op, not
         # forward "verify" to the live DILI.
-        attempts = len(self.plans.generations()) + 2
-        for _ in range(attempts):
-            with self._lock:
-                store = self._store
-            if store is None:
-                return
-            try:
+        def attempt(store, fallback, rung):
+            if store is not None:
                 store.verify()
-                return
-            except PlanStoreError as exc:
-                with self._lock:
-                    if self._store is store:
-                        store.close()
-                        self._quarantine(store.path, str(exc))
-                        self._descend()
-        raise ServingUnavailable(
-            f"{self.dirpath}: fallback ladder exhausted"
-        )
+
+        self._retry(attempt)
 
     def __len__(self) -> int:
         with self._lock:

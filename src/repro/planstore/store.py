@@ -12,9 +12,15 @@ anywhere in the file is caught before any answer derived from it is
 returned, while open stays O(1).  :meth:`PlanStore.verify` runs the
 same check eagerly for auditors.
 
-Values are decoded per returned index from the delimited
-``value_bytes`` column -- a batch ``get`` unpickles exactly the values
-it hands back, never the whole column.
+Values are decoded from the delimited ``value_bytes`` column by
+:meth:`_LazyValues.take`, the mapped counterpart of the in-memory
+plan's payload table: ``get_batch`` goes through the same
+:meth:`FlatPlan.gather_values` as every in-memory front-end, which
+hands ``take`` only the hits, so a batch unpickles exactly the values
+it returns, never the whole column.  ``take`` holds the package's one
+waived CHK011 flow: its ``pickle.loads`` reads mapped bytes that
+:meth:`PlanStore._ensure_verified` has checksummed before any read
+reaches it.
 
 Deltas and WAL-tail records replay into a key-level *overlay* (the
 buffers themselves are immutable):
@@ -62,10 +68,10 @@ _TOMBSTONE = object()
 
 
 class _LazyValues:
-    """Sequence facade over the delimited pickle column.
+    """Payload table over the delimited pickle column, decoded on demand.
 
-    :class:`FlatPlan` only needs ``len`` (and indexing for the scalar
-    paths the store never uses); decoding happens per index, on demand.
+    Stands in for the in-memory plan's object ndarray: :class:`FlatPlan`
+    needs only ``len`` and :meth:`take`.
     """
 
     __slots__ = ("_bytes", "_offsets")
@@ -77,11 +83,23 @@ class _LazyValues:
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
-    def __getitem__(self, i: int):
-        lo, hi = int(self._offsets[i]), int(self._offsets[i + 1])
-        return pickle.loads(  # repro-check: allow CHK011 -- PlanStore._ensure_verified checksums the mapped file before any read indexes this column (lazy-verify contract)
-            self._bytes[lo:hi].tobytes()
-        )
+    def take(self, indices: np.ndarray) -> np.ndarray:
+        """Decode the payloads at ``indices`` into a 1-D object array.
+
+        One fancy-index of the offsets column yields every ``[start,
+        end)`` span; each span is unpickled straight from a
+        ``memoryview`` of the mapped bytes, with no per-value memmap
+        scalar reads and no intermediate ``bytes`` copy.
+        """
+        starts, ends = self._offsets[
+            np.stack((indices, indices + 1))
+        ].tolist()
+        raw = memoryview(self._bytes)
+        decoded = [
+            pickle.loads(raw[lo:hi])  # repro-check: allow CHK011 -- PlanStore._ensure_verified checksums the mapped file before any read gathers from this column (lazy-verify contract)
+            for lo, hi in zip(starts, ends)
+        ]
+        return np.fromiter(decoded, dtype=object, count=len(decoded))
 
 
 class PlanStore:
@@ -97,7 +115,6 @@ class PlanStore:
         path: str,
         header: dict,
         plan: FlatPlan,
-        values: _LazyValues,
         *,
         cycles: CyclesPerOp = DEFAULT_CYCLES,
     ) -> None:
@@ -107,7 +124,6 @@ class PlanStore:
         #: Highest WAL seqno folded in (advanced by deltas / tail replay).
         self.wal_lsn = int(header["wal_lsn"])
         self._plan = plan
-        self._values = values
         self._cycles = cycles
         self._arrays: dict[str, np.ndarray] = {}
         self._verified = False
@@ -157,7 +173,6 @@ class PlanStore:
                     offset=data_start + desc["offset"],
                     shape=(desc["count"],),
                 )
-        values = _LazyValues(arrays["value_bytes"], arrays["value_offsets"])
         pair_keys = arrays["pair_keys"]
         sorted_keys = (
             pair_keys if header["sorted_is_pair"] else arrays["sorted_keys"]
@@ -173,11 +188,13 @@ class PlanStore:
             slot_ref=arrays["slot_ref"],
             pair_keys=pair_keys,
             dense_keys=arrays["dense_keys"],
-            values=values,
+            values=_LazyValues(
+                arrays["value_bytes"], arrays["value_offsets"]
+            ),
             sorted_keys=sorted_keys,
             depth=int(header["depth"]),
         )
-        store = cls(path, header, plan, values, cycles=cycles)
+        store = cls(path, header, plan, cycles=cycles)
         store._arrays = arrays
         store._apply_deltas(deltas)
         return store
@@ -350,10 +367,7 @@ class PlanStore:
         out, trace = plan.lookup_batch(keys, record=record)
         if record:
             plan.replay_trace(keys, trace, tracer, self._cycles)
-        values = self._values
-        results = [
-            values[int(i)] if i >= 0 else None for i in out
-        ]
+        results = plan.gather_values(out)
         overlay = self._overlay
         if overlay:
             for pos in np.nonzero(

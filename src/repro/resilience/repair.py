@@ -15,7 +15,7 @@ the authoritative pair table), then repairs it incrementally:
    fanout), leaves are rebuilt **bulk-load-identically** via
    :meth:`repro.core.dili.DILI.rebuild_leaf` from the authoritative
    pairs routed to them, and the compiled flat plan is spliced with
-   ``recompile_subtree`` -- never a full-index rebuild.
+   ``applied_recompile_subtrees`` -- never a full-index rebuild.
 3. **verify** -- the same step re-runs the scoped verifiers over just
    the repaired subtree (structure, content vs. authority, plan
    answers).  Pass closes the ticket; the last closed ticket restores
@@ -424,7 +424,7 @@ class RepairEngine:
                     [k for k, _ in expected],
                     [v for _, v in expected],
                 )
-                # ``recompile_subtree`` declines dense extents; the
+                # ``recompile_subtrees`` declines dense extents; the
                 # plan, if live, is recompiled lazily on next use.
                 if self.index._flat is not None:
                     self.index._invalidate_plan()

@@ -5,15 +5,19 @@ inserts and deletes, asserting at every step that ``get_batch`` /
 ``contains_batch`` / ``count_range`` / ``count_range_batch`` return
 exactly what the scalar ``get`` / ``__contains__`` / per-pair counting
 would -- including right after mutations (plan invalidation) and under
-the ``ConcurrentDILI`` wrapper.
+the ``ConcurrentDILI`` wrapper.  ``TestPayloadKinds`` does the same for
+every payload kind in :mod:`tests.payloads`, across plan patches and
+subtree splices.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DILI, DiliConfig
 from repro.core.concurrent import ConcurrentDILI
+from tests.payloads import PAYLOAD_KINDS, payload_rounds
 
 # Integer-valued keys in a wide range: exactly representable, easy to
 # probe around (key +- 1 stays distinct).
@@ -140,3 +144,20 @@ class TestConcurrentWrapper:
         counts = index.count_range_batch([float(keys[0])],
                                          [float(keys[-1]) + 1.0])
         assert counts.tolist() == [len(keys) + 1]
+
+
+class TestPayloadKinds:
+    @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+    def test_dili(self, kind):
+        index = DILI()
+        payload_rounds(index, kind)
+        # The rounds exercised both maintenance tiers on one plan.
+        assert index.plan_patches > 0
+        assert index.plan_subtree_recompiles > 0
+        assert index.plan_recompiles == 1
+
+    @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+    def test_concurrent(self, kind):
+        # Published plans are frozen: every round goes through the
+        # copy-on-write clones of the payload table.
+        payload_rounds(ConcurrentDILI(stripes=8), kind)

@@ -78,7 +78,7 @@ def _assert_plan_matches_fresh(index):
     fresh = compile_plan(index.root)
     for name in _PLAN_ARRAYS:
         assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
-    assert plan.values == fresh.values
+    assert plan.values.tolist() == fresh.values.tolist()
     assert plan.num_pairs == fresh.num_pairs
 
 

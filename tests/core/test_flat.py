@@ -90,7 +90,7 @@ class TestIncrementalMaintenance:
         assert plan is not None, mutate
         fresh = compile_plan(index.root)
         assert np.array_equal(plan.pair_keys, fresh.pair_keys), mutate
-        assert plan.values == fresh.values, mutate
+        assert plan.values.tolist() == fresh.values.tolist(), mutate
 
     @pytest.mark.parametrize("mutate", ["insert", "delete"])
     def test_noop_mutations_leave_the_plan_untouched(self, mutate):

@@ -125,6 +125,78 @@ class TestQuarantine:
         durable.close()
 
 
+class TestReadBound:
+    """The retry bound lists the plan directory only after a failure."""
+
+    @staticmethod
+    def _spy_listings(monkeypatch, plans_dir) -> list:
+        listed = []
+        real = os.listdir
+
+        def listdir(path="."):
+            if os.fspath(path) == plans_dir:
+                listed.append(path)
+            return real(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        return listed
+
+    def test_clean_reads_do_not_list_the_plan_directory(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(12)
+        keys = np.unique(rng.uniform(0.0, 1e6, 300))
+        durable = DurableDILI(tmp_path, sync=False)
+        durable.bulk_load(keys)
+        durable.publish_plan()
+        oracle = durable.get_batch(keys)
+
+        served = MmapDILI(tmp_path)
+        listed = self._spy_listings(
+            monkeypatch, PlanDirectory.for_state_dir(tmp_path).dirpath
+        )
+        # The first read also verifies every buffer lazily.
+        assert served.get_batch(keys) == oracle
+        assert served.contains_batch(keys).all()
+        assert served.count_range_batch([0.0], [1e6]).tolist() == [len(keys)]
+        served.verify()
+        assert listed == []
+        assert served.rung == 1
+        served.close()
+        durable.close()
+
+    def test_corrupt_generation_still_descends_the_ladder(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(13)
+        keys = np.unique(rng.uniform(0.0, 1e6, 300))
+        durable = DurableDILI(tmp_path, sync=False)
+        durable.bulk_load(keys[:200])
+        durable.publish_plan()
+        durable.insert_batch(keys[200:], list(keys[200:]))
+        durable.publish_plan()
+        durable.sync_wal()
+        oracle = durable.get_batch(keys)
+
+        plans = PlanDirectory.for_state_dir(tmp_path)
+        newest = plans.base_path(plans.generations()[-1])
+        inject_plan_fault(FAULT_PLAN_FLIPPED_BYTE, newest, rng)
+        served = MmapDILI(tmp_path)
+        assert served.rung == 1  # the flip hides until the first read
+        listed = self._spy_listings(monkeypatch, plans.dirpath)
+
+        assert served.get_batch(keys) == oracle
+        assert served.rung == 2, served.events
+        assert served.generation == 1
+        assert len(served.quarantined) == 1
+        assert listed  # the failed read took the bound and re-descended
+        listed.clear()
+        assert served.get_batch(keys) == oracle
+        assert listed == []
+        served.close()
+        durable.close()
+
+
 class TestCrashPoints:
     @pytest.mark.parametrize("point", PLAN_CRASH_POINTS)
     def test_publish_crash_never_costs_a_read(self, tmp_path, point):

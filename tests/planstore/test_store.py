@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.durability.durable import DurableDILI
 from repro.durability.wal import (
     OP_DELETE,
     OP_DELETE_BATCH,
@@ -19,6 +20,12 @@ from repro.planstore.format import (
     write_plan_file,
 )
 from repro.planstore.store import PlanStore
+from tests.payloads import (
+    PAYLOAD_KINDS,
+    assert_same_payloads,
+    payload_rounds,
+    payloads,
+)
 
 
 def _enc(*args):
@@ -154,3 +161,29 @@ class TestDeltaChain:
         )
         with pytest.raises(PlanFormatError, match="generation"):
             PlanStore.open(plan_path, deltas=[d1])
+
+
+class TestPayloadKinds:
+    @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+    def test_mmap_reads_match_scalar_get(self, tmp_path, kind):
+        durable = DurableDILI(tmp_path, sync=False)
+        probe = payload_rounds(durable, kind)
+        # The published payload table was maintained by patches and
+        # splices; a WAL tail past it lands in the overlay.
+        assert durable.index.plan_patches > 0
+        assert durable.index.plan_subtree_recompiles > 0
+        assert durable.index.plan_recompiles == 1
+        durable.publish_plan()
+        tail = probe[2::7] + 0.125
+        durable.insert_batch(tail, payloads(kind, 30_000, len(tail)))
+        durable.delete_batch(probe[::9])
+        durable.sync_wal()
+
+        probe = np.concatenate([probe, tail])
+        served = durable.serve_mmap()
+        assert served.rung == 1, served.events
+        assert_same_payloads(
+            served.get_batch(probe), [durable.get(float(k)) for k in probe]
+        )
+        served.close()
+        durable.close()
