@@ -432,7 +432,7 @@ def measure_batch_write(
     batch_s = time.perf_counter() - t0
     if list(a.items()) != list(b.items()):
         raise AssertionError("insert_batch disagrees with the scalar loop")
-    if a._flat is None or b._flat is None:
+    if a.peek_plan() is None or b.peek_plan() is None:
         raise AssertionError("a write dropped the compiled plan")
     stats = (b.plan_patches, b.plan_subtree_recompiles, b.plan_recompiles)
 
@@ -566,7 +566,7 @@ def measure_mixed_workload(
         full_recompiles=index.plan_recompiles - base_recompiles,
         subtree_recompiles=index.plan_subtree_recompiles,
         patches=index.plan_patches,
-        plan_alive=index._flat is not None,
+        plan_alive=index.peek_plan() is not None,
     )
 
 

@@ -146,7 +146,7 @@ def _values_match(a, b) -> bool:
 
 
 def _check_plan(index, keys: np.ndarray, values: list) -> None:
-    plan = index._flat
+    plan = index.peek_plan()
     if plan is None:
         return
     plan.self_check()  # SoA cross-reference integrity (flat.py hook)
@@ -301,7 +301,7 @@ class TreeSanitizer:
 
     def _spot_check(self, index, keys) -> None:
         """Tree/plan answer coherence for just the touched keys."""
-        plan = index._flat
+        plan = index.peek_plan()
         if plan is None or len(keys) == 0:
             return
         arr = np.asarray(keys, dtype=np.float64)

@@ -234,16 +234,21 @@ class ConcurrentDILI:
 
         Called by every mutator while it still holds its stripe or
         exclusive locks, so the calling thread's subsequent reads see
-        its own writes.  Racing republishes are safe: versions are
-        assigned in tree-mutation order under ``DILI._plan_mutex`` and
+        its own writes.  Publishing holds ``DILI._plan_mutex``: until
+        it is frozen, the maintained version is private to the index,
+        and a stripe-locked writer on another leaf may be patching it
+        in place.  Freezing it under the same mutex guarantees that no
+        published plan is ever patched in place.  Versions are
+        assigned in tree-mutation order under that mutex, and
         :meth:`~repro.core.epoch.PlanPublisher.publish` rejects stale
         ones, so the slot converges on the newest tree state.
         """
-        plan = self._index.peek_plan()
-        if plan is None:
-            self._published.unpublish()
-        else:
-            self._published.publish(plan)
+        with self._index._plan_mutex:
+            plan = self._index.peek_plan()
+            if plan is None:
+                self._published.unpublish()
+            else:
+                self._published.publish(plan)
 
     @property
     def published_plan_version(self) -> int | None:

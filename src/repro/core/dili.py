@@ -149,10 +149,6 @@ class DILI:
         # maintenance falls back to _invalidate_plan while holding it.
         self._plan_mutex = threading.RLock()
         self._router: InternalRouter | None = None
-        # Set by _insert_to_leaf/_delete_from_leaf/_adjust when an op
-        # changes the tree *shape* (spawn / adjust / collapse), not just
-        # a slot's contents; decides patch vs subtree recompile.
-        self._op_structural = False
         # Optional repro.check.invariants.TreeSanitizer; every mutating
         # operation reports the keys it touched (zero cost when None).
         self.sanitizer = None
@@ -230,9 +226,10 @@ class DILI:
         restoring a corrupted subtree from the authoritative pair table
         (see :mod:`repro.resilience.repair`).  ``pairs`` must be sorted
         by key.  The leaf *object* is preserved, so the cached router
-        and the flat plan's region cross-check stay valid; the caller
-        owns plan maintenance (splice or invalidate) and the tree-wide
-        pair count.
+        and the flat plan's region cross-check stay valid.  The plan is
+        maintained like any structural write: the leaf's extent is
+        spliced (or the plan dropped) through :meth:`_plan_note_batch`.
+        The caller owns the tree-wide pair count.
         """
         if pairs:
             keys = np.fromiter(
@@ -259,6 +256,9 @@ class DILI:
         # local_opt resets delta/kappa but not the adjustment counter; a
         # freshly bulk-loaded leaf starts at zero.
         leaf.alpha = 0
+        # Any key routing to the leaf anchors the splice.
+        anchor = pairs[0][0] if pairs else leaf.lb + (leaf.ub - leaf.lb) / 2.0
+        self._plan_note_batch([], [(leaf, anchor)], deletes=False)
 
     def rebuild_dense_leaf(
         self, leaf: DenseLeafNode, keys: np.ndarray, values: list
@@ -268,7 +268,8 @@ class DILI:
         Same contract as :meth:`rebuild_leaf` for the ablation's packed
         leaves: parallel sorted arrays plus a least-squares model, built
         exactly as bulk loading builds them, with the leaf object (and
-        its tracer region) preserved.
+        its tracer region) preserved.  Subtree splices decline dense
+        extents, so a live plan is dropped and recompiled on next use.
         """
         keys = np.asarray(keys, dtype=np.float64)
         model = LinearModel.fit(keys)
@@ -276,6 +277,7 @@ class DILI:
         leaf.values = list(values)
         leaf.slope = model.slope
         leaf.intercept = model.intercept
+        self._invalidate_plan()
 
     # ------------------------------------------------------------------
     # Lookup (Algorithms 1 and 6)
@@ -351,11 +353,14 @@ class DILI:
 
         ``keys`` are the keys the operation touched (hit or miss --
         coherence of a miss is worth checking too).  A ``None``
-        sanitizer costs one attribute load and a branch.
+        sanitizer costs one attribute load and a branch.  The check
+        holds the plan mutex: a stripe-locked writer on another leaf
+        may otherwise be patching the plan version it reads.
         """
         san = self.sanitizer
         if san is not None:
-            san.after_write(self, keys)
+            with self._plan_mutex:
+                san.after_write(self, keys)
 
     def _plan(self) -> FlatPlan:
         """The compiled flat read plan, building it on first use.
@@ -402,83 +407,6 @@ class DILI:
         if router is None or router.root is not self.root:
             router = self._router = InternalRouter(self.root)
         return router
-
-    def _plan_note_insert(self, key: float, value: object, leaf) -> None:
-        """Maintain the plan after one successful scalar insert.
-
-        Like every ``_plan_note_*`` hook this goes through the
-        ``applied_*`` constructors: while the plan is private they
-        patch it in place exactly as before; once it has been frozen
-        by publication they return a copy-on-write successor version,
-        installed here under the plan mutex.
-        """
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                return
-            if self._op_structural:
-                new = plan.applied_recompile_subtrees([(key, leaf)])
-                if new is not None:
-                    self._flat = new
-                    self.plan_subtree_recompiles += 1
-                else:
-                    self._invalidate_plan()
-            else:
-                new = plan.applied_insert_many([(key, value)])
-                if new is not None:
-                    self._flat = new
-                    self.plan_patches += 1
-                else:
-                    self._invalidate_plan()
-
-    def _plan_note_delete(self, key: float, leaf) -> None:
-        """Maintain the plan after one successful scalar delete."""
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                return
-            if self._op_structural:
-                new = plan.applied_recompile_subtrees([(key, leaf)])
-                if new is not None:
-                    self._flat = new
-                    self.plan_subtree_recompiles += 1
-                else:
-                    self._invalidate_plan()
-            else:
-                new = plan.applied_delete_many([key])
-                if new is not None:
-                    self._flat = new
-                    self.plan_patches += 1
-                else:
-                    self._invalidate_plan()
-
-    def _plan_note_update(self, key: float, value: object) -> None:
-        """Maintain the plan after one successful value update."""
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                return
-            new = plan.applied_values([(key, value)])
-            if new is not None:
-                self._flat = new
-                self.plan_patches += 1
-            else:
-                self._invalidate_plan()
-
-    def _plan_note_updates(self, pairs: list) -> None:
-        """Maintain the plan after a batch of successful value updates."""
-        if not pairs:
-            return
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                return
-            new = plan.applied_values(pairs)
-            if new is not None:
-                self._flat = new
-                self.plan_patches += len(pairs)
-            else:
-                self._invalidate_plan()
 
     def get_batch(
         self, keys: np.ndarray | list, tracer: Tracer = NULL_TRACER
@@ -566,25 +494,34 @@ class DILI:
             tracer.mem(node.region, 64 + idx * 8)
             node = node.children[idx]
         tracer.phase("step2")
-        self._op_structural = False
-        inserted = self._insert_to_leaf(node, (key, value), tracer)
+        inserted, structural = self._insert_to_leaf(node, (key, value), tracer)
         if inserted:
             self._count += 1
             self.insert_count += 1
-            self._plan_note_insert(key, value, node)
+            if structural:
+                self._plan_note_batch([], [(node, key)], deletes=False)
+            else:
+                self._plan_note_batch([(key, value)], [], deletes=False)
         self._sanitize_after((key,))
         return inserted
 
     def _insert_to_leaf(
         self, leaf: LeafNode, pair: Pair, tracer: Tracer = NULL_TRACER
-    ) -> bool:
-        """insertToLeafNode of Algorithm 7, including the adjust check."""
+    ) -> tuple[bool, bool]:
+        """insertToLeafNode of Algorithm 7, including the adjust check.
+
+        Returns ``(inserted, structural)``: ``structural`` is True when
+        the insert changed the subtree's *shape* (a nested-leaf spawn or
+        an adjustment) rather than only filling an empty slot, which
+        decides plan patch vs subtree splice.
+        """
         c = self._cycles
         tracer.mem(leaf.region)
         tracer.compute(c.linear_model)
         pos = leaf.predict_slot(pair[0])
         tracer.mem(leaf.region, 64 + pos * 16)
         entry = leaf.slots[pos]
+        structural = False
         if entry is None:
             leaf.slots[pos] = pair
             leaf.delta += 1
@@ -602,11 +539,11 @@ class DILI:
                 leaf.slots[pos] = child
                 leaf.delta += 1 + child.delta
                 self.moved_pairs += 2
-                self._op_structural = True
+                structural = True
                 not_exist = True
         else:
             delta_before = entry.delta
-            not_exist = self._insert_to_leaf(entry, pair, tracer)
+            not_exist, structural = self._insert_to_leaf(entry, pair, tracer)
             leaf.delta += 1 + entry.delta - delta_before
         if not_exist:
             leaf.num_pairs += 1
@@ -616,7 +553,8 @@ class DILI:
                 > self.config.lambda_adjust * leaf.kappa
             ):
                 self._adjust(leaf)
-        return not_exist
+                structural = True
+        return not_exist, structural
 
     def _adjust(self, leaf: LeafNode) -> None:
         """Rebuild a degraded leaf with an enlarged entry array.
@@ -625,7 +563,6 @@ class DILI:
         ``phi(alpha)``, retrains the model stretched over the new fanout
         (Algorithm 7 lines 21-26) and redistributes with local opt.
         """
-        self._op_structural = True
         pairs = list(leaf.iter_pairs())
         self.moved_pairs += len(pairs)
         ratio = self.config.phi(leaf.alpha)
@@ -679,24 +616,31 @@ class DILI:
             tracer.mem(node.region, 64 + idx * 8)
             node = node.children[idx]
         tracer.phase("step2")
-        self._op_structural = False
-        existed = self._delete_from_leaf(node, key, tracer)
+        existed, structural = self._delete_from_leaf(node, key, tracer)
         if existed:
             self._count -= 1
-            self._plan_note_delete(key, node)
+            if structural:
+                self._plan_note_batch([], [(node, key)], deletes=True)
+            else:
+                self._plan_note_batch([key], [], deletes=True)
         self._sanitize_after((key,))
         return existed
 
     def _delete_from_leaf(
         self, leaf: LeafNode, key: float, tracer: Tracer = NULL_TRACER
-    ) -> bool:
-        """deleteFromLeafNode of Algorithm 8, with single-pair trimming."""
+    ) -> tuple[bool, bool]:
+        """deleteFromLeafNode of Algorithm 8, with single-pair trimming.
+
+        Returns ``(existed, structural)``; ``structural`` is True when a
+        nested leaf collapsed into its last pair on the way back up.
+        """
         c = self._cycles
         tracer.mem(leaf.region)
         tracer.compute(c.linear_model)
         pos = leaf.predict_slot(key)
         tracer.mem(leaf.region, 64 + pos * 16)
         entry = leaf.slots[pos]
+        structural = False
         if entry is None:
             existed = False
         elif type(entry) is tuple:
@@ -709,19 +653,19 @@ class DILI:
                 existed = False
         else:
             delta_before = entry.delta
-            existed = self._delete_from_leaf(entry, key, tracer)
+            existed, structural = self._delete_from_leaf(entry, key, tracer)
             leaf.delta -= 1 + delta_before - entry.delta
             if existed and entry.num_pairs == 1:
                 remaining = next(entry.iter_pairs())
                 leaf.slots[pos] = remaining
                 leaf.delta -= 1
-                self._op_structural = True
+                structural = True
         if existed:
             leaf.num_pairs -= 1
             leaf.kappa = (
                 leaf.delta / leaf.num_pairs if leaf.num_pairs > 0 else 1.0
             )
-        return existed
+        return existed, structural
 
     def bulk_insert(
         self,
@@ -832,19 +776,9 @@ class DILI:
             if record
             else None
         )
-        order = np.argsort(leaf_of, kind="stable")
-        sorted_leaf = leaf_of[order]
-        bounds = [
-            0,
-            *(np.flatnonzero(np.diff(sorted_leaf)) + 1).tolist(),
-            len(order),
-        ]
-        leaves = router.leaves
         all_patches: list = []
         dirty: list = []
-        for g in range(len(bounds) - 1):
-            members = order[bounds[g]:bounds[g + 1]]
-            leaf = leaves[int(sorted_leaf[bounds[g]])]
+        for leaf, members in _leaf_groups(leaf_of, router.leaves):
             structural, patches = self._insert_group(
                 leaf, members, sub, values, start, out, recorders
             )
@@ -938,14 +872,13 @@ class DILI:
                     not_exist = True
             else:
                 delta_before = entry.delta
-                self._op_structural = False
-                not_exist = self._insert_to_leaf(
+                not_exist, reshaped = self._insert_to_leaf(
                     entry,
                     (k, values[offset + j]),
                     rec if rec is not None else NULL_TRACER,
                 )
                 delta += 1 + entry.delta - delta_before
-                if self._op_structural:
+                if reshaped:
                     structural = True
                 elif not_exist:
                     patches.append((k, values[offset + j]))
@@ -1006,19 +939,9 @@ class DILI:
         recorders = (
             self._descent_recorders(router, n, rtrace) if record else None
         )
-        order = np.argsort(leaf_of, kind="stable")
-        sorted_leaf = leaf_of[order]
-        bounds = [
-            0,
-            *(np.flatnonzero(np.diff(sorted_leaf)) + 1).tolist(),
-            len(order),
-        ]
-        leaves = router.leaves
         all_removed: list = []
         dirty: list = []
-        for g in range(len(bounds) - 1):
-            members = order[bounds[g]:bounds[g + 1]]
-            leaf = leaves[int(sorted_leaf[bounds[g]])]
+        for leaf, members in _leaf_groups(leaf_of, router.leaves):
             structural, removed = self._delete_group(
                 leaf, members, keys, out, recorders
             )
@@ -1082,8 +1005,7 @@ class DILI:
                     existed = False
             else:
                 delta_before = entry.delta
-                self._op_structural = False
-                existed = self._delete_from_leaf(
+                existed, reshaped = self._delete_from_leaf(
                     entry, k, rec if rec is not None else NULL_TRACER
                 )
                 delta -= 1 + delta_before - entry.delta
@@ -1092,7 +1014,7 @@ class DILI:
                     slots[p] = remaining
                     delta -= 1
                     structural = True
-                elif self._op_structural:
+                elif reshaped:
                     structural = True
                 elif existed:
                     removed.append(k)
@@ -1127,19 +1049,10 @@ class DILI:
             return out
         router = self._get_router()
         leaf_of, _ = router.route(keys)
-        order = np.argsort(leaf_of, kind="stable")
-        sorted_leaf = leaf_of[order]
-        bounds = [
-            0,
-            *(np.flatnonzero(np.diff(sorted_leaf)) + 1).tolist(),
-            len(order),
-        ]
-        leaves = router.leaves
         updated: list = []
-        for g in range(len(bounds) - 1):
-            members = order[bounds[g]:bounds[g + 1]].tolist()
-            leaf = leaves[int(sorted_leaf[bounds[g]])]
-            group_keys = keys[members].tolist()
+        for leaf, group in _leaf_groups(leaf_of, router.leaves):
+            members = group.tolist()
+            group_keys = keys[group].tolist()
             if type(leaf) is DenseLeafNode:
                 for t, j in enumerate(members):
                     k = group_keys[t]
@@ -1219,12 +1132,20 @@ class DILI:
     def _plan_note_batch(
         self, slot_keys: list, dirty: list, *, deletes: bool
     ) -> None:
-        """Maintain the plan after a write batch.
+        """Maintain the plan after an insert, delete or leaf rebuild.
 
-        ``slot_keys`` are the patchable slot-level mutations (pairs for
-        inserts, keys for deletes) from non-structural groups;
-        ``dirty`` holds ``(leaf, key)`` for structurally changed
-        top-level leaves, each recompiled as one subtree splice.
+        The one maintenance path for scalar and batch inserts/deletes
+        and for :meth:`rebuild_leaf` (value updates use
+        :meth:`_plan_note_updates`).  ``slot_keys`` are the patchable
+        slot-level mutations (pairs for inserts, keys for deletes) from
+        non-structural leaves; ``dirty`` holds ``(leaf, key)`` for
+        structurally changed top-level leaves, each recompiled as one
+        subtree splice.  The caller decides which list a change joins
+        from its own return values, so stripe-locked writers on
+        different leaves cannot mislabel each other's changes.  The
+        ``applied_*`` constructors patch a private plan in place and
+        return a copy-on-write successor of a frozen (published) one;
+        a change no tier absorbs drops the plan.
         """
         with self._plan_mutex:
             plan = self._flat
@@ -1253,6 +1174,22 @@ class DILI:
             if not ok:
                 self._invalidate_plan()
 
+    def _plan_note_updates(self, pairs: list) -> None:
+        """Maintain the plan after successful value updates (scalar or
+        batch): payload-table patches only, never a splice."""
+        if not pairs:
+            return
+        with self._plan_mutex:
+            plan = self._flat
+            if plan is None:
+                return
+            new = plan.applied_values(pairs)
+            if new is not None:
+                self._flat = new
+                self.plan_patches += len(pairs)
+            else:
+                self._invalidate_plan()
+
     # ------------------------------------------------------------------
     # Value updates and convenience accessors
     # ------------------------------------------------------------------
@@ -1273,25 +1210,24 @@ class DILI:
             node = node.children[node.child_index(key)]
         if type(node) is DenseLeafNode:
             idx = int(np.searchsorted(node.keys, key, side="left"))
-            if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx] = value
-                self._plan_note_update(key, value)
-                self._sanitize_after((key,))
-                return True
-            return False
-        while True:
-            pos = node.predict_slot(key)
-            entry = node.slots[pos]
-            if entry is None:
+            if idx == len(node.keys) or node.keys[idx] != key:
                 return False
-            if type(entry) is tuple:
-                if entry[0] == key:
+            node.values[idx] = value
+        else:
+            while True:
+                pos = node.predict_slot(key)
+                entry = node.slots[pos]
+                if entry is None:
+                    return False
+                if type(entry) is tuple:
+                    if entry[0] != key:
+                        return False
                     node.slots[pos] = (key, value)
-                    self._plan_note_update(key, value)
-                    self._sanitize_after((key,))
-                    return True
-                return False
-            node = entry
+                    break
+                node = entry
+        self._plan_note_updates([(key, value)])
+        self._sanitize_after((key,))
+        return True
 
     def pop(self, key: float, default: object = None) -> object:
         """Remove ``key`` and return its value (``default`` if absent)."""
@@ -1364,7 +1300,6 @@ class DILI:
         self.__dict__.setdefault("_flat", None)
         self.__dict__.setdefault("_cycles", self.config.cycles)
         self.__dict__.setdefault("_router", None)
-        self.__dict__.setdefault("_op_structural", False)
         self.__dict__.setdefault("plan_recompiles", 0)
         self.__dict__.setdefault("plan_subtree_recompiles", 0)
         self.__dict__.setdefault("plan_patches", 0)
@@ -1598,6 +1533,24 @@ class DILI:
             if key <= last:
                 raise InvariantError(f"iteration order broken at {key}")
             last = key
+
+
+def _leaf_groups(leaf_of: np.ndarray, leaves: list):
+    """Yield ``(leaf, members)`` per top-level leaf a routed batch hits.
+
+    ``members`` are the batch positions routed to ``leaf``, in batch
+    order (stable sort), so per-leaf execution applies a leaf's keys in
+    the order the scalar loop would.
+    """
+    order = np.argsort(leaf_of, kind="stable")
+    sorted_leaf = leaf_of[order]
+    bounds = [
+        0,
+        *(np.flatnonzero(np.diff(sorted_leaf)) + 1).tolist(),
+        len(order),
+    ]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield leaves[int(sorted_leaf[lo])], order[lo:hi]
 
 
 def _count_all(node) -> int:

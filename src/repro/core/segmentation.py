@@ -72,18 +72,6 @@ class SegmentationResult:
         return [seg.start for seg in self.segments]
 
 
-def _weighted_log_error(stats: SegmentStats) -> float:
-    """Contribution of one piece to the mean-log-error aggregate.
-
-    ``T_ea`` needs the key-weighted mean of ``log2(prediction error)``;
-    per piece we use ``n * log2(rmse + 1)`` with the piece RMSE as the
-    error proxy (the +1 keeps perfect pieces at zero cost).
-    """
-    if stats.n == 0:
-        return 0.0
-    return stats.n * math.log2(stats.rmse() + 1.0)
-
-
 def _initial_pieces(n: int) -> list[tuple[int, int]]:
     """Size-2 pieces over ``range(n)``; the last piece absorbs a leftover.
 
@@ -97,52 +85,6 @@ def _initial_pieces(n: int) -> list[tuple[int, int]]:
         start, _ = pieces[-1]
         pieces[-1] = (start, n)
     return pieces
-
-
-def _initial_stats(
-    xs: np.ndarray, ys: np.ndarray, pieces: list[tuple[int, int]]
-) -> list[SegmentStats | None]:
-    """Statistics of the initial size-2 pieces, computed vectorised.
-
-    All pieces except possibly the last have exactly two points, whose
-    moments have closed forms; building ~n/2 SegmentStats objects through
-    the generic constructor dominates construction time otherwise.
-    """
-    k = len(pieces)
-    if k == 0:
-        return []
-    # The final piece may hold three points; handle it generically.
-    tail_start, tail_end = pieces[-1]
-    even = k - 1 if (tail_end - tail_start) != 2 else k
-    x0 = xs[0:2 * even:2]
-    x1 = xs[1:2 * even:2]
-    y0 = ys[0:2 * even:2]
-    y1 = ys[1:2 * even:2]
-    mean_x = (x0 + x1) * 0.5
-    mean_y = (y0 + y1) * 0.5
-    half_dx = (x1 - x0) * 0.5
-    half_dy = (y1 - y0) * 0.5
-    sxx = 2.0 * half_dx * half_dx
-    syy = 2.0 * half_dy * half_dy
-    sxy = 2.0 * half_dx * half_dy
-    stats: list[SegmentStats | None] = [
-        SegmentStats(
-            n=2,
-            mean_x=float(mean_x[i]),
-            mean_y=float(mean_y[i]),
-            sxx=float(sxx[i]),
-            syy=float(syy[i]),
-            sxy=float(sxy[i]),
-        )
-        for i in range(even)
-    ]
-    if even != k:
-        stats.append(
-            SegmentStats.from_arrays(
-                xs[tail_start:tail_end], ys[tail_start:tail_end]
-            )
-        )
-    return stats
 
 
 def greedy_merging(
@@ -182,7 +124,8 @@ def greedy_merging(
     # The merge loop runs O(n) times, so per-piece state lives in one
     # tuple per piece -- (n, mean_x, mean_y, sxx, syy, sxy, sse, wle) --
     # with the SegmentStats / sse / weighted-log-error math inlined
-    # (Chan et al. pairwise updates).  The arithmetic replicates the
+    # (Chan et al. pairwise updates; wle = n * log2(rmse + 1) is T_ea's
+    # per-piece error proxy).  The arithmetic replicates the
     # SegmentStats operation order exactly, keeping the merge schedule
     # (and therefore the produced tree) bit-identical to the object
     # version while dropping its allocation and call overhead.

@@ -246,9 +246,7 @@ def _inject_flat_cell(index, rng) -> FaultReport | None:
     """
     if index.root is None:
         return None
-    plan = index._flat
-    if plan is None:
-        plan = index._plan()
+    plan = index._plan()
     if len(plan.dense_keys):
         return None
     leaves = [

@@ -14,8 +14,9 @@ the authoritative pair table), then repairs it incrementally:
    recomputed exactly (Eq. 1 is a pure function of ``[lb, ub)`` and
    fanout), leaves are rebuilt **bulk-load-identically** via
    :meth:`repro.core.dili.DILI.rebuild_leaf` from the authoritative
-   pairs routed to them, and the compiled flat plan is spliced with
-   ``applied_recompile_subtrees`` -- never a full-index rebuild.
+   pairs routed to them, which also splices the leaf's extent of the
+   compiled flat plan through the index's own plan-maintenance path
+   -- never a full-index rebuild.
 3. **verify** -- the same step re-runs the scoped verifiers over just
    the repaired subtree (structure, content vs. authority, plan
    answers).  Pass closes the ticket; the last closed ticket restores
@@ -207,7 +208,7 @@ class RepairEngine:
         top-level leaf whose extent holds the first divergent position.
         """
         index = self.index
-        plan = index._flat
+        plan = index.peek_plan()
         if plan is None:
             return None
         auth = self.auth
@@ -250,7 +251,7 @@ class RepairEngine:
         import numpy as np
 
         index = self.index
-        plan = index._flat
+        plan = index.peek_plan()
         keys = self.auth.keys
         n = min(len(plan.sorted_keys), len(keys))
         if n:
@@ -414,41 +415,27 @@ class RepairEngine:
         groups = {
             id(leaf): expected for leaf, expected in self._route_authority()
         }
+        index = self.index
         for leaf in leaves:
             expected = groups[id(leaf)]
             if not force and self._content_mismatch(leaf, expected) is None:
                 continue
+            had_plan = index.peek_plan() is not None
             if type(leaf) is DenseLeafNode:
-                self.index.rebuild_dense_leaf(
+                index.rebuild_dense_leaf(
                     leaf,
                     [k for k, _ in expected],
                     [v for _, v in expected],
                 )
-                # ``recompile_subtrees`` declines dense extents; the
-                # plan, if live, is recompiled lazily on next use.
-                if self.index._flat is not None:
-                    self.index._invalidate_plan()
+            else:
+                index.rebuild_leaf(leaf, expected)
+            # The rebuild maintained a live plan itself: it spliced the
+            # leaf's extent (copy-on-write if published) or dropped it.
+            if had_plan:
+                if index.peek_plan() is None:
                     self.counters["plan_drops"] += 1
-                continue
-            self.index.rebuild_leaf(leaf, expected)
-            plan = self.index._flat
-            if plan is not None:
-                anchor = (
-                    expected[0][0]
-                    if expected
-                    else leaf.lb + (leaf.ub - leaf.lb) / 2.0
-                )
-                # Copy-on-write splice (CHK008): if the plan has been
-                # epoch-published it is frozen, and the repair must
-                # install a successor version instead of patching the
-                # buffers lock-free readers are descending.
-                new = plan.applied_recompile_subtrees([(anchor, leaf)])
-                if new is not None:
-                    self.index._flat = new
-                    self.counters["plan_splices"] += 1
                 else:
-                    self.index._invalidate_plan()
-                    self.counters["plan_drops"] += 1
+                    self.counters["plan_splices"] += 1
 
     def _reverify(self, ticket: RepairTicket) -> None:
         """Scoped post-repair verification; raises on residual damage."""
@@ -466,7 +453,7 @@ class RepairEngine:
             message = self._content_mismatch(leaf, groups[id(leaf)])
             if message is not None:
                 raise SanitizerViolation(message)
-        plan = self.index._flat
+        plan = self.index.peek_plan()
         if plan is not None:
             import numpy as np
 

@@ -1,5 +1,6 @@
 """Tests for the lock-crabbing concurrent wrapper (Appendix A.8)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -146,6 +147,106 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert len(index) == len(base) + len(extra)
+        index.index.validate()
+
+    def test_parallel_point_inserts_keep_the_published_plan(self):
+        """Stripe-locked writers on different leaves each decide patch
+        vs splice from their own insert; one writer's nested-leaf spawn
+        must not turn another's insert into a plan drop (which would
+        make the next batch read recompile the whole plan)."""
+        base = _keys(5000, seed=11)
+        index = ConcurrentDILI()
+        index.bulk_load(base)
+        index.get_batch(base[:64])  # compile + publish the plan
+        inner = index.index
+        recompiles = inner.plan_recompiles
+        fresh = np.setdiff1d(_keys(400, seed=12), base)[:200]
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def worker(chunk):
+            try:
+                barrier.wait()
+                for k in chunk:
+                    assert index.insert(float(k), "fresh")
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(c,))
+            for c in (fresh[0::2], fresh[1::2])
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert inner.peek_plan() is not None
+        assert index.get_batch(fresh) == ["fresh"] * len(fresh)
+        assert inner.plan_recompiles == recompiles
+        inner.validate()
+
+    def test_point_writers_never_patch_a_published_plan(self):
+        """A plan version one point writer installed is patched in
+        place by another until it is published; publishing it under the
+        plan mutex keeps those patches off every plan a lock-free
+        reader can pin, so no batch read sees a half-patched table."""
+        base = _keys(5000, seed=13)
+        index = ConcurrentDILI()
+        index.bulk_load(base)
+        index.get_batch(base[:64])  # compile + publish the plan
+        fresh = np.setdiff1d(_keys(2000, seed=14), base)[:1000]
+        probe = base[::7]
+        expected = list(range(0, len(base), 7))
+        stop = threading.Event()
+        errors = []
+        reads = [0, 0]
+
+        def reader(r):
+            try:
+                while not stop.is_set():
+                    if index.get_batch(probe) != expected:
+                        raise AssertionError(
+                            "lock-free batch read saw a half-patched plan"
+                        )
+                    reads[r] += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def writer(chunk):
+            try:
+                for k in chunk:
+                    assert index.insert(float(k), "fresh")
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        readers = [threading.Thread(target=reader, args=(r,)) for r in (0, 1)]
+        writers = [
+            threading.Thread(target=writer, args=(c,))
+            for c in (fresh[0::2], fresh[1::2])
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=120)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert not errors, errors[0]
+        assert min(reads) > 0
+        assert index.get_batch(fresh) == ["fresh"] * len(fresh)
         index.index.validate()
 
     def test_concurrent_deletes_remove_exactly_once(self):

@@ -143,6 +143,25 @@ class TestEngineMechanics:
         loaded.repair_all()
         loaded.verify()
 
+    def test_repair_splices_go_through_plan_maintenance(self, loaded):
+        """A rebuilt leaf's plan extent is spliced by the index's own
+        maintenance path, so every repair splice is also counted as a
+        subtree recompile, and the spliced plan answers correctly."""
+        model = _model(loaded)
+        before = loaded.index.plan_subtree_recompiles
+        rng = np.random.default_rng(1)
+        assert FaultRegistry().inject("leaf_model", loaded.index, rng)
+        assert loaded.detect() >= 1
+        loaded.repair_all()
+        splices = loaded.stats()["plan_splices"]
+        assert splices >= 1
+        assert loaded.index.plan_subtree_recompiles - before == splices
+        assert loaded.index.peek_plan() is not None
+        keys = loaded.auth.keys
+        expected = [model[k] for k in keys.tolist()]
+        assert loaded.get_batch(keys) == expected
+        assert [loaded.get(k) for k in keys.tolist()] == expected
+
     def test_repair_all_respects_max_steps(self, loaded, rng):
         registry = FaultRegistry()
         for kind in ("slot_clobber", "leaf_model"):
