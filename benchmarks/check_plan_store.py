@@ -112,7 +112,8 @@ def check_corruption_sweep(workdir: Path, failures: list[str]) -> None:
         status = "ok" if run.ok else "VIOLATION"
         print(
             f"corruption sweep: {run.kind:<20} rung {run.rung} "
-            f"(expected {run.expected_rung}), wrong reads "
+            f"(expected {run.expected_rung}), after later publishes "
+            f"{list(run.later_readers)}, wrong reads "
             f"{run.wrong_reads}/{run.probes}: {status}"
         )
         if run.wrong_reads:
@@ -122,8 +123,10 @@ def check_corruption_sweep(workdir: Path, failures: list[str]) -> None:
             )
         elif not run.ok:
             failures.append(
-                f"{run.kind}: landed on rung {run.rung}, expected "
-                f"{run.expected_rung}"
+                f"{run.kind}: landed on rung {run.rung} (expected "
+                f"{run.expected_rung}); (rung, served) after later "
+                f"publishes {list(run.later_readers)} (expected rung 1, "
+                f"served)"
             )
 
 

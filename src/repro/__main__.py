@@ -543,6 +543,8 @@ def cmd_plan_chaos(args: argparse.Namespace) -> int:
     result = run_plan_chaos(workdir, seed=args.seed, n_keys=args.keys)
     rows = [
         [run.kind, float(run.rung), float(run.expected_rung),
+         ",".join(str(rung) if served else "-"
+                  for rung, served in run.later_readers),
          float(run.wrong_reads), float(len(run.quarantined))]
         for run in result.runs
     ]
@@ -550,7 +552,8 @@ def cmd_plan_chaos(args: argparse.Namespace) -> int:
         format_table(
             f"Plan corruption sweep: seed {result.seed}, "
             f"{args.keys:,} keys per round",
-            ["fault kind", "rung", "expected", "wrong", "quarantined"],
+            ["fault kind", "rung", "expected", "later rungs", "wrong",
+             "quarantined"],
             rows,
             first_col_width=22,
         )

@@ -343,7 +343,7 @@ class WriteBatchMeasurement:
       so every scalar insert patches or splices the plan per operation
       while ``insert_batch`` maintains it once per batch.
     * *tree only*: no plan exists; the comparison isolates the batched
-      descent and grouped slot prediction from plan maintenance.
+      descent and per-leaf grouping from plan maintenance.
 
     Attributes:
         scalar_s / batch_s: Serving-state wall-clock seconds.

@@ -33,8 +33,6 @@ from repro.core.local_opt import (
     LocalOptStats,
     fit_leaf_model,
     local_opt,
-    predict_slots,
-    spawn_two,
 )
 from repro.core.nodes import DenseLeafNode, InternalNode, LeafNode, Pair
 from repro.simulate.latency import CyclesPerOp, DEFAULT_CYCLES
@@ -676,7 +674,7 @@ class DILI:
     ) -> int:
         """Insert many pairs at once; returns how many were new.
 
-        Small batches route through :meth:`insert_batch` (the vectorized
+        Small batches route through :meth:`insert_batch` (the batched
         Algorithm 7 path).  When the batch exceeds ``rebuild_ratio`` of
         the current size, it is cheaper -- and yields a
         distribution-aware layout for the *combined* data -- to merge
@@ -721,13 +719,12 @@ class DILI:
     # The batch write path mirrors get_batch's structure: the whole
     # batch descends the cached InternalRouter level-synchronously
     # (internal nodes never change after bulk load), keys are grouped
-    # by target top-level leaf, slot prediction is vectorized per group,
-    # and only conflict resolution, nested-leaf spawning and _adjust
-    # fall back to the scalar Algorithm 7/8 code.  Results, tree
-    # structure, counters, and -- under a real tracer -- the simulated
-    # cost trace are identical to the equivalent scalar loop: keys
-    # within one leaf keep their batch order (stable sort) and
-    # operations on different top-level leaves commute.
+    # by target top-level leaf, and every key then runs the scalar
+    # Algorithm 7/8 leaf routine.  Results, tree structure, counters,
+    # and -- under a real tracer -- the simulated cost trace are
+    # identical to the equivalent scalar loop: keys within one leaf
+    # keep their batch order (stable sort) and operations on different
+    # top-level leaves commute.
 
     def insert_batch(
         self,
@@ -801,116 +798,26 @@ class DILI:
     ):
         """Apply one leaf's batch inserts in batch order.
 
-        The leaf's bookkeeping (delta/num_pairs/kappa) lives in locals
-        across the loop -- nothing below the top frame reads the parent
-        leaf's attributes -- and is written back before any `_adjust`
-        (which rebuilds the leaf in place) and at the end.  Returns
-        ``(structural, patches)`` where ``patches`` are the (key, value)
-        pairs that landed in empty slots (plan-patchable) -- discarded
-        by the caller when the leaf changed structurally, because the
-        subtree recompile covers them wholesale.
+        Every key runs :meth:`_insert_to_leaf`.  Returns
+        ``(structural, patches)`` where ``patches`` are the inserted
+        (key, value) pairs that changed no shape (plan-patchable) --
+        discarded by the caller when the leaf changed structurally,
+        because the subtree recompile covers them wholesale.
         """
-        cfg = self.config
-        adjust_on = cfg.adjust
-        lam = cfg.lambda_adjust
-        enlarge = cfg.enlarge
-        # Same fanout expression local_opt evaluates for a 2-pair group.
-        fanout2 = max(2, int(np.ceil(enlarge * 2)))
-        c = self._cycles
-        eta = c.linear_model
-        br = c.branch
-        members_list = members.tolist()
-        mkeys = keys_sub[members]
-        pos_arr = predict_slots(leaf, mkeys)
-        if pos_arr is None:
-            pos_list = [leaf.predict_slot(float(k)) for k in mkeys]
-        else:
-            pos_list = pos_arr.tolist()
-        keys_list = mkeys.tolist()
-        slots = leaf.slots
-        delta = leaf.delta
-        npairs = leaf.num_pairs
-        kappa = leaf.kappa
-        region = leaf.region
         structural = False
         patches: list = []
-        m = len(members_list)
-        for t in range(m):
-            j = members_list[t]
-            k = keys_list[t]
-            p = pos_list[t]
-            rec = recorders[j] if recorders is not None else None
-            if rec is not None:
-                rec.mem(region)
-                rec.compute(eta)
-                rec.mem(region, 64 + p * 16)
-            entry = slots[p]
-            if entry is None:
-                pair = (k, values[offset + j])
-                slots[p] = pair
-                delta += 1
-                not_exist = True
+        for j, k in zip(members.tolist(), keys_sub[members].tolist()):
+            pair = (k, values[offset + j])
+            inserted, reshaped = self._insert_to_leaf(
+                leaf,
+                pair,
+                recorders[j] if recorders is not None else NULL_TRACER,
+            )
+            out[offset + j] = inserted
+            if reshaped:
+                structural = True
+            elif inserted:
                 patches.append(pair)
-            elif type(entry) is tuple:
-                if rec is not None:
-                    rec.compute(br)
-                if entry[0] == k:
-                    not_exist = False
-                else:
-                    pair = (k, values[offset + j])
-                    child = spawn_two(entry, pair, fanout2)
-                    if child is None:
-                        child = LeafNode(
-                            min(entry[0], k), max(entry[0], k)
-                        )
-                        group = sorted([entry, pair])
-                        local_opt(child, group, enlarge=enlarge)
-                    slots[p] = child
-                    delta += 1 + child.delta
-                    self.moved_pairs += 2
-                    structural = True
-                    not_exist = True
-            else:
-                delta_before = entry.delta
-                not_exist, reshaped = self._insert_to_leaf(
-                    entry,
-                    (k, values[offset + j]),
-                    rec if rec is not None else NULL_TRACER,
-                )
-                delta += 1 + entry.delta - delta_before
-                if reshaped:
-                    structural = True
-                elif not_exist:
-                    patches.append((k, values[offset + j]))
-            if not_exist:
-                out[offset + j] = True
-                npairs += 1
-                # Same float expression as the scalar adjust check --
-                # not algebraically rearranged, so it fires on exactly
-                # the same ops.
-                if adjust_on and delta / npairs > lam * kappa:
-                    leaf.delta = delta
-                    leaf.num_pairs = npairs
-                    self._adjust(leaf)
-                    structural = True
-                    slots = leaf.slots
-                    delta = leaf.delta
-                    npairs = leaf.num_pairs
-                    kappa = leaf.kappa
-                    if t + 1 < m:
-                        rest = np.asarray(
-                            keys_list[t + 1:], dtype=np.float64
-                        )
-                        pa = predict_slots(leaf, rest)
-                        if pa is None:
-                            pos_list[t + 1:] = [
-                                leaf.predict_slot(kk)
-                                for kk in keys_list[t + 1:]
-                            ]
-                        else:
-                            pos_list[t + 1:] = pa.tolist()
-        leaf.delta = delta
-        leaf.num_pairs = npairs
         return structural, patches
 
     def delete_batch(
@@ -919,8 +826,9 @@ class DILI:
         """Remove many keys; boolean array, True where a key existed.
 
         Semantically identical to ``[self.delete(k) for k in keys]``,
-        with the same grouped vectorized execution, plan maintenance,
-        and batch-order trace replay as :meth:`insert_batch`.
+        with the same vectorized routing, per-leaf grouping, plan
+        maintenance, and batch-order trace replay as
+        :meth:`insert_batch`.
         """
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.ndim != 1:
@@ -960,71 +868,23 @@ class DILI:
     def _delete_group(self, leaf, members, keys_arr, out, recorders):
         """Apply one leaf's batch deletes in batch order.
 
-        Returns ``(structural, removed_keys)``; ``removed_keys`` are the
-        top-frame pair deletions (plan-patchable).
+        Every key runs :meth:`_delete_from_leaf`.  Returns
+        ``(structural, removed_keys)``; ``removed_keys`` are the
+        deletions that changed no shape (plan-patchable).
         """
-        c = self._cycles
-        eta = c.linear_model
-        br = c.branch
-        members_list = members.tolist()
-        mkeys = keys_arr[members]
-        pos_arr = predict_slots(leaf, mkeys)
-        if pos_arr is None:
-            pos_list = [leaf.predict_slot(float(k)) for k in mkeys]
-        else:
-            pos_list = pos_arr.tolist()
-        keys_list = mkeys.tolist()
-        slots = leaf.slots
-        delta = leaf.delta
-        npairs = leaf.num_pairs
-        kappa = leaf.kappa
-        region = leaf.region
         structural = False
         removed: list = []
-        for t in range(len(members_list)):
-            j = members_list[t]
-            k = keys_list[t]
-            p = pos_list[t]
-            rec = recorders[j] if recorders is not None else None
-            if rec is not None:
-                rec.mem(region)
-                rec.compute(eta)
-                rec.mem(region, 64 + p * 16)
-            entry = slots[p]
-            if entry is None:
-                existed = False
-            elif type(entry) is tuple:
-                if rec is not None:
-                    rec.compute(br)
-                if entry[0] == k:
-                    slots[p] = None
-                    delta -= 1
-                    existed = True
-                    removed.append(k)
-                else:
-                    existed = False
-            else:
-                delta_before = entry.delta
-                existed, reshaped = self._delete_from_leaf(
-                    entry, k, rec if rec is not None else NULL_TRACER
-                )
-                delta -= 1 + delta_before - entry.delta
-                if existed and entry.num_pairs == 1:
-                    remaining = next(entry.iter_pairs())
-                    slots[p] = remaining
-                    delta -= 1
-                    structural = True
-                elif reshaped:
-                    structural = True
-                elif existed:
-                    removed.append(k)
-            if existed:
-                out[j] = True
-                npairs -= 1
-                kappa = delta / npairs if npairs > 0 else 1.0
-        leaf.delta = delta
-        leaf.num_pairs = npairs
-        leaf.kappa = kappa
+        for j, k in zip(members.tolist(), keys_arr[members].tolist()):
+            existed, reshaped = self._delete_from_leaf(
+                leaf,
+                k,
+                recorders[j] if recorders is not None else NULL_TRACER,
+            )
+            out[j] = existed
+            if reshaped:
+                structural = True
+            elif existed:
+                removed.append(k)
         return structural, removed
 
     def update_batch(
@@ -1050,40 +910,11 @@ class DILI:
         router = self._get_router()
         leaf_of, _ = router.route(keys)
         updated: list = []
-        for leaf, group in _leaf_groups(leaf_of, router.leaves):
-            members = group.tolist()
-            group_keys = keys[group].tolist()
-            if type(leaf) is DenseLeafNode:
-                for t, j in enumerate(members):
-                    k = group_keys[t]
-                    idx = int(np.searchsorted(leaf.keys, k, side="left"))
-                    if idx < len(leaf.keys) and leaf.keys[idx] == k:
-                        leaf.values[idx] = values[j]
-                        out[j] = True
-                        updated.append((k, values[j]))
-                continue
-            garr = np.asarray(group_keys, dtype=np.float64)
-            pos_arr = predict_slots(leaf, garr)
-            if pos_arr is None:
-                pos_list = [leaf.predict_slot(k) for k in group_keys]
-            else:
-                pos_list = pos_arr.tolist()
-            for t, j in enumerate(members):
-                k = group_keys[t]
-                node = leaf
-                p = pos_list[t]
-                while True:
-                    entry = node.slots[p]
-                    if entry is None:
-                        break
-                    if type(entry) is tuple:
-                        if entry[0] == k:
-                            node.slots[p] = (k, values[j])
-                            out[j] = True
-                            updated.append((k, values[j]))
-                        break
-                    node = entry
-                    p = node.predict_slot(k)
+        for leaf, members in _leaf_groups(leaf_of, router.leaves):
+            for j, k in zip(members.tolist(), keys[members].tolist()):
+                if self._update_in_leaf(leaf, k, values[j]):
+                    out[j] = True
+                    updated.append((k, values[j]))
         self._plan_note_updates(updated)
         self._sanitize_after(keys)
         return out
@@ -1208,26 +1039,37 @@ class DILI:
             return False
         while type(node) is InternalNode:
             node = node.children[node.child_index(key)]
-        if type(node) is DenseLeafNode:
-            idx = int(np.searchsorted(node.keys, key, side="left"))
-            if idx == len(node.keys) or node.keys[idx] != key:
-                return False
-            node.values[idx] = value
-        else:
-            while True:
-                pos = node.predict_slot(key)
-                entry = node.slots[pos]
-                if entry is None:
-                    return False
-                if type(entry) is tuple:
-                    if entry[0] != key:
-                        return False
-                    node.slots[pos] = (key, value)
-                    break
-                node = entry
+        if not self._update_in_leaf(node, key, value):
+            return False
         self._plan_note_updates([(key, value)])
         self._sanitize_after((key,))
         return True
+
+    def _update_in_leaf(self, leaf, key: float, value: object) -> bool:
+        """Store ``value`` under an existing ``key`` of a top-level leaf.
+
+        A dense (DILI-LO) leaf is searched; a locally optimized leaf is
+        walked slot by slot through its nested leaves.  Returns False
+        when the key is absent.
+        """
+        if type(leaf) is DenseLeafNode:
+            idx = int(np.searchsorted(leaf.keys, key, side="left"))
+            if idx == len(leaf.keys) or leaf.keys[idx] != key:
+                return False
+            leaf.values[idx] = value
+            return True
+        node = leaf
+        while True:
+            pos = node.predict_slot(key)
+            entry = node.slots[pos]
+            if entry is None:
+                return False
+            if type(entry) is tuple:
+                if entry[0] != key:
+                    return False
+                node.slots[pos] = (key, value)
+                return True
+            node = entry
 
     def pop(self, key: float, default: object = None) -> object:
         """Remove ``key`` and return its value (``default`` if absent)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.linear_model import _DY2, LinearModel
+from repro.core.linear_model import LinearModel
 from repro.core.nodes import LeafNode, Pair
 
 # Scalar floor+int is only equivalent to numpy's floor/astype(int64) while
@@ -67,78 +67,6 @@ def fit_leaf_model(keys: list[float] | np.ndarray, fanout: int) -> LinearModel:
         return model
     ratio = fanout / n
     return LinearModel(model.slope * ratio, model.intercept * ratio)
-
-
-def predict_slots(leaf: LeafNode, keys_arr: np.ndarray) -> np.ndarray | None:
-    """Vectorized ``leaf.predict_slot`` over a float64 key array.
-
-    Returns ``None`` when any raw prediction falls outside the
-    int64-safe band (the ``astype(int64)`` conversion would diverge from
-    the scalar ``int(math.floor(...))``) -- callers then fall back to
-    per-key ``predict_slot``, which also reproduces the scalar path's
-    exceptions for non-finite keys.
-    """
-    v = leaf.intercept + leaf.slope * keys_arr
-    if not np.all((v > -_SAFE_PRED) & (v < _SAFE_PRED)):
-        return None
-    pos = np.floor(v).astype(np.int64)
-    np.clip(pos, 0, len(leaf.slots) - 1, out=pos)
-    return pos
-
-
-def spawn_two(entry: Pair, pair: Pair, fanout: int) -> LeafNode | None:
-    """Fused two-pair nested-leaf spawn (batch-write fast path).
-
-    Builds the LeafNode that the scalar conflict branch produces via
-    ``local_opt(LeafNode(lo, hi), sorted([entry, pair]), ...)`` with
-    ``fanout = max(2, ceil(enlarge * 2))`` -- bit for bit: the same
-    inlined two-point rank fit (``np.dot`` kept because its kernel
-    rounds differently from pure-python products), the same stretch,
-    floor and clamp.  Returns None whenever the generic path would do
-    anything beyond placing both pairs in distinct slots (keys collide
-    again, predictions outside the int64-safe band, or a fit the
-    two-point formula cannot anchor); the caller then runs
-    ``local_opt`` itself.
-    """
-    if entry[0] > pair[0]:
-        lo, hi = pair, entry
-    else:
-        lo, hi = entry, pair
-    x0 = lo[0]
-    x1 = hi[0]
-    mx = (x0 + x1) / 2.0
-    dx = np.array((x0 - mx, x1 - mx))
-    sxx = float(np.dot(dx, dx))
-    if sxx == 0.0:
-        return None
-    slope = float(np.dot(dx, _DY2)) / sxx
-    ratio = fanout / 2
-    s = slope * ratio
-    a = (0.5 - slope * mx) * ratio
-    v0 = a + s * x0
-    v1 = a + s * x1
-    if not (
-        -_SAFE_PRED < v0 < _SAFE_PRED and -_SAFE_PRED < v1 < _SAFE_PRED
-    ):
-        return None
-    last = fanout - 1
-    p0 = int(math.floor(v0))
-    p0 = 0 if p0 < 0 else (last if p0 > last else p0)
-    p1 = int(math.floor(v1))
-    p1 = 0 if p1 < 0 else (last if p1 > last else p1)
-    if p0 == p1:
-        return None
-    child = LeafNode(x0, x1)
-    child.slope = s
-    child.intercept = a
-    slots: list[object] = [None] * fanout
-    slots[p0] = lo
-    slots[p1] = hi
-    child.slots = slots
-    child.num_pairs = 2
-    child.delta = 2
-    child.kappa = 1.0
-    return child
 
 
 def local_opt(

@@ -308,7 +308,9 @@ class DurableDILI:
         Lets a writer keep published plans current without rewriting
         the base file: the delta carries the raw WAL op frames, which
         readers replay into their overlay.  Returns the delta path, or
-        ``None`` when the chain is already at the WAL's LSN.
+        ``None`` when the chain is already at the WAL's LSN.  A damaged
+        chain (a gap, or a bad, quarantined or lost delta) takes no more
+        deltas: a new base is published instead and its path returned.
 
         Raises:
             ValueError: No base generation has been published yet.
@@ -323,6 +325,8 @@ class DurableDILI:
                 raise ValueError("no plan generation published yet")
             generation = generations[-1]
             chain_lsn, next_seq = plans.chain_state(generation)
+            if next_seq is None:
+                return plans.base_path(self.publish_plan())
             scan = scan_wal(self.wal.path)
             ops = [
                 (record.opcode, record.payload)

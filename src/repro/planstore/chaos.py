@@ -19,6 +19,15 @@ things:
 3. checksum-style damage is **quarantined, never deleted** -- the
    corrupt artifact survives on disk under its ``.quarantined`` name.
 
+The writer then carries on over the damage for two more rounds, each
+deleting a quarter of the live keys and updating a third of the rest.
+The first round publishes the way a shard worker does after a write (a
+WAL-tail delta, or a base when no generation survives), the second a
+new base.  After each round a fresh reader is audited the same way, and
+its wrong reads and probes count toward the run's: a new delta or base
+must never pick up an artifact left over from before the damage, and
+the reader must serve it at rung 1.
+
 Runs are fully determined by the seed (``repro plan chaos`` is the CI
 entry point).
 """
@@ -66,7 +75,12 @@ QUARANTINE_KINDS: frozenset[str] = frozenset(
 
 @dataclass(frozen=True)
 class PlanChaosRun:
-    """Outcome of one (kind, fresh directory) chaos round."""
+    """Outcome of one (kind, fresh directory) chaos round.
+
+    ``rung``, ``served`` and ``quarantined`` describe the first reader,
+    opened on the damage; ``later_readers`` holds ``(rung, served)`` of
+    the reader opened after each later writer round.
+    """
 
     kind: str
     rung: int
@@ -76,6 +90,7 @@ class PlanChaosRun:
     served: bool
     quarantined: tuple[str, ...]
     report: PlanFaultReport | None
+    later_readers: tuple[tuple[int, bool], ...]
 
     @property
     def ok(self) -> bool:
@@ -83,7 +98,11 @@ class PlanChaosRun:
             return False
         if self.kind in QUARANTINE_KINDS and not self.quarantined:
             return False
-        return True
+        # A publish on top of the damage must be what the next reader
+        # serves: the newest plan, at rung 1.
+        return all(
+            rung == 1 and served for rung, served in self.later_readers
+        )
 
 
 @dataclass
@@ -187,6 +206,41 @@ def _count_wrong_reads(
     return wrong, total, True
 
 
+def _write_round(
+    state_dir: str, rng: np.random.Generator, *, tag: int, base: bool
+) -> None:
+    """Delete a quarter of the live keys, update a third of the rest,
+    then publish a base (``base``) or, while a generation survives, a
+    WAL-tail delta."""
+    durable = DurableDILI(state_dir)
+    live = np.fromiter(
+        (key for key, _ in durable.items()), dtype=np.float64
+    )
+    rng.shuffle(live)
+    cut = len(live) // 4
+    durable.delete_batch(np.sort(live[:cut]))
+    updates = np.sort(live[cut:cut + (len(live) - cut) // 3])
+    durable.update_batch(updates, [f"u{tag}-{int(k)}" for k in updates])
+    if base or not PlanDirectory.for_state_dir(state_dir).generations():
+        durable.publish_plan()
+    else:
+        durable.publish_tail()
+    durable.close()
+
+
+def _audit(
+    state_dir: str, keys: np.ndarray, rng: np.random.Generator
+) -> tuple[MmapDILI, int, int, bool]:
+    """Open a fresh reader and compare it with a recovery rebuild;
+    returns the (closed) reader and :func:`_count_wrong_reads`."""
+    oracle = recover(state_dir).index
+    served = MmapDILI(state_dir)
+    try:
+        return (served, *_count_wrong_reads(served, oracle, keys, rng))
+    finally:
+        served.close()
+
+
 def run_plan_chaos(
     workdir,
     *,
@@ -199,7 +253,8 @@ def run_plan_chaos(
 
     Args:
         workdir: Scratch directory; one fresh state dir per kind.
-        seed: Determines keys, segment splits, and injection offsets.
+        seed: Determines keys, segment splits, injection offsets and
+            the writer's later rounds.
         n_keys: Keys per state directory (5 segments are cut from it).
         kinds: Fault kinds to sweep (default: all of them).
         registry: A :class:`repro.faults.FaultRegistry` to record the
@@ -230,24 +285,27 @@ def run_plan_chaos(
         else:
             target = plans.base_path(newest)
         report = registry.inject_plan(kind, target, rng)
-        oracle = recover(state_dir).index
-        served = MmapDILI(state_dir)
-        try:
-            wrong, probes, was_served = _count_wrong_reads(
-                served, oracle, keys, rng
+        served, wrong, probes, was_served = _audit(state_dir, keys, rng)
+        later = []
+        for tag, base in enumerate((False, True), 1):
+            _write_round(state_dir, rng, tag=tag, base=base)
+            reader, more_wrong, more_probes, reader_served = _audit(
+                state_dir, keys, rng
             )
-            result.runs.append(
-                PlanChaosRun(
-                    kind=kind,
-                    rung=served.rung,
-                    expected_rung=EXPECTED_RUNG.get(kind, served.rung),
-                    wrong_reads=wrong,
-                    probes=probes,
-                    served=was_served,
-                    quarantined=tuple(served.quarantined),
-                    report=report,
-                )
+            wrong += more_wrong
+            probes += more_probes
+            later.append((reader.rung, reader_served))
+        result.runs.append(
+            PlanChaosRun(
+                kind=kind,
+                rung=served.rung,
+                expected_rung=EXPECTED_RUNG.get(kind, served.rung),
+                wrong_reads=wrong,
+                probes=probes,
+                served=was_served,
+                quarantined=tuple(served.quarantined),
+                report=report,
+                later_readers=tuple(later),
             )
-        finally:
-            served.close()
+        )
     return result

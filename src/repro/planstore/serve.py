@@ -62,6 +62,8 @@ QUARANTINE_SUFFIX = ".quarantined"
 
 _BASE_RE = re.compile(r"^plan-(\d{8})\.plan$")
 _DELTA_RE = re.compile(r"^plan-(\d{8})\.(\d{4})\.delta$")
+# Any base or delta name, also with a quarantine (or other) suffix.
+_USED_RE = re.compile(r"^plan-(\d{8})\.(?:(\d{4})\.delta)?")
 
 
 class ServingUnavailable(RuntimeError):
@@ -82,7 +84,11 @@ class PlanDirectory:
     Base files are ``plan-<gen:08d>.plan``; deltas extend a base as
     ``plan-<gen:08d>.<seq:04d>.delta`` with ``seq`` starting at 1.
     Nothing here is ever deleted: failed verification renames the file
-    aside with a ``.quarantined`` suffix.
+    aside with a ``.quarantined`` suffix.  Numbers are never reused
+    either: a new base is numbered past every generation a file on disk
+    names, quarantined ones included, and a delta is only ever appended
+    to a chain that every delta number on disk belongs to, so a reader
+    never mistakes an old artifact for part of a new chain.
     """
 
     def __init__(self, dirpath) -> None:
@@ -126,6 +132,18 @@ class PlanDirectory:
                 )
         return sorted(out)
 
+    def _used_numbers(self) -> list[tuple[int, int]]:
+        """``(generation, seq)`` named by every file in the directory,
+        quarantined ones included (``seq`` is 0 for a base)."""
+        if not os.path.isdir(self.dirpath):
+            return []
+        out = []
+        for name in os.listdir(self.dirpath):
+            m = _USED_RE.match(name)
+            if m:
+                out.append((int(m.group(1)), int(m.group(2) or 0)))
+        return out
+
     def quarantined(self) -> list[str]:
         """Every quarantined artifact in the directory, sorted."""
         if not os.path.isdir(self.dirpath):
@@ -145,10 +163,16 @@ class PlanDirectory:
         wal_lsn: int,
         faults: FaultInjector | None = None,
     ) -> int:
-        """Write ``plan`` as a new base generation; returns its number."""
+        """Write ``plan`` as a new base generation; returns its number.
+
+        The number is one past the highest generation any file here
+        names: reusing a quarantined base's number would make the new
+        base adopt that base's deltas.
+        """
         os.makedirs(self.dirpath, exist_ok=True)
-        gens = self.generations()
-        generation = (gens[-1] + 1) if gens else 1
+        generation = 1 + max(
+            (gen for gen, _ in self._used_numbers()), default=0
+        )
         write_plan_file(
             self.base_path(generation),
             plan,
@@ -181,28 +205,36 @@ class PlanDirectory:
         )
         return path
 
-    def chain_state(self, generation: int) -> tuple[int, int]:
-        """``(effective_lsn, next_seq)`` of a generation's verified chain.
+    def chain_state(self, generation: int) -> tuple[int, int | None]:
+        """``(effective_lsn, next_seq)`` of a generation's delta chain.
 
-        Walks the base header and each consecutive, verifiable delta;
-        stops (without raising) at the first gap or bad file, because a
-        publisher must only extend the prefix a reader will accept.
+        Walks the base header and each consecutive, verifiable delta.
+        ``next_seq`` is None when that walk does not cover every delta
+        number a file of the generation names (a gap, or a bad,
+        quarantined or lost delta): readers stop at a gap or a bad
+        delta too, so a delta past it would never be replayed, and one
+        refilling a gap would be followed by older deltas.  Such a chain
+        takes no more deltas; the writer publishes a new base instead.
         """
         header = read_plan_header(self.base_path(generation))
         lsn = int(header["wal_lsn"])
-        next_seq = 1
-        for seq, path in self.delta_seqs(generation):
-            if seq != next_seq:
-                break
+        deltas = self.delta_seqs(generation)
+        named = max(
+            (seq for gen, seq in self._used_numbers() if gen == generation),
+            default=0,
+        )
+        # Live seqs are distinct, so this also rules out any gap.
+        if named != len(deltas):
+            return lsn, None
+        for _, path in deltas:
             try:
                 delta = read_delta_file(path)
             except PlanStoreError:
-                break
+                return lsn, None
             if delta["base_generation"] != generation:
-                break
+                return lsn, None
             lsn = max(lsn, int(delta["wal_lsn"]))
-            next_seq += 1
-        return lsn, next_seq
+        return lsn, len(deltas) + 1
 
     # -- quarantine ----------------------------------------------------
 

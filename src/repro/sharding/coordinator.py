@@ -133,7 +133,6 @@ class ProcessHandle:
         self,
         dirpath,
         *,
-        serve: str,
         sync: bool,
         ctx=None,
         heartbeat: float = HEARTBEAT_INTERVAL,
@@ -146,7 +145,7 @@ class ProcessHandle:
         parent, child = ctx.Pipe()
         self.process = ctx.Process(
             target=worker_main,
-            args=(self.dirpath, child, serve, sync, heartbeat),
+            args=(self.dirpath, child, sync, heartbeat),
             daemon=True,
         )
         self.process.start()
@@ -309,9 +308,9 @@ class LocalHandle:
     ``processes=False`` coordinators.  Never "dies".
     """
 
-    def __init__(self, dirpath, *, serve: str, sync: bool) -> None:
+    def __init__(self, dirpath, *, sync: bool) -> None:
         self.dirpath = os.fspath(dirpath)
-        self.worker = ShardWorker(dirpath, serve=serve, sync=sync)
+        self.worker = ShardWorker(dirpath, sync=sync)
         self._results: dict[int, object] = {}
         self._next_req = 0
         self.heartbeat = 0.0
@@ -406,7 +405,6 @@ class ShardedDILI:
         manifest: Manifest,
         *,
         processes: bool = True,
-        serve: str = "mmap",
         sync: bool = True,
         request_timeout: float | None = 120.0,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
@@ -418,7 +416,6 @@ class ShardedDILI:
         self.dirpath = os.fspath(dirpath)
         self.manifest = manifest
         self.processes = processes
-        self.serve = serve
         self.sync = sync
         self.request_timeout = request_timeout
         self.heartbeat_interval = heartbeat_interval if processes else 0.0
@@ -478,7 +475,7 @@ class ShardedDILI:
             num_shards: Shard count (aligned mode caps it at the root
                 fanout).
             open_kwargs: Forwarded to the constructor (``processes``,
-                ``serve``, ``sync``, ``request_timeout``).
+                ``sync``, ``request_timeout``).
         """
         dirpath = os.fspath(dirpath)
         os.makedirs(dirpath, exist_ok=True)
@@ -554,13 +551,12 @@ class ShardedDILI:
         if self.processes:
             return ProcessHandle(
                 shard_dir,
-                serve=self.serve,
                 sync=self.sync,
                 ctx=self._ctx,
                 heartbeat=self.heartbeat_interval,
                 term_grace=self.policy.term_grace,
             )
-        return LocalHandle(shard_dir, serve=self.serve, sync=self.sync)
+        return LocalHandle(shard_dir, sync=self.sync)
 
     def _alive(self, index: int) -> bool:
         return self._handles[index].alive()
@@ -991,8 +987,9 @@ class ShardedDILI:
         """Force shard(s) to publish a fresh base generation now.
 
         Workers compact their WAL tail into a new base generation
-        automatically once it grows past ``republish_threshold``;
-        this triggers the compaction eagerly -- e.g. before a planned
+        automatically once it reaches
+        :data:`~repro.sharding.worker.REPUBLISH_THRESHOLD` ops; this
+        triggers the compaction eagerly -- e.g. before a planned
         shutdown, so the next recovery opens a published plan instead
         of replaying a WAL tail.  Returns ``{shard_name: generation}``
         for the affected shards.

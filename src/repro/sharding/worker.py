@@ -5,11 +5,12 @@ A worker owns exactly one shard directory -- a standard
 **only** place in the sharding layer allowed to touch index state, and
 it does so exclusively through the durability/planstore APIs (lint
 rule CHK009 enforces this): recovery and logged writes go through
-``DurableDILI``, reads are served zero-copy from the published plan
-via :class:`~repro.planstore.serve.MmapDILI` (the PR 6 fallback
-ladder), and every write batch republishes a WAL-tail delta -- or a
-fresh base generation once the tail grows past
-``republish_threshold`` -- so the mmap handle stays current.
+``DurableDILI``, every read is served zero-copy from the published
+plan via :class:`~repro.planstore.serve.MmapDILI` (the plan store's
+fallback ladder), and every write batch republishes a WAL-tail delta
+-- or a fresh base generation once the tail reaches
+:data:`REPUBLISH_THRESHOLD` ops or the delta chain is damaged -- so
+the mmap handle stays current.
 
 The same :class:`ShardWorker` object serves two transports:
 
@@ -108,33 +109,23 @@ def replay_segment(events: list, tracer) -> None:
 class ShardWorker:
     """Serves one shard directory through durability/planstore APIs.
 
+    Reads go to the :class:`~repro.planstore.serve.MmapDILI` handle in
+    ``served``, reopened after every write batch.
+
     Args:
         dirpath: The shard's DurableDILI state directory.
-        serve: ``"mmap"`` reads from the published plan via the
-            fallback ladder (zero-copy, the production path);
-            ``"live"`` reads from the recovered in-memory index
-            (used by trace-parity tests that need exactness across
-            writes, where the mmap overlay is documented-approximate).
         config: Config for a fresh index when the directory is empty.
         sync: fsync the WAL on every append (see DurableDILI).
-        republish_threshold: WAL-tail ops before a write publishes a
-            new base generation instead of a delta.
     """
 
     def __init__(
         self,
         dirpath,
         *,
-        serve: str = "mmap",
         config: DiliConfig | None = None,
         sync: bool = True,
-        republish_threshold: int = REPUBLISH_THRESHOLD,
     ) -> None:
-        if serve not in ("mmap", "live"):
-            raise ValueError(f"unknown serve mode {serve!r}")
         self.dirpath = os.fspath(dirpath)
-        self.serve = serve
-        self.republish_threshold = republish_threshold
         self.durable = DurableDILI(self.dirpath, config=config, sync=sync)
         self.ops = {
             "reads": 0,
@@ -163,8 +154,7 @@ class ShardWorker:
         if self.served is not None:
             self.served.close()
             self.served = None
-        if self.serve == "mmap":
-            self.served = self.durable.serve_mmap()
+        self.served = self.durable.serve_mmap()
 
     def _after_write(self, n: int) -> None:
         self.ops["writes"] += n
@@ -173,7 +163,7 @@ class ShardWorker:
         if self.durable.index.root is not None:
             if (
                 not plans.generations()
-                or self._tail_ops >= self.republish_threshold
+                or self._tail_ops >= REPUBLISH_THRESHOLD
             ):
                 self.durable.publish_plan()
                 self.ops["republishes"] += 1
@@ -181,11 +171,6 @@ class ShardWorker:
             else:
                 self.durable.publish_tail()
         self._reopen_served()
-
-    def _read_target(self):
-        if self.served is not None:
-            return self.served
-        return self.durable.index
 
     # ------------------------------------------------------------------
     # Request handlers (the wire protocol's verbs)
@@ -196,7 +181,7 @@ class ShardWorker:
         self.ops["reads"] += len(keys)
         self.ops["batches"] += 1
         tracer = RecordingTracer() if record else NULL_TRACER
-        values = self._read_target().get_batch(keys, tracer)
+        values = self.served.get_batch(keys, tracer)
         segments = (
             split_trace_segments(tracer.events, len(keys)) if record else None
         )
@@ -206,12 +191,12 @@ class ShardWorker:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         self.ops["reads"] += len(keys)
         self.ops["batches"] += 1
-        return np.asarray(self._read_target().contains_batch(keys))
+        return np.asarray(self.served.contains_batch(keys))
 
     def count_range_batch(self, los, his):
         self.ops["reads"] += len(los)
         self.ops["batches"] += 1
-        return np.asarray(self._read_target().count_range_batch(los, his))
+        return np.asarray(self.served.count_range_batch(los, his))
 
     def insert_batch(self, keys, values=None):
         out = self.durable.insert_batch(keys, values)
@@ -247,13 +232,10 @@ class ShardWorker:
             "pid": os.getpid(),
             "dir": self.dirpath,
             "keys": len(self.durable),
-            "serve": self.serve,
             "generations": generations,
-            "generation": served.generation if served is not None else None,
-            "rung": served.rung if served is not None else None,
-            "health": (
-                served.health.state.value if served is not None else "healthy"
-            ),
+            "generation": served.generation,
+            "rung": served.rung,
+            "health": served.health.state.value,
             "wal_lsn": self.durable.wal.last_seqno,
             "ops": dict(self.ops),
         }
@@ -323,7 +305,6 @@ def _validate_request(frame) -> tuple:
 def worker_main(
     dirpath,
     conn,
-    serve: str = "mmap",
     sync: bool = True,
     heartbeat: float = HEARTBEAT_INTERVAL,
 ) -> None:
@@ -351,7 +332,7 @@ def worker_main(
             conn.send(frame)
 
     try:
-        worker = ShardWorker(dirpath, serve=serve, sync=sync)
+        worker = ShardWorker(dirpath, sync=sync)
     except Exception as exc:  # startup failure must reach the coordinator
         try:
             _send((STARTUP_RID, False, (type(exc).__name__, str(exc))))

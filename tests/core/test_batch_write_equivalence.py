@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import DILI
 from repro.core.concurrent import ConcurrentDILI
+from repro.core.dili import DiliConfig
 from repro.core.flat import compile_plan
 from repro.simulate.cache import CacheSimulator
 from repro.simulate.tracer import CostTracer
@@ -101,6 +102,40 @@ class TestScalarLoopEquivalence:
         got = [a.delete(float(k), ta) for k in dels_arr]
         out = b.delete_batch(dels_arr, tb)
         assert out.tolist() == got
+        _assert_same_tree(a, b)
+        _assert_same_trace(ta, tb)
+
+    def test_adjusts_inside_one_leaf_group(self):
+        """A batch whose one leaf group adjusts its top-level leaf again
+        and again, each time between two keys of the same group.
+
+        At lambda = 1 the 300 keys crowded into [1000, 1040) all route
+        to one top-level leaf and trigger hundreds of adjustments (407,
+        273 of them on that leaf); the default-config property tests
+        above reach this case only by chance.
+        """
+        config = DiliConfig(lambda_adjust=1.0)
+        bulk = np.arange(0, 4000, 4, dtype=np.float64)
+        rng = np.random.default_rng(3)
+        fresh = np.unique(rng.uniform(1000.0, 1040.0, 300))
+        rng.shuffle(fresh)
+        a, b = DILI(config), DILI(config)
+        for index in (a, b):
+            index.bulk_load(bulk, [("v", float(k)) for k in bulk])
+        leaf_of, _ = b._get_router().route(fresh)
+        assert len(set(leaf_of.tolist())) == 1
+        ta = CostTracer(CacheSimulator(64))
+        tb = CostTracer(CacheSimulator(64))
+        vals = [("n", float(k)) for k in fresh]
+        got = [a.insert(float(k), v, ta) for k, v in zip(fresh, vals)]
+        assert b.insert_batch(fresh, vals, tb).tolist() == got
+        assert a.adjustment_count > 200
+        assert b.adjustment_count == a.adjustment_count
+        _assert_same_tree(a, b)
+        _assert_same_trace(ta, tb)
+        gone = fresh[::2]
+        got = [a.delete(float(k), ta) for k in gone]
+        assert b.delete_batch(gone, tb).tolist() == got
         _assert_same_tree(a, b)
         _assert_same_trace(ta, tb)
 

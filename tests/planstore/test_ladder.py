@@ -124,6 +124,30 @@ class TestQuarantine:
         served.close()
         durable.close()
 
+    def test_tail_publish_past_a_chain_gap_starts_a_new_base(self, tmp_path):
+        rng = np.random.default_rng(7)
+        keys = np.unique(rng.uniform(0.0, 1e6, 300))
+        durable = DurableDILI(tmp_path, sync=False)
+        durable.bulk_load(keys[:200])
+        durable.publish_plan()
+        for part in (keys[200:250], keys[250:]):
+            durable.insert_batch(part, list(part))
+            durable.publish_tail()
+        plans = PlanDirectory.for_state_dir(tmp_path)
+        inject_plan_fault(
+            FAULT_PLAN_MISSING_DELTA, plans.delta_path(1, 1), rng
+        )
+        durable.delete_batch(keys[:20])
+
+        # Readers stop at the gap, so no delta may extend this chain.
+        assert durable.publish_tail() == plans.base_path(2)
+        durable.sync_wal()
+        served = MmapDILI(tmp_path)
+        assert served.get_batch(keys) == durable.get_batch(keys)
+        assert (served.rung, served.generation) == (1, 2), served.events
+        served.close()
+        durable.close()
+
 
 class TestReadBound:
     """The retry bound lists the plan directory only after a failure."""
