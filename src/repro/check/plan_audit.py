@@ -6,13 +6,14 @@ subdirectory: verifies every artifact the serving ladder would consult,
 auditor pays the O(n) read the O(1) open defers) and without building a
 :class:`~repro.planstore.store.PlanStore`:
 
-* base files: framed-header structure via ``read_plan_header``, then
-  every buffer's bytes against its recorded CRC32;
-* delta files: full verification via ``read_delta_file``, plus chain
-  discipline -- the base generation must exist, sequence numbers must
-  be consecutive from 1, chain LSNs must not regress;
-* staleness: a generation whose effective LSN (base + verified chain)
-  predates the snapshot's ``last_seqno`` can never be brought current;
+* base files: framed-header structure, then every buffer's bytes
+  against its recorded CRC32;
+* delta chains and staleness: each generation's
+  :meth:`~repro.planstore.serve.PlanDirectory.walk` -- the one chain
+  rule the publisher and the serving ladder also follow -- turned into
+  findings: where the walk stopped (a gap, an unreadable delta, one
+  written for another generation, an LSN regress) and whether the
+  chain predates the snapshot's ``last_seqno``;
 * quarantined artifacts are reported (they are evidence of past
   damage), never touched.
 
@@ -29,13 +30,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.check.wal_audit import AuditFinding
-from repro.durability.recovery import SNAPSHOT_NAME
-from repro.durability.snapshot import read_snapshot_header
-from repro.planstore.format import (
-    PlanStoreError,
-    read_delta_file,
-    read_plan_header,
-)
+from repro.planstore.format import PlanStoreError
 from repro.planstore.serve import PlanDirectory
 
 
@@ -84,13 +79,12 @@ class PlanAuditor:
 
     def audit(self) -> PlanAuditReport:
         findings: list[AuditFinding] = []
-        snapshot_seqno = self._snapshot_seqno()
         generations = self.plans.generations()
         verified = 0
         deltas = 0
         for generation in generations:
             gen_clean, gen_deltas = self._audit_generation(
-                generation, snapshot_seqno, findings
+                generation, findings
             )
             deltas += gen_deltas
             if gen_clean:
@@ -120,90 +114,39 @@ class PlanAuditor:
 
     # ------------------------------------------------------------------
 
-    def _snapshot_seqno(self) -> int:
-        path = os.path.join(self.dirpath, SNAPSHOT_NAME)
-        if not os.path.exists(path):
-            return 0
-        try:
-            _, last_seqno, _, _ = read_snapshot_header(path)
-        except ValueError:
-            return 0  # WalAuditor reports the snapshot damage itself
-        return last_seqno
-
     def _audit_generation(
-        self, generation: int, snapshot_seqno: int, findings: list
+        self, generation: int, findings: list
     ) -> tuple[bool, int]:
         """Audit one base + chain; returns ``(clean, deltas_seen)``."""
-        base = self.plans.base_path(generation)
-        clean = True
         try:
-            header = read_plan_header(base)
+            walk = self.plans.walk(generation)
         except PlanStoreError as exc:
             findings.append(
                 AuditFinding("plan-header", str(exc), recoverable=True)
             )
             return False, 0
-        clean &= self._audit_buffers(base, header, findings)
-        lsn = int(header["wal_lsn"])
-        next_seq = 1
-        chain = self.plans.delta_seqs(generation)
-        for seq, path in chain:
-            name = os.path.basename(path)
-            if seq != next_seq:
-                findings.append(
-                    AuditFinding(
-                        "delta-chain-gap",
-                        f"generation {generation}: expected delta seq "
-                        f"{next_seq}, found {name}",
-                        recoverable=True,
-                    )
+        clean = self._audit_buffers(
+            self.plans.base_path(generation), walk.header, findings
+        )
+        if walk.stop is not None:
+            findings.append(
+                AuditFinding(
+                    walk.stop.kind, walk.stop.detail, recoverable=True
                 )
-                clean = False
-                break
-            try:
-                delta = read_delta_file(path)
-            except PlanStoreError as exc:
-                findings.append(
-                    AuditFinding("delta-corrupt", str(exc), recoverable=True)
-                )
-                clean = False
-                break
-            if delta["base_generation"] != generation:
-                findings.append(
-                    AuditFinding(
-                        "delta-orphan",
-                        f"{name} targets generation "
-                        f"{delta['base_generation']}, not {generation}",
-                        recoverable=True,
-                    )
-                )
-                clean = False
-                break
-            if delta["wal_lsn"] < lsn:
-                findings.append(
-                    AuditFinding(
-                        "delta-lsn-regress",
-                        f"{name} carries LSN {delta['wal_lsn']} behind "
-                        f"the chain's {lsn}",
-                        recoverable=True,
-                    )
-                )
-                clean = False
-                break
-            lsn = int(delta["wal_lsn"])
-            next_seq += 1
-        if lsn < snapshot_seqno:
+            )
+            clean = False
+        if walk.stale:
             findings.append(
                 AuditFinding(
                     "plan-stale",
-                    f"generation {generation} chain LSN {lsn} predates "
-                    f"snapshot seqno {snapshot_seqno}; the gap was "
-                    f"truncated from the WAL",
+                    f"generation {generation} chain LSN {walk.lsn} "
+                    f"predates snapshot seqno {walk.snapshot_seqno}; the "
+                    f"gap was truncated from the WAL",
                     recoverable=True,
                 )
             )
             clean = False
-        return clean, len(chain)
+        return clean, walk.listed
 
     def _audit_buffers(
         self, base: str, header: dict, findings: list

@@ -394,6 +394,17 @@ class DILI:
         """
         return self._flat
 
+    def export_plan(self) -> FlatPlan:
+        """The maintained plan, or else a fresh compile the index does
+        *not* keep: writing a plan file never starts plan maintenance.
+        The caller excludes writers while it reads the plan."""
+        plan = self.peek_plan()
+        if plan is not None:
+            return plan
+        if self.root is None:
+            raise ValueError("cannot compile a plan for an empty index")
+        return compile_plan(self.root)
+
     def _get_router(self) -> InternalRouter:
         """Cached write-batch router; rebuilt when the root is replaced.
 

@@ -278,7 +278,9 @@ class DurableDILI:
         Serializes the plan's SoA buffers into ``plans/`` (see
         :mod:`repro.planstore`) stamped with the current WAL LSN, so an
         :class:`~repro.planstore.serve.MmapDILI` can serve it zero-copy
-        and bring it exactly current by tail replay.  Returns the new
+        and bring it exactly current by tail replay.  The plan is the
+        one the index maintains, or a compile the index does not keep
+        (:meth:`~repro.core.dili.DILI.export_plan`).  Returns the new
         generation number.
 
         Raises:
@@ -287,20 +289,11 @@ class DurableDILI:
         from repro.planstore.serve import PlanDirectory
 
         with self._exclusive():
-            if self._plain.root is None:
-                raise ValueError("cannot publish a plan of an empty index")
-            plan = self._plain._plan()
-            generation = PlanDirectory.for_state_dir(self.dirpath).publish_base(
-                plan, wal_lsn=self.wal.last_seqno, faults=self._faults
+            return PlanDirectory.for_state_dir(self.dirpath).publish_base(
+                self._plain.export_plan(),
+                wal_lsn=self.wal.last_seqno,
+                faults=self._faults,
             )
-            if self._concurrent:
-                # The on-disk generation snapshots exactly this version;
-                # publish it to the in-memory epoch slot too, so the
-                # plan that readers pin is the one the plan store wrote
-                # (and the compile we just paid is not recompiled by
-                # the next lock-free read's fallback).
-                self._index._republish()
-            return generation
 
     def publish_tail(self) -> str | None:
         """Publish WAL records past the newest plan chain as one delta.
@@ -308,9 +301,12 @@ class DurableDILI:
         Lets a writer keep published plans current without rewriting
         the base file: the delta carries the raw WAL op frames, which
         readers replay into their overlay.  Returns the delta path, or
-        ``None`` when the chain is already at the WAL's LSN.  A damaged
-        chain (a gap, or a bad, quarantined or lost delta) takes no more
-        deltas: a new base is published instead and its path returned.
+        ``None`` when the chain is already at the WAL's LSN.  A delta
+        only extends a chain whose
+        :meth:`~repro.planstore.serve.PlanDirectory.walk` is complete
+        and not stale; any other chain (a gap, a bad, quarantined or
+        lost delta, or an LSN behind a later snapshot) gets a new base
+        instead, and its path is returned.
 
         Raises:
             ValueError: No base generation has been published yet.
@@ -323,22 +319,21 @@ class DurableDILI:
             generations = plans.generations()
             if not generations:
                 raise ValueError("no plan generation published yet")
-            generation = generations[-1]
-            chain_lsn, next_seq = plans.chain_state(generation)
-            if next_seq is None:
+            walk = plans.walk(generations[-1])
+            if not walk.complete or walk.stale:
                 return plans.base_path(self.publish_plan())
             scan = scan_wal(self.wal.path)
             ops = [
                 (record.opcode, record.payload)
                 for record in scan.records
-                if record.seqno > chain_lsn
+                if record.seqno > walk.lsn
             ]
             if not ops:
                 return None
             return plans.publish_delta(
-                generation,
+                walk.generation,
                 ops,
-                seq=next_seq,
+                seq=len(walk.deltas) + 1,
                 wal_lsn=scan.last_seqno,
                 faults=self._faults,
             )

@@ -72,7 +72,7 @@ def write_snapshot(
         os.fsync(fh.fileno())
     faults.fire("before_rename")
     os.replace(tmp_path, path)
-    _fsync_dir(os.path.dirname(path))
+    fsync_dir(os.path.dirname(path))
     faults.fire("after_rename")
     return len(header) + len(payload)
 
@@ -127,7 +127,8 @@ def read_snapshot(path):
     return index, last_seqno
 
 
-def _fsync_dir(dirpath: str) -> None:
+def fsync_dir(dirpath: str) -> None:
+    """fsync a directory so a freshly created or renamed entry is durable."""
     fd = os.open(dirpath or ".", os.O_RDONLY)
     try:
         os.fsync(fd)

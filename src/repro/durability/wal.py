@@ -29,6 +29,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.durability.faultpoints import NULL_FAULTS, FaultInjector
+from repro.durability.snapshot import fsync_dir
 
 WAL_MAGIC = b"DILIWAL1"
 
@@ -180,7 +181,7 @@ class WriteAheadLog:
             self._fh.write(WAL_MAGIC)
             self._fh.flush()
             os.fsync(self._fh.fileno())
-            _fsync_dir(os.path.dirname(self.path))
+            fsync_dir(os.path.dirname(self.path))
         else:
             if scan.truncated:
                 with open(self.path, "r+b") as trunc:
@@ -277,12 +278,3 @@ class WriteAheadLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _fsync_dir(dirpath: str) -> None:
-    """fsync a directory so a freshly created file's entry is durable."""
-    fd = os.open(dirpath or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)

@@ -12,13 +12,16 @@ physical copy of the buffers through the page cache.
   LSN, commit marker), written with the same temp + fsync +
   ``os.replace`` discipline as snapshots.
 * :mod:`repro.planstore.store` -- :class:`PlanStore`: memory-maps a
-  verified base file, overlays its delta chain, and serves
-  ``get_batch`` / ``contains_batch`` / ``count_range_batch`` zero-copy
-  and trace-identical to the in-memory :class:`~repro.core.flat.FlatPlan`.
+  verified base file, replays deltas and WAL-tail records into an
+  overlay, and serves ``get_batch`` / ``contains_batch`` /
+  ``count_range_batch`` zero-copy and trace-identical to the in-memory
+  :class:`~repro.core.flat.FlatPlan`.
 * :mod:`repro.planstore.serve` -- :class:`PlanDirectory` (generation
-  naming, publishing, quarantine) and :class:`MmapDILI`, the serving
-  handle whose ``open`` is a *fallback ladder*: newest verified plan ->
-  previous verified generation -> snapshot+WAL rebuild -> DEGRADED.
+  naming, publishing, quarantine, and the one delta-chain walk that the
+  publisher, the ladder and the auditor share) and :class:`MmapDILI`,
+  the serving handle whose ``open`` is a *fallback ladder*: newest
+  verified plan -> previous verified generation -> snapshot+WAL
+  rebuild -> DEGRADED.
 * :mod:`repro.planstore.corrupt` -- byte-surgery fault injectors
   (torn header, truncated buffer, flipped byte, stale LSN, missing
   delta) used by :class:`repro.faults.FaultRegistry` and the chaos

@@ -19,14 +19,18 @@ things:
 3. checksum-style damage is **quarantined, never deleted** -- the
    corrupt artifact survives on disk under its ``.quarantined`` name.
 
-The writer then carries on over the damage for two more rounds, each
+The writer then carries on over the damage for three more rounds, each
 deleting a quarter of the live keys and updating a third of the rest.
 The first round publishes the way a shard worker does after a write (a
 WAL-tail delta, or a base when no generation survives), the second a
-new base.  After each round a fresh reader is audited the same way, and
-its wrong reads and probes count toward the run's: a new delta or base
-must never pick up an artifact left over from before the damage, and
-the reader must serve it at rung 1.
+new base.  The third checkpoints (``snapshot()``, which truncates the
+WAL) after its writes, inserts up to 16 fresh keys, and publishes like
+the first: the newest chain now predates the snapshot, so the records
+a delta would need are gone and the publisher must start a new base.
+After each round a fresh reader is audited the same way, and its wrong
+reads and probes count toward the run's: a new delta or base must
+never pick up an artifact left over from before the damage, and the
+reader must serve it at rung 1.
 
 Runs are fully determined by the seed (``repro plan chaos`` is the CI
 entry point).
@@ -207,11 +211,13 @@ def _count_wrong_reads(
 
 
 def _write_round(
-    state_dir: str, rng: np.random.Generator, *, tag: int, base: bool
+    state_dir: str, rng: np.random.Generator, *, tag: int, mode: str
 ) -> None:
     """Delete a quarter of the live keys, update a third of the rest,
-    then publish a base (``base``) or, while a generation survives, a
-    WAL-tail delta."""
+    then publish a base (mode ``"base"``) or, while a generation
+    survives, a WAL-tail delta.  A ``"checkpoint"`` round snapshots
+    after its writes and inserts up to 16 fresh keys before publishing
+    like a ``"tail"`` round."""
     durable = DurableDILI(state_dir)
     live = np.fromiter(
         (key for key, _ in durable.items()), dtype=np.float64
@@ -221,7 +227,14 @@ def _write_round(
     durable.delete_batch(np.sort(live[:cut]))
     updates = np.sort(live[cut:cut + (len(live) - cut) // 3])
     durable.update_batch(updates, [f"u{tag}-{int(k)}" for k in updates])
-    if base or not PlanDirectory.for_state_dir(state_dir).generations():
+    if mode == "checkpoint":
+        durable.snapshot()
+        # Stored keys are integers, so these are fresh; the audit's
+        # probes (every original key + 0.37) cover them.
+        fresh = np.sort(live[-16:]) + 0.37
+        durable.insert_batch(fresh, [f"n{tag}-{int(k)}" for k in fresh])
+    plans = PlanDirectory.for_state_dir(state_dir)
+    if mode == "base" or not plans.generations():
         durable.publish_plan()
     else:
         durable.publish_tail()
@@ -287,8 +300,8 @@ def run_plan_chaos(
         report = registry.inject_plan(kind, target, rng)
         served, wrong, probes, was_served = _audit(state_dir, keys, rng)
         later = []
-        for tag, base in enumerate((False, True), 1):
-            _write_round(state_dir, rng, tag=tag, base=base)
+        for tag, mode in enumerate(("tail", "base", "checkpoint"), 1):
+            _write_round(state_dir, rng, tag=tag, mode=mode)
             reader, more_wrong, more_probes, reader_served = _audit(
                 state_dir, keys, rng
             )

@@ -53,7 +53,7 @@ import zlib
 import numpy as np
 
 from repro.durability.faultpoints import NULL_FAULTS, FaultInjector
-from repro.durability.snapshot import _fsync_dir
+from repro.durability.snapshot import fsync_dir
 
 PLAN_MAGIC = b"DILIPLN1"
 DELTA_MAGIC = b"DILIDLT1"
@@ -215,7 +215,7 @@ def _atomic_write(
     if kind == "plan":
         faults.fire("before_plan_rename")
     os.replace(tmp_path, path)
-    _fsync_dir(os.path.dirname(path))
+    fsync_dir(os.path.dirname(path))
     faults.fire(f"after_{kind}_{'rename' if kind == 'plan' else 'write'}")
     return len(data)
 
@@ -331,7 +331,7 @@ def write_delta_file(
         path: Final delta-file location.
         ops: ``(opcode, payload_bytes)`` frames, WAL-record encoded.
         base_generation: Generation of the base file this delta extends.
-        seq: Position in the delta chain (0 is the first delta).
+        seq: Position in the delta chain (1 is the first delta).
         wal_lsn: Highest WAL seqno folded in once this delta applies.
         faults: Crash-point injector (tests only).
     """

@@ -7,11 +7,21 @@ published atomically and *quarantined* -- renamed aside, never deleted
 -- when they fail verification, so every corrupt artifact stays
 available for forensics.
 
+One chain rule: :meth:`PlanDirectory.walk` reads a generation's base
+header and deltas once and stops at the first delta that is missing,
+unreadable, written for another generation, or behind the chain's LSN.
+A reader replays exactly the walked deltas; the publisher extends a
+chain only when the walk covered every delta number on disk and is not
+*stale* (its LSN predates the snapshot's ``last_seqno``, whose WAL
+truncation took records it would need), else it publishes a new base;
+the auditor reports each stop and staleness as a finding.
+
 :class:`MmapDILI` is the read-only serving handle.  Opening one walks a
 fallback ladder until something serves:
 
-1. newest plan generation: header-verified base + its delta chain +
-   the live WAL tail replayed into the overlay;
+1. newest plan generation: header-verified base + its walked delta
+   chain + the live WAL tail replayed into the overlay (a delta the
+   walk stopped on is quarantined; a gap has no file to move aside);
 2. on any checksum / version / staleness failure: quarantine the bad
    file and try the previous generation the same way;
 3. no generation survives: rebuild in memory from snapshot + WAL via
@@ -23,13 +33,6 @@ Buffer contents are CRC-verified lazily (first read), so a flipped
 byte that slips past the O(1) open is still caught before an answer is
 served: the read quarantines the file, re-descends the ladder, and
 retries -- the zero-wrong-reads contract the chaos harness asserts.
-
-Staleness rule: a generation is servable only if its effective LSN
-(base ``wal_lsn`` advanced by its delta chain) is at least the
-snapshot's ``last_seqno``.  The WAL holds every record past the
-snapshot seqno, so a non-stale generation can always be brought exactly
-current by tail replay; a stale one is missing records that were
-truncated away and can never be repaired -- it is quarantined.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ from __future__ import annotations
 import os
 import re
 import threading
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.dili import DiliConfig
 from repro.durability.faultpoints import FaultInjector
 from repro.durability.recovery import SNAPSHOT_NAME, WAL_NAME, recover
-from repro.durability.snapshot import read_snapshot_header
+from repro.durability.snapshot import fsync_dir, read_snapshot_header
 from repro.durability.wal import WalScan, scan_wal
 from repro.planstore.format import (
     PlanFormatError,
@@ -66,20 +71,58 @@ _DELTA_RE = re.compile(r"^plan-(\d{8})\.(\d{4})\.delta$")
 _USED_RE = re.compile(r"^plan-(\d{8})\.(?:(\d{4})\.delta)?")
 
 
+#: Why a chain walk stopped before the generation's last delta file.
+#: The strings are also :class:`~repro.check.plan_audit.PlanAuditor`'s
+#: finding kinds.
+STOP_GAP = "delta-chain-gap"
+STOP_CORRUPT = "delta-corrupt"
+STOP_FOREIGN = "delta-orphan"
+STOP_LSN_REGRESS = "delta-lsn-regress"
+
+
 class ServingUnavailable(RuntimeError):
     """Every rung of the fallback ladder failed; reads cannot be served."""
 
 
-def _fsync_dir(dirpath: str) -> None:
-    fd = os.open(dirpath or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+class ChainStop(NamedTuple):
+    """A ``STOP_*`` kind, the delta file the walk stopped on, and why."""
+
+    kind: str
+    path: str
+    detail: str
+
+
+@dataclass(frozen=True)
+class ChainWalk:
+    """One generation's base and delta chain, read and judged once.
+
+    ``deltas`` are the verified delta dicts a reader replays, in order;
+    ``lsn`` is the base ``wal_lsn`` advanced by them; ``listed`` counts
+    the generation's live delta files, walked or not; ``complete`` says
+    the walk covered every delta number a file of the generation names
+    (quarantined, lost and temp files too); ``snapshot_seqno`` is the
+    snapshot's ``last_seqno`` (0 when absent or unreadable).
+    """
+
+    generation: int
+    header: dict
+    deltas: list
+    lsn: int
+    snapshot_seqno: int
+    listed: int
+    complete: bool
+    stop: ChainStop | None
+
+    @property
+    def stale(self) -> bool:
+        """The chain predates the snapshot: the WAL truncation took
+        records it would need to become current."""
+        return self.lsn < self.snapshot_seqno
 
 
 class PlanDirectory:
-    """Generation-numbered plan files under one ``plans/`` directory.
+    """Generation-numbered plan files under a state directory's
+    ``plans/`` subdirectory.
 
     Base files are ``plan-<gen:08d>.plan``; deltas extend a base as
     ``plan-<gen:08d>.<seq:04d>.delta`` with ``seq`` starting at 1.
@@ -87,8 +130,8 @@ class PlanDirectory:
     aside with a ``.quarantined`` suffix.  Numbers are never reused
     either: a new base is numbered past every generation a file on disk
     names, quarantined ones included, and a delta is only ever appended
-    to a chain that every delta number on disk belongs to, so a reader
-    never mistakes an old artifact for part of a new chain.
+    to a chain whose :meth:`walk` is complete, so a reader never
+    mistakes an old artifact for part of a new chain.
     """
 
     def __init__(self, dirpath) -> None:
@@ -108,49 +151,38 @@ class PlanDirectory:
             self.dirpath, f"plan-{generation:08d}.{seq:04d}.delta"
         )
 
+    def _names(self) -> list[str]:
+        """File names in the directory (none before the first publish)."""
+        return os.listdir(self.dirpath) if os.path.isdir(self.dirpath) else []
+
     def generations(self) -> list[int]:
         """Generation numbers with a (non-quarantined) base file, sorted."""
-        if not os.path.isdir(self.dirpath):
-            return []
-        gens = []
-        for name in os.listdir(self.dirpath):
-            m = _BASE_RE.match(name)
-            if m:
-                gens.append(int(m.group(1)))
-        return sorted(gens)
+        return sorted(
+            int(m.group(1)) for m in map(_BASE_RE.match, self._names()) if m
+        )
 
     def delta_seqs(self, generation: int) -> list[tuple[int, str]]:
         """``(seq, path)`` for the generation's delta files, seq-sorted."""
-        if not os.path.isdir(self.dirpath):
-            return []
-        out = []
-        for name in os.listdir(self.dirpath):
-            m = _DELTA_RE.match(name)
-            if m and int(m.group(1)) == generation:
-                out.append(
-                    (int(m.group(2)), os.path.join(self.dirpath, name))
-                )
-        return sorted(out)
+        return sorted(
+            (int(m.group(2)), os.path.join(self.dirpath, m.group(0)))
+            for m in map(_DELTA_RE.match, self._names())
+            if m and int(m.group(1)) == generation
+        )
 
     def _used_numbers(self) -> list[tuple[int, int]]:
         """``(generation, seq)`` named by every file in the directory,
         quarantined ones included (``seq`` is 0 for a base)."""
-        if not os.path.isdir(self.dirpath):
-            return []
-        out = []
-        for name in os.listdir(self.dirpath):
-            m = _USED_RE.match(name)
-            if m:
-                out.append((int(m.group(1)), int(m.group(2) or 0)))
-        return out
+        return [
+            (int(m.group(1)), int(m.group(2) or 0))
+            for m in map(_USED_RE.match, self._names())
+            if m
+        ]
 
     def quarantined(self) -> list[str]:
         """Every quarantined artifact in the directory, sorted."""
-        if not os.path.isdir(self.dirpath):
-            return []
         return sorted(
             os.path.join(self.dirpath, name)
-            for name in os.listdir(self.dirpath)
+            for name in self._names()
             if QUARANTINE_SUFFIX in name
         )
 
@@ -205,36 +237,74 @@ class PlanDirectory:
         )
         return path
 
-    def chain_state(self, generation: int) -> tuple[int, int | None]:
-        """``(effective_lsn, next_seq)`` of a generation's delta chain.
+    def walk(self, generation: int) -> ChainWalk:
+        """Read ``generation``'s base header and delta chain once.
 
-        Walks the base header and each consecutive, verifiable delta.
-        ``next_seq`` is None when that walk does not cover every delta
-        number a file of the generation names (a gap, or a bad,
-        quarantined or lost delta): readers stop at a gap or a bad
-        delta too, so a delta past it would never be replayed, and one
-        refilling a gap would be followed by older deltas.  Such a chain
-        takes no more deltas; the writer publishes a new base instead.
+        Deltas are taken in sequence order from 1 while each one
+        verifies, names this generation and does not move the LSN
+        backwards; the first that does not ends the walk.  Staleness is
+        judged against the snapshot of the state directory this
+        ``plans/`` belongs to.
+
+        Raises:
+            PlanStoreError: The base header fails verification.
         """
         header = read_plan_header(self.base_path(generation))
         lsn = int(header["wal_lsn"])
-        deltas = self.delta_seqs(generation)
+        files = self.delta_seqs(generation)
+        deltas: list[dict] = []
+        stop = None
+        for seq, path in files:
+            name = os.path.basename(path)
+            if seq != len(deltas) + 1:
+                stop = ChainStop(
+                    STOP_GAP, path,
+                    f"generation {generation}: expected delta seq "
+                    f"{len(deltas) + 1}, found {name}",
+                )
+                break
+            try:
+                delta = read_delta_file(path)
+            except PlanStoreError as exc:
+                stop = ChainStop(STOP_CORRUPT, path, str(exc))
+                break
+            if delta["base_generation"] != generation:
+                stop = ChainStop(
+                    STOP_FOREIGN, path,
+                    f"{name} targets generation "
+                    f"{delta['base_generation']}, not {generation}",
+                )
+                break
+            if delta["wal_lsn"] < lsn:
+                stop = ChainStop(
+                    STOP_LSN_REGRESS, path,
+                    f"{name} carries LSN {delta['wal_lsn']} behind "
+                    f"the chain's {lsn}",
+                )
+                break
+            lsn = int(delta["wal_lsn"])
+            deltas.append(delta)
         named = max(
             (seq for gen, seq in self._used_numbers() if gen == generation),
             default=0,
         )
-        # Live seqs are distinct, so this also rules out any gap.
-        if named != len(deltas):
-            return lsn, None
-        for _, path in deltas:
-            try:
-                delta = read_delta_file(path)
-            except PlanStoreError:
-                return lsn, None
-            if delta["base_generation"] != generation:
-                return lsn, None
-            lsn = max(lsn, int(delta["wal_lsn"]))
-        return lsn, len(deltas) + 1
+        snapshot = os.path.join(os.path.dirname(self.dirpath), SNAPSHOT_NAME)
+        try:
+            _, snapshot_seqno, _, _ = read_snapshot_header(snapshot)
+        except (OSError, ValueError):
+            # No snapshot bounds nothing; a damaged one is rung 3's and
+            # the WAL auditor's to report.
+            snapshot_seqno = 0
+        return ChainWalk(
+            generation=generation,
+            header=header,
+            deltas=deltas,
+            lsn=lsn,
+            snapshot_seqno=snapshot_seqno,
+            listed=len(files),
+            complete=stop is None and named == len(deltas),
+            stop=stop,
+        )
 
     # -- quarantine ----------------------------------------------------
 
@@ -254,7 +324,7 @@ class PlanDirectory:
             os.replace(path, target)
         except FileNotFoundError:
             return path
-        _fsync_dir(os.path.dirname(path))
+        fsync_dir(os.path.dirname(path))
         return target
 
 
@@ -304,25 +374,11 @@ class MmapDILI:
     # The ladder
     # ------------------------------------------------------------------
 
-    def _snapshot_seqno(self) -> int:
-        snap = os.path.join(self.dirpath, SNAPSHOT_NAME)
-        if not os.path.exists(snap):
-            return 0
-        try:
-            _, last_seqno, _, _ = read_snapshot_header(snap)
-        except ValueError as exc:
-            # A corrupt snapshot is rung 3's problem; for staleness
-            # purposes an unreadable header bounds nothing.
-            self.events.append(f"snapshot header unreadable: {exc}")
-            return 0
-        return last_seqno
-
     def _descend(self) -> None:
         """Walk the ladder until a rung serves.  Caller holds the lock."""
         self._store = None
         self._fallback = None
         self.generation = None
-        snapshot_seqno = self._snapshot_seqno()
         scan = scan_wal(os.path.join(self.dirpath, WAL_NAME))
         candidates = list(reversed(self.plans.generations()))
         # Rung 1 means the newest base this handle has *ever* seen --
@@ -331,7 +387,7 @@ class MmapDILI:
         if candidates:
             self._max_gen_seen = max(self._max_gen_seen, candidates[0])
         for gen in candidates:
-            store = self._try_generation(gen, snapshot_seqno, scan)
+            store = self._try_generation(gen, scan)
             if store is not None:
                 self._store = store
                 self.generation = gen
@@ -362,55 +418,40 @@ class MmapDILI:
         if moved != path:
             self.quarantined.append(moved)
 
-    def _try_generation(
-        self, gen: int, snapshot_seqno: int, scan: WalScan
-    ) -> PlanStore | None:
+    def _try_generation(self, gen: int, scan: WalScan) -> PlanStore | None:
         base = self.plans.base_path(gen)
         try:
+            walk = self.plans.walk(gen)
             store = PlanStore.open(base, cycles=self._cycles)
         except PlanStoreError as exc:
             self._quarantine(base, str(exc))
             return None
+        if walk.stop is not None:
+            # The chain simply ends early; tail replay (or the staleness
+            # rule) takes over.  A gap has no bad file to move aside.
+            if walk.stop.kind == STOP_GAP:
+                self.events.append(walk.stop.detail)
+            else:
+                self._quarantine(walk.stop.path, walk.stop.detail)
         try:
-            # Delta chain: each file is individually verified so a bad
-            # delta quarantines only itself; the chain simply ends early
-            # and tail replay (or the staleness check) takes over.
-            next_seq = 1
-            for seq, dpath in self.plans.delta_seqs(gen):
-                if seq != next_seq:
-                    self.events.append(
-                        f"generation {gen}: delta chain gap at seq "
-                        f"{next_seq} (found {seq})"
-                    )
-                    break
-                try:
-                    delta = read_delta_file(dpath)
-                except PlanStoreError as exc:
-                    self._quarantine(dpath, str(exc))
-                    break
-                if delta["base_generation"] != gen:
-                    self._quarantine(
-                        dpath,
-                        f"targets generation {delta['base_generation']}",
-                    )
-                    break
-                store.apply_ops(delta["ops"], wal_lsn=delta["wal_lsn"])
-                next_seq += 1
-            if store.wal_lsn < snapshot_seqno:
+            if walk.stale:
                 raise PlanStaleError(
-                    f"{base}: plan LSN {store.wal_lsn} predates snapshot "
-                    f"seqno {snapshot_seqno}; the gap was truncated away"
+                    f"{base}: plan LSN {walk.lsn} predates snapshot "
+                    f"seqno {walk.snapshot_seqno}; the gap was truncated "
+                    f"away"
                 )
+            for delta in walk.deltas:
+                store.apply_ops(delta["ops"], wal_lsn=delta["wal_lsn"])
             tail = [
                 (r.opcode, r.payload)
                 for r in scan.records
-                if r.seqno > store.wal_lsn
+                if r.seqno > walk.lsn
             ]
             if tail:
                 store.apply_ops(tail, wal_lsn=scan.last_seqno)
         except PlanStoreError as exc:
             # Includes lazy buffer verification tripped by overlay
-            # replay and the staleness check above.
+            # replay and the staleness rule above.
             store.close()
             self._quarantine(base, str(exc))
             return None

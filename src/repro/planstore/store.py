@@ -22,8 +22,10 @@ waived CHK011 flow: its ``pickle.loads`` reads mapped bytes that
 :meth:`PlanStore._ensure_verified` has checksummed before any read
 reaches it.
 
-Deltas and WAL-tail records replay into a key-level *overlay* (the
-buffers themselves are immutable):
+A store maps one base file and nothing else.  The serving ladder
+replays the deltas :meth:`repro.planstore.serve.PlanDirectory.walk`
+accepted, then the WAL tail, through :meth:`PlanStore.apply_ops` into
+a key-level *overlay* (the buffers themselves are immutable):
 
 * ``overlay[k] = (value, in_base)`` -- ``k`` was inserted (``in_base``
   False) or updated (True) after the base was published;
@@ -56,11 +58,7 @@ from repro.durability.wal import (
     OP_UPDATE,
     OP_UPDATE_BATCH,
 )
-from repro.planstore.format import (
-    PlanFormatError,
-    read_delta_file,
-    read_plan_header,
-)
+from repro.planstore.format import PlanFormatError, read_plan_header
 from repro.simulate.latency import DEFAULT_CYCLES, CyclesPerOp
 from repro.simulate.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -103,7 +101,7 @@ class _LazyValues:
 
 
 class PlanStore:
-    """A read-only serving handle over one plan file (+ delta chain).
+    """A read-only serving handle over one plan file and its overlay.
 
     Construct via :meth:`open`.  Thread-safe for reads after open; the
     only internal mutation is the verification memo and the overlay
@@ -137,23 +135,17 @@ class PlanStore:
 
     @classmethod
     def open(
-        cls,
-        path,
-        *,
-        deltas=(),
-        cycles: CyclesPerOp = DEFAULT_CYCLES,
+        cls, path, *, cycles: CyclesPerOp = DEFAULT_CYCLES
     ) -> "PlanStore":
-        """Map a plan file and overlay its delta chain.
+        """Map a plan file, with an empty overlay.
 
         O(1) in the key count: the header is parsed and checked, the
-        buffers are memory-mapped but not read.  Delta files (already
-        ordered) are fully verified and replayed -- they are small by
-        design.
+        buffers are memory-mapped but not read.  Which deltas extend
+        the base is :meth:`repro.planstore.serve.PlanDirectory.walk`'s
+        decision; the caller replays them with :meth:`apply_ops`.
 
         Raises:
-            PlanFormatError: Torn/corrupt/misversioned base or delta,
-                or a delta chain that skips a sequence number or names
-                a different base generation.
+            PlanFormatError: Torn/corrupt/misversioned base file.
         """
         import os
 
@@ -196,30 +188,7 @@ class PlanStore:
         )
         store = cls(path, header, plan, cycles=cycles)
         store._arrays = arrays
-        store._apply_deltas(deltas)
         return store
-
-    def _apply_deltas(self, deltas) -> None:
-        expected_seq = 1
-        for delta_path in deltas:
-            delta = read_delta_file(delta_path)
-            if delta["base_generation"] != self.generation:
-                raise PlanFormatError(
-                    f"{delta_path}: delta targets generation "
-                    f"{delta['base_generation']}, base is {self.generation}"
-                )
-            if delta["seq"] != expected_seq:
-                raise PlanFormatError(
-                    f"{delta_path}: delta chain gap: expected seq "
-                    f"{expected_seq}, found {delta['seq']}"
-                )
-            if delta["wal_lsn"] < self.wal_lsn:
-                raise PlanFormatError(
-                    f"{delta_path}: delta LSN {delta['wal_lsn']} behind "
-                    f"base LSN {self.wal_lsn}"
-                )
-            self.apply_ops(delta["ops"], wal_lsn=delta["wal_lsn"])
-            expected_seq += 1
 
     # ------------------------------------------------------------------
     # Verification

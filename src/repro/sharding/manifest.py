@@ -20,6 +20,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.durability.snapshot import fsync_dir
+
 MANIFEST_NAME = "shards.json"
 MANIFEST_VERSION = 1
 
@@ -79,14 +81,6 @@ class Manifest:
         )
 
 
-def _fsync_dir(dirpath: str) -> None:
-    fd = os.open(dirpath, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def manifest_path(dirpath) -> str:
     return os.path.join(os.fspath(dirpath), MANIFEST_NAME)
 
@@ -101,7 +95,7 @@ def write_manifest(dirpath, manifest: Manifest) -> str:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(path))
+    fsync_dir(os.path.dirname(path))
     return path
 
 

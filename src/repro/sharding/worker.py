@@ -110,7 +110,10 @@ class ShardWorker:
     """Serves one shard directory through durability/planstore APIs.
 
     Reads go to the :class:`~repro.planstore.serve.MmapDILI` handle in
-    ``served``, reopened after every write batch.
+    ``served``, reopened after every write batch.  Writes go to the
+    in-memory ``DurableDILI``, which keeps no flat plan: nothing in the
+    worker reads one, and a base republish compiles its plan for the
+    file alone (:meth:`~repro.core.dili.DILI.export_plan`).
 
     Args:
         dirpath: The shard's DurableDILI state directory.
@@ -371,11 +374,7 @@ def worker_main(
                 _send((req_id, True, None))
                 break
             try:
-                result = (
-                    len(worker) if method == "len"
-                    else worker.dispatch(method, args)
-                )
-                _send((req_id, True, result))
+                _send((req_id, True, worker.dispatch(method, args)))
             except Exception as exc:
                 try:
                     _send((req_id, False, (type(exc).__name__, str(exc))))

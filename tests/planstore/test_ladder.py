@@ -7,16 +7,21 @@ damaged files are quarantined for forensics, never deleted.
 """
 
 import os
+import pickle
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.check.plan_audit import audit_plans
 from repro.durability.durable import DurableDILI
 from repro.durability.faultpoints import (
     PLAN_CRASH_POINTS,
     FaultInjector,
     SimulatedCrash,
 )
+from repro.durability.recovery import recover
+from repro.durability.wal import OP_DELETE
 from repro.planstore.chaos import EXPECTED_RUNG, run_plan_chaos
 from repro.planstore.corrupt import (
     FAULT_PLAN_FLIPPED_BYTE,
@@ -24,7 +29,7 @@ from repro.planstore.corrupt import (
     PLAN_FAULT_KINDS,
     inject_plan_fault,
 )
-from repro.planstore.serve import MmapDILI, PlanDirectory
+from repro.planstore.serve import STOP_LSN_REGRESS, MmapDILI, PlanDirectory
 
 
 class TestCorruptionSweep:
@@ -147,6 +152,84 @@ class TestQuarantine:
         assert (served.rung, served.generation) == (1, 2), served.events
         served.close()
         durable.close()
+
+
+class TestChainRule:
+    """Publisher, reader and auditor follow one chain walk."""
+
+    @staticmethod
+    def _even_keys(state) -> DurableDILI:
+        keys = np.arange(0.0, 1000.0, 2.0)
+        durable = DurableDILI(state, sync=False)
+        durable.bulk_load(keys, [f"v{int(k)}" for k in keys])
+        durable.publish_plan()
+        return durable
+
+    def test_tail_publish_after_a_snapshot_answers_like_recovery(
+        self, tmp_path
+    ):
+        durable = self._even_keys(tmp_path)
+        durable.insert_batch([1.0, 3.0], ["a", "b"])
+        durable.delete_batch([4.0])
+        durable.snapshot()
+        durable.insert_batch([5.0], ["c"])
+        # The snapshot truncated the two batches a delta on generation 1
+        # would need, so the chain is stale and takes no more deltas.
+        published = durable.publish_tail()
+        durable.close()
+
+        probe = [1.0, 3.0, 4.0, 5.0]
+        served = MmapDILI(tmp_path)
+        assert served.get_batch(probe) == ["a", "b", None, "c"]
+        assert served.get_batch(probe) == recover(tmp_path).index.get_batch(
+            probe
+        )
+        plans = PlanDirectory.for_state_dir(tmp_path)
+        assert published == plans.base_path(2)
+        assert (served.rung, served.generation) == (1, 2), served.events
+        served.close()
+
+    def test_lsn_regress_ends_the_chain_for_every_consumer(self, tmp_path):
+        state = tmp_path / "state"
+        durable = self._even_keys(state)
+        durable.insert_batch([1.0], ["a"])
+        durable.publish_tail()  # delta 1 at LSN 1
+        durable.close()
+        plans = PlanDirectory.for_state_dir(state)
+        # Delta 2 claims LSN 0 and deletes what delta 1 inserted.
+        regress = plans.publish_delta(
+            1,
+            [(OP_DELETE, pickle.dumps((1.0,)))],
+            seq=2,
+            wal_lsn=0,
+        )
+        twin = tmp_path / "twin"
+        shutil.copytree(state, twin)
+
+        walk = plans.walk(1)
+        assert [delta["seq"] for delta in walk.deltas] == [1]
+        assert (walk.lsn, walk.complete) == (1, False)
+        assert walk.stop.kind == STOP_LSN_REGRESS
+        assert walk.stop.path == regress
+
+        report = audit_plans(state)
+        assert [(f.kind, f.detail) for f in report.findings] == [
+            (STOP_LSN_REGRESS, walk.stop.detail)
+        ]
+
+        served = MmapDILI(state)
+        assert served.get_batch([1.0]) == ["a"]
+        assert recover(state).index.get_batch([1.0]) == ["a"]
+        assert served.rung == 1, served.events
+        assert served.quarantined == [regress + ".quarantined"]
+        served.close()
+
+        # The publisher, on an untouched copy, never extends past it.
+        with DurableDILI(twin, sync=False) as publisher:
+            publisher.insert_batch([3.0], ["b"])
+            assert publisher.publish_tail() == (
+                PlanDirectory.for_state_dir(twin).base_path(2)
+            )
 
 
 class TestReadBound:

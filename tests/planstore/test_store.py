@@ -16,9 +16,11 @@ from repro.durability.wal import (
 from repro.planstore.format import (
     PlanFormatError,
     PlanStoreError,
+    read_plan_header,
     write_delta_file,
     write_plan_file,
 )
+from repro.planstore.serve import STOP_FOREIGN, STOP_GAP, PlanDirectory
 from repro.planstore.store import PlanStore
 from tests.payloads import (
     PAYLOAD_KINDS,
@@ -131,6 +133,8 @@ class TestOverlay:
 
 
 class TestDeltaChain:
+    """The one chain walk (``PlanDirectory.walk``) over a base's deltas."""
+
     def _delta(self, tmp_path, seq, ops, *, generation=1, lsn=None):
         path = tmp_path / f"plan-00000001.{seq:04d}.delta"
         write_delta_file(
@@ -139,28 +143,74 @@ class TestDeltaChain:
         )
         return path
 
-    def test_chain_replays_in_order(self, tmp_path, plan_path, index, keys):
-        d1 = self._delta(
-            tmp_path, 1, [(OP_INSERT, _enc(7e6, "a"))]
-        )
-        d2 = self._delta(
-            tmp_path, 2, [(OP_UPDATE, _enc(7e6, "b"))]
-        )
-        store = PlanStore.open(plan_path, deltas=[d1, d2])
+    def test_chain_replays_in_order(self, tmp_path, plan_path):
+        self._delta(tmp_path, 1, [(OP_INSERT, _enc(7e6, "a"))])
+        self._delta(tmp_path, 2, [(OP_UPDATE, _enc(7e6, "b"))])
+        walk = PlanDirectory(tmp_path).walk(1)
+        assert (walk.stop, walk.complete, walk.lsn) == (None, True, 2)
+        store = PlanStore.open(plan_path)
+        for delta in walk.deltas:
+            store.apply_ops(delta["ops"], wal_lsn=delta["wal_lsn"])
         assert store.get_batch([7e6]) == ["b"]
         assert store.wal_lsn == 2
 
     def test_gap_in_chain_is_refused(self, tmp_path, plan_path):
         d2 = self._delta(tmp_path, 2, [(OP_INSERT, _enc(7e6, "a"))])
-        with pytest.raises(PlanFormatError, match="chain gap"):
-            PlanStore.open(plan_path, deltas=[d2])
+        walk = PlanDirectory(tmp_path).walk(1)
+        assert (walk.deltas, walk.complete, walk.lsn) == ([], False, 0)
+        assert walk.stop.kind == STOP_GAP
+        assert walk.stop.path == str(d2)
+        assert "expected delta seq 1" in walk.stop.detail
 
     def test_foreign_generation_is_refused(self, tmp_path, plan_path):
         d1 = self._delta(
             tmp_path, 1, [(OP_INSERT, _enc(7e6, "a"))], generation=9
         )
-        with pytest.raises(PlanFormatError, match="generation"):
-            PlanStore.open(plan_path, deltas=[d1])
+        walk = PlanDirectory(tmp_path).walk(1)
+        assert (walk.deltas, walk.complete) == ([], False)
+        assert walk.stop.kind == STOP_FOREIGN
+        assert walk.stop.path == str(d1)
+        assert "targets generation 9" in walk.stop.detail
+
+
+class TestPublishPlan:
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_publish_reuses_a_maintained_plan_and_keeps_no_other(
+        self, tmp_path, keys, concurrent
+    ):
+        durable = DurableDILI(tmp_path, sync=False, concurrent=concurrent)
+        durable.bulk_load(keys, [f"v{i}" for i in range(len(keys))])
+        inner = durable.recovery.index
+        plans = PlanDirectory.for_state_dir(tmp_path)
+        # No maintained plan: publish compiles one for the file only,
+        # so later writes have no plan to maintain.
+        assert durable.publish_plan() == 1
+        assert inner.peek_plan() is None
+        durable.insert_batch([7e6], ["a"])
+        assert inner.peek_plan() is None
+
+        # A maintained plan (warmed by a batch read) is the one written.
+        assert durable.get_batch([7e6]) == ["a"]
+        plan = inner.peek_plan()
+        assert durable.publish_plan() == 2
+        assert inner.peek_plan() is plan
+        assert inner.plan_recompiles == 1
+        durable.close()
+
+        # Reopened, the same tree has no plan: a fresh compile for the
+        # file writes the same buffers as the maintained plan did.
+        durable = DurableDILI(tmp_path, sync=False, concurrent=concurrent)
+        assert durable.publish_plan() == 3
+        assert durable.recovery.index.peek_plan() is None
+        maintained, fresh = (
+            [b["crc32"] for b in read_plan_header(path)["buffers"]]
+            for path in (plans.base_path(2), plans.base_path(3))
+        )
+        assert maintained == fresh
+        served = durable.serve_mmap()
+        assert served.get_batch(keys[:50]) == durable.get_batch(keys[:50])
+        served.close()
+        durable.close()
 
 
 class TestPayloadKinds:
