@@ -1012,7 +1012,7 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
                 f"{d['wrong_reads']} wrong, "
                 f"{d['unavailable_marks']} exact unavailability marks "
                 f"({d['misreported_unavailability']} misreported), "
-                f"hang replaced in {d['hang_recovery_seconds']}s, "
+                f"hang replaced in {d['hang_recovery_seconds']:.3f}s, "
                 f"breaker tripped after {d['failures_at_trip']} "
                 f"failures, healed={d['healed']} -> "
                 f"{'clean' if report.clean else 'DIRTY'}"

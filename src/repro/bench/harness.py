@@ -870,6 +870,11 @@ def measure_sharded_throughput(
     one pre-drawn existing-key batch.  Large batches amortize the pipe
     round-trip the way the paper's batch API amortizes interpreter
     dispatch; every returned value is audited against the loaded data.
+
+    Each worker is pinned to its own CPU (where the platform has
+    ``os.sched_setaffinity``), as in the serving benchmark, so the
+    scheduler cannot wake two workers on one core and serialise a
+    read.
     """
     import tempfile
 
@@ -897,6 +902,12 @@ def measure_sharded_throughput(
                 processes=True,
                 sync=False,
             ) as index:
+                if hasattr(os, "sched_setaffinity"):
+                    cpus = sorted(os.sched_getaffinity(0))
+                    for j, shard in enumerate(index.status()["shards"]):
+                        os.sched_setaffinity(
+                            shard["pid"], {cpus[j % len(cpus)]}
+                        )
                 index.get_batch(queries[:256])  # warm pages + workers
                 best = float("inf")
                 got: list = []

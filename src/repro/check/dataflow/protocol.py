@@ -16,9 +16,11 @@ This rule cross-checks the two sides statically, for every file under
   called directly rather than dispatched (``close``);
 * **coordinator side**: every string-literal tag passed to a send
   function (``call`` / ``send`` / ``_call`` / ``_send_retry`` /
-  ``_recv_retry``), including tags that flow through one forwarding
-  hop (a function whose ``method`` parameter it passes on, e.g.
-  ``_write_batch("insert_batch", ...)``);
+  ``_recv_retry`` / ``_fan_out``), including tags that flow through
+  one forwarding hop (a function whose ``method`` parameter it passes
+  on, e.g. ``_write_batch("insert_batch", ...)``).  ``_fan_out`` is a
+  send function in its own right, not a hop, so a tag that reaches it
+  through ``_write_batch`` is still one hop from a send function;
 * **checks**: every sent tag has a handler; a literal payload tuple's
   arity fits the handler's signature; every handler verb is sent (or
   invoked directly) somewhere; request/response frames sent on a pipe
@@ -38,7 +40,9 @@ from .solver import TaintFinding
 
 RULE = "CHK013"
 
-SEND_FUNCS = frozenset({"call", "send", "_call", "_send_retry", "_recv_retry"})
+SEND_FUNCS = frozenset(
+    {"call", "send", "_call", "_send_retry", "_recv_retry", "_fan_out"}
+)
 
 #: lifecycle methods invoked directly on the worker object, never
 #: dispatched by tag

@@ -305,13 +305,16 @@ class DurableDILI:
         only extends a chain whose
         :meth:`~repro.planstore.serve.PlanDirectory.walk` is complete
         and not stale; any other chain (a gap, a bad, quarantined or
-        lost delta, or an LSN behind a later snapshot) gets a new base
-        instead, and its path is returned.
+        lost delta, an LSN behind a later snapshot, or a newest base
+        whose header fails verification) gets a new base instead,
+        numbered past every file on disk, and its path is returned.
+        Quarantining a damaged base stays the reader's job.
 
         Raises:
             ValueError: No base generation has been published yet.
         """
         from repro.durability.wal import scan_wal
+        from repro.planstore.format import PlanStoreError
         from repro.planstore.serve import PlanDirectory
 
         with self._exclusive():
@@ -319,8 +322,12 @@ class DurableDILI:
             generations = plans.generations()
             if not generations:
                 raise ValueError("no plan generation published yet")
-            walk = plans.walk(generations[-1])
-            if not walk.complete or walk.stale:
+            try:
+                walk = plans.walk(generations[-1])
+                extend = walk.complete and not walk.stale
+            except PlanStoreError:
+                extend = False
+            if not extend:
                 return plans.base_path(self.publish_plan())
             scan = scan_wal(self.wal.path)
             ops = [

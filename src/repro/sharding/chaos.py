@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,34 +64,7 @@ class ShardChaosReport:
         return self.wrong_reads == 0 and self.lost_writes == 0
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "reads": self.reads,
-            "wrong_reads": self.wrong_reads,
-            "writes": self.writes,
-            "lost_writes": self.lost_writes,
-            "kills": self.kills,
-            "restarts": self.restarts,
-            "rebalances": self.rebalances,
-            "mid_rebalance_kills": self.mid_rebalance_kills,
-            "final_shards": self.final_shards,
-            "final_keys": self.final_keys,
-            "clean": self.clean,
-        }
-
-
-def _audit_reads(
-    index: ShardedDILI,
-    queries: np.ndarray,
-    shadow: dict,
-    report: ShardChaosReport,
-) -> None:
-    got = index.get_batch(queries)
-    report.reads += len(queries)
-    for key, value in zip(queries.tolist(), got):
-        if value != shadow.get(key):
-            report.wrong_reads += 1
+        return {**asdict(self), "clean": self.clean}
 
 
 def run_shard_chaos(
@@ -152,7 +125,7 @@ def run_shard_chaos(
                 misses = rng.uniform(0, 30_000_000, size=batch // 2)
                 queries = np.concatenate((hits, misses))
                 rng.shuffle(queries)
-                _audit_reads(index, queries, shadow, report)
+                _audit_supervised(index, queries, shadow, report)
 
                 fresh = np.arange(
                     next_fresh, next_fresh + batch // 4, dtype=np.float64
@@ -191,11 +164,11 @@ def run_shard_chaos(
                     report.events.append(
                         f"round {round_no}: split shard {busiest}"
                     )
-                _audit_reads(index, queries, shadow, report)
+                _audit_supervised(index, queries, shadow, report)
 
             # Closing audit: every surviving key, plus worker health.
             all_keys = np.asarray(sorted(shadow), dtype=np.float64)
-            _audit_reads(index, all_keys, shadow, report)
+            _audit_supervised(index, all_keys, shadow, report)
             report.restarts = index.restarts
             report.rebalances = index.rebalances
             report.final_shards = index.num_shards
@@ -260,28 +233,7 @@ class SupervisionChaosReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "reads": self.reads,
-            "wrong_reads": self.wrong_reads,
-            "partial_reads": self.partial_reads,
-            "unavailable_marks": self.unavailable_marks,
-            "misreported_unavailability": self.misreported_unavailability,
-            "kills": self.kills,
-            "restarts": self.restarts,
-            "hang_recovery_seconds": round(self.hang_recovery_seconds, 3),
-            "hung_replaced_within_deadline":
-                self.hung_replaced_within_deadline,
-            "slow_worker_survived": self.slow_worker_survived,
-            "breaker_tripped_within_budget":
-                self.breaker_tripped_within_budget,
-            "failures_at_trip": self.failures_at_trip,
-            "write_rejected_retryable": self.write_rejected_retryable,
-            "healthy_shards_kept_serving": self.healthy_shards_kept_serving,
-            "healed": self.healed,
-            "final_health": self.final_health,
-            "clean": self.clean,
-        }
+        return {**asdict(self), "clean": self.clean}
 
 
 def poison_shard_dir(dirpath, name: str) -> str:
@@ -326,17 +278,19 @@ def _audit_supervised(
     index: ShardedDILI,
     queries: np.ndarray,
     shadow: dict,
-    report: SupervisionChaosReport,
+    report: ShardChaosReport | SupervisionChaosReport,
     *,
     unavailable_shard: int | None = None,
 ) -> None:
     """Audit one batch read against the shadow dict.
 
-    With ``unavailable_shard`` set the read runs in partial mode and
-    the audit demands *exact* per-key unavailability: every key routed
-    to that shard comes back :data:`UNAVAILABLE`, every other key
-    comes back with its shadow value -- no false unavailability, no
-    silently wrong values.
+    Without ``unavailable_shard`` the read is fail-fast and every key
+    must come back with its shadow value (both chaos schedules audit
+    this way).  With ``unavailable_shard`` set the read runs in
+    partial mode and the audit demands *exact* per-key
+    unavailability: every key routed to that shard comes back
+    :data:`UNAVAILABLE`, every other key comes back with its shadow
+    value -- no false unavailability, no silently wrong values.
     """
     report.reads += len(queries)
     if unavailable_shard is None:

@@ -1,11 +1,13 @@
 """``ShardedDILI``: scatter/gather coordination over shard workers.
 
 The coordinator owns the learned router and the worker handles; it
-never touches index state itself (CHK009).  Every batch op routes its
-keys, scatters per-shard sub-batches over the worker pipes -- all
-sub-requests are in flight simultaneously, which is where the
-multi-process parallelism comes from -- and gathers the responses back
-into input order via the inverse of the stable scatter permutation.
+never touches index state itself (CHK009).  Every batch op goes
+through one fan-out (``_fan_out``): it routes its keys, sends the
+per-shard sub-batches over the worker pipes -- all sub-requests are in
+flight simultaneously, which is where the multi-process parallelism
+comes from -- and gathers the responses back into input order through
+the stable routing permutation.  Each op keeps only its own argument
+building and answer assembly.
 
 Guarantees:
 
@@ -21,7 +23,9 @@ Guarantees:
   transitions coordinator health HEALTHY -> DEGRADED, is restarted
   from its shard directory -- recovery runs the PR 6 fallback ladder:
   newest published plan, older generation, snapshot+WAL rebuild --
-  then health walks REPAIRING -> HEALTHY and the request retries.
+  then health walks REPAIRING -> HEALTHY and the request is resent
+  once, if its deadline still has budget (``_recv_retry``, the one
+  retry rule for batch ops and single calls alike).
   Reads are idempotent; a write retried across a crash is
   at-least-once (the final state is idempotent because the WAL logs
   validated ops, but the returned inserted/deleted flags can
@@ -667,118 +671,115 @@ class ShardedDILI:
                     pass
             self.health.drive_to(sup.target_health(self._alive))
 
-    def _call(
-        self,
-        index: int,
-        method: str,
-        args: tuple = (),
-        *,
-        deadline: Deadline | None = None,
-        retries: int = 2,
-    ):
-        """One synchronous worker call, restarting through deaths.
+    def _call(self, index: int, method: str, args: tuple = ()):
+        """One synchronous worker call under its own request deadline:
+        :meth:`_send_retry`, then :meth:`_recv_retry`."""
+        deadline = self._deadline()
+        rid = self._send_retry(index, method, args, deadline)
+        return self._recv_retry(index, rid, method, args, deadline)
 
-        The whole call -- every pipe wait, hang escalation, restart
-        and retry -- draws from one deadline budget, so the worst
-        case is ``deadline + eps``, never ``retries x timeout``.
-        """
-        if deadline is None:
-            deadline = self._deadline()
-        sup = self.supervisor
-        for attempt in range(retries + 1):
-            if not sup.available(index):
-                self._revive(index, deadline=deadline)
-            handle = self._handles[index]
-            try:
-                return handle.call(
-                    method, args,
-                    deadline=deadline, hang_timeout=self.hang_timeout,
-                )
-            except WorkerHung as exc:
-                # Alive but heartbeat-silent: poll already failed,
-                # escalate to SIGTERM -> SIGKILL, then restart.
-                handle.put_down(self.policy.term_grace)
-                sup.note_down(index, str(exc))
-                if attempt == retries or deadline.expired:
-                    raise
-            except WorkerDied as exc:
-                sup.note_down(index, str(exc))
-                if attempt == retries or deadline.expired:
-                    raise
+    # ------------------------------------------------------------------
+    # Fan-out: route, send, retry, gather
+    # ------------------------------------------------------------------
+
+    def _send_retry(
+        self, index: int, method: str, args: tuple, deadline: Deadline
+    ) -> int:
+        """Send one request, reviving a down shard first; a broken
+        pipe marks the shard down, revives it and sends again."""
+        if not self.supervisor.available(index):
+            self._revive(index, deadline=deadline)
+        try:
+            return self._handles[index].send(method, args)
+        except WorkerDied as exc:
+            self.supervisor.note_down(index, str(exc))
+            self._revive(index, deadline=deadline)
+            return self._handles[index].send(method, args)
 
     def _recv_retry(
         self, index: int, rid: int, method: str, args: tuple,
         deadline: Deadline,
     ):
-        """Gather one in-flight response, restart + re-ask on death."""
-        handle = self._handles[index]
-        try:
-            return handle.recv(
-                rid, deadline=deadline, hang_timeout=self.hang_timeout
-            )
-        except WorkerHung as exc:
-            handle.put_down(self.policy.term_grace)
-            self.supervisor.note_down(index, str(exc))
-        except WorkerDied as exc:
-            self.supervisor.note_down(index, str(exc))
-        self._revive(index, deadline=deadline)
-        return self._call(index, method, args, deadline=deadline, retries=0)
+        """Receive one in-flight response under the one retry rule.
 
-    # ------------------------------------------------------------------
-    # Scatter/gather plumbing
-    # ------------------------------------------------------------------
-
-    def _scatter(self, keys: np.ndarray):
-        """Route + stable-sort keys by shard.
-
-        Returns ``(shard_ids, order, cuts)`` where ``order`` is the
-        stable permutation grouping keys by shard and ``cuts[s]`` /
-        ``cuts[s + 1]`` bound shard ``s``'s slice of it.
+        A failed receive marks the shard down, putting a hung
+        (heartbeat-silent) worker down SIGTERM -> SIGKILL first.  Then,
+        only while ``deadline`` still has budget, the worker is revived
+        and the request resent once.  A slow worker's
+        :class:`DeadlineExceeded` propagates untouched.
         """
+        for resend in (False, True):
+            if resend:
+                rid = self._send_retry(index, method, args, deadline)
+            handle = self._handles[index]
+            try:
+                return handle.recv(
+                    rid, deadline=deadline, hang_timeout=self.hang_timeout
+                )
+            except WorkerDied as exc:
+                if isinstance(exc, WorkerHung):
+                    handle.put_down(self.policy.term_grace)
+                self.supervisor.note_down(index, str(exc))
+                if resend or deadline.expired:
+                    raise
+
+    def _route(self, keys: np.ndarray) -> list:
+        """Split a batch by shard: one ``(shard, positions)`` part per
+        shard that got keys, ``positions`` ascending (a stable sort)."""
         shard_ids = self.router.route(keys)
         order = np.argsort(shard_ids, kind="stable")
         cuts = np.searchsorted(
             shard_ids[order], np.arange(self.num_shards + 1)
         )
-        return shard_ids, order, cuts
+        return [
+            (s, order[cuts[s]:cuts[s + 1]])
+            for s in range(self.num_shards)
+            if cuts[s] < cuts[s + 1]
+        ]
 
     _READ_FAULTS = (ShardUnavailableError, WorkerDied, DeadlineExceeded)
 
-    def _gather_object(
-        self, n: int, pending, record: bool, tracer: Tracer,
-        deadline: Deadline, *, partial: bool = False, unavailable=(),
-    ):
-        """Collect get_batch responses back into input order.
+    def _fan_out(
+        self, method: str, parts: list, build_args, deadline: Deadline,
+        *, partial: bool = False,
+    ) -> list:
+        """Send every part's request, then gather every answer.
 
-        In partial mode, a shard that cannot answer within the shared
-        budget marks exactly its keys' positions with
-        :data:`UNAVAILABLE` instead of failing the batch.
+        A part is ``(shard, positions)``: the positions of the keys
+        routed to that shard, or ``None`` for a broadcast part (the
+        shard answers the whole batch).  ``build_args(positions)``
+        makes the part's request arguments.  Every request is in flight
+        before the first receive, which is where the multi-process
+        parallelism comes from, and ``ops_counts`` grows by the keys
+        actually sent.  Returns one answer per part, in part order;
+        with ``partial``, a shard that fails at send or at receive
+        answers :data:`UNAVAILABLE` instead of failing the batch.
         """
-        out = np.empty(n, dtype=object)
-        segments: list = [None] * n if record else []
-        for positions in unavailable:
-            out[positions] = UNAVAILABLE
-        for index, positions, rid, args in pending:
+        sent = []
+        for s, positions in parts:
+            args = build_args(positions)
             try:
-                values, segs = self._recv_retry(
-                    index, rid, "get_batch", args, deadline
-                )
+                rid = self._send_retry(s, method, args, deadline)
             except self._READ_FAULTS:
                 if not partial:
                     raise
-                out[positions] = UNAVAILABLE
+                sent.append(None)
                 continue
-            boxed = np.empty(len(values), dtype=object)
-            boxed[:] = values
-            out[positions] = boxed
-            if record:
-                for pos, seg in zip(positions.tolist(), segs):
-                    segments[pos] = seg
-        if record:
-            for seg in segments:
-                if seg is not None:
-                    replay_segment(seg, tracer)
-        return list(out)
+            sent.append((rid, args))
+            if positions is not None:
+                self.ops_counts[s] += len(positions)
+        answers = []
+        for (s, _), request in zip(parts, sent):
+            answer = UNAVAILABLE
+            if request is not None:
+                rid, args = request
+                try:
+                    answer = self._recv_retry(s, rid, method, args, deadline)
+                except self._READ_FAULTS:
+                    if not partial:
+                        raise
+            answers.append(answer)
+        return answers
 
     # ------------------------------------------------------------------
     # Batch reads
@@ -807,42 +808,30 @@ class ShardedDILI:
         if n == 0:
             return []
         record = not isinstance(tracer, NullTracer)
+        out = np.empty(n, dtype=object)
+        segments: list = [None] * n if record else []
         with self._lock:
-            deadline = self._deadline()
-            _, order, cuts = self._scatter(keys)
-            pending = []
-            unavailable = []
-            for s in range(self.num_shards):
-                lo, hi = int(cuts[s]), int(cuts[s + 1])
-                if lo == hi:
-                    continue
-                positions = order[lo:hi]
-                args = (keys[positions], record)
-                try:
-                    rid = self._send_retry(s, "get_batch", args, deadline)
-                except self._READ_FAULTS:
-                    if not partial:
-                        raise
-                    unavailable.append(positions)
-                    continue
-                self.ops_counts[s] += hi - lo
-                pending.append((s, positions, rid, args))
-            return self._gather_object(
-                n, pending, record, tracer, deadline,
-                partial=partial, unavailable=unavailable,
+            parts = self._route(keys)
+            answers = self._fan_out(
+                "get_batch", parts,
+                lambda positions: (keys[positions], record),
+                self._deadline(), partial=partial,
             )
-
-    def _send_retry(
-        self, index: int, method: str, args: tuple, deadline: Deadline
-    ) -> int:
-        if not self.supervisor.available(index):
-            self._revive(index, deadline=deadline)
-        try:
-            return self._handles[index].send(method, args)
-        except WorkerDied as exc:
-            self.supervisor.note_down(index, str(exc))
-            self._revive(index, deadline=deadline)
-            return self._handles[index].send(method, args)
+            for (_, positions), answer in zip(parts, answers):
+                if answer is UNAVAILABLE:
+                    out[positions] = UNAVAILABLE
+                    continue
+                values, segs = answer
+                boxed = np.empty(len(values), dtype=object)
+                boxed[:] = values
+                out[positions] = boxed
+                if record:
+                    for pos, seg in zip(positions.tolist(), segs):
+                        segments[pos] = seg
+            for seg in segments:
+                if seg is not None:
+                    replay_segment(seg, tracer)
+        return list(out)
 
     def contains_batch(self, keys, *, partial: bool = False) -> np.ndarray:
         """Membership per key.  ``partial=True`` returns an object
@@ -857,40 +846,17 @@ class ShardedDILI:
         if n == 0:
             return out
         with self._lock:
-            deadline = self._deadline()
-            _, order, cuts = self._scatter(keys)
-            pending = []
-            for s in range(self.num_shards):
-                lo, hi = int(cuts[s]), int(cuts[s + 1])
-                if lo == hi:
-                    continue
-                positions = order[lo:hi]
-                args = (keys[positions],)
-                try:
-                    rid = self._send_retry(s, "contains_batch", args, deadline)
-                except self._READ_FAULTS:
-                    if not partial:
-                        raise
-                    out[positions] = UNAVAILABLE
-                    continue
-                self.ops_counts[s] += hi - lo
-                pending.append((s, positions, rid, args))
-            for s, positions, rid, args in pending:
-                try:
-                    answer = self._recv_retry(
-                        s, rid, "contains_batch", args, deadline
-                    )
-                except self._READ_FAULTS:
-                    if not partial:
-                        raise
-                    out[positions] = UNAVAILABLE
-                    continue
-                if partial:
-                    boxed = np.empty(len(positions), dtype=object)
-                    boxed[:] = [bool(b) for b in answer]
-                    out[positions] = boxed
-                else:
-                    out[positions] = np.asarray(answer)
+            parts = self._route(keys)
+            answers = self._fan_out(
+                "contains_batch", parts,
+                lambda positions: (keys[positions],),
+                self._deadline(), partial=partial,
+            )
+            for (_, positions), answer in zip(parts, answers):
+                # An object array takes a bool answer as Python bools.
+                out[positions] = (
+                    answer if answer is UNAVAILABLE else np.asarray(answer)
+                )
         return out
 
     def count_range(self, lo: float, hi: float) -> int:
@@ -907,21 +873,16 @@ class ShardedDILI:
         if len(los) == 0:
             return totals
         with self._lock:
-            deadline = self._deadline()
-            args = (los, his)
             # No partial mode: the broadcast sums need every shard's
             # answer to be exact, so a missing shard must fail loudly.
-            pending = [
-                (s, self._send_retry(s, "count_range_batch", args, deadline))
-                for s in range(self.num_shards)
-            ]
-            for s, rid in pending:
-                totals += np.asarray(
-                    self._recv_retry(
-                        s, rid, "count_range_batch", args, deadline
-                    ),
-                    dtype=np.int64,
-                )
+            answers = self._fan_out(
+                "count_range_batch",
+                [(s, None) for s in range(self.num_shards)],
+                lambda _: (los, his),
+                self._deadline(),
+            )
+        for answer in answers:
+            totals += np.asarray(answer, dtype=np.int64)
         return totals
 
     # ------------------------------------------------------------------
@@ -938,38 +899,27 @@ class ShardedDILI:
         out = np.zeros(n, dtype=bool)
         if n == 0:
             return out
+
+        def build_args(positions) -> tuple:
+            if method == "delete_batch":
+                return (keys[positions],)
+            if values is None:
+                return (keys[positions], None)
+            return (keys[positions], [values[i] for i in positions])
+
         with self._lock:
             deadline = self._deadline()
-            _, order, cuts = self._scatter(keys)
+            parts = self._route(keys)
             # Writes never degrade partially: every target shard must
             # be available (or revivable right now) *before* anything
-            # is scattered, so an isolated shard rejects the whole
-            # batch with a typed, retryable error and no side effects.
-            for s in range(self.num_shards):
-                if int(cuts[s]) == int(cuts[s + 1]):
-                    continue
+            # is sent, so an isolated shard rejects the whole batch
+            # with a typed, retryable error and no side effects.
+            for s, _ in parts:
                 if not self.supervisor.available(s):
                     self._revive(s, deadline=deadline)
-            pending = []
-            for s in range(self.num_shards):
-                lo, hi = int(cuts[s]), int(cuts[s + 1])
-                if lo == hi:
-                    continue
-                positions = order[lo:hi]
-                sub_keys = keys[positions]
-                if method == "delete_batch":
-                    args: tuple = (sub_keys,)
-                elif values is None:
-                    args = (sub_keys, None)
-                else:
-                    args = (sub_keys, [values[i] for i in positions])
-                rid = self._send_retry(s, method, args, deadline)
-                self.ops_counts[s] += hi - lo
-                pending.append((s, positions, rid, args))
-            for s, positions, rid, args in pending:
-                out[positions] = np.asarray(
-                    self._recv_retry(s, rid, method, args, deadline)
-                )
+            answers = self._fan_out(method, parts, build_args, deadline)
+            for (_, positions), answer in zip(parts, answers):
+                out[positions] = np.asarray(answer)
         return out
 
     def insert_batch(self, keys, values: list | None = None) -> np.ndarray:
@@ -1155,7 +1105,7 @@ class ShardedDILI:
     ) -> dict | None:
         """Split the hot shard / merge the coldest adjacent pair.
 
-        Driven by the per-shard ops counters the scatter path
+        Driven by the per-shard ops counters the fan-out
         maintains: a shard carrying more than ``split_ratio`` times
         the mean load splits; an adjacent pair carrying less than
         ``merge_ratio`` of the mean (each) merges.  Counters reset

@@ -343,6 +343,46 @@ class TestChk013PipeProtocol:
         )
         assert [f.rule for f in self.check(coord)] == []
 
+    def test_write_tag_through_the_fan_out_is_still_checked(self):
+        # The sharded write path: insert_batch -> _write_batch(method)
+        # -> _fan_out(method) -> _send_retry(method).  The tag is two
+        # calls from the pipe, but one hop from the fan-out.
+        worker = (
+            "class MiniWorker:\n"
+            "    def dispatch(self, method, args):\n"
+            "        return getattr(self, method)(*args)\n"
+            "    def insert_batch(self, keys, values=None):\n"
+            "        return self.durable.insert_batch(keys, values)\n"
+            "    def stats(self):\n"
+            "        return {}\n"
+        )
+        coord = (
+            "class MiniCoordinator:\n"
+            "    def _send_retry(self, index, method, args, deadline):\n"
+            "        return self.handles[index].send(method, args)\n"
+            "    def _recv_retry(self, index, rid, method, args, deadline):\n"
+            "        return self.handles[index].recv(rid)\n"
+            "    def _call(self, index, method, args=()):\n"
+            "        rid = self._send_retry(index, method, args, None)\n"
+            "        return self._recv_retry(index, rid, method, args, None)\n"
+            "    def _fan_out(self, method, parts, build_args, deadline):\n"
+            "        sent = [(s, self._send_retry(s, method, build_args(p),\n"
+            "                 deadline)) for s, p in parts]\n"
+            "        return [self._recv_retry(s, rid, method, (), deadline)\n"
+            "                for s, rid in sent]\n"
+            "    def _write_batch(self, method, keys, values):\n"
+            "        return self._fan_out(method, [(0, keys)],\n"
+            "                             lambda p: (p, values), None)\n"
+            "    def insert_batch(self, keys, values):\n"
+            "        return self._write_batch(TAG, keys, values)\n"
+            "    def stats(self):\n"
+            "        return self._call(0, 'stats')\n"
+        )
+        assert self.check(coord.replace("TAG", "'insert_batch'"), worker) == []
+        findings = self.check(coord.replace("TAG", "'insert_batchX'"), worker)
+        assert [f.rule for f in findings] == ["CHK013"]
+        assert "insert_batchX" in findings[0].message
+
     def test_non_three_tuple_pipe_frame_fires(self):
         coord = (
             "def do_lookup(handle, keys):\n"

@@ -26,6 +26,7 @@ from repro.planstore.chaos import EXPECTED_RUNG, run_plan_chaos
 from repro.planstore.corrupt import (
     FAULT_PLAN_FLIPPED_BYTE,
     FAULT_PLAN_MISSING_DELTA,
+    FAULT_PLAN_TORN_HEADER,
     PLAN_FAULT_KINDS,
     inject_plan_fault,
 )
@@ -152,6 +153,32 @@ class TestQuarantine:
         assert (served.rung, served.generation) == (1, 2), served.events
         served.close()
         durable.close()
+
+    def test_tail_publish_past_a_torn_base_starts_a_new_base(self, tmp_path):
+        rng = np.random.default_rng(8)
+        keys = np.unique(rng.uniform(0.0, 1e6, 300))
+        durable = DurableDILI(tmp_path, sync=False)
+        durable.bulk_load(keys[:200])
+        durable.publish_plan()
+        plans = PlanDirectory.for_state_dir(tmp_path)
+        torn = plans.base_path(1)
+        inject_plan_fault(FAULT_PLAN_TORN_HEADER, torn, rng)
+        durable.insert_batch(keys[200:], list(keys[200:]))
+
+        # An unreadable newest base takes no deltas: the writer
+        # publishes a new base past it and leaves the quarantine to
+        # the reader.
+        published = durable.publish_tail()
+        assert published == plans.base_path(2)
+        assert published.endswith(".plan")
+        assert os.path.exists(torn)
+        durable.close()
+        served = MmapDILI(tmp_path)
+        assert served.get_batch(keys) == recover(tmp_path).index.get_batch(
+            keys
+        )
+        assert (served.rung, served.generation) == (1, 2), served.events
+        served.close()
 
 
 class TestChainRule:

@@ -5,9 +5,13 @@ where available); in-process tests cover the same coordinator logic
 without spawn cost.  Every read is audited against a shadow dict.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.planstore.corrupt import FAULT_PLAN_TORN_HEADER, inject_plan_fault
+from repro.planstore.serve import PlanDirectory
 from repro.sharding import ShardedDILI, read_manifest
 
 
@@ -187,6 +191,26 @@ def test_invalid_write_batch_rejected_before_scatter(tmp_path):
             index.update_batch(np.array([1.0]), None)
         # Nothing partial happened.
         assert len(index) == len(keys)
+
+
+def test_write_past_a_torn_newest_base_publishes_a_new_base(tmp_path):
+    index, keys, values = make_index(tmp_path)
+    with index:
+        shard_dir = os.path.join(index.dirpath, index.manifest.shards[0].name)
+        plans = PlanDirectory.for_state_dir(shard_dir)
+        inject_plan_fault(
+            FAULT_PLAN_TORN_HEADER,
+            plans.base_path(plans.generations()[-1]),
+            np.random.default_rng(3),
+        )
+        fresh = keys[:20] + 0.5
+        assert (index.router.route(fresh) == 0).all()
+        # The write is logged and applied, so it must report success.
+        assert index.insert_batch(fresh, ["new"] * len(fresh)).all()
+        assert index.get_batch(fresh) == ["new"] * len(fresh)
+        assert index.get_batch(keys) == values
+        shard = index.status()["shards"][0]
+        assert (shard["rung"], shard["generation"]) == (1, 2), shard
 
 
 def test_status_reports_per_shard_counters(tmp_path):

@@ -5,12 +5,16 @@ CircuitBreaker, RestartPolicy, FleetSupervisor, HealthMonitor.drive_to)
 without sleeping; integration tests use real SIGSTOP'd / delayed /
 killed worker processes to pin the coordinator-level contracts: hung
 workers are replaced within one request deadline, slow workers are not
-killed, partial-mode reads report exact per-key unavailability, writes
+killed, a worker killed mid-request is revived and the request resent
+once, partial-mode reads report exact per-key unavailability, writes
 to isolated shards fail with a typed retryable error, aggregate health
 reflects *every* shard, and shutdown stays bounded even with a
 SIGSTOP'd worker.
 """
 
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -519,9 +523,16 @@ class TestForcedOpenBreaker:
             zero_keys = keys[index.router.route(keys) == 0][:10]
             with pytest.raises(ShardUnavailableError):
                 index.get_batch(zero_keys)  # fail-fast default
+            # The range-count broadcast has no partial mode.
+            with pytest.raises(ShardUnavailableError):
+                index.count_range_batch([keys[0]], [keys[-1]])
+
+            def coordinator_ops():
+                return [s["coordinator_ops"] for s in index.status()["shards"]]
 
             mixed = keys[:: max(1, len(keys) // 60)]
             routed = index.router.route(mixed)
+            before = coordinator_ops()
             got = index.get_batch(mixed, partial=True)
             for key, shard, value in zip(
                 mixed.tolist(), routed.tolist(), got
@@ -530,6 +541,11 @@ class TestForcedOpenBreaker:
                     assert value is UNAVAILABLE
                 else:
                     assert value == shadow[key]
+            # Only keys actually sent count towards a shard's load.
+            grew = np.subtract(coordinator_ops(), before).tolist()
+            assert grew == [0] + np.bincount(
+                routed, minlength=index.num_shards
+            )[1:].tolist()
 
             # Writes touching the isolated shard are rejected before
             # any scatter: typed, retryable, and with zero side
@@ -553,6 +569,31 @@ class TestForcedOpenBreaker:
                     assert flag is UNAVAILABLE
                 else:
                     assert bool(flag) == (key in shadow)
+
+
+class TestInFlightKill:
+    def test_worker_killed_mid_request_is_restarted_once(self, tmp_path):
+        index, keys, values = make_index(tmp_path, supervise=False)
+        shadow = dict(zip(keys.tolist(), values))
+        with index:
+            index.set_worker_delay(0, 1.0)
+            pid = index._handles[0].pid
+            # kill_worker would wait for the coordinator lock the read
+            # holds, so the signal comes straight from a timer.
+            killer = threading.Timer(0.3, os.kill, (pid, signal.SIGKILL))
+            queries = keys[:: max(1, len(keys) // 90)]  # spans all shards
+            killer.start()
+            try:
+                got = index.get_batch(queries)
+            finally:
+                killer.join(timeout=10.0)
+            assert not killer.is_alive()
+            assert got == [shadow[k] for k in queries.tolist()]
+            assert index.restarts == 1
+            assert index._handles[0].pid != pid
+            led = index.supervisor.ledger(0)
+            assert led.up and led.breaker.closed
+            assert index.health.state is Health.HEALTHY
 
 
 class TestAggregateHealthRegression:
