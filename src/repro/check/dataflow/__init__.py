@@ -22,9 +22,6 @@ The rules:
 * **CHK011** -- untrusted-bytes taint: bytes born at ``np.memmap`` or
   a pipe ``recv()`` must pass an allowlisted verifier before reaching
   a serving/deserialization sink.
-* **CHK012** -- frozen-plan escape: a FlatPlan that can be
-  epoch-published must never flow into an in-place ``patch_*`` /
-  ``recompile_*`` call outside ``flat.py``.
 * **CHK013** -- pipe-protocol conformance: every message tag the
   coordinator sends has a worker handler with a compatible payload
   arity, and every handler verb is reachable.
@@ -32,6 +29,10 @@ The rules:
   ``.poll(...)`` outside the sanctioned supervision wrappers escapes
   the per-request deadline budget and can wait forever on a hung
   worker.
+
+CHK012 chased published plans into the in-place plan mutators; plans
+are immutable values now and those mutators are gone, so its number
+stays unused.
 
 Findings use the same pragma waivers as CHK001-CHK009 (``#
 repro-check: allow CHK011 -- reason``) and the same
@@ -50,7 +51,7 @@ from typing import Iterable
 from repro.check.lint import LintFinding
 from repro.check.parsing import ParsedFile, parse_paths, parse_source, waived_in_span
 
-from . import escape, locks, pipes, protocol, taint
+from . import locks, pipes, protocol, taint
 from .facts import FactsStore
 from .model import ProjectModel
 from .solver import TaintFinding
@@ -58,12 +59,11 @@ from .solver import TaintFinding
 DATAFLOW_RULES: dict[str, str] = {
     "CHK010": "guarded attribute written without its lock provably held",
     "CHK011": "untrusted bytes reach a sink without an allowlisted verifier",
-    "CHK012": "publishable FlatPlan escapes to an in-place mutator",
     "CHK013": "coordinator/worker pipe-protocol drift",
     "CHK014": "untimed pipe receive outside the supervision wrappers",
 }
 
-_RULE_RUNNERS = (locks.run, taint.run, escape.run, protocol.run, pipes.run)
+_RULE_RUNNERS = (locks.run, taint.run, protocol.run, pipes.run)
 
 _EXEMPT_PARTS = frozenset({"tests", "test", "examples", "benchmarks"})
 
@@ -82,7 +82,7 @@ def _span(node: ast.AST) -> tuple[int, int, int]:
 def analyze_parsed(
     parsed: Iterable[ParsedFile], *, include_waived: bool = False
 ) -> list[LintFinding]:
-    """Run CHK010-CHK013 over already-parsed files.
+    """Run the dataflow rules over already-parsed files.
 
     The shared single-parse entry point: ``repro check`` parses each
     file once and hands the same :class:`ParsedFile` list to both the

@@ -54,15 +54,6 @@ class TaintConfig:
     sink: Callable[[ast.Call, str | None, FunctionInfo | None, str], str | None]
     #: calls to these names clean their arguments / receiver state
     sanitizers: frozenset = frozenset()
-    #: calls to these names return clean values even on tainted input
-    purifiers: frozenset = frozenset()
-    #: with-item source (e.g. ``with pub.pinned() as plan``)
-    source_withitem: Callable[
-        [ast.withitem, FunctionInfo | None, str], str | None
-    ] | None = None
-    #: calls to these names taint their first argument (side-effect
-    #: sources, e.g. ``publish(plan)`` marks ``plan`` publishable)
-    arg_taint_calls: frozenset = frozenset()
     sink_on_receiver: bool = True
     #: interprocedural scope: when set, only functions in these files
     #: are interpreted and propagated through -- everything else is
@@ -194,11 +185,6 @@ class _Interp:
         elif isinstance(stmt, ast.With) or isinstance(stmt, ast.AsyncWith):
             for item in stmt.items:
                 t = self._eval(item.context_expr)
-                cfg = self.s.config
-                if cfg.source_withitem is not None:
-                    label = cfg.source_withitem(item, self.fi, self.fi.path)
-                    if label is not None:
-                        t = t | {("src", label)}
                 if item.optional_vars is not None:
                     self._assign(item.optional_vars, t, item.context_expr)
             self._block(stmt.body)
@@ -318,13 +304,6 @@ class _Interp:
         kw_taints = {kw.arg: self._eval(kw.value) for kw in node.keywords}
         recv_taint = self._eval(receiver) if receiver is not None else set()
 
-        # Side-effect sources: publish(plan) marks its argument.
-        if name in cfg.arg_taint_calls:
-            label = f"{name}() ({self.fi.path}:{node.lineno})"
-            for arg in node.args:
-                if isinstance(arg, ast.Name):
-                    self.env.setdefault(arg.id, set()).add(("src", label))
-
         # Sinks (reported only when a concrete source origin arrives).
         # A sink inside an allowlisted verifier is exempt: the flow
         # *into* the verifier is the sanctioned one (read_delta_file
@@ -371,9 +350,6 @@ class _Interp:
         label = cfg.source_call(node, self.fi, self.fi.path)
         if label is not None:
             return {("src", label)}
-
-        if name in cfg.purifiers:
-            return set()
 
         # Known callees: propagate into parameters, return summary.
         # Out-of-scope callees are opaque (handled by the pass-through

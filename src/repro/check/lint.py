@@ -4,10 +4,12 @@ Pure stdlib-``ast`` analysis -- no third-party linter frameworks.  Each
 rule encodes an invariant of this codebase that a generic linter cannot
 know:
 
-* **CHK001** -- the flat plan's structure-of-arrays buffers may only be
-  mutated by the sanctioned ``patch_*`` / ``recompile_*`` APIs (plus
-  ``FlatPlan.__init__``).  Any other store, subscript-store, or mutating
-  method call on a plan SoA attribute corrupts the read path silently.
+* **CHK001** -- a flat plan is an immutable value: its
+  structure-of-arrays buffers may only be written by
+  ``FlatPlan.__init__``.  Any other store, subscript-store, or mutating
+  method call on a plan SoA attribute -- including one reached through
+  ``peek_plan()`` / ``export_plan()``, which may be a plan lock-free
+  readers hold -- corrupts the read path silently.
 * **CHK002** -- no bare ``assert`` for runtime invariants inside
   ``src/``: ``python -O`` strips them.  Raise
   :class:`repro.check.errors.InvariantError` instead.  Test, example and
@@ -35,14 +37,6 @@ know:
   whose formats checksum every byte before trusting it.  Anywhere else
   they deserialize (or map) bytes nothing has verified.  Test,
   example and benchmark trees are exempt.
-* **CHK008** -- copy-on-write plan discipline: the in-place
-  ``patch_*`` / ``recompile_*`` FlatPlan mutators may only be invoked
-  from inside ``repro/core/flat.py`` (the ``applied_*`` constructors
-  delegate to them after deciding in-place vs copy-on-write).  A
-  direct call anywhere else in ``src/`` would mutate a plan that may
-  already be epoch-published -- frozen plans raise at runtime, but the
-  lint catches the pattern before a schedule ever freezes one.  Test,
-  example and benchmark trees are exempt.
 * **CHK009** -- shard serving discipline: outside the sanctioned
   factory modules, ``src/`` code may not construct a ``DILI`` directly
   -- in particular the sharding layer (coordinator, router, chaos)
@@ -53,9 +47,10 @@ know:
   CLI, and the sharding build modules ``worker.py`` / ``partition.py``.
   Test, example and benchmark trees are exempt.
 
-The flow-sensitive rules CHK010-CHK013 live in
-``repro.check.dataflow`` and run from the same parsed trees (see
-``repro.check.parsing``).
+CHK008 policed the in-place plan mutators, which no longer exist;
+its number stays unused so pragmas and docs keep their meaning.  The
+flow-sensitive rules CHK010-CHK014 live in ``repro.check.dataflow``
+and run from the same parsed trees (see ``repro.check.parsing``).
 
 Any finding can be locally waived with a pragma comment on (any line
 of) the offending statement::
@@ -83,14 +78,13 @@ from repro.check.parsing import (
 )
 
 RULES: dict[str, str] = {
-    "CHK001": "flat-plan SoA buffers mutated outside patch_*/recompile_*",
+    "CHK001": "flat-plan SoA buffer written outside FlatPlan.__init__",
     "CHK002": "bare assert used for a runtime invariant in src/",
     "CHK003": "hardcoded cost-model cycle literal",
     "CHK004": "float-literal equality comparison in core/",
     "CHK005": "traced probe without a shared Tracer constant",
     "CHK006": "FaultInjector constructed outside the fault registry",
     "CHK007": "untrusted-bytes primitive outside durability/planstore",
-    "CHK008": "in-place FlatPlan mutator invoked outside repro/core/flat.py",
     "CHK009": "direct DILI construction outside the sanctioned factories",
 }
 
@@ -108,9 +102,8 @@ _DILI_FACTORIES = frozenset(
     }
 )
 
-# FlatPlan's structure-of-arrays attributes (the SoA-buffer subset of
-# FlatPlan.__slots__; the version/frozen publication fields are not
-# buffers and are governed by freeze(), not the patch APIs).
+# FlatPlan's structure-of-arrays attributes (FlatPlan.__slots__ minus
+# the version, which is not a buffer).
 SOA_ATTRS = frozenset(
     {
         "kind", "slope", "intercept", "size", "base", "region",
@@ -119,26 +112,9 @@ SOA_ATTRS = frozenset(
     }
 )
 
-# Methods allowed to mutate the SoA buffers from inside FlatPlan.
-_PLAN_MUTATOR_METHODS = frozenset(
-    {
-        "__init__",
-        "patch_value", "patch_insert", "patch_insert_many",
-        "patch_delete", "patch_delete_many",
-        "recompile_subtree", "recompile_subtrees",
-    }
-)
-
-# The in-place plan mutators themselves (CHK008): outside flat.py, plan
-# maintenance must go through the applied_* copy-on-write constructors,
-# which are safe on frozen (epoch-published) plans.
-_INPLACE_PLAN_MUTATORS = frozenset(
-    {
-        "patch_value", "patch_insert", "patch_insert_many",
-        "patch_delete", "patch_delete_many",
-        "recompile_subtree", "recompile_subtrees",
-    }
-)
+# Calls that return a FlatPlan: a fresh compile, the index's lazily
+# compiled plan, and the two public ways to reach the maintained one.
+_PLAN_CALLS = frozenset({"compile_plan", "_plan", "peek_plan", "export_plan"})
 
 # In-place container mutators that corrupt an SoA buffer just as surely
 # as a store does.
@@ -229,9 +205,6 @@ class _FileContext:
         self.check_untrusted = not (in_tests or in_benchmarks) and not any(
             p in ("durability", "planstore") for p in parts
         )
-        # flat.py's applied_* constructors are the sanctioned callers of
-        # the in-place patch tiers (CHK008).
-        self.check_cow = not (in_tests or in_benchmarks) and name != "flat.py"
         # Only the factory modules may construct a DILI directly; shard
         # workers and everything downstream of them must reach index
         # state through DurableDILI / MmapDILI (CHK009).
@@ -411,17 +384,6 @@ class _Linter(ast.NodeVisitor):
             )
         if self.ctx.check_untrusted:
             self._check_untrusted_bytes(node)
-        if (
-            self.ctx.check_cow
-            and isinstance(node.func, ast.Attribute)
-            and name in _INPLACE_PLAN_MUTATORS
-        ):
-            self._report(
-                node, "CHK008",
-                f"in-place plan mutator .{name}() outside repro/core/"
-                f"flat.py; published plans are frozen -- use the "
-                f"applied_* copy-on-write constructors",
-            )
         if name in _MUTATING_CALLS and isinstance(node.func, ast.Attribute):
             self._check_soa_mutation(node, node.func.value, is_call=True)
         self.generic_visit(node)
@@ -489,8 +451,7 @@ class _Linter(ast.NodeVisitor):
         if isinstance(node, ast.Attribute):
             return node.attr == "_flat"
         if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            return name in ("compile_plan", "_plan")
+            return _call_name(node.func) in _PLAN_CALLS
         return False
 
     def _soa_attr_of(self, node: ast.expr) -> ast.Attribute | None:
@@ -503,12 +464,10 @@ class _Linter(ast.NodeVisitor):
             return node
         return None
 
-    def _in_sanctioned_plan_method(self) -> bool:
+    def _in_plan_init(self) -> bool:
         return (
-            bool(self._class_stack)
-            and self._class_stack[-1] == "FlatPlan"
-            and bool(self._func_stack)
-            and self._func_stack[-1] in _PLAN_MUTATOR_METHODS
+            self._class_stack[-1:] == ["FlatPlan"]
+            and self._func_stack[-1:] == ["__init__"]
         )
 
     def _check_soa_mutation(
@@ -523,24 +482,26 @@ class _Linter(ast.NodeVisitor):
             and self._class_stack
             and self._class_stack[-1] == "FlatPlan"
         ):
-            if not self._in_sanctioned_plan_method():
+            if not self._in_plan_init():
                 verb = "mutated by" if is_call else "assigned in"
                 self._report(
                     stmt, "CHK001",
                     f"FlatPlan SoA buffer '{target.attr}' {verb} "
                     f"'{self._func_stack[-1] if self._func_stack else '?'}'; "
-                    f"only __init__/patch_*/recompile_* may write it",
+                    f"only __init__ may write it -- return a successor "
+                    f"plan instead",
                 )
             return
         # `<plan expr>.<soa> = ...` anywhere else.
         attr = self._soa_attr_of(target)
         if attr is None and isinstance(target, ast.Subscript):
             attr = self._soa_attr_of(target.value)
-        if attr is not None and not self._in_sanctioned_plan_method():
+        if attr is not None and not self._in_plan_init():
             self._report(
                 stmt, "CHK001",
-                f"flat-plan SoA buffer '{attr.attr}' mutated outside the "
-                f"patch_*/recompile_* APIs",
+                f"flat-plan SoA buffer '{attr.attr}' mutated outside "
+                f"FlatPlan.__init__; plans never change once built -- "
+                f"use the applied_* tiers",
             )
 
     def _note_aliases(self, targets: Sequence[ast.expr], value: ast.expr) -> None:

@@ -20,14 +20,13 @@ unlucky schedule away.
   and batch operations without every stripe as **non-exclusive scans**.
 
 Epoch-pinned batch reads are *legal without any lock*: the lock-free
-read path descends the frozen published plan, never the inner index,
-so it does not trip the exclusive check -- the contract it must honor
-instead is the RCU one, which the sanitizer verifies through
-``ConcurrentDILI._plan_read_guard``: every lock-free read must (a)
+read path descends the published plan, an immutable value, never the
+inner index, so it does not trip the exclusive check -- the contract
+it must honor instead is the RCU one, which the sanitizer verifies
+through ``ConcurrentDILI._plan_read_guard``: every lock-free read must
 hold an epoch pin for the duration of the descent (else a concurrent
 retire could reclaim the buffers out from under it -- reported as
-**unpinned-plan-read**) and (b) run against a frozen plan (a mutable
-published plan is a torn read waiting to happen).  Batch calls that
+**unpinned-plan-read**).  Batch calls that
 reach the *inner* index (the recompile fallback) still require
 ``exclusive()`` exactly as before: they may compile and install a new
 plan, which is a write.
@@ -293,21 +292,13 @@ class LockSanitizer:
         Installed as ``ConcurrentDILI._plan_read_guard`` and invoked
         with the snapshot on every pinned-plan read.  No lock is
         required -- that is the point -- but the reading thread must
-        hold an epoch pin (or retirement cannot see it and the plan
-        could be reclaimed mid-descent) and the plan must be frozen
-        (publication freezes; descending a mutable plan races its
-        patcher).
+        hold an epoch pin, or retirement cannot see it and the plan
+        could be reclaimed mid-descent.
         """
         if not self._target._published.current_thread_pinned():
             self._record(
                 "unpinned-plan-read",
-                "published plan read without an epoch pin; a concurrent "
-                "retire could reclaim the snapshot mid-descent",
-            )
-        if not getattr(plan, "frozen", False):
-            self._record(
-                "unpinned-plan-read",
-                f"plan v{getattr(plan, 'version', '?')} served to a "
-                f"lock-free reader while still mutable; publish() must "
-                f"freeze it first",
+                f"published plan v{plan.version} read without an epoch "
+                f"pin; a concurrent retire could reclaim the snapshot "
+                f"mid-descent",
             )

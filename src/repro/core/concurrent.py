@@ -51,6 +51,14 @@ _BACKOFF_INITIAL_S = 1e-6
 _BACKOFF_MAX_S = 1e-3
 
 
+def _key_array(keys) -> np.ndarray:
+    """A batch read's keys as a 1-D float64 array (or ValueError)."""
+    arr = np.asarray(keys, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("keys must be one-dimensional")
+    return arr
+
+
 class ConcurrentDILI:
     """A DILI safe for concurrent readers and writers.
 
@@ -234,12 +242,10 @@ class ConcurrentDILI:
 
         Called by every mutator while it still holds its stripe or
         exclusive locks, so the calling thread's subsequent reads see
-        its own writes.  Publishing holds ``DILI._plan_mutex``: until
-        it is frozen, the maintained version is private to the index,
-        and a stripe-locked writer on another leaf may be patching it
-        in place.  Freezing it under the same mutex guarantees that no
-        published plan is ever patched in place.  Versions are
-        assigned in tree-mutation order under that mutex, and
+        its own writes.  Plans never change once built, so publishing
+        one can never expose a half-patched plan.  Publishing holds
+        ``DILI._plan_mutex`` for version order: versions are assigned
+        in tree-mutation order under that mutex, and
         :meth:`~repro.core.epoch.PlanPublisher.publish` rejects stale
         ones, so the slot converges on the newest tree state.
         """
@@ -273,6 +279,22 @@ class ConcurrentDILI:
         with self.locked(key):
             return self._index.get(key)
 
+    def _read(self, from_plan, from_index):
+        """Answer a batch read lock-free from the published plan.
+
+        ``from_plan(plan)`` runs against the epoch-pinned snapshot
+        without taking any lock.  Only when no plan is published does
+        ``from_index(index)`` run, under :meth:`exclusive`, and the
+        plan it compiles is republished.
+        """
+        with self._pinned_plan() as plan:
+            if plan is not None:
+                return from_plan(plan)
+        with self.exclusive():
+            out = from_index(self._index)
+            self._republish()
+            return out
+
     def get_batch(self, keys: np.ndarray | list) -> list:
         """Vectorized multi-key lookup, lock-free.
 
@@ -282,30 +304,19 @@ class ConcurrentDILI:
         published version: a batch racing a writer sees the tree state
         of its snapshot, never a torn mix.
         """
-        with self._pinned_plan() as plan:
-            if plan is not None:
-                arr = np.asarray(keys, dtype=np.float64)
-                if arr.ndim != 1:
-                    raise ValueError("keys must be one-dimensional")
-                out, _ = plan.lookup_batch(arr)
-                return plan.gather_values(out)
-        with self.exclusive():
-            out = self._index.get_batch(keys)
-            self._republish()
-            return out
+        arr = _key_array(keys)
+        return self._read(
+            lambda plan: plan.get_batch(arr),
+            lambda index: index.get_batch(arr),
+        )
 
     def contains_batch(self, keys: np.ndarray | list) -> np.ndarray:
         """Vectorized membership test; lock-free like :meth:`get_batch`."""
-        with self._pinned_plan() as plan:
-            if plan is not None:
-                arr = np.asarray(keys, dtype=np.float64)
-                if arr.ndim != 1:
-                    raise ValueError("keys must be one-dimensional")
-                return plan.contains_batch(arr)
-        with self.exclusive():
-            out = self._index.contains_batch(keys)
-            self._republish()
-            return out
+        arr = _key_array(keys)
+        return self._read(
+            lambda plan: plan.contains_batch(arr),
+            lambda index: index.contains_batch(arr),
+        )
 
     def count_range(self, lo: float, hi: float) -> int:
         """Count keys in ``[lo, hi)``; lock-free like :meth:`get_batch`.
@@ -313,29 +324,24 @@ class ConcurrentDILI:
         Two binary searches over the published plan's sorted key
         array -- no pairs are materialized and no lock is taken.
         """
-        with self._pinned_plan() as plan:
-            if plan is not None:
-                return plan.count_range(float(lo), float(hi))
-        with self.exclusive():
-            out = self._index.count_range(lo, hi)
-            self._republish()
-            return out
+        lo = float(lo)
+        hi = float(hi)
+        return self._read(
+            lambda plan: plan.count_range(lo, hi),
+            lambda index: index.count_range(lo, hi),
+        )
 
     def count_range_batch(
         self, los: np.ndarray | list, his: np.ndarray | list
     ) -> np.ndarray:
-        """Vectorized range counts; lock-free like :meth:`get_batch`."""
-        with self._pinned_plan() as plan:
-            if plan is not None:
-                lo_arr = np.asarray(los, dtype=np.float64)
-                hi_arr = np.asarray(his, dtype=np.float64)
-                if lo_arr.shape != hi_arr.shape:
-                    raise ValueError("los and his must have the same shape")
-                return plan.count_range_batch(lo_arr, hi_arr)
-        with self.exclusive():
-            out = self._index.count_range_batch(los, his)
-            self._republish()
-            return out
+        """Vectorized range counts; lock-free like :meth:`get_batch`.
+
+        Both sides check the bounds' shapes themselves.
+        """
+        return self._read(
+            lambda plan: plan.count_range_batch(los, his),
+            lambda index: index.count_range_batch(los, his),
+        )
 
     def insert(self, key: float, value: object) -> bool:
         """Insert under the owning leaf's lock (A.8 insertion protocol).

@@ -131,8 +131,8 @@ class DILI:
         self.insert_count = 0
         self.moved_pairs = 0
         # Plan-maintenance counters: full lazy compiles, single-leaf
-        # subtree recompiles after structural changes, and in-place
-        # buffer patches (see docs/performance.md).
+        # subtree recompiles after structural changes, and slot or
+        # payload patches (see docs/performance.md).
         self.plan_recompiles = 0
         self.plan_subtree_recompiles = 0
         self.plan_patches = 0
@@ -141,9 +141,9 @@ class DILI:
         self._flat: FlatPlan | None = None
         # Serializes plan compilation/maintenance: concurrent writers
         # (stripe-locked on different leaves) each produce a new plan
-        # version via the copy-on-write applied_* constructors, and the
-        # mutex makes every version build on the previous one instead
-        # of two patches racing on the same base.  Reentrant because
+        # version via the copy-on-write applied_* tiers, and the mutex
+        # makes every version build on the previous one instead of two
+        # successors forking from the same base.  Reentrant because
         # maintenance falls back to _invalidate_plan while holding it.
         self._plan_mutex = threading.RLock()
         self._router: InternalRouter | None = None
@@ -352,8 +352,8 @@ class DILI:
         ``keys`` are the keys the operation touched (hit or miss --
         coherence of a miss is worth checking too).  A ``None``
         sanitizer costs one attribute load and a branch.  The check
-        holds the plan mutex: a stripe-locked writer on another leaf
-        may otherwise be patching the plan version it reads.
+        holds the plan mutex, so a stripe-locked writer on another leaf
+        cannot swap in its successor plan mid-check.
         """
         san = self.sanitizer
         if san is not None:
@@ -366,10 +366,10 @@ class DILI:
         The plan is a structure-of-arrays snapshot of the node tree
         (see :mod:`repro.core.flat`); it is compiled lazily on the
         first batch read and then *maintained incrementally* across
-        mutations: slot-level changes patch the buffers in place and
-        structural changes recompile only the affected top-level leaf's
-        subtree, so mixed read/write workloads do not pay an O(n)
-        recompile per write.
+        mutations: slot-level changes patch copies of the buffers they
+        touch and structural changes recompile only the affected
+        top-level leaf's subtree, so mixed read/write workloads do not
+        pay a full recompile per write.
         """
         with self._plan_mutex:
             plan = self._flat
@@ -476,9 +476,9 @@ class DILI:
         same events a ``get`` of the same key would (the probe cost of
         Algorithm 7); structural work (``local_opt`` during spawns and
         adjustments) charges nothing, matching the paper's cost model.
-        The compiled read plan, if present, is patched or
-        subtree-recompiled in place -- and left untouched entirely when
-        the key already exists.
+        The compiled read plan, if present, is replaced by a patched or
+        subtree-recompiled successor -- and left untouched entirely
+        when the key already exists.
         """
         key = float(key)
         if self.root is None:
@@ -984,10 +984,10 @@ class DILI:
         structurally changed top-level leaves, each recompiled as one
         subtree splice.  The caller decides which list a change joins
         from its own return values, so stripe-locked writers on
-        different leaves cannot mislabel each other's changes.  The
-        ``applied_*`` constructors patch a private plan in place and
-        return a copy-on-write successor of a frozen (published) one;
-        a change no tier absorbs drops the plan.
+        different leaves cannot mislabel each other's changes.  Each
+        ``applied_*`` tier returns a copy-on-write successor and leaves
+        the current plan, published or not, unchanged; a change no
+        tier absorbs drops the plan.
         """
         with self._plan_mutex:
             plan = self._flat
@@ -1042,7 +1042,8 @@ class DILI:
         Returns False (and stores nothing) when the key is absent; use
         :meth:`insert` to add new keys.  Updates touch exactly one slot
         and never restructure the tree, so the compiled read plan is
-        patched in place (one ``values`` entry) rather than dropped.
+        replaced by one whose payload table differs in one entry,
+        rather than dropped.
         """
         key = float(key)
         node = self.root
@@ -1114,7 +1115,7 @@ class DILI:
         """
         lo = float(lo)
         hi = float(hi)
-        if self.root is None or hi <= lo:
+        if self.root is None or not lo < hi:  # empty, or a NaN bound
             return 0
         if self._flat is not None:
             return self._flat.count_range(lo, hi)

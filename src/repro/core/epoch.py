@@ -5,20 +5,20 @@ read under ``exclusive()`` -- the global lock plus all 256 stripes -- so
 the vectorized descent of :class:`repro.core.flat.FlatPlan` was
 throttled to one reader at a time.  This module supplies the classic
 read-copy-update alternative (BLI in PAPERS.md is the learned-index
-exemplar): the compiled plan becomes an immutable *published version*
-that readers grab with a single attribute load, while writers build
-patched plans off to the side (the copy-on-write ``applied_*``
-constructors in :mod:`repro.core.flat`) and swap them in atomically.
+exemplar): a compiled plan is an immutable value, and the current one
+is the *published version* that readers grab with a single attribute
+load, while writers build successor plans off to the side (the
+copy-on-write ``applied_*`` tiers in :mod:`repro.core.flat`) and swap
+them in atomically.
 
 Protocol
 --------
-* **Publish.** :meth:`PlanPublisher.publish` freezes the plan (in-place
-  patching of a published plan raises
-  :class:`~repro.check.errors.InvariantError`), checks the version is
+* **Publish.** :meth:`PlanPublisher.publish` checks the version is
   newer than the current one (concurrent writers may race to publish;
   the monotonic version counter makes the last tree state win
-  regardless of arrival order), and installs it with one reference
-  store -- atomic under CPython, and the only write readers ever see.
+  regardless of arrival order), and installs the plan with one
+  reference store -- atomic under CPython, and the only write readers
+  ever see.
 * **Read.** :meth:`PlanPublisher.pinned` pins the current epoch in a
   sharded counter *before* loading the plan, yields the snapshot, and
   unpins on exit.  No lock is taken and no writer is blocked; the
@@ -207,7 +207,7 @@ class EpochManager:
 class PlanPublisher:
     """The single published-plan slot of one concurrent index.
 
-    Holds at most one frozen :class:`~repro.core.flat.FlatPlan` (or
+    Holds at most one :class:`~repro.core.flat.FlatPlan` (or
     ``None`` while no plan is servable -- empty tree, or a mutation the
     copy-on-write tiers could not absorb).  Readers snapshot it through
     :meth:`pinned`; writers race through :meth:`publish`, where the
@@ -248,7 +248,7 @@ class PlanPublisher:
         return self._epochs.current_thread_pinned()
 
     def publish(self, plan) -> bool:
-        """Freeze ``plan`` and install it; retire the one it replaces.
+        """Install ``plan`` and retire the one it replaces.
 
         Returns False without publishing when ``plan`` is already
         current or is older than (or the same version as) the current
@@ -263,7 +263,6 @@ class PlanPublisher:
                 return False
             if old is not None and plan.version <= old.version:
                 return False
-            plan.freeze()
             self._current = plan
             self._publishes += 1
             if old is not None:

@@ -13,12 +13,13 @@ multiply-add for every in-flight key.
 :class:`FlatPlan` descends a whole key batch level-synchronously with
 numpy ops -- no per-key Python in the loop.  The plan references the
 live tree's payload objects and is compiled lazily by
-:meth:`repro.core.dili.DILI.get_batch`.  It *survives* mutations:
-slot-level changes (insert into an empty slot, delete of a top-frame
-pair, value update) patch the buffers in place (``patch_insert_many`` /
-``patch_delete_many`` / ``patch_value``), structural changes (nested
-leaf spawn, ``_adjust``, single-pair collapse) recompile only the
-affected top-level leaves' subtrees (``recompile_subtrees``), and a full
+:meth:`repro.core.dili.DILI.get_batch`.  It *survives* mutations
+without ever changing: slot-level changes (insert into an empty slot,
+delete of a top-frame pair, value update) yield a successor plan
+through ``applied_insert_many`` / ``applied_delete_many`` /
+``applied_values``, structural changes (nested leaf spawn, ``_adjust``,
+single-pair collapse) one that recompiles only the affected top-level
+leaves' subtrees (``applied_recompile_subtrees``), and a full
 recompile is the last resort (see ``DILI._invalidate_plan`` and the
 ``plan_patches`` / ``plan_subtree_recompiles`` / ``plan_recompiles``
 counters).
@@ -72,19 +73,16 @@ identical totals.
 
 Versioning and publication
 --------------------------
-Every plan carries a globally monotonic ``version`` and a ``frozen``
-flag.  :meth:`FlatPlan.freeze` (called by
-:class:`repro.core.epoch.PlanPublisher` at publication) makes the plan
-immutable: the in-place ``patch_*`` / ``recompile_*`` mutators raise
-:class:`~repro.check.errors.InvariantError` on a frozen plan.  Plan
-maintenance goes through the ``applied_*`` constructors instead, which
-mutate in place while the plan is private (the pre-publication fast
-path, identical to the old behavior) and switch to copy-on-write once
-it is frozen: the clone shares every unmodified SoA buffer with its
-parent and copies only the arrays the patch writes (the slot tables
-for inserts/deletes, the payload table for updates; subtree splices
-rebuild whole arrays and need no private copies at all).  Lint rule
-CHK008 keeps all other code off the in-place mutators.
+A plan is an immutable value.  Every plan carries a globally
+monotonic ``version``, and each maintenance tier returns a new plan
+(with a new version) that shares every SoA buffer it does not
+rewrite: the slot tables are copied for inserts and deletes, the
+payload table for value updates, and a subtree splice builds every
+table afresh.  A plan that :class:`repro.core.epoch.PlanPublisher`
+has handed to lock-free readers is therefore maintained exactly like
+a private one, and no reader can see a half-patched plan.  Lint rule
+CHK001 keeps every write to a plan buffer inside
+``FlatPlan.__init__``.
 """
 
 from __future__ import annotations
@@ -113,6 +111,14 @@ _MAX_DESCENT = 4096
 """Hard cap on descent iterations; the deepest legal tree is the BU
 height plus ``MAX_NESTING_DEPTH``, orders of magnitude below this."""
 
+#: :class:`FlatPlan` constructor arguments; a successor plan takes
+#: every one its maintenance tier does not rewrite from its parent.
+_PLAN_FIELDS = (
+    "kind", "slope", "intercept", "size", "base", "region", "slot_kind",
+    "slot_ref", "pair_keys", "dense_keys", "values", "sorted_keys",
+    "depth",
+)
+
 
 class FlatPlan:
     """Structure-of-arrays snapshot of a DILI tree, for batch reads."""
@@ -133,7 +139,6 @@ class FlatPlan:
         "num_pairs",
         "depth",
         "version",
-        "frozen",
     )
 
     def __init__(
@@ -167,96 +172,6 @@ class FlatPlan:
         self.num_pairs = len(pair_keys)
         self.depth = depth
         self.version = next_plan_version()
-        self.frozen = False
-
-    # ------------------------------------------------------------------
-    # Versioning / copy-on-write publication support
-    # ------------------------------------------------------------------
-
-    def freeze(self) -> "FlatPlan":
-        """Mark this plan immutable (idempotent); returns ``self``.
-
-        Called at publication time: once other threads can hold
-        lock-free references to the buffers, in-place patching would be
-        a torn read waiting to happen, so the ``patch_*`` /
-        ``recompile_*`` mutators refuse frozen plans and maintenance
-        switches to the copy-on-write ``applied_*`` constructors.
-        """
-        self.frozen = True
-        return self
-
-    def _frozen_guard(self) -> None:
-        if self.frozen:
-            raise InvariantError(
-                "in-place mutation of a frozen (published) FlatPlan; "
-                "use the applied_* copy-on-write constructors"
-            )
-
-    def _cow_clone(
-        self, *, copy_slots: bool = False, copy_values: bool = False
-    ) -> "FlatPlan":
-        """Unfrozen clone sharing every buffer its patch will not touch.
-
-        The patch tiers validate fully before mutating and touch a
-        known, small subset of the tables in place (everything else is
-        rebuilt as fresh arrays), so the clone copies exactly that
-        subset: ``copy_slots`` privatizes the slot tables
-        (insert/delete patches), ``copy_values`` the payload table
-        (value patches).  Subtree splices reassign whole arrays and need
-        neither.
-        """
-        clone = FlatPlan.__new__(FlatPlan)
-        for name in FlatPlan.__slots__:
-            setattr(clone, name, getattr(self, name))
-        if copy_slots:
-            clone.slot_kind = self.slot_kind.copy()
-            clone.slot_ref = self.slot_ref.copy()
-        if copy_values:
-            clone.values = self.values.copy()
-        clone.version = next_plan_version()
-        clone.frozen = False
-        return clone
-
-    def applied_values(self, pairs: list) -> "FlatPlan | None":
-        """Plan with ``(key, value)`` payload replacements applied.
-
-        Returns ``self`` (patched in place) while unfrozen, a
-        copy-on-write clone once frozen, or ``None`` when any key's
-        terminal cannot be located (plan out of sync): the caller must
-        fall back to invalidation.  A frozen plan is never half
-        patched -- the clone is discarded on failure.
-        """
-        target = self if not self.frozen else self._cow_clone(copy_values=True)
-        for key, value in pairs:
-            if not target.patch_value(key, value):
-                return None
-        return target
-
-    def applied_insert_many(self, pairs: list) -> "FlatPlan | None":
-        """Plan with newly inserted pairs spliced in (COW when frozen).
-
-        Same contract as :meth:`applied_values`; the insert patch
-        mutates only the slot tables in place (the key/value arrays are
-        rebuilt), so the clone privatizes exactly those.
-        """
-        target = self if not self.frozen else self._cow_clone(copy_slots=True)
-        return target if target.patch_insert_many(pairs) else None
-
-    def applied_delete_many(self, keys: Sequence[float]) -> "FlatPlan | None":
-        """Plan with top-frame pair deletions applied (COW when frozen)."""
-        target = self if not self.frozen else self._cow_clone(copy_slots=True)
-        return target if target.patch_delete_many(keys) else None
-
-    def applied_recompile_subtrees(self, items: list) -> "FlatPlan | None":
-        """Plan with structurally changed subtrees respliced.
-
-        COW when frozen; the splice reassembles every table as fresh
-        concatenations (unchanged chunks are copied by
-        ``np.concatenate``), so the clone shares nothing it mutates and
-        needs no private copies up front.
-        """
-        target = self if not self.frozen else self._cow_clone()
-        return target if target.recompile_subtrees(items) else None
 
     # ------------------------------------------------------------------
     # Batch descent
@@ -367,18 +282,16 @@ class FlatPlan:
 
     def count_range(self, lo: float, hi: float) -> int:
         """Number of stored keys in ``[lo, hi)``, two binary searches."""
-        if hi <= lo:
-            return 0
-        sk = self.sorted_keys
-        return int(
-            np.searchsorted(sk, hi, side="left")
-            - np.searchsorted(sk, lo, side="left")
-        )
+        return int(self.count_range_batch([lo], [hi])[0])
 
     def count_range_batch(
         self, los: np.ndarray, his: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`count_range` over paired bound arrays."""
+        """Vectorized :meth:`count_range` over paired bound arrays.
+
+        A pair with ``not lo < hi`` counts 0: no key lies in an empty
+        range, nor in one with a NaN bound.
+        """
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
         if los.shape != his.shape:
@@ -387,19 +300,21 @@ class FlatPlan:
         counts = np.searchsorted(sk, his, side="left") - np.searchsorted(
             sk, los, side="left"
         )
-        return np.maximum(counts, 0)
+        return np.where(los < his, counts, 0)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
     #
-    # All patch methods return False (leaving the plan untouched or --
-    # for recompile_subtrees -- only consistently updated) when they
-    # cannot prove the in-place edit is equivalent to a fresh
-    # compile_plan(root); callers then fall back to full invalidation.
-    # On success, the patched arrays are *identical* to what a fresh
-    # compile of the mutated tree would produce (asserted by the
-    # equivalence tests), so reads cannot tell the difference.
+    # A plan never changes once built.  Each applied_* tier validates
+    # the change against this plan before it copies any table, and
+    # returns None when it cannot prove the result equivalent to a
+    # fresh compile_plan(root); callers then fall back to full
+    # invalidation.  Otherwise it returns a successor plan with a new
+    # version that shares every buffer it does not rewrite, and whose
+    # arrays are *identical* to what a fresh compile of the mutated
+    # tree would produce (asserted by the equivalence tests), so reads
+    # cannot tell the difference.
 
     def _locate(self, key: float) -> tuple[int, int] | None:
         """Scalar descent to ``key``'s terminal ``(node row, slot pos)``.
@@ -434,140 +349,144 @@ class FlatPlan:
             return row, pos
         return None
 
-    def patch_value(self, key: float, value) -> bool:
-        """Replace ``key``'s payload in the flat value table in place.
+    def _replaced(self, **buffers) -> "FlatPlan":
+        """Successor plan (new version) with ``buffers`` swapped in.
 
-        Value updates never restructure the tree, so the plan's only
-        stale state is one ``values`` entry.  Works on pair and dense
-        terminals alike.
+        Every buffer not named is shared with ``self``, which is safe
+        because no plan is ever written after :meth:`__init__`.
         """
-        self._frozen_guard()
-        loc = self._locate(key)
-        if loc is None:
-            return False
-        row, pos = loc
-        if pos < 0:  # dense terminal
-            b = int(self.base[row])
-            m = int(self.size[row])
-            block = self.dense_keys[b:b + m]
-            i = int(np.searchsorted(block, key))
-            if i >= m or block[i] != key:
-                return False
-            self.values[self.num_pairs + b + i] = value
-            return True
-        ref = int(self.base[row]) + pos
-        if self.slot_kind[ref] != SLOT_PAIR:
-            return False
-        p = int(self.slot_ref[ref])
-        if self.pair_keys[p] != key:
-            return False
-        self.values[p] = value
-        return True
+        fields = {name: getattr(self, name) for name in _PLAN_FIELDS}
+        fields.update(buffers)
+        return FlatPlan(**fields)
 
-    def patch_insert_many(self, pairs: list) -> bool:
-        """Splice newly inserted pairs into the buffers in place.
+    def applied_values(self, pairs: list) -> "FlatPlan | None":
+        """Plan with ``(key, value)`` payload replacements applied.
+
+        Value updates never restructure the tree, so the successor
+        differs only in its payload table: a copy with one entry
+        replaced per pair.  Works on pair and dense terminals alike.
+        """
+        slots = []
+        for key, _ in pairs:
+            loc = self._locate(key)
+            if loc is None:
+                return None
+            row, pos = loc
+            if pos < 0:  # dense terminal
+                b = int(self.base[row])
+                m = int(self.size[row])
+                block = self.dense_keys[b:b + m]
+                i = int(np.searchsorted(block, key))
+                if i >= m or block[i] != key:
+                    return None
+                slots.append(self.num_pairs + b + i)
+                continue
+            ref = int(self.base[row]) + pos
+            if self.slot_kind[ref] != SLOT_PAIR:
+                return None
+            p = int(self.slot_ref[ref])
+            if self.pair_keys[p] != key:
+                return None
+            slots.append(p)
+        values = self.values.copy()
+        for i, (_, value) in zip(slots, pairs):
+            values[i] = value
+        return self._replaced(values=values)
+
+    def applied_insert_many(self, pairs: list) -> "FlatPlan | None":
+        """Plan with newly inserted pairs placed in their slots.
 
         ``pairs`` are ``(key, value)`` tuples the live tree just placed
         into previously *empty* slots (no spawn, no adjust).  Slot
-        positions come from re-running the descent on the plan itself;
-        the key and payload tables each grow by one vectorized
-        ``np.insert`` with the existing pair references shifted in bulk.
+        positions come from re-running the descent on the plan itself.
+        The successor gets its own copy of the two slot tables, with
+        the existing pair references shifted in bulk, and its key and
+        payload tables each grow by one vectorized ``np.insert``.
         """
-        self._frozen_guard()
         if len(self.dense_keys):
-            return False  # dense/mixed plans: patching keys not supported
-        k = len(pairs)
-        if k == 0:
-            return True
+            return None  # dense/mixed plans: patching keys not supported
         refs = []
         for key, _ in pairs:
             loc = self._locate(key)
             if loc is None or loc[1] < 0:
-                return False
+                return None
             row, pos = loc
             ref = int(self.base[row]) + pos
             if self.slot_kind[ref] != SLOT_EMPTY:
-                return False
+                return None
             refs.append(ref)
+        k = len(pairs)
         keys_arr = np.fromiter(
             (p[0] for p in pairs), dtype=np.float64, count=k
         )
         order = np.argsort(keys_arr, kind="stable")
         keys_sorted = keys_arr[order]
         if k > 1 and not np.all(keys_sorted[1:] > keys_sorted[:-1]):
-            return False  # duplicate keys in one patch batch
-        old = self.pair_keys
-        ins = np.searchsorted(old, keys_sorted)
+            return None  # duplicate keys in one patch batch
+        ins = np.searchsorted(self.pair_keys, keys_sorted)
+        slot_kind = self.slot_kind.copy()
+        slot_ref = self.slot_ref.copy()
         # Existing pair index i moves up by the number of new keys
         # landing at or before it.
-        pair_mask = self.slot_kind == SLOT_PAIR
-        prefs = self.slot_ref[pair_mask]
-        self.slot_ref[pair_mask] = prefs + np.searchsorted(
-            ins, prefs, side="right"
-        )
-        self.pair_keys = np.insert(old, ins, keys_sorted)
-        self.sorted_keys = self.pair_keys
-        final = ins + np.arange(k, dtype=np.int64)
-        slot_kind = self.slot_kind
-        slot_ref = self.slot_ref
-        for t in range(k):
-            ref = refs[int(order[t])]
-            slot_kind[ref] = SLOT_PAIR
-            slot_ref[ref] = final[t]
-        self.values = np.insert(
+        pair_mask = slot_kind == SLOT_PAIR
+        prefs = slot_ref[pair_mask]
+        slot_ref[pair_mask] = prefs + np.searchsorted(ins, prefs, side="right")
+        new_slots = np.asarray(refs, dtype=np.int64)[order]
+        slot_kind[new_slots] = SLOT_PAIR
+        slot_ref[new_slots] = ins + np.arange(k, dtype=np.int64)
+        pair_keys = np.insert(self.pair_keys, ins, keys_sorted)
+        values = np.insert(
             self.values, ins,
             _object_array([pairs[int(t)][1] for t in order]),
         )
-        self.num_pairs += k
-        return True
+        return self._replaced(
+            slot_kind=slot_kind, slot_ref=slot_ref, pair_keys=pair_keys,
+            values=values, sorted_keys=pair_keys,
+        )
 
-    def patch_delete_many(self, keys: Sequence[float]) -> bool:
-        """Remove deleted top-frame pairs from the buffers in place.
+    def applied_delete_many(self, keys: Sequence[float]) -> "FlatPlan | None":
+        """Plan with deleted top-frame pairs removed.
 
         ``keys`` were just deleted from pair slots without any
         structural change (no nested-leaf collapse).  The vacated slots
         become ``SLOT_EMPTY`` with a zeroed ref -- exactly what a fresh
         compile of the mutated tree would emit.
         """
-        self._frozen_guard()
         if len(self.dense_keys):
-            return False
-        k = len(keys)
-        if k == 0:
-            return True
-        drop = np.empty(k, dtype=np.int64)
-        slot_refs = []
-        pair_keys = self.pair_keys
+            return None
+        drop = np.empty(len(keys), dtype=np.int64)
+        refs = []
         for t, key in enumerate(keys):
             loc = self._locate(key)
             if loc is None or loc[1] < 0:
-                return False
+                return None
             row, pos = loc
             ref = int(self.base[row]) + pos
             if self.slot_kind[ref] != SLOT_PAIR:
-                return False
+                return None
             p = int(self.slot_ref[ref])
-            if pair_keys[p] != key:
-                return False
+            if self.pair_keys[p] != key:
+                return None
             drop[t] = p
-            slot_refs.append(ref)
+            refs.append(ref)
         drop.sort()
-        if k > 1 and not np.all(drop[1:] > drop[:-1]):
-            return False  # duplicate keys in one patch batch
-        for ref in slot_refs:
-            self.slot_kind[ref] = SLOT_EMPTY
-            self.slot_ref[ref] = 0
-        pair_mask = self.slot_kind == SLOT_PAIR
-        prefs = self.slot_ref[pair_mask]
-        self.slot_ref[pair_mask] = prefs - np.searchsorted(drop, prefs)
-        self.pair_keys = np.delete(pair_keys, drop)
-        self.sorted_keys = self.pair_keys
-        self.values = np.delete(self.values, drop)
-        self.num_pairs -= k
-        return True
+        if len(drop) > 1 and not np.all(drop[1:] > drop[:-1]):
+            return None  # duplicate keys in one patch batch
+        slot_kind = self.slot_kind.copy()
+        slot_ref = self.slot_ref.copy()
+        slot_kind[refs] = SLOT_EMPTY
+        slot_ref[refs] = 0
+        pair_mask = slot_kind == SLOT_PAIR
+        prefs = slot_ref[pair_mask]
+        slot_ref[pair_mask] = prefs - np.searchsorted(drop, prefs)
+        pair_keys = np.delete(self.pair_keys, drop)
+        return self._replaced(
+            slot_kind=slot_kind, slot_ref=slot_ref, pair_keys=pair_keys,
+            values=np.delete(self.values, drop), sorted_keys=pair_keys,
+        )
 
-    def recompile_subtrees(self, items: list) -> bool:
-        """Recompile structurally changed top-level leaves, one splice.
+    def applied_recompile_subtrees(self, items: list) -> "FlatPlan | None":
+        """Plan with structurally changed top-level leaves recompiled.
 
         ``items`` holds ``(key, top_leaf)`` pairs: each ``top_leaf`` is
         a live-tree top-level leaf that just changed *structurally*
@@ -578,13 +497,11 @@ class FlatPlan:
         built arrays spliced in, and all references outside the extents
         shifted by cumulative size deltas -- a single pass over the
         buffers no matter how many leaves changed, which is what makes
-        write batches with many structural groups affordable.
+        write batches with many structural groups affordable.  Every
+        table of the successor is a fresh concatenation.
         """
-        self._frozen_guard()
         if len(self.dense_keys):
-            return False
-        if not items:
-            return True
+            return None
         kind = self.kind
         segs = []
         for key, top_leaf in items:
@@ -606,17 +523,17 @@ class FlatPlan:
                 row = int(self.slot_ref[int(self.base[row]) + pos])
                 hops += 1
             else:
-                return False
+                return None
             if int(self.region[row]) != top_leaf.region:
-                return False  # plan out of sync with the live tree
+                return None  # plan out of sync with the live tree
             ext = self._subtree_extent(row)
             if ext is None:
-                return False
+                return None
             node_end, slot_end, pair_lo, pair_count = ext
             b = _PlanBuilder()
             b.add_node(top_leaf, 1)
             if b.dense_len:
-                return False
+                return None
             if pair_count == 0:
                 # Empty footprint (e.g. a previously empty leaf whose
                 # batch inserts were all structural, so none were
@@ -640,7 +557,7 @@ class FlatPlan:
                 or segs[i - 1][3] > segs[i][2]
                 or segs[i - 1][5] > segs[i][4]
             ):
-                return False
+                return None
         # Cumulative deltas before each segment (and after the last).
         dn = [0] * (k + 1)
         ds = [0] * (k + 1)
@@ -693,6 +610,8 @@ class FlatPlan:
         prev_s = 0
         prev_p = 0
         vals = self.values
+        # An upper bound: nesting may have shrunk elsewhere, but depth
+        # is informational (the descent loops run until resolution).
         max_new_depth = self.depth
         for i, (r, ne, sl, se, pl, pe, b, hops) in enumerate(segs):
             new_sk = np.asarray(b.slot_kind, dtype=np.int8)
@@ -740,22 +659,22 @@ class FlatPlan:
         sr_parts.append(old_sr[prev_s:])
         pk_parts.append(self.pair_keys[prev_p:])
         val_parts.append(vals[prev_p:])
-        self.kind = np.concatenate(kind_parts)
-        self.slope = np.concatenate(slope_parts)
-        self.intercept = np.concatenate(intercept_parts)
-        self.size = np.concatenate(size_parts)
-        self.region = np.concatenate(region_parts)
-        self.base = np.concatenate(base_parts)
-        self.slot_kind = np.concatenate(sk_parts)
-        self.slot_ref = np.concatenate(sr_parts)
-        self.pair_keys = np.concatenate(pk_parts)
-        self.sorted_keys = self.pair_keys
-        self.values = np.concatenate(val_parts)
-        self.num_pairs += dp[k]
-        # Upper bound: nesting may have shrunk elsewhere, but depth is
-        # informational (the descent loops run until resolution).
-        self.depth = max_new_depth
-        return True
+        pair_keys = np.concatenate(pk_parts)
+        return FlatPlan(
+            kind=np.concatenate(kind_parts),
+            slope=np.concatenate(slope_parts),
+            intercept=np.concatenate(intercept_parts),
+            size=np.concatenate(size_parts),
+            base=np.concatenate(base_parts),
+            region=np.concatenate(region_parts),
+            slot_kind=np.concatenate(sk_parts),
+            slot_ref=np.concatenate(sr_parts),
+            pair_keys=pair_keys,
+            dense_keys=self.dense_keys,
+            values=np.concatenate(val_parts),
+            sorted_keys=pair_keys,
+            depth=max_new_depth,
+        )
 
     def _subtree_extent(self, row: int) -> tuple[int, int, int, int] | None:
         """Extent of ``row``'s subtree: (node_end, slot_end, pair_lo, n).
@@ -905,8 +824,6 @@ class FlatPlan:
         :class:`repro.check.errors.InvariantError` on the first
         inconsistency.
         """
-        from repro.check.errors import InvariantError
-
         rows = len(self.kind)
         for name in ("slope", "intercept", "size", "base", "region"):
             if len(getattr(self, name)) != rows:
@@ -983,7 +900,7 @@ class _PlanBuilder:
     """Accumulates SoA rows for a (sub)tree in DFS preorder.
 
     Shared by :func:`compile_plan` (whole tree) and
-    :meth:`FlatPlan.recompile_subtrees` (one builder per changed
+    :meth:`FlatPlan.applied_recompile_subtrees` (one builder per changed
     top-level leaf's subtree, whose locally 0-based references the
     caller offsets into place).
     """

@@ -367,7 +367,8 @@ class PlanStore:
         return result
 
     def count_range_batch(self, los, his) -> np.ndarray:
-        """Vectorized count of stored keys in ``[lo, hi)`` per pair."""
+        """Vectorized count of stored keys in ``[lo, hi)`` per pair
+        (0 unless ``lo < hi``, so a NaN bound counts nothing)."""
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
         if los.shape != his.shape:
@@ -382,7 +383,7 @@ class PlanStore:
             if len(removed):
                 counts -= np.searchsorted(removed, his, side="left")
                 counts += np.searchsorted(removed, los, side="left")
-        return np.maximum(counts, 0)
+        return np.where(los < his, counts, 0)
 
     # ------------------------------------------------------------------
 

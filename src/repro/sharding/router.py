@@ -105,9 +105,12 @@ class ShardRouter:
         if self.num_shards == 1 or len(keys) == 0:
             return np.zeros(len(keys), dtype=np.int64)
         pred = np.floor(self.model.intercept + self.model.slope * keys)
-        # NaN-free clamp: predictions are finite because boundaries are.
-        pred = np.clip(pred, 0, self.num_shards - 1).astype(np.int64)
-        wrong = (keys < self._lower[pred]) | (keys >= self._upper[pred])
+        # fmax/fmin clamp a NaN prediction (a NaN key, or an infinite
+        # one times a zero slope) to shard 0.  A NaN key fails every
+        # acceptance window, so it takes the searchsorted last mile
+        # like any misprediction and lands where route_naive puts it.
+        pred = np.fmin(np.fmax(pred, 0), self.num_shards - 1).astype(np.int64)
+        wrong = ~((self._lower[pred] <= keys) & (keys < self._upper[pred]))
         n_wrong = int(np.count_nonzero(wrong))
         if n_wrong:
             self.corrected += n_wrong
@@ -174,11 +177,12 @@ class AlignedRouter:
 
         Must stay arithmetic-identical to
         :meth:`repro.core.nodes.InternalNode.child_index`: same
-        multiply-add, same floor, same clamp.
+        multiply-add, same floor, same clamp.  A NaN key goes to child
+        0, where the flat plan's descent of the global root sends it.
         """
         keys = _as_key_array(keys)
         pos = np.floor(self.intercept + self.slope * keys)
-        return np.clip(pos, 0, self.fanout - 1).astype(np.int64)
+        return np.fmin(np.fmax(pos, 0), self.fanout - 1).astype(np.int64)
 
     def route(self, keys) -> np.ndarray:
         keys = _as_key_array(keys)

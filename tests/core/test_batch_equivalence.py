@@ -158,6 +158,6 @@ class TestPayloadKinds:
 
     @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
     def test_concurrent(self, kind):
-        # Published plans are frozen: every round goes through the
-        # copy-on-write clones of the payload table.
+        # Every round maintains a published plan through the
+        # copy-on-write tiers.
         payload_rounds(ConcurrentDILI(stripes=8), kind)

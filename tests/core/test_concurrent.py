@@ -193,10 +193,9 @@ class TestConcurrency:
         inner.validate()
 
     def test_point_writers_never_patch_a_published_plan(self):
-        """A plan version one point writer installed is patched in
-        place by another until it is published; publishing it under the
-        plan mutex keeps those patches off every plan a lock-free
-        reader can pin, so no batch read sees a half-patched table."""
+        """Two point writers maintain the published plan while two
+        batch readers descend it lock-free.  No plan changes once
+        built, so no batch read sees a half-patched table."""
         base = _keys(5000, seed=13)
         index = ConcurrentDILI()
         index.bulk_load(base)

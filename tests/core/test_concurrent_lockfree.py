@@ -87,7 +87,8 @@ class TestTraceIdentity:
                 assert index.update(float(keys[pos]), ("upd", pos))
 
         pinned = index._published.load()
-        assert pinned is not None and pinned.frozen
+        # The published plan is the maintained plan itself, not a copy.
+        assert pinned is not None and pinned is index.index.peek_plan()
         rebuilt = compile_plan(index.index.root)
         queries = np.concatenate(
             [keys[:: max(1, len(keys) // 200)], np.asarray(inserted or [0.0])]

@@ -74,7 +74,16 @@ class TestIncrementalMaintenance:
         index = DILI()
         index.bulk_load(keys)
         index.get_batch(keys[:4])
-        assert index._flat is not None
+        old = index._flat
+        assert old is not None
+        # Plans are immutable values: keep copies of every buffer to
+        # prove the write left the old plan exactly as it was.
+        before = {
+            name: getattr(old, name).copy()
+            for name in ("kind", "slope", "intercept", "size", "base",
+                         "region", "slot_kind", "slot_ref", "pair_keys",
+                         "dense_keys", "values", "sorted_keys")
+        }
         if mutate == "insert":
             index.insert(float(keys[-1]) + 7.0, "new")
         elif mutate == "delete":
@@ -84,10 +93,14 @@ class TestIncrementalMaintenance:
         else:
             extra = np.array([float(keys[-1]) + k for k in (3.0, 9.0, 15.0)])
             index.bulk_insert(extra)
-        # Mutations patch/splice the plan in place instead of dropping
-        # it; the maintained plan must equal a fresh compile.
+        # Mutations replace the plan with a patched or spliced
+        # successor instead of dropping it; the maintained plan must
+        # equal a fresh compile.
         plan = index._flat
         assert plan is not None, mutate
+        assert plan is not old, mutate
+        for name, array in before.items():
+            assert getattr(old, name).tolist() == array.tolist(), (mutate, name)
         fresh = compile_plan(index.root)
         assert np.array_equal(plan.pair_keys, fresh.pair_keys), mutate
         assert plan.values.tolist() == fresh.values.tolist(), mutate

@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import DILI
 from repro.planstore.corrupt import FAULT_PLAN_TORN_HEADER, inject_plan_fault
 from repro.planstore.serve import PlanDirectory
 from repro.sharding import ShardedDILI, read_manifest
@@ -67,6 +68,24 @@ def test_scatter_gather_order_identity(tmp_path, num_shards, processes):
     assert present.tolist() == [
         float(q) in shadow for q in queries.tolist()
     ]
+
+
+@pytest.mark.parametrize("partition", ["range", "aligned"])
+def test_nan_key_reads_answer_like_dili(tmp_path, partition):
+    keys, values = make_data()
+    reference = DILI()
+    reference.bulk_load(keys, values)
+    probe = np.array([np.nan, keys[5]])
+    with ShardedDILI.create(
+        tmp_path / "s", keys, values, num_shards=3, partition=partition,
+        tuning="none", processes=False, sync=False,
+    ) as index:
+        assert 0 <= index.router.route([np.nan])[0] < index.num_shards
+        assert index.get_batch(probe) == reference.get_batch(probe)
+        assert (
+            index.contains_batch(probe).tolist()
+            == reference.contains_batch(probe).tolist()
+        )
 
 
 def test_writes_visible_and_order_preserved(tmp_path):

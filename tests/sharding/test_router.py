@@ -77,7 +77,7 @@ class TestShardRouterEdges:
 
     def test_nonfinite_keys_still_exact(self):
         router = ShardRouter([10.0, 20.0])
-        keys = np.array([np.inf, -np.inf])
+        keys = np.array([np.inf, -np.inf, np.nan])
         assert (
             router.route(keys).tolist()
             == router.route_naive(keys).tolist()
@@ -124,6 +124,13 @@ class TestAlignedRouter:
             want = int(math.floor(3.0 + 0.25 * key))
             want = min(max(want, 0), 15)
             assert child == want
+
+    def test_nan_key_routes_to_the_shard_of_child_zero(self):
+        # The flat plan's descent of the global root sends a NaN key
+        # to child 0; every key must get a shard in [0, num_shards).
+        router = AlignedRouter(1.0, 0.0, 10, [0, 4, 7])
+        assert router.child_of([np.nan]).tolist() == [0]
+        assert router.route([np.nan, 5.0]).tolist() == [0, 1]
 
     def test_group_mapping(self):
         router = AlignedRouter(1.0, 0.0, 10, [0, 4, 7])

@@ -249,16 +249,15 @@ class TestShardCommands:
 
 
 class TestCheckCommands:
-    CHK012_SEED = (
-        "def corrupt(index):\n"
-        "    plan = index.peek_plan()\n"
-        "    plan.patch_insert(1.0, 'v')\n"
+    SEED = (
+        "def gather(conn):\n"
+        "    return conn.recv()\n"
     )
 
     def seed(self, tmp_path):
         tree = tmp_path / "src" / "repro" / "core"
         tree.mkdir(parents=True)
-        (tree / "example.py").write_text(self.CHK012_SEED)
+        (tree / "example.py").write_text(self.SEED)
         return tmp_path / "src"
 
     def test_check_dataflow_clean_tree(self, tmp_path, capsys):
@@ -271,12 +270,12 @@ class TestCheckCommands:
     def test_check_dataflow_seeded_violation(self, tmp_path, capsys):
         src = self.seed(tmp_path)
         assert main(["check", "dataflow", str(src)]) == 1
-        assert "CHK012" in capsys.readouterr().out
+        assert "CHK014" in capsys.readouterr().out
 
     def test_check_lint_gate_includes_dataflow(self, tmp_path, capsys):
         src = self.seed(tmp_path)
         assert main(["check", "lint", str(src)]) == 1
-        assert "CHK012" in capsys.readouterr().out
+        assert "CHK014" in capsys.readouterr().out
 
     def test_check_json_format_schema(self, tmp_path, capsys):
         import json
@@ -284,7 +283,7 @@ class TestCheckCommands:
         src = self.seed(tmp_path)
         assert main(["check", "dataflow", "--format=json", str(src)]) == 1
         findings = json.loads(capsys.readouterr().out)
-        assert [f["rule"] for f in findings] == ["CHK012"]
+        assert [f["rule"] for f in findings] == ["CHK014"]
         assert set(findings[0]) == {
             "rule", "path", "line", "col", "message", "waived",
         }
@@ -295,10 +294,9 @@ class TestCheckCommands:
 
         src = self.seed(tmp_path)
         example = src / "repro" / "core" / "example.py"
-        example.write_text(self.CHK012_SEED.replace(
-            "plan.patch_insert(1.0, 'v')",
-            "plan.patch_insert(1.0, 'v')"
-            "  # repro-check: allow CHK012 -- seeded",
+        example.write_text(self.SEED.replace(
+            "return conn.recv()",
+            "return conn.recv()  # repro-check: allow CHK014 -- seeded",
         ))
         assert main(["check", "dataflow", "--format=json", str(src)]) == 0
         findings = json.loads(capsys.readouterr().out)

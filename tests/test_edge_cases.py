@@ -1,9 +1,11 @@
 """Consolidated edge-case coverage across packages."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from repro import DILI, DiliConfig
+from repro import ConcurrentDILI, DILI, DiliConfig, DurableDILI
 from repro.baselines import (
     AlexIndex,
     BPlusTree,
@@ -11,6 +13,7 @@ from repro.baselines import (
     MassTree,
     UnsupportedOperation,
 )
+from repro.sharding import ShardedDILI
 from repro.workloads.generator import NAMED_SPECS, Operation, make_workload
 from repro.workloads.runner import run_workload
 
@@ -168,3 +171,59 @@ class TestConfigEdges:
         for k in np.unique(rng.uniform(100.0, 200.0, 500)):
             index.insert(float(k), "w")
         index.validate()
+
+
+@contextmanager
+def _range_counter(front_end, keys, tmp_path):
+    """``count(lo, hi)`` through one of the six range-count front-ends."""
+    if front_end in ("dili", "dili-plan", "dili-batch"):
+        index = DILI()
+        index.bulk_load(keys)
+        if front_end == "dili-plan":
+            index.get_batch(keys[:4])  # compile the plan
+        if front_end == "dili-batch":
+            yield lambda lo, hi: int(index.count_range_batch([lo], [hi])[0])
+        else:
+            yield index.count_range
+    elif front_end == "concurrent":
+        index = ConcurrentDILI(stripes=4)
+        index.bulk_load(keys)
+        yield index.count_range
+    elif front_end == "sharded":
+        with ShardedDILI.create(
+            tmp_path / "shards", keys, num_shards=2, tuning="none",
+            processes=False, sync=False,
+        ) as index:
+            yield index.count_range
+    else:
+        durable = DurableDILI(tmp_path / "durable", sync=False)
+        durable.bulk_load(keys)
+        durable.publish_plan()
+        mmap = durable.serve_mmap()
+        try:
+            yield lambda lo, hi: int(mmap.count_range_batch([lo], [hi])[0])
+        finally:
+            mmap.close()
+            durable.close()
+
+
+class TestNaNRangeBounds:
+    """No key satisfies ``lo <= k < hi`` when a bound is NaN, so every
+    range-count front-end answers 0 for such a pair."""
+
+    @pytest.mark.parametrize("bounds", ["nan-lo", "nan-hi", "nan-both"])
+    @pytest.mark.parametrize(
+        "front_end",
+        ["dili", "dili-plan", "concurrent", "dili-batch", "sharded", "mmap"],
+    )
+    def test_nan_bound_counts_zero(self, tmp_path, front_end, bounds):
+        rng = np.random.default_rng(5)
+        keys = np.unique(rng.lognormal(0.0, 2.0, 5_000))
+        lo, hi = {
+            "nan-lo": (np.nan, keys[100]),
+            "nan-hi": (keys[10], np.nan),
+            "nan-both": (np.nan, np.nan),
+        }[bounds]
+        with _range_counter(front_end, keys, tmp_path) as count:
+            assert count(lo, hi) == 0
+            assert count(keys[10], keys[100]) == 90
