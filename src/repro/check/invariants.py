@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from repro.check.errors import SanitizerViolation
+from repro.check.errors import InvariantError, SanitizerViolation
 from repro.core.linear_model import LinearModel
 from repro.core.nodes import DenseLeafNode, InternalNode, LeafNode
 
@@ -149,7 +149,10 @@ def _check_plan(index, keys: np.ndarray, values: list) -> None:
     plan = index.peek_plan()
     if plan is None:
         return
-    plan.self_check()  # SoA cross-reference integrity (flat.py hook)
+    try:
+        plan.self_check()  # SoA cross-reference integrity (flat.py hook)
+    except InvariantError as exc:
+        _fail(f"plan failed its self-check: {exc}")
     if not np.array_equal(plan.sorted_keys, keys):
         _fail(
             f"plan sorted-key table diverged from the tree "

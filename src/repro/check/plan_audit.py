@@ -7,7 +7,8 @@ auditor pays the O(n) read the O(1) open defers) and without building a
 :class:`~repro.planstore.store.PlanStore`:
 
 * base files: framed-header structure, then every buffer's bytes
-  against its recorded CRC32;
+  against its recorded CRC32, then the sorted-key view's order (a
+  file whose view is out of order answers range counts wrongly);
 * delta chains and staleness: each generation's
   :meth:`~repro.planstore.serve.PlanDirectory.walk` -- the one chain
   rule the publisher and the serving ladder also follow -- turned into
@@ -28,6 +29,8 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.check.wal_audit import AuditFinding
 from repro.planstore.format import PlanStoreError
@@ -151,13 +154,18 @@ class PlanAuditor:
     def _audit_buffers(
         self, base: str, header: dict, findings: list
     ) -> bool:
-        """Eagerly check every buffer's CRC32; returns cleanliness."""
+        """Eagerly check every buffer's CRC32, then that the sorted-key
+        view (what range counts bisect) is strictly ascending; returns
+        cleanliness."""
         clean = True
         data_start = header["data_start"]
+        view = "pair_keys" if header["sorted_is_pair"] else "sorted_keys"
+        keys = None
         with open(base, "rb") as fh:
             for desc in header["buffers"]:
                 fh.seek(data_start + desc["offset"])
-                checksum = zlib.crc32(fh.read(desc["nbytes"]))
+                raw = fh.read(desc["nbytes"])
+                checksum = zlib.crc32(raw)
                 if checksum != desc["crc32"]:
                     findings.append(
                         AuditFinding(
@@ -169,6 +177,20 @@ class PlanAuditor:
                         )
                     )
                     clean = False
+                elif desc["name"] == view:
+                    keys = np.frombuffer(raw, dtype=desc["dtype"])
+        if clean and keys is not None and not bool(
+            np.all(keys[1:] > keys[:-1])
+        ):
+            findings.append(
+                AuditFinding(
+                    "plan-key-order",
+                    f"{os.path.basename(base)}: sorted-key view {view!r} "
+                    f"is not strictly ascending",
+                    recoverable=True,
+                )
+            )
+            clean = False
         return clean
 
 

@@ -130,9 +130,9 @@ class DILI:
         self.adjustment_count = 0
         self.insert_count = 0
         self.moved_pairs = 0
-        # Plan-maintenance counters: full lazy compiles, single-leaf
-        # subtree recompiles after structural changes, and slot or
-        # payload patches (see docs/performance.md).
+        # Plan-maintenance counters: full lazy compiles, emitted
+        # subtrees (nested-leaf spawns, re-emitted top-level leaves),
+        # and slot or payload rewrites (see docs/performance.md).
         self.plan_recompiles = 0
         self.plan_subtree_recompiles = 0
         self.plan_patches = 0
@@ -171,23 +171,22 @@ class DILI:
                 for breakdown experiments (Table 9); otherwise it is
                 dropped to free memory.
         """
-        self._invalidate_plan()
-        self._router = None  # the root object is being replaced
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
+        if not np.all(np.isfinite(keys)):
+            raise ValueError("keys must be finite")
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("keys must be sorted and strictly increasing")
+        values = list(range(len(keys))) if values is None else list(values)
+        if len(keys) and len(values) != len(keys):
+            raise ValueError("values must match keys in length")
+        self._invalidate_plan()
+        self._router = None  # the root object is being replaced
         if len(keys) == 0:
             self.root = None
             self._count = 0
             return
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("keys must be sorted and strictly increasing")
-        if values is None:
-            values = list(range(len(keys)))
-        else:
-            values = list(values)
-            if len(values) != len(keys):
-                raise ValueError("values must match keys in length")
         result = bulk_load(
             keys,
             values,
@@ -224,10 +223,9 @@ class DILI:
         restoring a corrupted subtree from the authoritative pair table
         (see :mod:`repro.resilience.repair`).  ``pairs`` must be sorted
         by key.  The leaf *object* is preserved, so the cached router
-        and the flat plan's region cross-check stay valid.  The plan is
-        maintained like any structural write: the leaf's extent is
-        spliced (or the plan dropped) through :meth:`_plan_note_batch`.
-        The caller owns the tree-wide pair count.
+        and the flat plan's region cross-check stay valid.  The plan
+        re-emits the whole leaf (or is dropped) through
+        :meth:`_plan_note`.  The caller owns the tree-wide pair count.
         """
         if pairs:
             keys = np.fromiter(
@@ -254,9 +252,9 @@ class DILI:
         # local_opt resets delta/kappa but not the adjustment counter; a
         # freshly bulk-loaded leaf starts at zero.
         leaf.alpha = 0
-        # Any key routing to the leaf anchors the splice.
+        # Any key routing to the leaf finds its plan row.
         anchor = pairs[0][0] if pairs else leaf.lb + (leaf.ub - leaf.lb) / 2.0
-        self._plan_note_batch([], [(leaf, anchor)], deletes=False)
+        self._plan_note(FlatPlan.applied_recompile_subtrees, [(leaf, anchor)])
 
     def rebuild_dense_leaf(
         self, leaf: DenseLeafNode, keys: np.ndarray, values: list
@@ -266,8 +264,8 @@ class DILI:
         Same contract as :meth:`rebuild_leaf` for the ablation's packed
         leaves: parallel sorted arrays plus a least-squares model, built
         exactly as bulk loading builds them, with the leaf object (and
-        its tracer region) preserved.  Subtree splices decline dense
-        extents, so a live plan is dropped and recompiled on next use.
+        its tracer region) preserved.  Plan maintenance declines dense
+        leaves, so a live plan is dropped and recompiled on next use.
         """
         keys = np.asarray(keys, dtype=np.float64)
         model = LinearModel.fit(keys)
@@ -366,10 +364,10 @@ class DILI:
         The plan is a structure-of-arrays snapshot of the node tree
         (see :mod:`repro.core.flat`); it is compiled lazily on the
         first batch read and then *maintained incrementally* across
-        mutations: slot-level changes patch copies of the buffers they
-        touch and structural changes recompile only the affected
-        top-level leaf's subtree, so mixed read/write workloads do not
-        pay a full recompile per write.
+        mutations: each write yields a successor that rewrites the slots
+        it changed and appends only the nested subtrees it created, so
+        mixed read/write workloads do not pay a full recompile per
+        write.
         """
         with self._plan_mutex:
             plan = self._flat
@@ -395,12 +393,13 @@ class DILI:
         return self._flat
 
     def export_plan(self) -> FlatPlan:
-        """The maintained plan, or else a fresh compile the index does
-        *not* keep: writing a plan file never starts plan maintenance.
-        The caller excludes writers while it reads the plan."""
+        """The maintained plan in canonical form (bitwise a fresh
+        compile's), or else a fresh compile the index does *not* keep:
+        writing a plan file never starts plan maintenance.  The caller
+        excludes writers while it reads the plan."""
         plan = self.peek_plan()
         if plan is not None:
-            return plan
+            return plan.compacted()
         if self.root is None:
             raise ValueError("cannot compile a plan for an empty index")
         return compile_plan(self.root)
@@ -476,9 +475,9 @@ class DILI:
         same events a ``get`` of the same key would (the probe cost of
         Algorithm 7); structural work (``local_opt`` during spawns and
         adjustments) charges nothing, matching the paper's cost model.
-        The compiled read plan, if present, is replaced by a patched or
-        subtree-recompiled successor -- and left untouched entirely
-        when the key already exists.
+        The compiled read plan, if present, is replaced by a successor
+        that rewrites the key's slot -- and left untouched entirely when
+        the key already exists.
         """
         key = float(key)
         if self.root is None:
@@ -503,26 +502,23 @@ class DILI:
             tracer.mem(node.region, 64 + idx * 8)
             node = node.children[idx]
         tracer.phase("step2")
-        inserted, structural = self._insert_to_leaf(node, (key, value), tracer)
+        adjustments = self.adjustment_count
+        inserted = self._insert_to_leaf(node, (key, value), tracer)
         if inserted:
             self._count += 1
             self.insert_count += 1
-            if structural:
-                self._plan_note_batch([], [(node, key)], deletes=False)
-            else:
-                self._plan_note_batch([(key, value)], [], deletes=False)
+            self._plan_note(FlatPlan.applied_insert_many, [
+                (node, [key], self.adjustment_count != adjustments)
+            ])
         self._sanitize_after((key,))
         return inserted
 
     def _insert_to_leaf(
         self, leaf: LeafNode, pair: Pair, tracer: Tracer = NULL_TRACER
-    ) -> tuple[bool, bool]:
+    ) -> bool:
         """insertToLeafNode of Algorithm 7, including the adjust check.
 
-        Returns ``(inserted, structural)``: ``structural`` is True when
-        the insert changed the subtree's *shape* (a nested-leaf spawn or
-        an adjustment) rather than only filling an empty slot, which
-        decides plan patch vs subtree splice.
+        Returns whether the pair was new.
         """
         c = self._cycles
         tracer.mem(leaf.region)
@@ -530,7 +526,6 @@ class DILI:
         pos = leaf.predict_slot(pair[0])
         tracer.mem(leaf.region, 64 + pos * 16)
         entry = leaf.slots[pos]
-        structural = False
         if entry is None:
             leaf.slots[pos] = pair
             leaf.delta += 1
@@ -548,11 +543,10 @@ class DILI:
                 leaf.slots[pos] = child
                 leaf.delta += 1 + child.delta
                 self.moved_pairs += 2
-                structural = True
                 not_exist = True
         else:
             delta_before = entry.delta
-            not_exist, structural = self._insert_to_leaf(entry, pair, tracer)
+            not_exist = self._insert_to_leaf(entry, pair, tracer)
             leaf.delta += 1 + entry.delta - delta_before
         if not_exist:
             leaf.num_pairs += 1
@@ -562,8 +556,7 @@ class DILI:
                 > self.config.lambda_adjust * leaf.kappa
             ):
                 self._adjust(leaf)
-                structural = True
-        return not_exist, structural
+        return not_exist
 
     def _adjust(self, leaf: LeafNode) -> None:
         """Rebuild a degraded leaf with an enlarged entry array.
@@ -605,8 +598,8 @@ class DILI:
 
         Tracer semantics match :meth:`insert`: probes charge ``get``-like
         events, structural trimming charges nothing.  A miss leaves the
-        compiled read plan untouched; a hit patches it (or recompiles
-        the affected leaf's subtree after a nested-leaf collapse).
+        compiled read plan untouched; a hit replaces it by a successor
+        that rewrites the key's slot (or the collapsed nested leaf's).
         """
         key = float(key)
         node = self.root
@@ -625,23 +618,20 @@ class DILI:
             tracer.mem(node.region, 64 + idx * 8)
             node = node.children[idx]
         tracer.phase("step2")
-        existed, structural = self._delete_from_leaf(node, key, tracer)
+        existed = self._delete_from_leaf(node, key, tracer)
         if existed:
             self._count -= 1
-            if structural:
-                self._plan_note_batch([], [(node, key)], deletes=True)
-            else:
-                self._plan_note_batch([key], [], deletes=True)
+            self._plan_note(FlatPlan.applied_delete_many, [(node, [key])])
         self._sanitize_after((key,))
         return existed
 
     def _delete_from_leaf(
         self, leaf: LeafNode, key: float, tracer: Tracer = NULL_TRACER
-    ) -> tuple[bool, bool]:
-        """deleteFromLeafNode of Algorithm 8, with single-pair trimming.
+    ) -> bool:
+        """deleteFromLeafNode of Algorithm 8, with single-pair trimming
+        (a nested leaf left with one pair collapses into it).
 
-        Returns ``(existed, structural)``; ``structural`` is True when a
-        nested leaf collapsed into its last pair on the way back up.
+        Returns whether the key existed.
         """
         c = self._cycles
         tracer.mem(leaf.region)
@@ -649,7 +639,6 @@ class DILI:
         pos = leaf.predict_slot(key)
         tracer.mem(leaf.region, 64 + pos * 16)
         entry = leaf.slots[pos]
-        structural = False
         if entry is None:
             existed = False
         elif type(entry) is tuple:
@@ -662,19 +651,18 @@ class DILI:
                 existed = False
         else:
             delta_before = entry.delta
-            existed, structural = self._delete_from_leaf(entry, key, tracer)
+            existed = self._delete_from_leaf(entry, key, tracer)
             leaf.delta -= 1 + delta_before - entry.delta
             if existed and entry.num_pairs == 1:
                 remaining = next(entry.iter_pairs())
                 leaf.slots[pos] = remaining
                 leaf.delta -= 1
-                structural = True
         if existed:
             leaf.num_pairs -= 1
             leaf.kappa = (
                 leaf.delta / leaf.num_pairs if leaf.num_pairs > 0 else 1.0
             )
-        return existed, structural
+        return existed
 
     def bulk_insert(
         self,
@@ -716,10 +704,8 @@ class DILI:
             if key in merged:
                 batch_new -= 1
             merged[key] = value  # existing pairs win, insert semantics
-        all_keys = np.fromiter(sorted(merged), dtype=np.float64,
-                               count=len(merged))
-        all_values = [merged[float(k)] for k in all_keys]
-        self.bulk_load(all_keys, all_values)
+        ordered = sorted(merged)  # the key objects, so a NaN finds itself
+        self.bulk_load(np.array(ordered), [merged[k] for k in ordered])
         self.insert_count += len(self) - before
         return batch_new
 
@@ -784,20 +770,20 @@ class DILI:
             if record
             else None
         )
-        all_patches: list = []
-        dirty: list = []
+        groups: list = []
         for leaf, members in _leaf_groups(leaf_of, router.leaves):
-            structural, patches = self._insert_group(
+            adjustments = self.adjustment_count
+            written = self._insert_group(
                 leaf, members, sub, values, start, out, recorders
             )
-            if structural:
-                dirty.append((leaf, float(sub[members[0]])))
-            else:
-                all_patches.extend(patches)
+            if written:
+                groups.append(
+                    (leaf, written, self.adjustment_count != adjustments)
+                )
         newly = int(np.count_nonzero(out[start:]))
         self._count += newly
         self.insert_count += newly
-        self._plan_note_batch(all_patches, dirty, deletes=False)
+        self._plan_note(FlatPlan.applied_insert_many, groups)
         if record:
             for rec in recorders:
                 rec.replay(tracer)
@@ -809,27 +795,20 @@ class DILI:
     ):
         """Apply one leaf's batch inserts in batch order.
 
-        Every key runs :meth:`_insert_to_leaf`.  Returns
-        ``(structural, patches)`` where ``patches`` are the inserted
-        (key, value) pairs that changed no shape (plan-patchable) --
-        discarded by the caller when the leaf changed structurally,
-        because the subtree recompile covers them wholesale.
+        Every key runs :meth:`_insert_to_leaf`.  Returns the keys that
+        were new, for plan maintenance.
         """
-        structural = False
-        patches: list = []
+        written: list = []
         for j, k in zip(members.tolist(), keys_sub[members].tolist()):
-            pair = (k, values[offset + j])
-            inserted, reshaped = self._insert_to_leaf(
+            inserted = self._insert_to_leaf(
                 leaf,
-                pair,
+                (k, values[offset + j]),
                 recorders[j] if recorders is not None else NULL_TRACER,
             )
             out[offset + j] = inserted
-            if reshaped:
-                structural = True
-            elif inserted:
-                patches.append(pair)
-        return structural, patches
+            if inserted:
+                written.append(k)
+        return written
 
     def delete_batch(
         self, keys: np.ndarray | list, tracer: Tracer = NULL_TRACER
@@ -858,18 +837,13 @@ class DILI:
         recorders = (
             self._descent_recorders(router, n, rtrace) if record else None
         )
-        all_removed: list = []
-        dirty: list = []
+        groups: list = []
         for leaf, members in _leaf_groups(leaf_of, router.leaves):
-            structural, removed = self._delete_group(
-                leaf, members, keys, out, recorders
-            )
-            if structural:
-                dirty.append((leaf, float(keys[members[0]])))
-            else:
-                all_removed.extend(removed)
+            removed = self._delete_group(leaf, members, keys, out, recorders)
+            if removed:
+                groups.append((leaf, removed))
         self._count -= int(np.count_nonzero(out))
-        self._plan_note_batch(all_removed, dirty, deletes=True)
+        self._plan_note(FlatPlan.applied_delete_many, groups)
         if record:
             for rec in recorders:
                 rec.replay(tracer)
@@ -879,24 +853,20 @@ class DILI:
     def _delete_group(self, leaf, members, keys_arr, out, recorders):
         """Apply one leaf's batch deletes in batch order.
 
-        Every key runs :meth:`_delete_from_leaf`.  Returns
-        ``(structural, removed_keys)``; ``removed_keys`` are the
-        deletions that changed no shape (plan-patchable).
+        Every key runs :meth:`_delete_from_leaf`.  Returns the keys
+        that existed, for plan maintenance.
         """
-        structural = False
         removed: list = []
         for j, k in zip(members.tolist(), keys_arr[members].tolist()):
-            existed, reshaped = self._delete_from_leaf(
+            existed = self._delete_from_leaf(
                 leaf,
                 k,
                 recorders[j] if recorders is not None else NULL_TRACER,
             )
             out[j] = existed
-            if reshaped:
-                structural = True
-            elif existed:
+            if existed:
                 removed.append(k)
-        return structural, removed
+        return removed
 
     def update_batch(
         self, keys: np.ndarray | list, values: list
@@ -971,54 +941,37 @@ class DILI:
             rec.phase("step2")
         return recs
 
-    def _plan_note_batch(
-        self, slot_keys: list, dirty: list, *, deletes: bool
-    ) -> None:
+    def _plan_note(self, tier, groups: list) -> None:
         """Maintain the plan after an insert, delete or leaf rebuild.
 
         The one maintenance path for scalar and batch inserts/deletes
         and for :meth:`rebuild_leaf` (value updates use
-        :meth:`_plan_note_updates`).  ``slot_keys`` are the patchable
-        slot-level mutations (pairs for inserts, keys for deletes) from
-        non-structural leaves; ``dirty`` holds ``(leaf, key)`` for
-        structurally changed top-level leaves, each recompiled as one
-        subtree splice.  The caller decides which list a change joins
-        from its own return values, so stripe-locked writers on
-        different leaves cannot mislabel each other's changes.  Each
-        ``applied_*`` tier returns a copy-on-write successor and leaves
-        the current plan, published or not, unchanged; a change no
-        tier absorbs drops the plan.
+        :meth:`_plan_note_updates`): exactly one call of ``tier``, an
+        ``applied_*`` method of :class:`FlatPlan`, per write.
+        ``groups`` names every changed top-level leaf with the keys
+        written to it, taken from the caller's own answers, so
+        stripe-locked writers on different leaves cannot mislabel each
+        other's changes.  The tier returns a successor and leaves the
+        current plan, published or not, unchanged; a change it cannot
+        absorb drops the plan.
         """
+        if not groups:
+            return
         with self._plan_mutex:
             plan = self._flat
             if plan is None:
                 return
-            ok = True
-            if slot_keys:
-                if deletes:
-                    new = plan.applied_delete_many(slot_keys)
-                else:
-                    new = plan.applied_insert_many(slot_keys)
-                if new is not None:
-                    self._flat = plan = new
-                    self.plan_patches += len(slot_keys)
-                else:
-                    ok = False
-            if ok and dirty:
-                new = plan.applied_recompile_subtrees(
-                    [(key, leaf) for leaf, key in dirty]
-                )
-                if new is not None:
-                    self._flat = new
-                    self.plan_subtree_recompiles += len(dirty)
-                else:
-                    ok = False
-            if not ok:
+            done = tier(plan, groups)
+            if done is None:
                 self._invalidate_plan()
+                return
+            self._flat, patches, subtrees = done
+            self.plan_patches += patches
+            self.plan_subtree_recompiles += subtrees
 
     def _plan_note_updates(self, pairs: list) -> None:
         """Maintain the plan after successful value updates (scalar or
-        batch): payload-table patches only, never a splice."""
+        batch): payload-table rewrites only, never a structural one."""
         if not pairs:
             return
         with self._plan_mutex:

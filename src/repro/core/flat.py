@@ -14,15 +14,13 @@ multiply-add for every in-flight key.
 numpy ops -- no per-key Python in the loop.  The plan references the
 live tree's payload objects and is compiled lazily by
 :meth:`repro.core.dili.DILI.get_batch`.  It *survives* mutations
-without ever changing: slot-level changes (insert into an empty slot,
-delete of a top-frame pair, value update) yield a successor plan
-through ``applied_insert_many`` / ``applied_delete_many`` /
-``applied_values``, structural changes (nested leaf spawn, ``_adjust``,
-single-pair collapse) one that recompiles only the affected top-level
-leaves' subtrees (``applied_recompile_subtrees``), and a full
-recompile is the last resort (see ``DILI._invalidate_plan`` and the
-``plan_patches`` / ``plan_subtree_recompiles`` / ``plan_recompiles``
-counters).
+without ever changing: every write yields one successor plan through
+``applied_insert_many`` / ``applied_delete_many`` /
+``applied_recompile_subtrees`` (inserts, deletes, a rebuilt leaf) or
+``applied_values`` (value updates), whose cost scales with the write,
+not the index (see *Maintenance* below).  A full recompile is the last
+resort (see ``DILI._invalidate_plan`` and the ``plan_patches`` /
+``plan_subtree_recompiles`` / ``plan_recompiles`` counters).
 
 :class:`InternalRouter` is the write-path sibling: internal nodes are
 immutable after bulk load, so a cached array-packed skeleton of just
@@ -31,7 +29,8 @@ leaves level-synchronously.
 
 Layout
 ------
-Node table (row = one node, in DFS preorder; the root is row 0):
+Node table (row = one node; the root is row 0, and a compiled plan
+lists the rows in DFS preorder):
 
 ========  =======  ====================================================
 array     dtype    meaning
@@ -54,12 +53,15 @@ slot_kind  int8   0 empty, 1 pair, 2 child node
 slot_ref   int64  pair index (kind 1) or node row (kind 2)
 =========  =====  =====================================================
 
-``pair_keys`` / ``dense_keys`` hold the keys (both ascending -- a DFS of
-the tree visits keys in order) and ``values`` holds every payload, pair
-payloads first, so a lookup resolves to ``values[i]`` for a single flat
-index ``i``.  ``values`` is a 1-D object ndarray (one element per
-payload, whatever its type), so :meth:`FlatPlan.gather_values` fetches a
-batch's hits with one ``take``: a read costs O(batch), not O(index).
+``pair_keys`` / ``dense_keys`` hold the keys and ``sorted_keys`` the
+ascending view that range counts bisect.  ``values`` holds every
+payload, pair payloads first, so a lookup resolves to ``values[i]`` for
+a single flat index ``i``.  ``values`` is a 1-D object ndarray (one
+element per payload, whatever its type), so
+:meth:`FlatPlan.gather_values` fetches a batch's hits with one
+``take``: a read costs O(batch), not O(index).  In a compiled plan both
+key tables are ascending (a DFS of the tree visits keys in order) and
+``sorted_keys`` *is* ``pair_keys`` on pair-only trees.
 
 Cost tracing
 ------------
@@ -71,24 +73,47 @@ charging exactly the events the scalar ``get`` loop would have charged,
 in the same order, so the stateful LRU cache simulation produces
 identical totals.
 
+Maintenance, garbage and compaction
+-----------------------------------
+A maintained plan's rows are stable: a successor never moves an
+existing node row, slot row or pair entry.  It copies the slot tables
+once, rewrites the slots the write changed, appends node rows, slot
+blocks and pair entries for what is new, and keeps ``sorted_keys`` as
+its own array, edited from the keys the write reports (never derived
+from the stored pair keys).  For each written key the tier walks the
+key's path through the plan and the live tree together and, at the
+first slot where they disagree, writes the live pair, an empty slot or
+a freshly emitted nested subtree -- usually a 2-pair leaf.  Only a
+top-level leaf that adjusted, or was rebuilt, is re-emitted whole; its
+own node row is then overwritten in place, which keeps every parent
+pointer valid and row 0 the root even when the root is a leaf.
+
+Every unreachable row and dead pair entry is garbage, invisible to
+lookups, replay and gathers, which only follow references.
+:meth:`FlatPlan.compacted` rebuilds the canonical layout -- bitwise
+what :func:`compile_plan` builds from the same tree -- and validates
+that the reachable keys are exactly ``sorted_keys``.  It runs inside a
+tier once dead pair entries outnumber live keys, and before a plan is
+written to a file (``DILI.export_plan``) or self-checked.
+
 Versioning and publication
 --------------------------
 A plan is an immutable value.  Every plan carries a globally
 monotonic ``version``, and each maintenance tier returns a new plan
 (with a new version) that shares every SoA buffer it does not
 rewrite: the slot tables are copied for inserts and deletes, the
-payload table for value updates, and a subtree splice builds every
-table afresh.  A plan that :class:`repro.core.epoch.PlanPublisher`
-has handed to lock-free readers is therefore maintained exactly like
-a private one, and no reader can see a half-patched plan.  Lint rule
-CHK001 keeps every write to a plan buffer inside
-``FlatPlan.__init__``.
+node, key and payload tables only when the write appends to them,
+and the payload table for value updates.  A plan that
+:class:`repro.core.epoch.PlanPublisher` has handed to lock-free
+readers is therefore maintained exactly like a private one, and no
+reader can see a half-patched plan.  Lint rule CHK001 keeps every
+write to a plan buffer inside ``FlatPlan.__init__``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -218,11 +243,13 @@ class FlatPlan:
                     break
             # One multiply-add per in-flight key locates the next slot
             # (Eq. 1 / Algorithm 5 line 4), floored and clamped exactly
-            # like the scalar predict_slot/child_index.
-            pos = np.floor(
-                self.intercept[node] + self.slope[node] * q[idx]
-            ).astype(np.int64)
-            np.clip(pos, 0, self.size[node] - 1, out=pos)
+            # like the scalar predict_slot/child_index.  The clamp runs
+            # in float before the cast, so a prediction past the int64
+            # range lands on the last slot and a NaN one on slot 0.
+            pos = np.floor(self.intercept[node] + self.slope[node] * q[idx])
+            pos = np.fmin(np.fmax(pos, 0), self.size[node] - 1).astype(
+                np.int64
+            )
             if record:
                 trace.append((idx, node, pos))
             ref = self.base[node] + pos
@@ -306,15 +333,14 @@ class FlatPlan:
     # Incremental maintenance
     # ------------------------------------------------------------------
     #
-    # A plan never changes once built.  Each applied_* tier validates
-    # the change against this plan before it copies any table, and
-    # returns None when it cannot prove the result equivalent to a
-    # fresh compile_plan(root); callers then fall back to full
-    # invalidation.  Otherwise it returns a successor plan with a new
-    # version that shares every buffer it does not rewrite, and whose
-    # arrays are *identical* to what a fresh compile of the mutated
-    # tree would produce (asserted by the equivalence tests), so reads
-    # cannot tell the difference.
+    # A plan never changes once built.  Each applied_* tier returns
+    # None when it cannot prove its successor answers like a fresh
+    # compile_plan(root) -- callers then fall back to full invalidation
+    # -- and otherwise a successor with a new version whose canonical
+    # form (compacted()) is *identical* to a fresh compile of the
+    # mutated tree (asserted by the equivalence tests), so reads cannot
+    # tell the difference.  A tier never calls another through its
+    # public name: the serving benchmark times each one as a span.
 
     def _locate(self, key: float) -> tuple[int, int] | None:
         """Scalar descent to ``key``'s terminal ``(node row, slot pos)``.
@@ -393,325 +419,324 @@ class FlatPlan:
             values[i] = value
         return self._replaced(values=values)
 
-    def applied_insert_many(self, pairs: list) -> "FlatPlan | None":
-        """Plan with newly inserted pairs placed in their slots.
+    def applied_insert_many(self, groups: list) -> "tuple | None":
+        """Successor after inserts: ``(plan, patches, subtrees)`` or None.
 
-        ``pairs`` are ``(key, value)`` tuples the live tree just placed
-        into previously *empty* slots (no spawn, no adjust).  Slot
-        positions come from re-running the descent on the plan itself.
-        The successor gets its own copy of the two slot tables, with
-        the existing pair references shifted in bulk, and its key and
-        payload tables each grow by one vectorized ``np.insert``.
+        ``groups`` holds ``(top_leaf, keys, adjusted)``: a live
+        top-level leaf, the keys just inserted into it, and whether it
+        adjusted meanwhile (then the whole leaf is re-emitted).  The
+        keys of every other leaf join ``sorted_keys`` as they are.
+        """
+        return self._successor(groups, inserted=True)
+
+    def applied_delete_many(self, groups: list) -> "tuple | None":
+        """Successor after deletes; ``groups`` holds ``(top_leaf, keys)``
+        with the keys just deleted from each leaf (deletes never adjust,
+        a collapse is a slot rewrite like any other)."""
+        return self._successor(
+            [(leaf, keys, False) for leaf, keys in groups], inserted=False
+        )
+
+    def applied_recompile_subtrees(self, groups: list) -> "tuple | None":
+        """Successor with whole top-level leaves re-emitted (a rebuilt
+        leaf); ``groups`` holds ``(top_leaf, key)`` with any key that
+        routes to the leaf."""
+        return self._successor(
+            [(leaf, [key], True) for leaf, key in groups], inserted=False
+        )
+
+    def _successor(self, groups: list, *, inserted: bool) -> "tuple | None":
+        """Shared body of the three structural tiers.
+
+        A path-local group walks each written key through the plan and
+        the live tree together (:meth:`_write_path`); a re-emitted group
+        appends its whole top-level subtree and overwrites the leaf's
+        own node row, which keeps every parent pointer (and row 0 the
+        root).  Past the garbage rule the successor is compacted.
+        Returns ``(plan, patches, subtrees)``: slot rewrites and emitted
+        subtrees, for the index's counters.
         """
         if len(self.dense_keys):
-            return None  # dense/mixed plans: patching keys not supported
-        refs = []
-        for key, _ in pairs:
-            loc = self._locate(key)
-            if loc is None or loc[1] < 0:
+            return None  # dense leaves have no slots to rewrite
+        new = _PlanBuilder()  # appended node rows, slot blocks and pairs
+        writes: dict[int, tuple[int, int]] = {}  # slot row -> (kind, ref)
+        reemits = []  # (row, builder row, builder pair range)
+        point = []  # keys of the path-local groups
+        try:
+            for leaf, keys, reemit in groups:
+                row, hops = self._top_row(keys[0])
+                if int(self.region[row]) != leaf.region:
+                    return None  # plan out of sync with the live tree
+                if reemit:
+                    p0 = len(new.pair_keys)
+                    local = new.add_node(leaf, hops + 1)
+                    reemits.append((row, local, p0, len(new.pair_keys)))
+                    continue
+                point.extend(keys)
+                for key in keys:
+                    self._write_path(key, row, leaf, hops + 1, new, writes)
+            sorted_keys = self._edited_keys(point, inserted)
+            if sorted_keys is None:
                 return None
-            row, pos = loc
-            ref = int(self.base[row]) + pos
-            if self.slot_kind[ref] != SLOT_EMPTY:
-                return None
-            refs.append(ref)
-        k = len(pairs)
-        keys_arr = np.fromiter(
-            (p[0] for p in pairs), dtype=np.float64, count=k
-        )
-        order = np.argsort(keys_arr, kind="stable")
-        keys_sorted = keys_arr[order]
-        if k > 1 and not np.all(keys_sorted[1:] > keys_sorted[:-1]):
-            return None  # duplicate keys in one patch batch
-        ins = np.searchsorted(self.pair_keys, keys_sorted)
-        slot_kind = self.slot_kind.copy()
-        slot_ref = self.slot_ref.copy()
-        # Existing pair index i moves up by the number of new keys
-        # landing at or before it.
-        pair_mask = slot_kind == SLOT_PAIR
-        prefs = slot_ref[pair_mask]
-        slot_ref[pair_mask] = prefs + np.searchsorted(ins, prefs, side="right")
-        new_slots = np.asarray(refs, dtype=np.int64)[order]
-        slot_kind[new_slots] = SLOT_PAIR
-        slot_ref[new_slots] = ins + np.arange(k, dtype=np.int64)
-        pair_keys = np.insert(self.pair_keys, ins, keys_sorted)
-        values = np.insert(
-            self.values, ins,
-            _object_array([pairs[int(t)][1] for t in order]),
-        )
-        return self._replaced(
-            slot_kind=slot_kind, slot_ref=slot_ref, pair_keys=pair_keys,
-            values=values, sorted_keys=pair_keys,
-        )
-
-    def applied_delete_many(self, keys: Sequence[float]) -> "FlatPlan | None":
-        """Plan with deleted top-frame pairs removed.
-
-        ``keys`` were just deleted from pair slots without any
-        structural change (no nested-leaf collapse).  The vacated slots
-        become ``SLOT_EMPTY`` with a zeroed ref -- exactly what a fresh
-        compile of the mutated tree would emit.
-        """
-        if len(self.dense_keys):
+            for lo, hi, p0, p1 in sorted(
+                (*self._key_run(sorted_keys, row), p0, p1)
+                for row, _, p0, p1 in reemits
+            )[::-1]:
+                sorted_keys = np.concatenate([
+                    sorted_keys[:lo],
+                    np.asarray(new.pair_keys[p0:p1], dtype=np.float64),
+                    sorted_keys[hi:],
+                ])
+            plan = self._replaced(
+                sorted_keys=sorted_keys,
+                depth=max(self.depth, new.max_depth),
+                **self._appended(new, writes, [r[:2] for r in reemits]),
+            )
+            spawns = sum(1 for kind, _ in writes.values() if kind == SLOT_NODE)
+            # The one garbage rule: compact once dead pair entries
+            # outnumber live keys, so garbage stays below the live size.
+            live = len(sorted_keys)
+            if plan.num_pairs - live > live:
+                plan = plan.compacted()
+        except InvariantError:
             return None
-        drop = np.empty(len(keys), dtype=np.int64)
-        refs = []
-        for t, key in enumerate(keys):
-            loc = self._locate(key)
-            if loc is None or loc[1] < 0:
-                return None
-            row, pos = loc
-            ref = int(self.base[row]) + pos
-            if self.slot_kind[ref] != SLOT_PAIR:
-                return None
-            p = int(self.slot_ref[ref])
-            if self.pair_keys[p] != key:
-                return None
-            drop[t] = p
-            refs.append(ref)
-        drop.sort()
-        if len(drop) > 1 and not np.all(drop[1:] > drop[:-1]):
-            return None  # duplicate keys in one patch batch
-        slot_kind = self.slot_kind.copy()
-        slot_ref = self.slot_ref.copy()
-        slot_kind[refs] = SLOT_EMPTY
-        slot_ref[refs] = 0
-        pair_mask = slot_kind == SLOT_PAIR
-        prefs = slot_ref[pair_mask]
-        slot_ref[pair_mask] = prefs - np.searchsorted(drop, prefs)
-        pair_keys = np.delete(self.pair_keys, drop)
-        return self._replaced(
-            slot_kind=slot_kind, slot_ref=slot_ref, pair_keys=pair_keys,
-            values=np.delete(self.values, drop), sorted_keys=pair_keys,
-        )
+        return plan, len(writes) - spawns, len(reemits) + spawns
 
-    def applied_recompile_subtrees(self, items: list) -> "FlatPlan | None":
-        """Plan with structurally changed top-level leaves recompiled.
+    def _top_row(self, key: float) -> tuple[int, int]:
+        """``(row, hops)`` of the top-level leaf ``key`` routes to.
 
-        ``items`` holds ``(key, top_leaf)`` pairs: each ``top_leaf`` is
-        a live-tree top-level leaf that just changed *structurally*
-        (spawn / adjust / collapse) and ``key`` is any key routing to
-        it.  DFS-preorder construction makes each top-level leaf's plan
-        footprint contiguous in all three tables (node rows, slot rows,
-        pair indices), so every stale extent is cut out, the freshly
-        built arrays spliced in, and all references outside the extents
-        shifted by cumulative size deltas -- a single pass over the
-        buffers no matter how many leaves changed, which is what makes
-        write batches with many structural groups affordable.  Every
-        table of the successor is a fresh concatenation.
+        Descends the internal rows only, with the scalar
+        ``child_index`` arithmetic.
         """
-        if len(self.dense_keys):
-            return None
         kind = self.kind
-        segs = []
-        for key, top_leaf in items:
-            row = 0
-            hops = 0
-            for _ in range(_MAX_DESCENT):
-                if kind[row] != KIND_INTERNAL:
-                    break
-                pos = int(
-                    math.floor(
-                        self.intercept[row] + self.slope[row] * key
-                    )
-                )
-                last = int(self.size[row]) - 1
-                if pos < 0:
-                    pos = 0
-                elif pos > last:
-                    pos = last
-                row = int(self.slot_ref[int(self.base[row]) + pos])
-                hops += 1
-            else:
-                return None
-            if int(self.region[row]) != top_leaf.region:
-                return None  # plan out of sync with the live tree
-            ext = self._subtree_extent(row)
-            if ext is None:
-                return None
-            node_end, slot_end, pair_lo, pair_count = ext
-            b = _PlanBuilder()
-            b.add_node(top_leaf, 1)
-            if b.dense_len:
-                return None
-            if pair_count == 0:
-                # Empty footprint (e.g. a previously empty leaf whose
-                # batch inserts were all structural, so none were
-                # patched in): no pair anchors the splice.  The pair
-                # table is globally key-ordered, so the insertion point
-                # of the rebuilt subtree's first key (or of the routing
-                # key, when it stays empty) is the anchor.
-                anchor = b.pair_keys[0] if b.pair_keys else key
-                pair_lo = int(np.searchsorted(self.pair_keys, anchor))
-            segs.append((
-                row, node_end, int(self.base[row]), slot_end,
-                pair_lo, pair_lo + pair_count, b, hops,
-            ))
-        segs.sort(key=lambda s: s[0])
-        k = len(segs)
-        # Disjointness guard: distinct top-level leaves always yield
-        # ordered, non-overlapping extents in all three tables.
-        for i in range(1, k):
+        row = 0
+        for hops in range(_MAX_DESCENT):
+            if kind[row] != KIND_INTERNAL:
+                return row, hops
+            pos = int(math.floor(self.intercept[row] + self.slope[row] * key))
+            last = int(self.size[row]) - 1
+            pos = 0 if pos < 0 else (last if pos > last else pos)
+            row = int(self.slot_ref[int(self.base[row]) + pos])
+        raise InvariantError("plan descent did not terminate")
+
+    def _write_path(self, key, row, node, depth, new, writes) -> None:
+        """Record one write at the first slot on ``key``'s path where
+        the plan and the live tree disagree: the live pair, an empty
+        slot, or a freshly emitted nested subtree.
+
+        A slot written earlier in the same successor already holds the
+        live state, so the walk stops there too.  Raises
+        :class:`InvariantError` when a row's region or model differs
+        from its live node's (the plan is out of sync).
+        """
+        while True:
             if (
-                segs[i - 1][1] > segs[i][0]
-                or segs[i - 1][3] > segs[i][2]
-                or segs[i - 1][5] > segs[i][4]
+                self.slope[row] != node.slope
+                or self.intercept[row] != node.intercept
+                or self.size[row] != len(node.slots)
             ):
-                return None
-        # Cumulative deltas before each segment (and after the last).
-        dn = [0] * (k + 1)
-        ds = [0] * (k + 1)
-        dp = [0] * (k + 1)
-        for i, (r, ne, sl, se, pl, pe, b, _h) in enumerate(segs):
-            dn[i + 1] = dn[i] + len(b.kind) - (ne - r)
-            ds[i + 1] = ds[i] + len(b.slot_kind) - (se - sl)
-            dp[i + 1] = dp[i] + len(b.pair_keys) - (pe - pl)
-        node_ends = np.asarray([s[1] for s in segs], dtype=np.int64)
-        slot_ends = np.asarray([s[3] for s in segs], dtype=np.int64)
-        pair_ends = np.asarray([s[5] for s in segs], dtype=np.int64)
-        dn_arr = np.asarray(dn, dtype=np.int64)
-        ds_arr = np.asarray(ds, dtype=np.int64)
-        dp_arr = np.asarray(dp, dtype=np.int64)
-        # Fix references in the slot rows *outside* every extent.  An
-        # outside ref to old node x (or pair y) shifts by the cumulative
-        # delta of the segments that end at or before it; a parent's
-        # pointer to a segment root r_i lands on new_r_i the same way.
-        old_sk = self.slot_kind
-        old_sr = self.slot_ref.copy()
-        outside = np.ones(len(old_sk), dtype=bool)
-        for r, ne, sl, se, pl, pe, b, _h in segs:
-            outside[sl:se] = False
-        nmask = outside & (old_sk == SLOT_NODE)
-        old_sr[nmask] += dn_arr[
-            np.searchsorted(node_ends, old_sr[nmask], side="right")
-        ]
-        pmask = outside & (old_sk == SLOT_PAIR)
-        old_sr[pmask] += dp_arr[
-            np.searchsorted(pair_ends, old_sr[pmask], side="right")
-        ]
-        # Outside node rows keep their slot blocks; the block start
-        # shifts by the cumulative slot delta before it.
-        new_node_base = self.base + ds_arr[
-            np.searchsorted(slot_ends, self.base, side="right")
-        ]
-        # Assemble every table as alternating [unchanged | rebuilt]
-        # chunks -- one concatenate per array.
-        kind_parts = []
-        slope_parts = []
-        intercept_parts = []
-        size_parts = []
-        region_parts = []
-        base_parts = []
-        sk_parts = []
-        sr_parts = []
-        pk_parts = []
-        val_parts = []
-        prev_n = 0
-        prev_s = 0
-        prev_p = 0
-        vals = self.values
-        # An upper bound: nesting may have shrunk elsewhere, but depth
-        # is informational (the descent loops run until resolution).
-        max_new_depth = self.depth
-        for i, (r, ne, sl, se, pl, pe, b, hops) in enumerate(segs):
-            new_sk = np.asarray(b.slot_kind, dtype=np.int8)
-            new_sr = np.asarray(b.slot_ref, dtype=np.int64)
-            new_sr[new_sk == SLOT_NODE] += r + dn[i]
-            new_sr[new_sk == SLOT_PAIR] += pl + dp[i]
-            kind_parts += [kind[prev_n:r], np.asarray(b.kind, dtype=np.int8)]
-            slope_parts += [
-                self.slope[prev_n:r],
-                np.asarray(b.slope, dtype=np.float64),
-            ]
-            intercept_parts += [
-                self.intercept[prev_n:r],
-                np.asarray(b.intercept, dtype=np.float64),
-            ]
-            size_parts += [
-                self.size[prev_n:r],
-                np.asarray(b.size, dtype=np.int64),
-            ]
-            region_parts += [
-                self.region[prev_n:r],
-                np.asarray(b.region, dtype=np.int64),
-            ]
-            base_parts += [
-                new_node_base[prev_n:r],
-                np.asarray(b.base, dtype=np.int64) + sl + ds[i],
-            ]
-            sk_parts += [old_sk[prev_s:sl], new_sk]
-            sr_parts += [old_sr[prev_s:sl], new_sr]
-            pk_parts += [
-                self.pair_keys[prev_p:pl],
-                np.asarray(b.pair_keys, dtype=np.float64),
-            ]
-            val_parts += [vals[prev_p:pl], _object_array(b.pair_vals)]
-            prev_n, prev_s, prev_p = ne, se, pe
-            if hops + b.max_depth > max_new_depth:
-                max_new_depth = hops + b.max_depth
-        kind_parts.append(kind[prev_n:])
-        slope_parts.append(self.slope[prev_n:])
-        intercept_parts.append(self.intercept[prev_n:])
-        size_parts.append(self.size[prev_n:])
-        region_parts.append(self.region[prev_n:])
-        base_parts.append(new_node_base[prev_n:])
-        sk_parts.append(old_sk[prev_s:])
-        sr_parts.append(old_sr[prev_s:])
-        pk_parts.append(self.pair_keys[prev_p:])
-        val_parts.append(vals[prev_p:])
-        pair_keys = np.concatenate(pk_parts)
-        return FlatPlan(
-            kind=np.concatenate(kind_parts),
-            slope=np.concatenate(slope_parts),
-            intercept=np.concatenate(intercept_parts),
-            size=np.concatenate(size_parts),
-            base=np.concatenate(base_parts),
-            region=np.concatenate(region_parts),
-            slot_kind=np.concatenate(sk_parts),
-            slot_ref=np.concatenate(sr_parts),
-            pair_keys=pair_keys,
-            dense_keys=self.dense_keys,
-            values=np.concatenate(val_parts),
-            sorted_keys=pair_keys,
-            depth=max_new_depth,
-        )
+                raise InvariantError(f"plan row {row} model is stale")
+            pos = node.predict_slot(key)
+            ref = int(self.base[row]) + pos
+            if ref in writes:
+                return
+            entry = node.slots[pos]
+            kind = self.slot_kind[ref]
+            if entry is None:
+                if kind == SLOT_EMPTY:
+                    return
+                writes[ref] = (SLOT_EMPTY, 0)
+            elif type(entry) is tuple:
+                if (
+                    kind == SLOT_PAIR
+                    and self.pair_keys[self.slot_ref[ref]] == entry[0]
+                ):
+                    return
+                writes[ref] = (SLOT_PAIR, self.num_pairs + len(new.pair_keys))
+                new.pair_keys.append(entry[0])
+                new.pair_vals.append(entry[1])
+            elif kind == SLOT_NODE:
+                row = int(self.slot_ref[ref])
+                if int(self.region[row]) != entry.region:
+                    raise InvariantError(f"plan row {row} region is stale")
+                node = entry
+                depth += 1
+                continue
+            else:
+                writes[ref] = (
+                    SLOT_NODE, len(self.kind) + new.add_node(entry, depth + 1)
+                )
+            return
 
-    def _subtree_extent(self, row: int) -> tuple[int, int, int, int] | None:
-        """Extent of ``row``'s subtree: (node_end, slot_end, pair_lo, n).
+    def _edited_keys(self, keys: list, inserted: bool) -> "np.ndarray | None":
+        """``sorted_keys`` with ``keys`` inserted or deleted; None when
+        one is already present (insert) or missing (delete)."""
+        sk = self.sorted_keys
+        if not keys:
+            return sk
+        ks = np.sort(np.asarray(keys, dtype=np.float64))
+        if len(ks) > 1 and not np.all(ks[1:] > ks[:-1]):
+            return None  # a key written twice in one successor
+        at = np.searchsorted(sk, ks)
+        inside = at < len(sk)
+        present = np.zeros(len(ks), dtype=bool)
+        present[inside] = sk[at[inside]] == ks[inside]
+        if inserted:
+            return None if present.any() else np.insert(sk, at, ks)
+        return np.delete(sk, at) if present.all() else None
 
-        Walks the subtree's slot rows; returns ``None`` when it reaches
-        a dense leaf (those interleave a fourth table).
+    def _key_run(self, sorted_keys: np.ndarray, row: int) -> tuple[int, int]:
+        """``[lo, hi)`` of the keys in ``sorted_keys`` that route to the
+        top-level ``row``.  Top-level rows never move, so their order is
+        key order and routing is a valid bisection key."""
+        def route(key) -> int:
+            return self._top_row(float(key))[0]
+
+        lo = bisect.bisect_left(sorted_keys, row, key=route)
+        return lo, bisect.bisect_right(sorted_keys, row, lo=lo, key=route)
+
+    def _appended(self, new, writes: dict, overwrites: list) -> dict:
+        """The successor's rewritten buffers: one copy of the slot
+        tables with ``writes`` applied, plus whatever ``new`` appended
+        (node rows, slot blocks, pair entries).  Each ``(row, builder
+        row)`` in ``overwrites`` copies a re-emitted leaf's fresh node
+        row over its old one.  Untouched tables stay shared."""
+        n_rows, n_slots = len(self.kind), len(self.slot_kind)
+        add_kind = np.asarray(new.slot_kind, dtype=np.int8)
+        add_ref = np.asarray(new.slot_ref, dtype=np.int64)
+        add_ref[add_kind == SLOT_NODE] += n_rows
+        add_ref[add_kind == SLOT_PAIR] += self.num_pairs
+        out = {
+            "slot_kind": np.concatenate([self.slot_kind, add_kind]),
+            "slot_ref": np.concatenate([self.slot_ref, add_ref]),
+        }
+        if writes:
+            at = np.fromiter(writes, dtype=np.int64, count=len(writes))
+            what = np.asarray(list(writes.values()), dtype=np.int64)
+            out["slot_kind"][at] = what[:, 0]
+            out["slot_ref"][at] = what[:, 1]
+        if new.kind:
+            columns = (
+                ("kind", np.int8, new.kind),
+                ("slope", np.float64, new.slope),
+                ("intercept", np.float64, new.intercept),
+                ("size", np.int64, new.size),
+                ("base", np.int64, np.asarray(new.base) + n_slots),
+                ("region", np.int64, new.region),
+            )
+            for name, dtype, added in columns:
+                table = np.concatenate(
+                    [getattr(self, name), np.asarray(added, dtype=dtype)]
+                )
+                for row, local in overwrites:
+                    table[row] = table[n_rows + local]
+                out[name] = table
+        if new.pair_keys:
+            out["pair_keys"] = np.concatenate(
+                [self.pair_keys, np.asarray(new.pair_keys, dtype=np.float64)]
+            )
+            out["values"] = np.concatenate(
+                [self.values, _object_array(new.pair_vals)]
+            )
+        return out
+
+    def compacted(self) -> "FlatPlan":
+        """The canonical layout, bitwise what ``compile_plan(root)`` builds.
+
+        Reachable rows come out in DFS preorder (the lexsort of their
+        slot-position paths), slot and dense blocks in row order, and
+        pairs in key order, so ``pair_keys`` is ``sorted_keys``; every
+        unreachable row and dead pair entry is dropped.  Raises
+        :class:`InvariantError` unless the reachable keys, sorted, are
+        exactly ``sorted_keys``.
         """
-        kind = self.kind
-        base = self.base
-        size = self.size
-        slot_kind = self.slot_kind
-        slot_ref = self.slot_ref
-        node_end = row + 1
-        slot_end = int(base[row])
-        pair_lo = -1
-        pair_count = 0
-        stack = [row]
-        while stack:
-            v = stack.pop()
-            if kind[v] == KIND_DENSE:
-                return None
-            if v + 1 > node_end:
-                node_end = v + 1
-            b = int(base[v])
-            e = b + int(size[v])
-            if e > slot_end:
-                slot_end = e
-            for j in range(b, e):
-                sk = slot_kind[j]
-                if sk == SLOT_NODE:
-                    stack.append(int(slot_ref[j]))
-                elif sk == SLOT_PAIR:
-                    p = int(slot_ref[j])
-                    pair_count += 1
-                    if pair_lo < 0 or p < pair_lo:
-                        pair_lo = p
-        return node_end, slot_end, pair_lo, pair_count
+        try:
+            return self._canonical()
+        except IndexError as exc:
+            raise InvariantError(
+                f"plan references outside its tables: {exc}"
+            ) from None
+
+    def _canonical(self) -> "FlatPlan":
+        kind, size, base = self.kind, self.size, self.base
+        level = np.zeros(1, dtype=np.int64)
+        paths = np.zeros((1, 0), dtype=np.int64)
+        levels = []
+        reached = 0
+        while level.size:
+            reached += level.size
+            if reached > len(kind):
+                raise InvariantError("plan rows do not form a tree")
+            levels.append((level, paths))
+            slotted = kind[level] != KIND_DENSE
+            parents = level[slotted]
+            m = size[parents]
+            slots = _ranges(base[parents], m)
+            child = self.slot_kind[slots] == SLOT_NODE
+            owner = np.repeat(np.arange(len(parents)), m)[child]
+            pos = (slots - np.repeat(base[parents], m))[child]
+            level = self.slot_ref[slots[child]]
+            paths = np.column_stack([paths[slotted][owner], pos])
+        padded = np.full((reached, len(levels)), -1, dtype=np.int64)
+        at = 0
+        for depth, (rows, row_paths) in enumerate(levels):
+            padded[at:at + len(rows), :depth] = row_paths
+            at += len(rows)
+        old = np.concatenate([rows for rows, _ in levels])
+        old = old[np.lexsort(padded.T[::-1])]
+        if len(np.unique(old)) != len(old):
+            raise InvariantError("plan rows do not form a tree")
+        new_id = np.zeros(len(kind), dtype=np.int64)
+        new_id[old] = np.arange(len(old))
+        new_kind = kind[old]
+        new_size = size[old]
+        old_base = base[old]
+        slotted = new_kind != KIND_DENSE
+        slots = _ranges(old_base[slotted], new_size[slotted])
+        slot_kind = self.slot_kind[slots]
+        refs = self.slot_ref[slots]
+        slot_ref = np.zeros(len(slots), dtype=np.int64)
+        nodes = slot_kind == SLOT_NODE
+        slot_ref[nodes] = new_id[refs[nodes]]
+        pairs = refs[slot_kind == SLOT_PAIR]
+        by_key = np.argsort(self.pair_keys[pairs], kind="stable")
+        rank = np.empty(len(pairs), dtype=np.int64)
+        rank[by_key] = np.arange(len(pairs))
+        slot_ref[slot_kind == SLOT_PAIR] = rank
+        pairs = pairs[by_key]
+        pair_keys = self.pair_keys[pairs]
+        dense = _ranges(old_base[~slotted], new_size[~slotted])
+        dense_keys = self.dense_keys[dense]
+        blocks = np.where(slotted, new_size, 0)
+        dense_blocks = new_size - blocks
+        sorted_keys = _sorted_view(pair_keys, dense_keys)
+        reach = np.sort(sorted_keys) if len(dense_keys) else sorted_keys
+        if not np.array_equal(reach, self.sorted_keys):
+            raise InvariantError(
+                f"plan reaches {len(reach)} keys that are not its "
+                f"{len(self.sorted_keys)} sorted keys"
+            )
+        return FlatPlan(
+            kind=new_kind,
+            slope=self.slope[old],
+            intercept=self.intercept[old],
+            size=new_size,
+            base=np.where(
+                slotted,
+                np.cumsum(blocks) - blocks,
+                np.cumsum(dense_blocks) - dense_blocks,
+            ),
+            region=self.region[old],
+            slot_kind=slot_kind,
+            slot_ref=slot_ref,
+            pair_keys=pair_keys,
+            dense_keys=dense_keys,
+            values=np.concatenate([
+                self.values[pairs], self.values[self.num_pairs + dense]
+            ]),
+            sorted_keys=sorted_keys,
+            depth=len(levels),
+        )
 
     # ------------------------------------------------------------------
     # Tracer replay
@@ -814,53 +839,54 @@ class FlatPlan:
         return sum(a.nbytes for a in arrays) + 8 * len(self.values)
 
     def self_check(self) -> None:
-        """Verify SoA cross-reference integrity after patches/splices.
+        """Verify SoA cross-reference integrity.
 
         The sanitizer hook point (:mod:`repro.check.invariants` calls
-        this during deep verification): every table length, slot
-        reference, dense block, and sorted-key ordering the patch and
-        recompile paths maintain incrementally is re-checked from
-        scratch.  Raises
-        :class:`repro.check.errors.InvariantError` on the first
+        this during deep verification).  The checks run on the
+        canonical form (:meth:`compacted`, which already fails unless
+        the reachable keys are exactly ``sorted_keys``): every table
+        length, slot reference, dense block, and sorted-key ordering.
+        Raises :class:`repro.check.errors.InvariantError` on the first
         inconsistency.
         """
-        rows = len(self.kind)
+        plan = self.compacted()
+        rows = len(plan.kind)
         for name in ("slope", "intercept", "size", "base", "region"):
-            if len(getattr(self, name)) != rows:
+            if len(getattr(plan, name)) != rows:
                 raise InvariantError(
-                    f"plan table '{name}' has {len(getattr(self, name))} "
+                    f"plan table '{name}' has {len(getattr(plan, name))} "
                     f"rows, kind has {rows}"
                 )
-        if len(self.slot_kind) != len(self.slot_ref):
+        if len(plan.slot_kind) != len(plan.slot_ref):
             raise InvariantError(
-                f"slot tables diverge: {len(self.slot_kind)} kinds vs "
-                f"{len(self.slot_ref)} refs"
+                f"slot tables diverge: {len(plan.slot_kind)} kinds vs "
+                f"{len(plan.slot_ref)} refs"
             )
-        if self.num_pairs != len(self.pair_keys):
+        if plan.num_pairs != len(plan.pair_keys):
             raise InvariantError(
-                f"num_pairs {self.num_pairs} != pair table length "
-                f"{len(self.pair_keys)}"
+                f"num_pairs {plan.num_pairs} != pair table length "
+                f"{len(plan.pair_keys)}"
             )
-        if len(self.values) != self.num_pairs + len(self.dense_keys):
+        if len(plan.values) != plan.num_pairs + len(plan.dense_keys):
             raise InvariantError(
-                f"value table holds {len(self.values)} entries for "
-                f"{self.num_pairs} pairs + {len(self.dense_keys)} dense keys"
+                f"value table holds {len(plan.values)} entries for "
+                f"{plan.num_pairs} pairs + {len(plan.dense_keys)} dense keys"
             )
         for name in ("pair_keys", "sorted_keys"):
-            arr = getattr(self, name)
+            arr = getattr(plan, name)
             if len(arr) > 1 and not bool(np.all(arr[1:] > arr[:-1])):
                 raise InvariantError(f"plan '{name}' not strictly ascending")
-        n_slots = len(self.slot_kind)
+        n_slots = len(plan.slot_kind)
         for row in range(rows):
-            b = int(self.base[row])
-            m = int(self.size[row])
-            if self.kind[row] == KIND_DENSE:
-                if b < 0 or b + m > len(self.dense_keys):
+            b = int(plan.base[row])
+            m = int(plan.size[row])
+            if plan.kind[row] == KIND_DENSE:
+                if b < 0 or b + m > len(plan.dense_keys):
                     raise InvariantError(
                         f"dense row {row} block [{b}, {b + m}) outside "
-                        f"dense_keys[0, {len(self.dense_keys)})"
+                        f"dense_keys[0, {len(plan.dense_keys)})"
                     )
-                block = self.dense_keys[b:b + m]
+                block = plan.dense_keys[b:b + m]
                 if len(block) > 1 and not bool(np.all(block[1:] > block[:-1])):
                     raise InvariantError(f"dense row {row} block unsorted")
             elif b < 0 or m < 1 or b + m > n_slots:
@@ -868,23 +894,42 @@ class FlatPlan:
                     f"row {row} slots [{b}, {b + m}) outside the slot "
                     f"table [0, {n_slots})"
                 )
-        bad_kind = ~np.isin(self.slot_kind, (SLOT_EMPTY, SLOT_PAIR, SLOT_NODE))
+        bad_kind = ~np.isin(plan.slot_kind, (SLOT_EMPTY, SLOT_PAIR, SLOT_NODE))
         if bool(np.any(bad_kind)):
             raise InvariantError("slot table holds an unknown slot kind")
-        pair_refs = self.slot_ref[self.slot_kind == SLOT_PAIR]
-        if len(pair_refs) != self.num_pairs or not bool(
-            np.array_equal(np.sort(pair_refs), np.arange(self.num_pairs))
+        pair_refs = plan.slot_ref[plan.slot_kind == SLOT_PAIR]
+        if len(pair_refs) != plan.num_pairs or not bool(
+            np.array_equal(np.sort(pair_refs), np.arange(plan.num_pairs))
         ):
             raise InvariantError(
                 f"{len(pair_refs)} pair slots do not reference the "
-                f"{self.num_pairs} pair-table entries exactly once"
+                f"{plan.num_pairs} pair-table entries exactly once"
             )
-        node_refs = self.slot_ref[self.slot_kind == SLOT_NODE]
+        node_refs = plan.slot_ref[plan.slot_kind == SLOT_NODE]
         if len(node_refs) and (
             int(node_refs.min()) < 1 or int(node_refs.max()) >= rows
         ):
             raise InvariantError("slot table references a node row "
                                  "outside the node table")
+
+
+def _sorted_view(pair_keys: np.ndarray, dense_keys: np.ndarray) -> np.ndarray:
+    """A compiled plan's ``sorted_keys``: the one non-empty key table
+    itself, or both merged (mixed trees cannot arise from bulk_load,
+    but stay correct)."""
+    if len(dense_keys) == 0:
+        return pair_keys
+    if len(pair_keys) == 0:
+        return dense_keys
+    return np.sort(np.concatenate([pair_keys, dense_keys]))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for every ``(s, n)`` pair."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, lengths
+    )
 
 
 def _object_array(items: list) -> np.ndarray:
@@ -899,10 +944,10 @@ def _object_array(items: list) -> np.ndarray:
 class _PlanBuilder:
     """Accumulates SoA rows for a (sub)tree in DFS preorder.
 
-    Shared by :func:`compile_plan` (whole tree) and
-    :meth:`FlatPlan.applied_recompile_subtrees` (one builder per changed
-    top-level leaf's subtree, whose locally 0-based references the
-    caller offsets into place).
+    Shared by :func:`compile_plan` (whole tree) and the maintenance
+    tiers (one builder per successor collects every emitted subtree and
+    appended pair; the successor offsets its locally 0-based references
+    past the tables it extends).
     """
 
     __slots__ = (
@@ -1003,12 +1048,6 @@ def compile_plan(root) -> FlatPlan:
         if b.dense_key_parts
         else np.empty(0, dtype=np.float64)
     )
-    if len(dense_arr) == 0:
-        sorted_keys = pair_arr
-    elif len(pair_arr) == 0:
-        sorted_keys = dense_arr
-    else:  # mixed trees cannot arise from bulk_load, but stay correct
-        sorted_keys = np.sort(np.concatenate([pair_arr, dense_arr]))
     return FlatPlan(
         kind=np.asarray(b.kind, dtype=np.int8),
         slope=np.asarray(b.slope, dtype=np.float64),
@@ -1021,7 +1060,7 @@ def compile_plan(root) -> FlatPlan:
         pair_keys=pair_arr,
         dense_keys=dense_arr,
         values=_object_array(b.pair_vals + b.dense_vals),
-        sorted_keys=sorted_keys,
+        sorted_keys=_sorted_view(pair_arr, dense_arr),
         depth=b.max_depth,
     )
 

@@ -68,7 +68,7 @@ MAX_HEADER_LEN = 1 << 20
 MAX_DELTA_PAYLOAD = 1 << 30
 
 #: Buffer serialization order.  ``sorted_keys`` is appended only when it
-#: does not alias ``pair_keys`` (mixed pair/dense trees).
+#: does not alias ``pair_keys`` (dense or mixed trees).
 BUFFER_NAMES: tuple[str, ...] = (
     "kind", "slope", "intercept", "size", "base", "region",
     "slot_kind", "slot_ref", "pair_keys", "dense_keys",
@@ -133,9 +133,9 @@ def write_plan_file(
         (name, np.ascontiguousarray(getattr(plan, name)))
         for name in BUFFER_NAMES
     ]
-    sorted_is_pair = plan.sorted_keys is plan.pair_keys or (
-        len(plan.dense_keys) == 0
-    )
+    # Only a plan whose sorted view *is* its pair table may drop the
+    # copy: a maintained plan's pair table is not in key order.
+    sorted_is_pair = plan.sorted_keys is plan.pair_keys
     if not sorted_is_pair:
         buffers.append(
             ("sorted_keys", np.ascontiguousarray(plan.sorted_keys))

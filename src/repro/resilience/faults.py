@@ -35,9 +35,9 @@ redraw.  Injections are driven by a seeded
 
 The ``flat_cell`` corruption deliberately stays *order-preserving*: the
 poisoned cell is moved strictly between its own key and the next key of
-the same top-level leaf, so the plan's global key order (which the
-patch paths binary-search against) survives and concurrent writes to
-*other* leaves keep patching correct positions while the damaged leaf
+the same top-level leaf, so the plan's sorted-key view (which plan
+maintenance binary-searches) stays ordered and concurrent writes to
+*other* leaves keep finding correct positions while the damaged leaf
 is quarantined.
 """
 
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.check import SanitizerViolation, verify_subtree
+from repro.core.flat import SLOT_PAIR
 from repro.core.nodes import DenseLeafNode, InternalNode, LeafNode
 from repro.durability.faultpoints import (
     CRASH_POINTS,
@@ -240,9 +241,10 @@ def _inject_flat_cell(index, rng) -> FaultReport | None:
     """Corrupt one plan ``pair_keys`` cell, order-preservingly.
 
     Requires a live (or compilable) plan over a pair-only tree.  The
-    victim cell is moved to the midpoint of its gap to the *next key of
-    the same top-level leaf*, so global key order survives and only the
-    containing leaf's extent answers wrongly.
+    victim cell is found through the plan's own descent (a maintained
+    plan's pair table is not in key order) and moved to the midpoint of
+    its gap to the *next key of the same top-level leaf*, so key order
+    survives and only the containing leaf's extent answers wrongly.
     """
     if index.root is None:
         return None
@@ -262,16 +264,16 @@ def _inject_flat_cell(index, rng) -> FaultReport | None:
     mid = kj + (knext - kj) / 2.0
     if not (kj < mid < knext):
         return None  # gap too small to corrupt order-preservingly
-    p = int(np.searchsorted(plan.pair_keys, kj))
-    if (
-        p + 1 >= len(plan.pair_keys)
-        or plan.pair_keys[p] != kj
-        or plan.pair_keys[p + 1] != knext
-    ):
+    loc = plan._locate(kj)
+    if loc is None or loc[1] < 0:
+        return None
+    ref = int(plan.base[loc[0]]) + loc[1]
+    p = int(plan.slot_ref[ref])
+    if plan.slot_kind[ref] != SLOT_PAIR or plan.pair_keys[p] != kj:
         return None  # plan out of sync with the tree; do not compound it
-    # sorted_keys aliases pair_keys on pair-only plans, so one store
-    # corrupts both views consistently -- exactly the blast radius a
-    # real stray write would have.
+    # A freshly compiled plan's sorted_keys aliases pair_keys, so one
+    # store corrupts both views consistently -- exactly the blast
+    # radius a real stray write would have.
     plan.pair_keys[p] = mid  # repro-check: allow CHK001 -- deliberate fault injection
     return FaultReport(
         FAULT_FLAT_CELL,

@@ -14,7 +14,7 @@ the authoritative pair table), then repairs it incrementally:
    recomputed exactly (Eq. 1 is a pure function of ``[lb, ub)`` and
    fanout), leaves are rebuilt **bulk-load-identically** via
    :meth:`repro.core.dili.DILI.rebuild_leaf` from the authoritative
-   pairs routed to them, which also splices the leaf's extent of the
+   pairs routed to them, which also re-emits the leaf into the
    compiled flat plan through the index's own plan-maintenance path
    -- never a full-index rebuild.
 3. **verify** -- the same step re-runs the scoped verifiers over just
@@ -235,7 +235,7 @@ class RepairEngine:
                         f"plan answers {actual!r} for key {keys[i]!r}, "
                         f"authority holds {values[i]!r}"
                     )
-        except SanitizerViolation as exc:
+        except InvariantError as exc:
             leaf = self._leaf_of_first_divergence(exc)
             return Finding("plan", leaf, str(exc))
         return None
@@ -411,7 +411,7 @@ class RepairEngine:
     def _reconcile_leaves(self, leaves: list, *, force: bool = False) -> None:
         """Rebuild (bulk-load-identically) each leaf whose content
         diverged from authority -- or unconditionally with ``force`` --
-        and splice the flat plan's extent for it."""
+        and re-emit it into the flat plan."""
         groups = {
             id(leaf): expected for leaf, expected in self._route_authority()
         }
@@ -429,8 +429,8 @@ class RepairEngine:
                 )
             else:
                 index.rebuild_leaf(leaf, expected)
-            # The rebuild maintained a live plan itself: it spliced the
-            # leaf's extent (copy-on-write if published) or dropped it.
+            # The rebuild maintained a live plan itself: a successor
+            # re-emitted the leaf (counted as a splice) or it dropped.
             if had_plan:
                 if index.peek_plan() is None:
                     self.counters["plan_drops"] += 1

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro import DILI
 from repro.core.concurrent import ConcurrentDILI
 from repro.core.dili import DiliConfig
-from repro.core.flat import compile_plan
+from repro.core.flat import FlatPlan, compile_plan
 from repro.simulate.cache import CacheSimulator
 from repro.simulate.tracer import CostTracer
 
@@ -77,10 +77,27 @@ def _assert_plan_matches_fresh(index):
     plan = index._flat
     assert plan is not None, "a batch write dropped the compiled plan"
     fresh = compile_plan(index.root)
+    # A maintained plan keeps its rows stable and carries garbage; its
+    # canonical form is bitwise the fresh compile.
+    canonical = plan.compacted()
     for name in _PLAN_ARRAYS:
-        assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
-    assert plan.values.tolist() == fresh.values.tolist()
-    assert plan.num_pairs == fresh.num_pairs
+        a, b = getattr(canonical, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert canonical.values.tolist() == fresh.values.tolist()
+    assert canonical.num_pairs == fresh.num_pairs
+    assert canonical.depth == fresh.depth
+    # The maintained plan itself answers and charges like the fresh one.
+    probe = np.concatenate([fresh.sorted_keys, fresh.sorted_keys + 0.5])
+    answers, tracers = [], []
+    for p in (plan, fresh):
+        tracer = CostTracer(CacheSimulator(64))
+        out, trace = p.lookup_batch(probe, record=True)
+        p.replay_trace(probe, trace, tracer)
+        answers.append(p.gather_values(out))
+        tracers.append(tracer)
+    assert answers[0] == answers[1]
+    _assert_same_trace(*tracers)
+    assert np.array_equal(plan.sorted_keys, fresh.sorted_keys)
 
 
 class TestScalarLoopEquivalence:
@@ -138,6 +155,39 @@ class TestScalarLoopEquivalence:
         assert b.delete_batch(gone, tb).tolist() == got
         _assert_same_tree(a, b)
         _assert_same_trace(ta, tb)
+
+    def test_crowded_leaf_crosses_the_compaction_rule(self, monkeypatch):
+        """The crowding above, one insert at a time on a compiled plan.
+
+        Every adjust re-emits the whole top-level leaf, so dead pair
+        entries pile up until they outnumber the live keys; the tier
+        then compacts.  The plan stays alive, its garbage stays bounded
+        and no full recompile happens.
+        """
+        compactions = []
+        compacted = FlatPlan.compacted
+
+        def spy(plan):
+            compactions.append(plan.num_pairs)
+            return compacted(plan)
+
+        monkeypatch.setattr(FlatPlan, "compacted", spy)
+        index = DILI(DiliConfig(lambda_adjust=1.0))
+        bulk = np.arange(0, 4000, 4, dtype=np.float64)
+        index.bulk_load(bulk, [("v", float(k)) for k in bulk])
+        index.get_batch(bulk[:4])
+        rng = np.random.default_rng(3)
+        fresh = np.unique(rng.uniform(1000.0, 1040.0, 300))
+        rng.shuffle(fresh)
+        for k in fresh.tolist():
+            assert index.insert(k, ("n", k))
+            plan = index.peek_plan()
+            assert plan is not None
+            assert plan.num_pairs - len(index) <= len(index)
+        assert index.adjustment_count > 200
+        assert compactions, "the garbage rule never fired"
+        assert index.plan_recompiles == 1
+        _assert_plan_matches_fresh(index)
 
     @settings(max_examples=30, deadline=None)
     @given(keys_set=key_sets, ups=write_lists)

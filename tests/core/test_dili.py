@@ -69,6 +69,25 @@ class TestBulkLoadAndGet:
         with pytest.raises(ValueError):
             index.bulk_load(np.array([1.0, 2.0]), ["only-one"])
 
+    @pytest.mark.parametrize(
+        "keys",
+        [[1.0, 2.0, np.nan], [1.0, 2.0, np.inf], [-np.inf, 1.0, 2.0]],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_rejects_non_finite_keys(self, keys):
+        index = DILI()
+        index.bulk_load(np.array([5.0, 6.0]), ["a", "b"])
+        index.get_batch([5.0])  # a compiled plan must survive too
+        with pytest.raises(ValueError, match="finite"):
+            index.bulk_load(np.array(keys))
+        # A batch this large (vs 2 keys) takes bulk_insert's rebuild.
+        with pytest.raises(ValueError, match="finite"):
+            index.bulk_insert(np.array(keys))
+        assert list(index.items()) == [(5.0, "a"), (6.0, "b")]
+        assert len(index) == 2
+        assert index.peek_plan() is not None
+        index.validate()
+
     def test_empty_bulk_load(self):
         index = DILI()
         index.bulk_load(np.array([]))

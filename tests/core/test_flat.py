@@ -1,12 +1,16 @@
 """Unit tests for the compiled flat read plan (repro.core.flat)."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import DILI, DiliConfig
+from repro.core.concurrent import ConcurrentDILI
 from repro.core.flat import FlatPlan, compile_plan
+from repro.planstore.format import write_plan_file
+from repro.planstore.store import PlanStore
 from repro.simulate.cache import CacheSimulator
 from repro.simulate.tracer import CostTracer
 
@@ -102,8 +106,23 @@ class TestIncrementalMaintenance:
         for name, array in before.items():
             assert getattr(old, name).tolist() == array.tolist(), (mutate, name)
         fresh = compile_plan(index.root)
-        assert np.array_equal(plan.pair_keys, fresh.pair_keys), mutate
-        assert plan.values.tolist() == fresh.values.tolist(), mutate
+        canonical = plan.compacted()
+        for name in before:
+            a, b = getattr(canonical, name), getattr(fresh, name)
+            if name == "values":
+                assert a.tolist() == b.tolist(), mutate
+            else:
+                assert a.dtype == b.dtype, (mutate, name)
+                assert np.array_equal(a, b), (mutate, name)
+        probe = np.concatenate([fresh.sorted_keys, fresh.sorted_keys + 1.0])
+        tracers = []
+        for p in (plan, fresh):
+            tracer = CostTracer(CacheSimulator(256))
+            out, trace = p.lookup_batch(probe, record=True)
+            p.replay_trace(probe, trace, tracer)
+            tracers.append((p.gather_values(out), tracer.total_cycles,
+                            tracer.cache_misses))
+        assert tracers[0] == tracers[1], mutate
 
     @pytest.mark.parametrize("mutate", ["insert", "delete"])
     def test_noop_mutations_leave_the_plan_untouched(self, mutate):
@@ -139,6 +158,76 @@ class TestIncrementalMaintenance:
         index.bulk_load(keys[: len(keys) // 2])
         assert index._flat is None
         assert index.get_batch(keys[:2]) == [0, 1]
+
+    def test_writes_keep_old_rows_in_place(self):
+        """Maintenance scales with the write, not the index: a 64-key
+        insert batch and a delete batch leave every old node row at its
+        index and rewrite at most one old slot row per key written."""
+        rng = np.random.default_rng(19)
+        keys = _dataset(60_000, seed=19)
+        index = DILI()
+        index.bulk_load(keys)
+        index.get_batch(keys[:4])
+        fresh = np.setdiff1d(rng.uniform(keys[0], keys[-1], 200), keys)[:64]
+        gone = rng.choice(keys, size=64, replace=False)
+        for write, batch in ((index.insert_batch, fresh),
+                             (index.delete_batch, gone)):
+            old = index.peek_plan()
+            written = int(np.count_nonzero(write(batch)))
+            assert written == 64
+            new = index.peek_plan()
+            assert new is not None and new is not old
+            rows = len(old.kind)
+            assert np.array_equal(new.region[:rows], old.region)
+            assert np.array_equal(new.kind[:rows], old.kind)
+            slots = len(old.slot_kind)
+            changed = (new.slot_kind[:slots] != old.slot_kind) | (
+                new.slot_ref[:slots] != old.slot_ref
+            )
+            assert int(np.count_nonzero(changed)) <= written
+        assert index.plan_recompiles == 1
+
+
+class TestPredictionClamp:
+    """Batch reads clamp the slot prediction in float before the int64
+    cast, like the scalar ``predict_slot`` / ``child_index``."""
+
+    @pytest.fixture()
+    def front_ends(self, tmp_path):
+        keys = np.arange(1000, dtype=np.float64) * 3
+        index = DILI()
+        index.bulk_load(keys)
+        assert index.insert(1e300, "x")
+        wrapped = ConcurrentDILI()
+        wrapped.bulk_load(keys)
+        assert wrapped.insert(1e300, "x")
+        path = tmp_path / "p.plan"
+        write_plan_file(path, index.export_plan())
+        store = PlanStore.open(path)
+        yield index, wrapped, store
+        store.close()
+
+    def test_huge_key_answers_like_get(self, front_ends):
+        index, wrapped, store = front_ends
+        for front in front_ends:
+            assert front.get_batch([1e300]) == ["x"]
+            assert front.contains_batch([1e300]).tolist() == [True]
+        scalar = CostTracer(CacheSimulator(256))
+        assert index.get(1e300, scalar) == "x"
+        for front in (index, store):
+            batch = CostTracer(CacheSimulator(256))
+            front.get_batch([1e300], batch)
+            assert (batch.total_cycles, batch.cache_misses) == (
+                scalar.total_cycles, scalar.cache_misses
+            )
+
+    def test_non_finite_keys_answer_none_without_warnings(self, front_ends):
+        probe = [np.nan, np.inf, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for front in front_ends:
+                assert front.get_batch(probe) == [None] * 3
+                assert front.contains_batch(probe).tolist() == [False] * 3
 
 
 class TestBatchReads:

@@ -84,6 +84,65 @@ class TestBaseEquality:
             store.get_batch(keys[:32])
 
 
+class TestMaintainedPlanFile:
+    """A plan file written from a maintained plan -- whose pair table
+    carries garbage and is not in key order -- is the canonical file a
+    fresh compile writes."""
+
+    def test_file_matches_fresh_compile_and_live_answers(self, tmp_path):
+        from repro import DILI
+        from repro.core.flat import compile_plan
+
+        rng = np.random.default_rng(53)
+        keys = np.unique(rng.uniform(0.0, 1e6, 4000))
+        index = DILI()
+        index.bulk_load(keys, [f"v{i}" for i in range(len(keys))])
+        index.get_batch(keys[:4])
+        fresh = np.setdiff1d(rng.uniform(0.0, 1e6, 700), keys)
+        index.insert_batch(fresh, [f"n{i}" for i in range(len(fresh))])
+        index.delete_batch(keys[::5])
+        maintained = index.peek_plan()
+        assert maintained is not None and index.plan_recompiles == 1
+        assert maintained.num_pairs > len(index)  # it does carry garbage
+        paths = (tmp_path / "maintained.plan", tmp_path / "fresh.plan")
+        write_plan_file(paths[0], index.export_plan())
+        write_plan_file(paths[1], compile_plan(index.root))
+        headers = [read_plan_header(path) for path in paths]
+        assert headers[0]["buffers"] == headers[1]["buffers"]
+        assert headers[0]["sorted_is_pair"]
+        store = PlanStore.open(paths[0])
+        live = np.sort(np.fromiter(index.keys(), dtype=np.float64))
+        los = rng.uniform(0.0, 1e6, 300)
+        his = los + rng.uniform(0.0, 1e5, 300)
+        want = np.searchsorted(live, his) - np.searchsorted(live, los)
+        assert store.count_range_batch(los, his).tolist() == want.tolist()
+        assert index.count_range_batch(los, his).tolist() == want.tolist()
+        probe = np.concatenate([keys, fresh])
+        assert store.get_batch(probe) == index.get_batch(probe)
+        store.close()
+
+    def test_audit_flags_an_out_of_order_key_view(self, tmp_path, plan):
+        from repro.check.plan_audit import audit_plans
+        from repro.core.flat import FlatPlan
+
+        keys = plan.pair_keys.copy()
+        keys[[0, 1]] = keys[[1, 0]]
+        bad = FlatPlan(
+            kind=plan.kind, slope=plan.slope, intercept=plan.intercept,
+            size=plan.size, base=plan.base, region=plan.region,
+            slot_kind=plan.slot_kind, slot_ref=plan.slot_ref,
+            pair_keys=keys, dense_keys=plan.dense_keys,
+            values=plan.values, sorted_keys=keys, depth=plan.depth,
+        )
+        plans = PlanDirectory.for_state_dir(tmp_path)
+        plans.publish_base(plan, wal_lsn=0)
+        assert audit_plans(tmp_path).clean
+        plans.publish_base(bad, wal_lsn=0)
+        report = audit_plans(tmp_path)
+        assert [f.kind for f in report.findings] == ["plan-key-order"]
+        assert report.verified_generations == 1
+
+
 class TestOverlay:
     def test_ops_shadow_the_base(self, plan_path, index, keys):
         store = PlanStore.open(plan_path)

@@ -45,6 +45,30 @@ class TestDetectAndRepairPerKind:
         assert stats["full_rebuilds"] == 0
         assert sum(stats["repairs"].values()) >= 1
 
+    def test_flat_cell_on_a_maintained_plan(self, loaded, rng):
+        """After a write the plan's pair table is not in key order and
+        its ``sorted_keys`` is its own array: the fault still finds its
+        cell through the plan's descent, the scan turns the failed
+        self-check into a plan finding, and the repair re-emits the
+        leaf."""
+        model = _model(loaded)
+        keys = loaded.auth.keys
+        fresh = np.setdiff1d((keys[:-1] + keys[1:]) / 2.0, keys)[::7]
+        assert loaded.insert_batch(fresh, ["f"] * len(fresh)).all()
+        model.update(dict.fromkeys(fresh.tolist(), "f"))
+        plan = loaded.index.peek_plan()
+        assert plan is not None and plan.sorted_keys is not plan.pair_keys
+        fault = FaultRegistry().inject("flat_cell", loaded.index, rng)
+        assert fault is not None
+        assert loaded.detect() >= 1
+        assert loaded.stats()["findings"]["plan"] == 1
+        loaded.repair_all()
+        assert loaded.health is Health.HEALTHY
+        assert loaded.stats()["plan_drops"] == 0
+        loaded.verify()
+        probe = np.fromiter(model, dtype=np.float64, count=len(model))
+        assert loaded.get_batch(probe) == [model[k] for k in probe.tolist()]
+
     def test_scan_on_clean_index_finds_nothing(self, loaded):
         assert loaded.detect() == 0
         assert loaded.health is Health.HEALTHY
