@@ -542,7 +542,8 @@ def cmd_plan_chaos(args: argparse.Namespace) -> int:
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-plan-chaos-")
     result = run_plan_chaos(workdir, seed=args.seed, n_keys=args.keys)
     rows = [
-        [run.kind, float(run.rung), float(run.expected_rung),
+        [run.kind, "int64" if run.int_payloads else "pickled",
+         float(run.rung), float(run.expected_rung),
          ",".join(str(rung) if served else "-"
                   for rung, served in run.later_readers),
          float(run.wrong_reads), float(len(run.quarantined))]
@@ -552,8 +553,8 @@ def cmd_plan_chaos(args: argparse.Namespace) -> int:
         format_table(
             f"Plan corruption sweep: seed {result.seed}, "
             f"{args.keys:,} keys per round",
-            ["fault kind", "rung", "expected", "later rungs", "wrong",
-             "quarantined"],
+            ["fault kind", "values", "rung", "expected", "later rungs",
+             "wrong", "quarantined"],
             rows,
             first_col_width=22,
         )

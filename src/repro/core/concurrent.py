@@ -409,8 +409,6 @@ class ConcurrentDILI:
 
     def delete_batch(self, keys: np.ndarray | list) -> np.ndarray:
         """Vectorized multi-key delete; exclusive like :meth:`insert_batch`."""
-        if self._index.root is None:
-            return np.zeros(len(keys), dtype=bool)
         with self.exclusive():
             out = self._index.delete_batch(keys)
             self._republish()
@@ -420,8 +418,6 @@ class ConcurrentDILI:
         self, keys: np.ndarray | list, values: list
     ) -> np.ndarray:
         """Vectorized multi-key update; exclusive like :meth:`insert_batch`."""
-        if self._index.root is None:
-            return np.zeros(len(keys), dtype=bool)
         with self.exclusive():
             out = self._index.update_batch(keys, values)
             self._republish()

@@ -106,6 +106,23 @@ class DiliConfig:
         return cls(local_optimization=False, cycles=io)
 
 
+def check_batch_keys(keys) -> np.ndarray:
+    """Validate a write batch's keys before any of them is applied.
+
+    Batch writers apply keys one by one, so a key rejected halfway
+    through would leave the earlier ones written and the count and
+    plan untouched; a durable writer must also refuse the batch before
+    logging it, or replay would raise on the record at every reopen.
+    Returns the keys as a contiguous float64 array.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    if keys.ndim != 1:
+        raise ValueError("keys must be one-dimensional")
+    if len(keys) and not np.isfinite(keys).all():
+        raise ValueError("batch keys must be finite")
+    return keys
+
+
 class DILI:
     """Distribution-driven learned index for one-dimensional keys.
 
@@ -739,9 +756,7 @@ class DILI:
         batch order.  ``values`` defaults to ``"inserted"`` payloads,
         like :meth:`bulk_insert`.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
+        keys = check_batch_keys(keys)
         n = len(keys)
         if values is None:
             values = ["inserted"] * n
@@ -820,9 +835,7 @@ class DILI:
         maintenance, and batch-order trace replay as
         :meth:`insert_batch`.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
+        keys = check_batch_keys(keys)
         n = len(keys)
         out = np.zeros(n, dtype=bool)
         if self.root is None or n == 0:
@@ -879,9 +892,7 @@ class DILI:
         value-table patching.  (Like ``update``, this charges no
         simulated cost, so it takes no tracer.)
         """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
+        keys = check_batch_keys(keys)
         n = len(keys)
         if len(values) != n:
             raise ValueError("values must match keys in length")

@@ -44,7 +44,7 @@ import threading
 import numpy as np
 
 from repro.core.concurrent import ConcurrentDILI
-from repro.core.dili import DILI, DiliConfig
+from repro.core.dili import DILI, DiliConfig, check_batch_keys
 from repro.durability.faultpoints import NULL_FAULTS, FaultInjector
 from repro.durability.recovery import (
     SNAPSHOT_NAME,
@@ -176,7 +176,7 @@ class DurableDILI:
         acknowledged atomically: after a crash either every operation
         of the batch replays or none does.
         """
-        keys = self._check_batch_keys(keys)
+        keys = check_batch_keys(keys)
         if values is not None and len(values) != len(keys):
             raise ValueError("values must match keys in length")
         with self._exclusive():
@@ -185,7 +185,7 @@ class DurableDILI:
 
     def delete_batch(self, keys: np.ndarray | list) -> np.ndarray:
         """Vectorized delete, logged as one framed batch record."""
-        keys = self._check_batch_keys(keys)
+        keys = check_batch_keys(keys)
         with self._exclusive():
             self.wal.append(OP_DELETE_BATCH, _encode(keys.tolist()))
             return self._index.delete_batch(keys)
@@ -194,27 +194,12 @@ class DurableDILI:
         self, keys: np.ndarray | list, values: list
     ) -> np.ndarray:
         """Vectorized value update, logged as one framed batch record."""
-        keys = self._check_batch_keys(keys)
+        keys = check_batch_keys(keys)
         if len(values) != len(keys):
             raise ValueError("values must match keys in length")
         with self._exclusive():
             self.wal.append(OP_UPDATE_BATCH, _encode(keys.tolist(), values))
             return self._index.update_batch(keys, values)
-
-    @staticmethod
-    def _check_batch_keys(keys) -> np.ndarray:
-        """Validate batch keys *before* logging.
-
-        A batch the index would reject mid-application must never reach
-        the log: the record is durable once appended, and replay would
-        raise on it at every reopen.
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
-        if len(keys) and not np.isfinite(keys).all():
-            raise ValueError("batch keys must be finite")
-        return keys
 
     def bulk_insert(
         self, keys: np.ndarray | list, values: list | None = None

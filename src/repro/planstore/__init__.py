@@ -21,7 +21,8 @@ physical copy of the buffers through the page cache.
   publisher, the ladder and the auditor share) and :class:`MmapDILI`,
   the serving handle whose ``open`` is a *fallback ladder*: newest
   verified plan -> previous verified generation -> snapshot+WAL
-  rebuild -> DEGRADED.
+  rebuild -> DEGRADED.  ``refresh`` keeps an open handle current by
+  replaying new WAL records into its overlay.
 * :mod:`repro.planstore.corrupt` -- byte-surgery fault injectors
   (torn header, truncated buffer, flipped byte, stale LSN, missing
   delta) used by :class:`repro.faults.FaultRegistry` and the chaos

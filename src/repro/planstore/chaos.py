@@ -32,6 +32,12 @@ reads and probes count toward the run's: a new delta or base must
 never pick up an artifact left over from before the damage, and the
 reader must serve it at rung 1.
 
+Payloads alternate across the fault kinds (by position in
+:data:`~repro.planstore.corrupt.PLAN_FAULT_KINDS`): every other kind's
+state holds only ints, whose base files store the int64 value column,
+and the rest hold strings, whose files keep the pickled column, so
+each fault hits both encodings across the sweep.
+
 Runs are fully determined by the seed (``repro plan chaos`` is the CI
 entry point).
 """
@@ -83,10 +89,12 @@ class PlanChaosRun:
 
     ``rung``, ``served`` and ``quarantined`` describe the first reader,
     opened on the damage; ``later_readers`` holds ``(rung, served)`` of
-    the reader opened after each later writer round.
+    the reader opened after each later writer round; ``int_payloads``
+    says the state held only ints (the int64 value column).
     """
 
     kind: str
+    int_payloads: bool
     rung: int
     expected_rung: int
     wrong_reads: int
@@ -125,11 +133,20 @@ class PlanChaosResult:
         return bool(self.runs) and all(run.ok for run in self.runs)
 
 
+def _payloads(keys, tag: int, ints: bool) -> list:
+    """Payloads for ``keys`` that differ per ``tag``: ints, or
+    strings."""
+    if ints:
+        return [tag * 1_000_000 + int(k) for k in keys]
+    return [f"v{tag}-{int(k)}" for k in keys]
+
+
 def _build_state(
     state_dir: str,
     rng: np.random.Generator,
     n_keys: int,
     *,
+    ints: bool,
     tail_deltas: int,
     late_generation: bool,
     final_snapshot: bool,
@@ -145,7 +162,7 @@ def _build_state(
         rng.choice(n_keys * 10, size=n_keys, replace=False)
     ).astype(np.float64)
     segs = np.array_split(np.arange(n_keys), 5)
-    values = [f"v{int(k)}" for k in keys]
+    values = _payloads(keys, 0, ints)
 
     def vals(seg):
         return [values[i] for i in seg]
@@ -211,7 +228,12 @@ def _count_wrong_reads(
 
 
 def _write_round(
-    state_dir: str, rng: np.random.Generator, *, tag: int, mode: str
+    state_dir: str,
+    rng: np.random.Generator,
+    *,
+    tag: int,
+    mode: str,
+    ints: bool,
 ) -> None:
     """Delete a quarter of the live keys, update a third of the rest,
     then publish a base (mode ``"base"``) or, while a generation
@@ -226,13 +248,13 @@ def _write_round(
     cut = len(live) // 4
     durable.delete_batch(np.sort(live[:cut]))
     updates = np.sort(live[cut:cut + (len(live) - cut) // 3])
-    durable.update_batch(updates, [f"u{tag}-{int(k)}" for k in updates])
+    durable.update_batch(updates, _payloads(updates, tag, ints))
     if mode == "checkpoint":
         durable.snapshot()
         # Stored keys are integers, so these are fresh; the audit's
         # probes (every original key + 0.37) cover them.
         fresh = np.sort(live[-16:]) + 0.37
-        durable.insert_batch(fresh, [f"n{tag}-{int(k)}" for k in fresh])
+        durable.insert_batch(fresh, _payloads(fresh, 10 + tag, ints))
     plans = PlanDirectory.for_state_dir(state_dir)
     if mode == "base" or not plans.generations():
         durable.publish_plan()
@@ -283,10 +305,12 @@ def run_plan_chaos(
         rng = np.random.default_rng((seed, round_no))
         state_dir = os.path.join(workdir, kind)
         stale = kind == FAULT_PLAN_STALE_LSN
+        ints = PLAN_FAULT_KINDS.index(kind) % 2 == 0
         keys = _build_state(
             state_dir,
             rng,
             n_keys,
+            ints=ints,
             tail_deltas=2 if kind == FAULT_PLAN_MISSING_DELTA else 1,
             late_generation=stale,
             final_snapshot=stale,
@@ -301,7 +325,7 @@ def run_plan_chaos(
         served, wrong, probes, was_served = _audit(state_dir, keys, rng)
         later = []
         for tag, mode in enumerate(("tail", "base", "checkpoint"), 1):
-            _write_round(state_dir, rng, tag=tag, mode=mode)
+            _write_round(state_dir, rng, tag=tag, mode=mode, ints=ints)
             reader, more_wrong, more_probes, reader_served = _audit(
                 state_dir, keys, rng
             )
@@ -311,6 +335,7 @@ def run_plan_chaos(
         result.runs.append(
             PlanChaosRun(
                 kind=kind,
+                int_payloads=ints,
                 rung=served.rung,
                 expected_rung=EXPECTED_RUNG.get(kind, served.rung),
                 wrong_reads=wrong,

@@ -19,10 +19,26 @@ read or eagerly by the auditor).  The payload is **never** pickled:
 buffers are raw numpy memory, written with ``tofile`` semantics and
 mapped back with ``np.memmap``.
 
-Values are the one non-numeric column: each value is pickled
-*individually* into ``value_bytes`` with ``value_offsets`` (int64,
-``count+1`` entries) delimiting it, so a read decodes exactly the
-values it returns -- opening never materializes the value column.
+Values (payloads) take one of two encodings, chosen per file by the
+writer and named by the buffer descriptors, so the reader needs no
+version switch:
+
+* ``value_ints`` -- one int64 column, written when every payload is an
+  exact Python ``int`` (``type(v) is int``) that fits int64.  A read
+  gathers its hits with one fancy index and hands them back as Python
+  ints, so answers are equal and type-equal to the live index's.
+* ``value_bytes`` + ``value_offsets`` -- any other payload set (a bool,
+  a numpy integer, an int beyond int64, a string, or any mix): each
+  value is pickled *individually* into ``value_bytes`` with
+  ``value_offsets`` (int64, ``count+1`` entries) delimiting it, so a
+  read decodes exactly the values it returns.
+
+Either way opening never materializes the value column.  Files written
+before the int column existed carry the pickled pair and still open;
+``PLAN_VERSION`` did not change, and a reader that predates the int
+column refuses such a file on its missing-buffer check (a
+:class:`PlanFormatError`, so its ladder falls back) rather than
+misreading it.
 
 Delta file::
 
@@ -92,6 +108,17 @@ def _align8(n: int) -> int:
     return (n + 7) & ~7
 
 
+def int_column(values) -> np.ndarray | None:
+    """The payloads as one int64 column, or None unless every payload
+    is an exact Python ``int`` that fits int64."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return None
+
+
 def encode_values(values) -> tuple[np.ndarray, np.ndarray]:
     """Pickle each value individually into a delimited byte column."""
     offsets = np.zeros(len(values) + 1, dtype=np.int64)
@@ -128,7 +155,6 @@ def write_plan_file(
     path = os.fspath(path)
     faults = faults if faults is not None else NULL_FAULTS
 
-    value_bytes, value_offsets = encode_values(plan.values)
     buffers: list[tuple[str, np.ndarray]] = [
         (name, np.ascontiguousarray(getattr(plan, name)))
         for name in BUFFER_NAMES
@@ -140,8 +166,13 @@ def write_plan_file(
         buffers.append(
             ("sorted_keys", np.ascontiguousarray(plan.sorted_keys))
         )
-    buffers.append(("value_offsets", value_offsets))
-    buffers.append(("value_bytes", value_bytes))
+    ints = int_column(plan.values)
+    if ints is not None:
+        buffers.append(("value_ints", ints))
+    else:
+        value_bytes, value_offsets = encode_values(plan.values)
+        buffers.append(("value_offsets", value_offsets))
+        buffers.append(("value_bytes", value_bytes))
 
     # Lay the buffers out twice: descriptor offsets depend on the header
     # length, which depends on the descriptors.  Offsets are relative to
@@ -302,7 +333,9 @@ def read_plan_header(path) -> dict:
             raise PlanFormatError(
                 f"{path}: buffer {name!r} extent outside the file"
             )
-    missing = set(BUFFER_NAMES + ("value_offsets", "value_bytes")) - seen
+    missing = set(BUFFER_NAMES) - seen
+    if "value_ints" not in seen:
+        missing |= {"value_offsets", "value_bytes"} - seen
     if missing:
         raise PlanFormatError(
             f"{path}: header missing buffers {sorted(missing)}"

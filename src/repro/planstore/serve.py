@@ -33,6 +33,11 @@ Buffer contents are CRC-verified lazily (first read), so a flipped
 byte that slips past the O(1) open is still caught before an answer is
 served: the read quarantines the file, re-descends the ladder, and
 retries -- the zero-wrong-reads contract the chaos harness asserts.
+
+A writer keeps one handle open across its writes with
+:meth:`MmapDILI.refresh`, which replays only the new WAL records into
+the open overlay, so a store's CRCs are checked once per open, not
+once per write.
 """
 
 from __future__ import annotations
@@ -78,6 +83,19 @@ STOP_GAP = "delta-chain-gap"
 STOP_CORRUPT = "delta-corrupt"
 STOP_FOREIGN = "delta-orphan"
 STOP_LSN_REGRESS = "delta-lsn-regress"
+
+
+def _snapshot_seqno(state_dir: str) -> int:
+    """The snapshot's ``last_seqno`` -- an O(1) header read; 0 when the
+    snapshot is absent or unreadable (a damaged one is rung 3's and the
+    WAL auditor's to report)."""
+    try:
+        _, seqno, _, _ = read_snapshot_header(
+            os.path.join(state_dir, SNAPSHOT_NAME)
+        )
+    except (OSError, ValueError):
+        return 0
+    return seqno
 
 
 class ServingUnavailable(RuntimeError):
@@ -288,19 +306,12 @@ class PlanDirectory:
             (seq for gen, seq in self._used_numbers() if gen == generation),
             default=0,
         )
-        snapshot = os.path.join(os.path.dirname(self.dirpath), SNAPSHOT_NAME)
-        try:
-            _, snapshot_seqno, _, _ = read_snapshot_header(snapshot)
-        except (OSError, ValueError):
-            # No snapshot bounds nothing; a damaged one is rung 3's and
-            # the WAL auditor's to report.
-            snapshot_seqno = 0
         return ChainWalk(
             generation=generation,
             header=header,
             deltas=deltas,
             lsn=lsn,
-            snapshot_seqno=snapshot_seqno,
+            snapshot_seqno=_snapshot_seqno(os.path.dirname(self.dirpath)),
             listed=len(files),
             complete=stop is None and named == len(deltas),
             stop=stop,
@@ -335,7 +346,8 @@ class MmapDILI:
     whenever a lazily verified read fails, so a successfully
     constructed handle keeps serving correct answers (or raises
     :class:`ServingUnavailable`) no matter which file rots underneath
-    it.
+    it.  :meth:`refresh` brings an open handle up to the directory's
+    latest logged write.
 
     Attributes:
         rung: Ladder rung currently serving (1 newest plan, 2 older
@@ -440,15 +452,14 @@ class MmapDILI:
                     f"seqno {walk.snapshot_seqno}; the gap was truncated "
                     f"away"
                 )
-            for delta in walk.deltas:
-                store.apply_ops(delta["ops"], wal_lsn=delta["wal_lsn"])
-            tail = [
+            ops = [op for delta in walk.deltas for op in delta["ops"]]
+            ops += [
                 (r.opcode, r.payload)
                 for r in scan.records
                 if r.seqno > walk.lsn
             ]
-            if tail:
-                store.apply_ops(tail, wal_lsn=scan.last_seqno)
+            if ops:
+                store.apply_ops(ops, wal_lsn=max(walk.lsn, scan.last_seqno))
         except PlanStoreError as exc:
             # Includes lazy buffer verification tripped by overlay
             # replay and the staleness rule above.
@@ -456,6 +467,68 @@ class MmapDILI:
             self._quarantine(base, str(exc))
             return None
         return store
+
+    # ------------------------------------------------------------------
+    # Keeping an open handle current
+    # ------------------------------------------------------------------
+
+    def refresh(self) -> None:
+        """Bring the handle up to the state directory's latest write.
+
+        A writer calls this after each logged write or publish instead
+        of opening a new handle.  It replays the WAL records past the
+        served store's LSN into the open overlay with one
+        :meth:`PlanStore.apply_ops` call and keeps the store's
+        verified-CRC memo.  It re-descends the ladder instead, as a
+        fresh open would, when replaying would be wrong:
+
+        * the served generation is no longer the newest base in
+          ``plans/`` (a republish, or the served base is gone);
+        * the handle is on rung 3 or 4;
+        * the snapshot's ``last_seqno`` is past the store's LSN, or the
+          WAL's first record leaves a gap after it -- a checkpoint
+          truncated records the store never replayed;
+        * the replay raises :class:`PlanStoreError` (the base is
+          quarantined first, as a failed read does).
+
+        A re-descend ends with an eager :meth:`verify`, so the new
+        store's CRC check is paid by the writer that refreshed, not by
+        the next read.
+        """
+        with self._lock:
+            current = self._replay_wal_tail()
+            if not current:
+                self._descend()
+        if not current:
+            self.verify()
+
+    def _replay_wal_tail(self) -> bool:
+        """Replay the WAL past the served store's LSN; False when only
+        a re-descend can bring the handle current.  Caller holds the
+        lock."""
+        store = self._store
+        if store is None:
+            return False  # rung 3 or 4
+        generations = self.plans.generations()
+        if not generations or generations[-1] != self.generation:
+            return False
+        if _snapshot_seqno(self.dirpath) > store.wal_lsn:
+            return False
+        records = scan_wal(os.path.join(self.dirpath, WAL_NAME)).records
+        if records and records[0].seqno > store.wal_lsn + 1:
+            return False
+        tail = [
+            (r.opcode, r.payload) for r in records if r.seqno > store.wal_lsn
+        ]
+        if not tail:
+            return True
+        try:
+            store.apply_ops(tail, wal_lsn=records[-1].seqno)
+        except PlanStoreError as exc:
+            store.close()
+            self._quarantine(store.path, str(exc))
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Reads (retry down the ladder on lazy-verify failure)

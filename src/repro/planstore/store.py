@@ -12,13 +12,16 @@ anywhere in the file is caught before any answer derived from it is
 returned, while open stays O(1).  :meth:`PlanStore.verify` runs the
 same check eagerly for auditors.
 
-Values are decoded from the delimited ``value_bytes`` column by
-:meth:`_LazyValues.take`, the mapped counterpart of the in-memory
-plan's payload table: ``get_batch`` goes through the same
-:meth:`FlatPlan.gather_values` as every in-memory front-end, which
-hands ``take`` only the hits, so a batch unpickles exactly the values
-it returns, never the whole column.  ``take`` holds the package's one
-waived CHK011 flow: its ``pickle.loads`` reads mapped bytes that
+Payloads come from one of the file's two value encodings (see
+:mod:`repro.planstore.format`), each wrapped as the mapped counterpart
+of the in-memory plan's payload table: ``get_batch`` goes through the
+same :meth:`FlatPlan.gather_values` as every in-memory front-end,
+which hands ``take`` only the hits.  :meth:`_IntValues.take` gathers
+them from the int64 column with one fancy index and returns Python
+ints; :meth:`_LazyValues.take` unpickles exactly the values it
+returns from the delimited ``value_bytes`` column, never the whole
+column.  ``_LazyValues.take`` holds the package's one waived CHK011
+flow: its ``pickle.loads`` reads mapped bytes that
 :meth:`PlanStore._ensure_verified` has checksummed before any read
 reaches it.
 
@@ -100,12 +103,32 @@ class _LazyValues:
         return np.fromiter(decoded, dtype=object, count=len(decoded))
 
 
+class _IntValues:
+    """Payload table over the int64 value column.
+
+    :meth:`take` returns Python ints (an object array), so answers are
+    equal and type-equal to the live index's.
+    """
+
+    __slots__ = ("_ints",)
+
+    def __init__(self, ints: np.ndarray):
+        self._ints = ints
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def take(self, indices: np.ndarray) -> np.ndarray:
+        return self._ints[indices].astype(object)
+
+
 class PlanStore:
     """A read-only serving handle over one plan file and its overlay.
 
     Construct via :meth:`open`.  Thread-safe for reads after open; the
-    only internal mutation is the verification memo and the overlay
-    count cache, both guarded by a lock.
+    only internal mutations are the verification memo, the overlay
+    count cache and :meth:`apply_ops`'s swap of the overlay (a dict
+    never changed once swapped in), all under a lock.
     """
 
     def __init__(
@@ -180,8 +203,12 @@ class PlanStore:
             slot_ref=arrays["slot_ref"],
             pair_keys=pair_keys,
             dense_keys=arrays["dense_keys"],
-            values=_LazyValues(
-                arrays["value_bytes"], arrays["value_offsets"]
+            values=(
+                _IntValues(arrays["value_ints"])
+                if "value_ints" in arrays
+                else _LazyValues(
+                    arrays["value_bytes"], arrays["value_offsets"]
+                )
             ),
             sorted_keys=sorted_keys,
             depth=int(header["depth"]),
@@ -221,34 +248,40 @@ class PlanStore:
         """Replay ``(opcode, payload)`` frames into the overlay.
 
         The same frames the WAL stores; payloads must come from a
-        CRC-verified source (delta file or WAL scan).
+        CRC-verified source (delta file or WAL scan).  The frames are
+        replayed into a copy that replaces the overlay in one step, so
+        a read running beside the replay (a
+        :meth:`~repro.planstore.serve.MmapDILI.refresh`) sees the
+        overlay from before it or after it, never part of it.
         """
+        overlay = dict(self._overlay)
         for opcode, payload in ops:
             args = pickle.loads(payload)
             if opcode == OP_INSERT:
-                self._insert_many([float(args[0])], [args[1]])
+                self._insert_many(overlay, [float(args[0])], [args[1]])
             elif opcode == OP_DELETE:
-                self._delete_many([float(args[0])])
+                self._delete_many(overlay, [float(args[0])])
             elif opcode == OP_UPDATE:
-                self._update_many([float(args[0])], [args[1]])
+                self._update_many(overlay, [float(args[0])], [args[1]])
             elif opcode in (OP_BULK_INSERT, OP_INSERT_BATCH):
                 self._insert_many(
-                    [float(k) for k in args[0]], list(args[1])
+                    overlay, [float(k) for k in args[0]], list(args[1])
                 )
             elif opcode == OP_DELETE_BATCH:
-                self._delete_many([float(k) for k in args[0]])
+                self._delete_many(overlay, [float(k) for k in args[0]])
             elif opcode == OP_UPDATE_BATCH:
                 self._update_many(
-                    [float(k) for k in args[0]], list(args[1])
+                    overlay, [float(k) for k in args[0]], list(args[1])
                 )
             else:
                 raise PlanFormatError(
                     f"{self.path}: unknown overlay opcode {opcode}"
                 )
-        # Only the tail takes the lock: the replay loop above goes
+        # Only the swap takes the lock: the replay loop above goes
         # through _insert_many -> _base_contains -> _ensure_verified,
         # which acquires self._lock itself (non-reentrant).
         with self._lock:
+            self._overlay = overlay
             if wal_lsn is not None and wal_lsn > self.wal_lsn:
                 self.wal_lsn = wal_lsn
             self._count_cache = None
@@ -259,35 +292,40 @@ class PlanStore:
             np.asarray(keys, dtype=np.float64)
         )
 
-    def _present(self, key: float, in_base: bool) -> bool:
-        entry = self._overlay.get(key)
+    @staticmethod
+    def _present(overlay: dict, key: float, in_base: bool) -> bool:
+        entry = overlay.get(key)
         if entry is not None:
             return entry[0] is not _TOMBSTONE
         return in_base
 
-    def _insert_many(self, keys: list[float], values: list) -> None:
+    def _insert_many(
+        self, overlay: dict, keys: list[float], values: list
+    ) -> None:
         in_base = self._base_contains(keys)
         for key, value, inb in zip(keys, values, in_base):
-            if not self._present(key, bool(inb)):
-                self._overlay[key] = (value, bool(inb))
+            if not self._present(overlay, key, bool(inb)):
+                overlay[key] = (value, bool(inb))
 
-    def _delete_many(self, keys: list[float]) -> None:
+    def _delete_many(self, overlay: dict, keys: list[float]) -> None:
         in_base = self._base_contains(keys)
         for key, inb in zip(keys, in_base):
-            if not self._present(key, bool(inb)):
+            if not self._present(overlay, key, bool(inb)):
                 continue
-            entry = self._overlay.get(key)
+            entry = overlay.get(key)
             if entry is not None and not entry[1]:
-                del self._overlay[key]  # overlay-only insert: undo it
+                del overlay[key]  # overlay-only insert: undo it
             else:
-                self._overlay[key] = (_TOMBSTONE, True)
+                overlay[key] = (_TOMBSTONE, True)
 
-    def _update_many(self, keys: list[float], values: list) -> None:
+    def _update_many(
+        self, overlay: dict, keys: list[float], values: list
+    ) -> None:
         in_base = self._base_contains(keys)
         for key, value, inb in zip(keys, values, in_base):
-            if self._present(key, bool(inb)):
-                entry = self._overlay.get(key)
-                self._overlay[key] = (
+            if self._present(overlay, key, bool(inb)):
+                entry = overlay.get(key)
+                overlay[key] = (
                     value, entry[1] if entry is not None else bool(inb)
                 )
 

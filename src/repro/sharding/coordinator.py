@@ -47,7 +47,7 @@ import time
 
 import numpy as np
 
-from repro.core.dili import DiliConfig
+from repro.core.dili import DiliConfig, check_batch_keys
 from repro.durability.durable import DurableDILI
 from repro.resilience.health import Health, HealthMonitor
 from repro.sharding.breaker import RestartPolicy
@@ -892,7 +892,7 @@ class ShardedDILI:
     def _write_batch(
         self, method: str, keys, values: list | None
     ) -> np.ndarray:
-        keys = DurableDILI._check_batch_keys(keys)
+        keys = check_batch_keys(keys)
         n = len(keys)
         if values is not None and len(values) != n:
             raise ValueError("values must match keys in length")
@@ -934,15 +934,15 @@ class ShardedDILI:
         return self._write_batch("update_batch", keys, values)
 
     def republish(self, index: int | None = None) -> dict:
-        """Force shard(s) to publish a fresh base generation now.
+        """Force shard(s) to checkpoint now: publish a fresh base
+        generation, then snapshot (which truncates the WAL).
 
-        Workers compact their WAL tail into a new base generation
-        automatically once it reaches
+        Workers checkpoint automatically once their WAL tail reaches
         :data:`~repro.sharding.worker.REPUBLISH_THRESHOLD` ops; this
-        triggers the compaction eagerly -- e.g. before a planned
-        shutdown, so the next recovery opens a published plan instead
-        of replaying a WAL tail.  Returns ``{shard_name: generation}``
-        for the affected shards.
+        triggers it eagerly -- e.g. before a planned shutdown, so the
+        next recovery opens a published plan and a snapshot instead of
+        replaying a WAL tail.  Returns ``{shard_name: generation}`` for
+        the affected shards.
         """
         targets = range(self.num_shards) if index is None else [index]
         with self._lock:

@@ -5,12 +5,16 @@ A worker owns exactly one shard directory -- a standard
 **only** place in the sharding layer allowed to touch index state, and
 it does so exclusively through the durability/planstore APIs (lint
 rule CHK009 enforces this): recovery and logged writes go through
-``DurableDILI``, every read is served zero-copy from the published
-plan via :class:`~repro.planstore.serve.MmapDILI` (the plan store's
-fallback ladder), and every write batch republishes a WAL-tail delta
--- or a fresh base generation once the tail reaches
-:data:`REPUBLISH_THRESHOLD` ops or the delta chain is damaged -- so
-the mmap handle stays current.
+``DurableDILI``, and every read is served zero-copy from the published
+plan via one :class:`~repro.planstore.serve.MmapDILI` handle (the plan
+store's fallback ladder), opened at start and kept open.  Every write
+batch publishes a WAL-tail delta and refreshes that handle, which
+replays the batch's WAL record into its overlay.  Once the tail
+reaches :data:`REPUBLISH_THRESHOLD` ops (or no base survives) the
+write checkpoints instead: it publishes a fresh base generation, takes
+a snapshot that truncates the WAL, and the refresh moves the handle to
+the new base -- so the WAL that each write scans, and that a restart
+replays, stays within the threshold.
 
 The same :class:`ShardWorker` object serves two transports:
 
@@ -43,8 +47,8 @@ from repro.planstore.serve import PlanDirectory
 from repro.sharding.supervision import HEARTBEAT_RID, STARTUP_RID
 from repro.simulate.tracer import NULL_TRACER, RecordingTracer
 
-#: WAL-tail ops accumulated before a write republishes a base
-#: generation instead of another delta.
+#: WAL-tail ops accumulated before a write checkpoints (a new base
+#: generation and a snapshot) instead of publishing another delta.
 REPUBLISH_THRESHOLD = 4096
 
 #: Seconds between worker heartbeat frames (0 disables them).
@@ -110,10 +114,14 @@ class ShardWorker:
     """Serves one shard directory through durability/planstore APIs.
 
     Reads go to the :class:`~repro.planstore.serve.MmapDILI` handle in
-    ``served``, reopened after every write batch.  Writes go to the
-    in-memory ``DurableDILI``, which keeps no flat plan: nothing in the
-    worker reads one, and a base republish compiles its plan for the
-    file alone (:meth:`~repro.core.dili.DILI.export_plan`).
+    ``served``, opened once and refreshed after every write batch.
+    Writes go to the in-memory ``DurableDILI``, which keeps no flat
+    plan: nothing in the worker reads one, and a base republish
+    compiles its plan for the file alone
+    (:meth:`~repro.core.dili.DILI.export_plan`).  A worker restarted
+    over a shard counts its tail from zero, so the WAL it inherits
+    (under the threshold) can grow to twice the threshold before its
+    first checkpoint.
 
     Args:
         dirpath: The shard's DurableDILI state directory.
@@ -138,9 +146,8 @@ class ShardWorker:
         }
         self._tail_ops = 0
         self._delay = 0.0
-        self.served = None
         self._ensure_published()
-        self._reopen_served()
+        self.served = self.durable.serve_mmap()
 
     # ------------------------------------------------------------------
     # Serving-handle maintenance
@@ -153,27 +160,33 @@ class ShardWorker:
             return
         self.durable.publish_plan()
 
-    def _reopen_served(self) -> None:
-        if self.served is not None:
-            self.served.close()
-            self.served = None
-        self.served = self.durable.serve_mmap()
+    def _checkpoint(self) -> int:
+        """Publish a new base, snapshot, and serve the new base.
+
+        Publishing first stamps the base with the WAL's LSN, which the
+        snapshot then records as its ``last_seqno``, so the new base is
+        current, not stale.  Returns the new generation.
+        """
+        generation = self.durable.publish_plan()
+        self.durable.snapshot()
+        self.ops["republishes"] += 1
+        self._tail_ops = 0
+        self.served.refresh()
+        return generation
 
     def _after_write(self, n: int) -> None:
         self.ops["writes"] += n
         self._tail_ops += n
-        plans = PlanDirectory.for_state_dir(self.dirpath)
         if self.durable.index.root is not None:
+            plans = PlanDirectory.for_state_dir(self.dirpath)
             if (
                 not plans.generations()
                 or self._tail_ops >= REPUBLISH_THRESHOLD
             ):
-                self.durable.publish_plan()
-                self.ops["republishes"] += 1
-                self._tail_ops = 0
-            else:
-                self.durable.publish_tail()
-        self._reopen_served()
+                self._checkpoint()
+                return
+            self.durable.publish_tail()
+        self.served.refresh()
 
     # ------------------------------------------------------------------
     # Request handlers (the wire protocol's verbs)
@@ -262,11 +275,7 @@ class ShardWorker:
         return self._delay
 
     def publish(self) -> int:
-        generation = self.durable.publish_plan()
-        self.ops["republishes"] += 1
-        self._tail_ops = 0
-        self._reopen_served()
-        return generation
+        return self._checkpoint()
 
     def close(self) -> None:
         if self.served is not None:

@@ -21,6 +21,7 @@ batch-write WAL records.
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,3 +291,56 @@ class TestDurableCrashReplay:
             assert result.failed == 0
             assert list(result.index.items()) == list(live.items())
             live.close()
+
+
+class TestBadKeyRejectedBeforeAnyWrite:
+    """A batch with a non-finite key raises before its first key is
+    written, on the plain and the concurrent front-end alike."""
+
+    PROBE = [3.0, 3.5, 4.0, 7.0]
+
+    @staticmethod
+    def _index(front):
+        index = front()
+        index.bulk_load(np.arange(10.0))
+        index.get_batch([1.0])  # compile the plan the writes maintain
+        return index
+
+    @staticmethod
+    def _state(index, probe):
+        plain = index.index if isinstance(index, ConcurrentDILI) else index
+        plain.validate()
+        return (
+            [index.get(k) for k in probe],
+            index.get_batch(probe),
+            len(index),
+        )
+
+    @pytest.mark.parametrize("front", [DILI, ConcurrentDILI])
+    @pytest.mark.parametrize(
+        "verb, args",
+        [
+            ("insert_batch", ([3.5, np.nan], ["a", "b"])),
+            ("delete_batch", ([3.0, np.nan],)),
+            ("update_batch", ([4.0, np.inf], ["u", "v"])),
+        ],
+        ids=["insert", "delete", "update"],
+    )
+    def test_state_is_unchanged(self, front, verb, args):
+        index = self._index(front)
+        before = self._state(index, self.PROBE)
+        with pytest.raises(ValueError, match="finite"):
+            getattr(index, verb)(*args)
+        assert self._state(index, self.PROBE) == before
+
+    @pytest.mark.parametrize("front", [DILI, ConcurrentDILI])
+    def test_an_empty_index_rejects_them_too(self, front):
+        index = front()
+        for verb, args in [
+            ("insert_batch", ([np.nan], ["a"])),
+            ("delete_batch", ([np.nan],)),
+            ("update_batch", ([np.nan], ["u"])),
+        ]:
+            with pytest.raises(ValueError, match="finite"):
+                getattr(index, verb)(*args)
+        assert len(index) == 0

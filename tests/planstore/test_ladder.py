@@ -30,6 +30,7 @@ from repro.planstore.corrupt import (
     PLAN_FAULT_KINDS,
     inject_plan_fault,
 )
+from repro.planstore.format import read_plan_header
 from repro.planstore.serve import STOP_LSN_REGRESS, MmapDILI, PlanDirectory
 
 
@@ -51,6 +52,8 @@ class TestCorruptionSweep:
         assert result.ok, [r.report for r in result.runs]
         assert result.wrong_reads == 0
         assert len(result.runs) == len(PLAN_FAULT_KINDS)
+        # Faults land on both value encodings across the sweep.
+        assert {run.int_payloads for run in result.runs} == {True, False}
 
 
 class TestQuarantine:
@@ -79,6 +82,36 @@ class TestQuarantine:
         assert os.path.getsize(moved) == original
         served.close()
         durable.close()
+
+    def test_flipped_byte_in_the_int_column_is_caught_and_audited(
+        self, tmp_path
+    ):
+        rng = np.random.default_rng(9)
+        keys = np.unique(rng.uniform(0.0, 1e6, 300))
+        durable = DurableDILI(tmp_path, sync=False)
+        durable.bulk_load(keys)  # positional payloads: all ints
+        durable.publish_plan()
+        durable.close()
+        oracle = recover(tmp_path).index.get_batch(keys)
+
+        base = PlanDirectory.for_state_dir(tmp_path).base_path(1)
+        header = read_plan_header(base)
+        (desc,) = [d for d in header["buffers"] if d["name"] == "value_ints"]
+        offset = header["data_start"] + desc["offset"] + desc["nbytes"] // 2
+        raw = bytearray(open(base, "rb").read())
+        raw[offset] ^= 0xFF
+        with open(base, "wb") as fh:
+            fh.write(raw)
+
+        (finding,) = audit_plans(tmp_path).findings
+        assert finding.kind == "plan-buffer-crc"
+        assert "'value_ints'" in finding.detail
+        served = MmapDILI(tmp_path)
+        assert served.rung == 1  # the O(1) open cannot see it
+        assert served.get_batch(keys) == oracle
+        assert served.rung == 3, served.events
+        assert served.quarantined == [base + ".quarantined"]
+        served.close()
 
     def test_verify_descends_to_rebuild_without_raising(self, tmp_path):
         # With no WAL tail, open stays lazily at rung 1; verify() itself

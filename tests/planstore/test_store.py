@@ -1,10 +1,15 @@
 """PlanStore vs the live index: identical answers, lazy verification."""
 
+import json
 import pickle
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+import repro.planstore.format as fmt
+from repro import DILI
 from repro.durability.durable import DurableDILI
 from repro.durability.wal import (
     OP_DELETE,
@@ -14,6 +19,7 @@ from repro.durability.wal import (
     OP_UPDATE,
 )
 from repro.planstore.format import (
+    PLAN_MAGIC,
     PlanFormatError,
     PlanStoreError,
     read_plan_header,
@@ -296,3 +302,79 @@ class TestPayloadKinds:
         )
         served.close()
         durable.close()
+
+
+PICKLED = {"value_offsets", "value_bytes"}
+
+
+class TestIntValueColumn:
+    """All-int payloads are one int64 column; any other set is pickled."""
+
+    @staticmethod
+    def _publish(tmp_path, values):
+        keys = np.arange(len(values), dtype=np.float64) * 2.0
+        index = DILI()
+        index.bulk_load(keys, values)
+        path = tmp_path / "plan-00000001.plan"
+        write_plan_file(path, index.export_plan(), generation=1)
+        names = {d["name"] for d in read_plan_header(path)["buffers"]}
+        return path, keys, index, names
+
+    def test_int_payloads_come_back_as_python_ints(self, tmp_path):
+        values = [-(2**63), 2**63 - 1, 0] + list(range(-50, 250))
+        path, keys, index, names = self._publish(tmp_path, values)
+        assert "value_ints" in names
+        assert not names & PICKLED
+        store = PlanStore.open(path)
+        probe = np.concatenate([keys, keys + 0.5])
+        got = store.get_batch(probe)
+        assert got == index.get_batch(probe)
+        assert got[:len(keys)] == values
+        assert all(type(v) is int for v in got[:len(keys)])
+        store.close()
+
+    @pytest.mark.parametrize(
+        "odd",
+        [True, np.int64(5), 2**63, "s"],
+        ids=["bool", "np.int64", "2**63", "str"],
+    )
+    def test_other_payload_sets_keep_the_pickled_column(
+        self, tmp_path, odd
+    ):
+        values = list(range(200))
+        values[17] = odd
+        path, keys, _, names = self._publish(tmp_path, values)
+        assert PICKLED <= names
+        assert "value_ints" not in names
+        store = PlanStore.open(path)
+        assert_same_payloads(store.get_batch(keys), values)
+        store.close()
+
+    def test_a_file_with_pickled_int_payloads_still_opens(
+        self, tmp_path, monkeypatch
+    ):
+        # Plan files written before the int column pickled every payload.
+        monkeypatch.setattr(fmt, "int_column", lambda values: None)
+        values = list(range(300))
+        path, keys, index, names = self._publish(tmp_path, values)
+        monkeypatch.undo()
+        assert PICKLED <= names
+        store = PlanStore.open(path)
+        got = store.get_batch(keys)
+        assert got == values and all(type(v) is int for v in got)
+        store.close()
+
+    def test_header_without_any_value_column_is_refused(self, tmp_path):
+        path, _, _, _ = self._publish(tmp_path, list(range(100)))
+        header = read_plan_header(path)
+        body = path.read_bytes()[header.pop("data_start"):]
+        for desc in header["buffers"]:
+            if desc["name"] == "value_ints":
+                desc["name"] = "value_intz"  # same length, same file size
+        blob = json.dumps(header, sort_keys=True).encode("ascii")
+        path.write_bytes(
+            PLAN_MAGIC + struct.pack("<II", len(blob), zlib.crc32(blob))
+            + blob + body
+        )
+        with pytest.raises(PlanFormatError, match="missing buffers"):
+            read_plan_header(path)
