@@ -127,10 +127,8 @@ def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
                  report.lock_stats["escalations"], "", ""],
                 ["plan publishes",
                  report.lock_stats["plan_publishes"], "", ""],
-                ["plans retired",
-                 report.lock_stats["plans_retired"], "", ""],
-                ["epoch pins",
-                 report.lock_stats["epoch_pins"], "", ""],
+                ["plan reads",
+                 report.lock_stats["plan_reads"], "", ""],
                 ["contract", "held" if report.ok else "VIOLATED", "", ""],
             ],
             first_col_width=22,

@@ -21,11 +21,12 @@ the repository root) and exits non-zero when any of
   against runner jitter) -- the O(1)-open invariant: opening a plan
   verifies a framed header and memory-maps buffers, it never
   deserializes them, or
-* the epoch-pinned concurrent read path loses its win: any wrong read
-  or lost writer insert (always fatal), a contention speedup -- 4
+* the lock-free concurrent read path loses its win: any wrong read or
+  lost writer insert (always fatal), a contention speedup -- 4
   lock-free readers vs the same readers forced through ``exclusive()``
   while a writer churns the tree -- below 2.5x, zero plan publishes or
-  epoch pins during the contended run, or (only on machines with >= 4
+  zero batch reads answered from the published plan during the
+  contended run, or (only on machines with >= 4
   CPUs, where thread scaling is physically possible under CPython) a
   4-reader/1-reader throughput ratio below 2.5x, or
 * the sharded multi-process serving path loses its win: any wrong
@@ -189,7 +190,7 @@ def measure() -> dict:
         "wrong_reads": r.wrong_reads,
         "lost_updates": r.lost_updates,
         "plan_publishes": r.plan_publishes,
-        "epoch_pins": r.epoch_pins,
+        "plan_reads": r.plan_reads,
         "cpu_count": r.cpu_count,
     }
     return {
@@ -316,15 +317,14 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"concurrent: contention speedup "
                 f"{got['contention_speedup']:.2f}x below the "
-                f"{MIN_CONTENTION_SPEEDUP}x floor (epoch-pinned reads "
+                f"{MIN_CONTENTION_SPEEDUP}x floor (lock-free reads "
                 "vs exclusive-locked reads under a churning writer)"
             )
-        if got["plan_publishes"] < 1 or got["epoch_pins"] < 1:
+        if got["plan_publishes"] < 1 or got["plan_reads"] < 1:
             failures.append(
-                "concurrent: contended run exercised no plan "
-                f"publication (publishes {got['plan_publishes']}, "
-                f"pins {got['epoch_pins']}) -- the lock-free path "
-                "was not actually taken"
+                "concurrent: the contended run did not take the "
+                f"lock-free path (publishes {got['plan_publishes']}, "
+                f"plan reads {got['plan_reads']})"
             )
         many_cpus = (os.cpu_count() or 1) >= 4
         if many_cpus and got["scaling_4"] < MIN_SCALING_4:
@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
             f"wrong reads {got['wrong_reads']}, "
             f"lost updates {got['lost_updates']}, "
             f"publishes {got['plan_publishes']}, "
-            f"pins {got['epoch_pins']}"
+            f"plan reads {got['plan_reads']}"
         )
     if baseline.get("sharded_throughput") is not None:
         got = current["sharded_throughput"]

@@ -423,9 +423,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             ["lock retries", float(report.lock_stats["retries"])],
             ["lock escalations", float(report.lock_stats["escalations"])],
             ["plan publishes", float(report.lock_stats["plan_publishes"])],
-            ["plans retired", float(report.lock_stats["plans_retired"])],
-            ["epoch pins", float(report.lock_stats["epoch_pins"])],
-            ["lock-free batch reads",
+            ["plan reads", float(report.lock_stats["plan_reads"])],
+            ["racing batch reads",
              float(report.lock_stats.get("batch_reads", 0))],
         ]
     print(

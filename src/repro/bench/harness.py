@@ -582,16 +582,16 @@ class ReadScalingMeasurement:
             a writer thread churns the tree under stripe/exclusive
             locks (readers descend the published plan, never block).
         contention_locked_ops: Same readers and writer, but every read
-            forced through ``exclusive()`` -- the pre-epoch protocol
-            where batch reads serialized against writers and each other.
+            forced through ``exclusive()`` -- the older protocol where
+            batch reads serialized against writers and each other.
         wrong_reads: Reads (across every phase) that returned a value
             inconsistent with the loaded base data.  Must be zero.
         lost_updates: Writer-inserted keys missing after the contention
             phases.  Must be zero.
         plan_publishes: Plan versions published during the lock-free
             contention phase.
-        epoch_pins: Epoch pins taken during the lock-free contention
-            phase.
+        plan_reads: Batch reads answered from the published plan
+            during the lock-free contention phase.
         cpu_count: ``os.cpu_count()`` on the measuring machine; pure
             thread scaling is only meaningful when it is >= the thread
             count (CPython threads share one interpreter lock).
@@ -604,7 +604,7 @@ class ReadScalingMeasurement:
     wrong_reads: int
     lost_updates: int
     plan_publishes: int
-    epoch_pins: int
+    plan_reads: int
     cpu_count: int
 
     def scaling(self, threads: int) -> float:
@@ -635,7 +635,7 @@ def measure_concurrent_read_scaling(
     repeats: int = 2,
     seed: int = 31,
 ) -> ReadScalingMeasurement:
-    """Measure epoch-pinned batch-read scaling and lock contention.
+    """Measure lock-free batch-read scaling and lock contention.
 
     Loads one :class:`~repro.core.concurrent.ConcurrentDILI` with
     ``keys`` (value = position), compiles and publishes the flat plan,
@@ -649,7 +649,7 @@ def measure_concurrent_read_scaling(
        thread inserts fresh keys with ``insert_batch`` and churns them
        with ``update_batch``/``bulk_insert`` (all lock-taking paths).
     3. **Locked contention** -- identical workload, but each read is
-       forced through ``exclusive()`` to price the pre-epoch protocol
+       forced through ``exclusive()`` to price the older protocol
        where batch reads serialized against writers.
 
     Wrong reads and lost writer inserts are counted, never tolerated:
@@ -737,7 +737,7 @@ def measure_concurrent_read_scaling(
                     index.insert_batch(chunk, values[: len(chunk)])
                 # Structural churn: delete and re-insert rotating
                 # chunks (long stripe/exclusive critical sections --
-                # the workload the pre-epoch protocol stalls reads
+                # the workload the exclusive() protocol stalls reads
                 # behind), plus periodic whole-pool value updates.
                 # Delete/insert always run as a pair so the pool is
                 # fully present whenever the loop observes ``stop``.
@@ -808,7 +808,7 @@ def measure_concurrent_read_scaling(
         plan_publishes=(
             stats1["plan_publishes"] - stats0["plan_publishes"]
         ),
-        epoch_pins=stats1["epoch_pins"] - stats0["epoch_pins"],
+        plan_reads=stats1["plan_reads"] - stats0["plan_reads"],
         cpu_count=os.cpu_count() or 1,
     )
 

@@ -25,8 +25,8 @@ provably held is a finding.  Constructors and pickling hooks
 ``__del__``) are exempt on both sides: they run before/after the
 object is shared.  Reads are deliberately not flagged -- lock-free
 reads of published state are a documented pattern here
-(``DILI.peek_plan``); plans are immutable values (CHK001) and the
-LockSanitizer's epoch-pin check governs those.
+(``DILI.peek_plan``, ``ConcurrentDILI._published``); plans are
+immutable values (CHK001) that a reader's own reference keeps alive.
 """
 
 from __future__ import annotations

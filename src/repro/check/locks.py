@@ -19,17 +19,13 @@ unlucky schedule away.
   without the owning stripe are reported as **unlocked access**, scans
   and batch operations without every stripe as **non-exclusive scans**.
 
-Epoch-pinned batch reads are *legal without any lock*: the lock-free
-read path descends the published plan, an immutable value, never the
-inner index, so it does not trip the exclusive check -- the contract
-it must honor instead is the RCU one, which the sanitizer verifies
-through ``ConcurrentDILI._plan_read_guard``: every lock-free read must
-hold an epoch pin for the duration of the descent (else a concurrent
-retire could reclaim the buffers out from under it -- reported as
-**unpinned-plan-read**).  Batch calls that
+Batch reads of the published plan are *legal without any lock*: the
+lock-free read path descends the published plan, an immutable value
+that the reader's own reference keeps alive, never the inner index, so
+there is nothing for the sanitizer to check on it.  Batch calls that
 reach the *inner* index (the recompile fallback) still require
-``exclusive()`` exactly as before: they may compile and install a new
-plan, which is a write.
+``exclusive()``: they may compile and install a new plan, which is a
+write.
 
 Violations are recorded (not raised) so a whole workload can be
 examined; call :meth:`LockSanitizer.assert_clean` at the end to turn
@@ -50,7 +46,6 @@ class LockViolation:
     """One observed breach of the locking protocol."""
 
     # "order-inversion" | "unlocked-access" | "non-exclusive-scan"
-    # | "unpinned-plan-read"
     kind: str
     message: str
     thread: str
@@ -162,7 +157,6 @@ class LockSanitizer:
         self._orig_locks = list(target._locks)
         self._orig_global = target._global
         self._orig_index = target._index
-        self._orig_plan_guard = getattr(target, "_plan_read_guard", None)
         self._mutex = threading.Lock()
         self._edges: dict[str, set[str]] = {}  # name -> names locked after
         self._held = threading.local()
@@ -171,18 +165,14 @@ class LockSanitizer:
             lambda lock, name: _InstrumentedLock(lock, name, self),
             index_proxy=lambda inner: _GuardedDILI(inner, self),
         )
-        if hasattr(target, "_plan_read_guard"):
-            target._plan_read_guard = self._check_plan_read
 
     # -- lifecycle -----------------------------------------------------
 
     def detach(self) -> None:
-        """Restore the original locks, index object, and read guard."""
+        """Restore the original locks and index object."""
         self._target._locks = self._orig_locks
         self._target._global = self._orig_global
         self._target._index = self._orig_index
-        if hasattr(self._target, "_plan_read_guard"):
-            self._target._plan_read_guard = self._orig_plan_guard
 
     def assert_clean(self) -> None:
         if self.violations:
@@ -282,23 +272,4 @@ class LockSanitizer:
                 "unlocked-access",
                 f"{op}({key!r}) touched the tree without holding the "
                 f"owning leaf's stripe",
-            )
-
-    # -- epoch-pinned plan reads (from ConcurrentDILI._plan_read_guard) --
-
-    def _check_plan_read(self, plan) -> None:
-        """Verify a lock-free batch read honors the RCU contract.
-
-        Installed as ``ConcurrentDILI._plan_read_guard`` and invoked
-        with the snapshot on every pinned-plan read.  No lock is
-        required -- that is the point -- but the reading thread must
-        hold an epoch pin, or retirement cannot see it and the plan
-        could be reclaimed mid-descent.
-        """
-        if not self._target._published.current_thread_pinned():
-            self._record(
-                "unpinned-plan-read",
-                f"published plan v{plan.version} read without an epoch "
-                f"pin; a concurrent retire could reclaim the snapshot "
-                f"mid-descent",
             )

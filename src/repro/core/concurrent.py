@@ -18,18 +18,20 @@ rebuilds run under :meth:`exclusive`, which holds the global lock *and*
 every stripe, so they can never overlap a verified per-leaf operation.
 
 Batch reads are **lock-free**: writers maintain the compiled
-:class:`~repro.core.flat.FlatPlan` as an immutable published version
-(see :mod:`repro.core.epoch`), so ``get_batch`` / ``contains_batch`` /
-``count_range`` / ``count_range_batch`` pin a reader epoch, grab the
-published snapshot with one reference load, and descend without
-touching a single lock -- a long batch read never blocks a writer and
-is never blocked by one.  Each read answers from *some* published
-version (snapshot semantics): a racing writer's mutation becomes
-visible at its publication swap, and a writer's own thread always sees
-its completed writes because every mutator republishes before
-returning.  Only when no plan is published (empty tree, or a mutation
-the copy-on-write tiers could not absorb) does a batch read fall back
-to :meth:`exclusive` to recompile and republish.
+:class:`~repro.core.flat.FlatPlan` as an immutable value and publish
+each version through one attribute, so ``get_batch`` /
+``contains_batch`` / ``count_range`` / ``count_range_batch`` load the
+published plan once and descend it without taking a lock -- a long
+batch read never blocks a writer and is never blocked by one.  The
+reader's own reference keeps its version alive for the whole descent,
+and a superseded version is freed as soon as its last reader drops it.
+Each read answers from *some* published version (snapshot semantics):
+a racing writer's mutation becomes visible when its version is
+published, and a writer's own thread always sees its completed writes
+because every mutator republishes before returning.  Only when no plan
+is published (empty tree, or a mutation the copy-on-write tiers could
+not absorb) does a batch read fall back to :meth:`exclusive` to
+recompile and republish.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.dili import DILI, DiliConfig
-from repro.core.epoch import PlanPublisher
+from repro.core.dili import DILI, DiliConfig, check_key
 from repro.core.nodes import InternalNode, Pair
 
 # Verified lock acquisition retries before escalating to exclusive mode.
@@ -65,7 +66,7 @@ class ConcurrentDILI:
     Point operations (get / insert / delete / update) serialize per
     top-level leaf via striped locks; operations on different leaves
     proceed in parallel.  Batch reads run lock-free against the
-    epoch-published flat plan (see the module docstring).  Scans
+    published flat plan (see the module docstring).  Scans
     (``range_query`` / ``items``) cross leaf boundaries *through the
     live tree*, so they run under :meth:`exclusive` (global + every
     stripe) -- as do bulk loads and rebuilds -- which keeps every
@@ -92,20 +93,20 @@ class ConcurrentDILI:
         self._locks = [threading.RLock() for _ in range(stripes)]
         self._global = threading.RLock()
         self._stats_lock = threading.Lock()
-        # Verified-acquisition telemetry; merged with the publisher's
-        # epoch counters by the :attr:`lock_stats` property.
-        self._base_stats = {"acquisitions": 0, "retries": 0, "escalations": 0}
-        #: Epoch-published plan slot: batch readers pin and snapshot it
-        #: lock-free; every mutator republishes the maintained version
-        #: (or unpublishes on invalidation) before returning.
-        self._published = PlanPublisher()
-        #: LockSanitizer hook: called with the pinned plan on every
-        #: lock-free batch read (None when no sanitizer is attached).
-        self._plan_read_guard = None
-        if index is not None and index.peek_plan() is not None:
-            # Adopting an index with a live maintained plan (e.g. crash
-            # recovery warmed it): publish so reads start lock-free.
-            self._published.publish(index.peek_plan())
+        # Locking and publication telemetry, read through the
+        # :attr:`lock_stats` property.
+        self._stats = {
+            "acquisitions": 0, "retries": 0, "escalations": 0,
+            "plan_publishes": 0, "plan_reads": 0,
+        }
+        #: The published plan (None while none is servable): batch
+        #: readers load it once, lock-free; every mutator republishes
+        #: the maintained version (or None on invalidation) before
+        #: returning.
+        self._published = None
+        # Adopting an index with a live maintained plan (e.g. crash
+        # recovery warmed it) publishes it, so reads start lock-free.
+        self._republish()
 
     @property
     def lock_stats(self) -> dict:
@@ -113,14 +114,13 @@ class ConcurrentDILI:
 
         ``acquisitions`` / ``retries`` / ``escalations`` count the
         verified stripe-lock protocol (see :meth:`locked`);
-        ``plan_publishes`` / ``plans_retired`` / ``plans_reclaimed`` /
-        ``plans_limbo`` / ``epoch_pins`` expose publication churn and
-        reader pinning on the lock-free batch-read path.
+        ``plan_publishes`` counts the plan versions published and
+        ``plan_reads`` the batch reads answered lock-free from one (a
+        read that found no plan and compiled under :meth:`exclusive`
+        is not counted).
         """
         with self._stats_lock:
-            out = dict(self._base_stats)
-        out.update(self._published.stats())
-        return out
+            return dict(self._stats)
 
     # ------------------------------------------------------------------
     # Locking protocol
@@ -165,16 +165,16 @@ class ConcurrentDILI:
                     and self._locks[id(current) % len(self._locks)] is lock
                 ):
                     with self._stats_lock:
-                        self._base_stats["acquisitions"] += 1
-                        self._base_stats["retries"] += retries
+                        self._stats["acquisitions"] += 1
+                        self._stats["retries"] += retries
                     yield
                     return
             retries += 1
             time.sleep(delay)
             delay = min(delay * 2.0, _BACKOFF_MAX_S)
         with self._stats_lock:
-            self._base_stats["escalations"] += 1
-            self._base_stats["retries"] += retries
+            self._stats["escalations"] += 1
+            self._stats["retries"] += retries
         with self.exclusive():
             yield
 
@@ -217,49 +217,33 @@ class ConcurrentDILI:
                     lock.release()
 
     # ------------------------------------------------------------------
-    # Epoch-published plan (lock-free batch reads)
+    # Published plan (lock-free batch reads)
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _pinned_plan(self):
-        """Pin a reader epoch and yield the published plan snapshot.
-
-        Yields ``None`` when no plan is published (empty tree, or plan
-        invalidated by an unpatchable mutation); the caller then takes
-        the :meth:`exclusive` fallback, which recompiles and
-        republishes.  The pin -- not a lock -- keeps the snapshot out
-        of reclamation until the descent finishes.
-        """
-        with self._published.pinned() as plan:
-            if plan is not None:
-                guard = self._plan_read_guard
-                if guard is not None:
-                    guard(plan)
-            yield plan
-
     def _republish(self) -> None:
-        """Publish the index's maintained plan version (if any).
+        """Publish the index's maintained plan version (or None).
 
         Called by every mutator while it still holds its stripe or
         exclusive locks, so the calling thread's subsequent reads see
         its own writes.  Plans never change once built, so publishing
-        one can never expose a half-patched plan.  Publishing holds
-        ``DILI._plan_mutex`` for version order: versions are assigned
-        in tree-mutation order under that mutex, and
-        :meth:`~repro.core.epoch.PlanPublisher.publish` rejects stale
-        ones, so the slot converges on the newest tree state.
+        one can never expose a half-patched plan.  ``DILI._plan_mutex``
+        orders every change of the maintained plan, and publishing
+        loads and stores it under the same mutex, so a publish can
+        never put back a version older than the one it replaces.
         """
         with self._index._plan_mutex:
             plan = self._index.peek_plan()
-            if plan is None:
-                self._published.unpublish()
-            else:
-                self._published.publish(plan)
+            if plan is self._published:
+                return
+            self._published = plan
+            if plan is not None:
+                with self._stats_lock:
+                    self._stats["plan_publishes"] += 1
 
     @property
     def published_plan_version(self) -> int | None:
         """Version of the currently published plan (None if none)."""
-        plan = self._published.load()
+        plan = self._published
         return None if plan is None else plan.version
 
     # ------------------------------------------------------------------
@@ -282,14 +266,20 @@ class ConcurrentDILI:
     def _read(self, from_plan, from_index):
         """Answer a batch read lock-free from the published plan.
 
-        ``from_plan(plan)`` runs against the epoch-pinned snapshot
-        without taking any lock.  Only when no plan is published does
-        ``from_index(index)`` run, under :meth:`exclusive`, and the
-        plan it compiles is republished.
+        The plan is loaded once, and ``from_plan(plan)`` runs against
+        it without taking a stripe or the global lock; that reference
+        keeps the version alive however many writers publish past it.
+        Only the ``plan_reads`` count takes the stats lock, after the
+        answer.  When no plan is published, ``from_index(index)`` runs
+        under :meth:`exclusive` instead, and the plan it compiles is
+        republished.
         """
-        with self._pinned_plan() as plan:
-            if plan is not None:
-                return from_plan(plan)
+        plan = self._published
+        if plan is not None:
+            out = from_plan(plan)
+            with self._stats_lock:
+                self._stats["plan_reads"] += 1
+            return out
         with self.exclusive():
             out = from_index(self._index)
             self._republish()
@@ -298,11 +288,11 @@ class ConcurrentDILI:
     def get_batch(self, keys: np.ndarray | list) -> list:
         """Vectorized multi-key lookup, lock-free.
 
-        Descends the epoch-pinned published plan without taking any
-        lock; falls back to :meth:`exclusive` (compile + republish)
-        only when no plan is published.  Answers come from *some*
-        published version: a batch racing a writer sees the tree state
-        of its snapshot, never a torn mix.
+        Descends the published plan without taking a stripe or the
+        global lock; falls back to :meth:`exclusive` (compile +
+        republish) only when no plan is published.  Answers come from
+        *some* published version: a batch racing a writer sees the
+        tree state of its snapshot, never a torn mix.
         """
         arr = _key_array(keys)
         return self._read(
@@ -350,6 +340,7 @@ class ConcurrentDILI:
         before releasing the lock, so the new pair is visible to
         lock-free batch readers (and to this thread's next read).
         """
+        key = check_key(key)
         with self.locked(key):
             out = self._index.insert(key, value)
             self._republish()
@@ -357,6 +348,7 @@ class ConcurrentDILI:
 
     def delete(self, key: float) -> bool:
         """Delete under the owning leaf's lock (A.8 deletion protocol)."""
+        key = check_key(key)
         if self._index.root is None:
             return False
         with self.locked(key):
@@ -366,6 +358,7 @@ class ConcurrentDILI:
 
     def update(self, key: float, value: object) -> bool:
         """Replace an existing key's value under the owning leaf's lock."""
+        key = check_key(key)
         if self._index.root is None:
             return False
         with self.locked(key):

@@ -123,6 +123,21 @@ def check_batch_keys(keys) -> np.ndarray:
     return keys
 
 
+def check_key(key) -> float:
+    """Validate a scalar write's key before it touches the index.
+
+    A NaN or infinite key has no slot: into an empty index it would
+    become the root leaf's only key and break every later insert, and
+    in a loaded one it fails inside a slot prediction.  A durable
+    writer checks before logging, as with :func:`check_batch_keys`.
+    Returns the key as a float.
+    """
+    key = float(key)
+    if not math.isfinite(key):
+        raise ValueError("keys must be finite")
+    return key
+
+
 class DILI:
     """Distribution-driven learned index for one-dimensional keys.
 
@@ -496,7 +511,7 @@ class DILI:
         that rewrites the key's slot -- and left untouched entirely when
         the key already exists.
         """
-        key = float(key)
+        key = check_key(key)
         if self.root is None:
             leaf = LeafNode(key, key + 1.0)
             local_opt(leaf, [(key, value)], enlarge=self.config.enlarge)
@@ -618,7 +633,7 @@ class DILI:
         compiled read plan untouched; a hit replaces it by a successor
         that rewrites the key's slot (or the collapsed nested leaf's).
         """
-        key = float(key)
+        key = check_key(key)
         node = self.root
         if node is None:
             return False
@@ -1009,7 +1024,7 @@ class DILI:
         replaced by one whose payload table differs in one entry,
         rather than dropped.
         """
-        key = float(key)
+        key = check_key(key)
         node = self.root
         if node is None:
             return False

@@ -104,21 +104,24 @@ monotonic ``version``, and each maintenance tier returns a new plan
 rewrite: the slot tables are copied for inserts and deletes, the
 node, key and payload tables only when the write appends to them,
 and the payload table for value updates.  A plan that
-:class:`repro.core.epoch.PlanPublisher` has handed to lock-free
-readers is therefore maintained exactly like a private one, and no
-reader can see a half-patched plan.  Lint rule CHK001 keeps every
-write to a plan buffer inside ``FlatPlan.__init__``.
+:class:`repro.core.concurrent.ConcurrentDILI` has published to
+lock-free readers is therefore maintained exactly like a private one,
+and no reader can see a half-patched plan.  A reader's own reference
+keeps its plan alive, and a superseded plan is freed as soon as the
+last one is dropped (plans accept weak references, so a caller can
+tell when).  Lint rule CHK001 keeps every write to a plan buffer
+inside ``FlatPlan.__init__``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import threading
 
 import numpy as np
 
 from repro.check.errors import InvariantError
-from repro.core.epoch import next_plan_version
 from repro.core.local_opt import _SAFE_PRED
 from repro.core.nodes import DenseLeafNode, InternalNode, LeafNode
 from repro.simulate.latency import CyclesPerOp, DEFAULT_CYCLES
@@ -135,6 +138,25 @@ SLOT_NODE = 2
 _MAX_DESCENT = 4096
 """Hard cap on descent iterations; the deepest legal tree is the BU
 height plus ``MAX_NESTING_DEPTH``, orders of magnitude below this."""
+
+_VERSION_LOCK = threading.Lock()
+_NEXT_VERSION = 1
+
+
+def next_plan_version() -> int:
+    """Globally monotonic plan version (thread-safe).
+
+    Process-wide rather than per-index so a plan version never repeats:
+    readers tell plans apart by ``version`` (``published_plan_version``),
+    and a counter that restarted per compile could move backwards
+    across an invalidate -> recompile cycle.
+    """
+    global _NEXT_VERSION
+    with _VERSION_LOCK:
+        version = _NEXT_VERSION
+        _NEXT_VERSION += 1
+    return version
+
 
 #: :class:`FlatPlan` constructor arguments; a successor plan takes
 #: every one its maintenance tier does not rewrite from its parent.
@@ -164,6 +186,7 @@ class FlatPlan:
         "num_pairs",
         "depth",
         "version",
+        "__weakref__",
     )
 
     def __init__(

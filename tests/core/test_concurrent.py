@@ -364,8 +364,8 @@ class TestLockStats:
         stats = index.lock_stats
         assert {stats[k] for k in ("acquisitions", "retries", "escalations")} \
             == {0}
-        # The epoch-publication counters ride along in the same dict.
-        for key in ("plan_publishes", "plans_retired", "epoch_pins"):
+        # The publication counters ride along in the same dict.
+        for key in ("plan_publishes", "plan_reads"):
             assert stats[key] == 0
         assert index.insert(1.0, "first")
         assert index.lock_stats["escalations"] == 1

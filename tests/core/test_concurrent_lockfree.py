@@ -1,21 +1,26 @@
-"""Epoch-pinned lock-free batch reads on ConcurrentDILI.
+"""Lock-free batch reads of the published plan on ConcurrentDILI.
 
-Covers the tentpole win conditions that are not wall-clock gates (those
-live in ``benchmarks/check_batch_baseline.py``):
+Covers the properties that are not wall-clock gates (those live in
+``benchmarks/check_batch_baseline.py``):
 
-* trace identity -- a pinned published plan, however many
-  copy-on-write patches produced it, simulates to *exactly* the same
-  cycles and cache misses as a fresh compile of the same tree
-  (Hypothesis over random mutation histories);
-* snapshot semantics -- a pinned reader keeps a coherent pre-write
-  view while writers publish new versions; the writing thread reads
-  its own writes back;
+* trace identity -- a published plan, however many copy-on-write
+  patches produced it, simulates to *exactly* the same cycles and
+  cache misses as a fresh compile of the same tree (Hypothesis over
+  random mutation histories);
+* snapshot semantics -- a reader holding a published plan keeps a
+  coherent pre-write view while writers publish new versions; the
+  writing thread reads its own writes back;
+* reclamation -- a superseded plan is freed as soon as no reader holds
+  it, whatever older plan another reader still holds;
 * threaded stress -- 4 reader threads against structural writers,
   every read consistent with the loaded base data, with a
   :class:`~repro.check.LockSanitizer` attached and clean.
 """
 
+import gc
+import sys
 import threading
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -57,7 +62,7 @@ def _trace(plan, queries, cycles):
 class TestTraceIdentity:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
-    def test_pinned_plan_matches_fresh_compile_cycle_for_cycle(
+    def test_published_plan_matches_fresh_compile_cycle_for_cycle(
         self, seed, data
     ):
         keys = _keys(1500, seed=seed)
@@ -86,19 +91,20 @@ class TestTraceIdentity:
                 pos = int(rng.integers(0, len(keys)))
                 assert index.update(float(keys[pos]), ("upd", pos))
 
-        pinned = index._published.load()
+        published = index._published
         # The published plan is the maintained plan itself, not a copy.
-        assert pinned is not None and pinned is index.index.peek_plan()
+        assert published is not None
+        assert published is index.index.peek_plan()
         rebuilt = compile_plan(index.index.root)
         queries = np.concatenate(
             [keys[:: max(1, len(keys) // 200)], np.asarray(inserted or [0.0])]
         )
         cycles = index.index._cycles
-        got_pinned, cyc_pinned, miss_pinned = _trace(pinned, queries, cycles)
+        got_pub, cyc_pub, miss_pub = _trace(published, queries, cycles)
         got_fresh, cyc_fresh, miss_fresh = _trace(rebuilt, queries, cycles)
-        assert got_pinned == got_fresh
-        assert cyc_pinned == cyc_fresh  # +-0 simulated cycles
-        assert miss_pinned == miss_fresh
+        assert got_pub == got_fresh
+        assert cyc_pub == cyc_fresh  # +-0 simulated cycles
+        assert miss_pub == miss_fresh
 
 
 class TestSnapshotSemantics:
@@ -106,12 +112,12 @@ class TestSnapshotSemantics:
         keys = _keys(1000, seed=3)
         index = _loaded(keys)
         victim = float(keys[100])
-        with index._pinned_plan() as plan:
-            before = plan.version
-            assert index.update(victim, "rewritten")  # publishes anew
-            # The pinned snapshot is immutable: same version, old value.
-            assert plan.version == before
-            assert plan.get_batch(np.asarray([victim])) == [100]
+        plan = index._published
+        before = plan.version
+        assert index.update(victim, "rewritten")  # publishes anew
+        # The held snapshot is immutable: same version, old value.
+        assert plan.version == before
+        assert plan.get_batch(np.asarray([victim])) == [100]
         # A fresh read observes the new version and the new value.
         assert index.published_plan_version > before
         assert index.get_batch([victim]) == ["rewritten"]
@@ -137,7 +143,67 @@ class TestSnapshotSemantics:
         assert index.get_batch(keys[:8]) == [("v2", i) for i in range(8)]
 
 
+class TestReclamation:
+    def test_superseded_plan_is_freed_while_older_one_is_held(self):
+        keys = _keys(1000, seed=7)
+        index = _loaded(keys)
+        held = threading.Event()
+        release = threading.Event()
+        refs: list = []
+        answers: list = []
+
+        def reader():
+            plan = index._published  # v1, held across both writes
+            refs.append(weakref.ref(plan))
+            held.set()
+            assert release.wait(timeout=30)
+            answers.append(plan.get_batch(keys[:4]))
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            assert held.wait(timeout=30)
+            assert index.update(float(keys[0]), "two")  # publishes v2
+            v2 = weakref.ref(index._published)
+            assert index.update(float(keys[1]), "three")  # publishes v3
+            gc.collect()
+            # Nothing holds v2 any more, although a reader still holds
+            # the older v1.
+            assert v2() is None
+            assert refs[0]() is not None
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert answers == [[0, 1, 2, 3]]  # v1 answered as it was
+        assert index.get_batch(keys[:2]) == ["two", "three"]
+
+
 class TestThreadedStress:
+    def test_plan_reads_is_exact_under_threads(self):
+        keys = _keys(500, seed=9)
+        index = _loaded(keys)
+        before = index.lock_stats["plan_reads"]
+        readers, reads = 8, 200
+
+        def reader():
+            for _ in range(reads):
+                index.get_batch(keys[:2])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=reader) for _ in range(readers)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        # A lost update in the counter would break this equality.
+        assert index.lock_stats["plan_reads"] - before == readers * reads
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_four_readers_vs_writers_sanitizer_clean(self, seed):
@@ -194,7 +260,7 @@ class TestThreadedStress:
             san.assert_clean()
             stats = index.lock_stats
             assert stats["plan_publishes"] >= 1
-            assert stats["epoch_pins"] >= 1
+            assert stats["plan_reads"] >= 1
             index.index.validate()
         finally:
             san.detach()

@@ -1,6 +1,7 @@
 """Unit tests for the compiled flat read plan (repro.core.flat)."""
 
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from repro import DILI, DiliConfig
 from repro.core.concurrent import ConcurrentDILI
-from repro.core.flat import FlatPlan, compile_plan
+from repro.core.flat import FlatPlan, compile_plan, next_plan_version
 from repro.planstore.format import write_plan_file
 from repro.planstore.store import PlanStore
 from repro.simulate.cache import CacheSimulator
@@ -308,3 +309,26 @@ class TestPersistence:
         clone = pickle.loads(pickle.dumps(index))
         assert clone._flat is None
         assert clone.get_batch(keys[:3]) == [0, 1, 2]
+
+
+class TestVersionCounter:
+    def test_monotonic_and_unique(self):
+        versions = [next_plan_version() for _ in range(50)]
+        assert versions == sorted(versions)
+        assert len(set(versions)) == len(versions)
+
+    def test_monotonic_under_threads(self):
+        out: list[int] = []
+        lock = threading.Lock()
+
+        def worker():
+            mine = [next_plan_version() for _ in range(200)]
+            with lock:
+                out.extend(mine)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(set(out)) == len(out)  # never a duplicate

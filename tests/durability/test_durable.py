@@ -193,25 +193,26 @@ class TestConcurrentComposition:
         result.index.validate()
 
     def test_long_batch_read_does_not_block_logged_write(self, tmp_path):
-        """A reader holding an epoch pin never stalls a logged write."""
+        """A reader holding the published plan never stalls a logged
+        write."""
         base = _keys(1_000, seed=5)
         d = DurableDILI(tmp_path, concurrent=True, sync=False)
         d.bulk_load(base, list(range(len(base))))
         d.get_batch(base[:4])  # compile + publish the plan
         extra = np.setdiff1d(_keys(1_100, seed=6), base)[:64]
 
-        pinned = threading.Event()
+        holding = threading.Event()
         release = threading.Event()
         snapshot_out = []
 
         def long_reader():
-            with d.index._pinned_plan() as plan:
-                assert plan is not None
-                pinned.set()
-                # Hold the pin across the whole write below; the
-                # snapshot stays readable the entire time.
-                assert release.wait(timeout=30)
-                snapshot_out.append(plan.get_batch(base[:8]))
+            plan = d.index._published
+            assert plan is not None
+            holding.set()
+            # Hold the plan across the whole write below; the
+            # snapshot stays readable the entire time.
+            assert release.wait(timeout=30)
+            snapshot_out.append(plan.get_batch(base[:8]))
 
         written = threading.Event()
 
@@ -221,11 +222,11 @@ class TestConcurrentComposition:
 
         reader = threading.Thread(target=long_reader)
         reader.start()
-        assert pinned.wait(timeout=30)
+        assert holding.wait(timeout=30)
         writer = threading.Thread(target=logged_writer)
         writer.start()
         writer.join(timeout=30)
-        # The write must finish while the read is still pinned -- if
+        # The write must finish while the reader still holds it -- if
         # batch reads still took locks, the writer would be parked
         # here until ``release`` fires and the join would time out.
         assert written.is_set() and not release.is_set()

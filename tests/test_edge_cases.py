@@ -227,3 +227,64 @@ class TestNaNRangeBounds:
         with _range_counter(front_end, keys, tmp_path) as count:
             assert count(lo, hi) == 0
             assert count(keys[10], keys[100]) == 90
+
+
+_NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+def _non_finite_call(index, verb, key):
+    """One scalar write of ``key`` through ``index``'s ``verb``."""
+    if verb == "delete":
+        return index.delete(key)
+    if verb == "bulk_insert":
+        return index.bulk_insert([2000.5, key], ["a", "b"])
+    return getattr(index, verb)(key, "x")
+
+
+class TestNonFiniteScalarWrites:
+    """A NaN or infinite key is refused before a scalar write touches
+    the index, empty or loaded, and the index stays writable."""
+
+    @pytest.mark.parametrize("verb", ["insert", "delete", "update"])
+    @pytest.mark.parametrize("state", ["empty", "loaded"])
+    @pytest.mark.parametrize("key", sorted(_NON_FINITE))
+    @pytest.mark.parametrize("front_end", ["dili", "concurrent"])
+    def test_refused(self, front_end, key, state, verb):
+        index = DILI() if front_end == "dili" else ConcurrentDILI(stripes=4)
+        if state == "loaded":
+            index.bulk_load(np.arange(100.0), list(range(100)))
+        with pytest.raises(ValueError, match="keys must be finite"):
+            _non_finite_call(index, verb, _NON_FINITE[key])
+        assert len(index) == (100 if state == "loaded" else 0)
+        assert index.insert(1000.5, "ok")
+        assert index.get(1000.5) == "ok"
+        (index if front_end == "dili" else index.index).validate()
+
+
+class TestNonFiniteDurableWrites:
+    """``DurableDILI`` refuses a non-finite key before the WAL append,
+    so no refused call leaves a record for later opens to fail on."""
+
+    @pytest.mark.parametrize(
+        "verb", ["insert", "delete", "update", "bulk_insert"]
+    )
+    @pytest.mark.parametrize("state", ["empty", "loaded"])
+    @pytest.mark.parametrize("key", sorted(_NON_FINITE))
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_refused_before_logging(
+        self, tmp_path, concurrent, key, state, verb
+    ):
+        with DurableDILI(
+            tmp_path, concurrent=concurrent, sync=False
+        ) as index:
+            if state == "loaded":
+                index.bulk_load(np.arange(100.0), list(range(100)))
+            seqno = index.wal.last_seqno
+            with pytest.raises(ValueError, match="keys must be finite"):
+                _non_finite_call(index, verb, _NON_FINITE[key])
+            assert index.wal.last_seqno == seqno
+            assert index.insert(1000.5, "logged")
+        with DurableDILI(tmp_path, sync=False) as reopened:
+            assert reopened.recovery.failed == 0
+            assert reopened.get(1000.5) == "logged"
+            assert len(reopened) == (101 if state == "loaded" else 1)
