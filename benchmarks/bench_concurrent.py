@@ -1,15 +1,15 @@
-"""Extension bench: the Appendix A.8 wrapper with lock-free batch reads.
+"""Extension bench: the Appendix A.8 wrapper with lock-free reads.
 
-Measures the locking overhead of :class:`ConcurrentDILI` against the
-bare index (single-threaded wall-clock), verifies a multi-threaded
-mixed workload completes losslessly, and tables batch-read throughput
-at 1/2/4/8 reader threads.  Batch reads load the published flat plan
-once and descend it without taking a stripe or the global lock, so
-they scale with available cores and -- on any machine, GIL or not --
-never stall behind a writer's stripe/exclusive critical sections; the
-contention rows price exactly that stall by re-running the same
-readers forced through ``exclusive()``.  Scalar ``get`` still takes per-leaf locks,
-and its overhead is what the first table pins down.
+Measures the overhead of :class:`ConcurrentDILI` against the bare
+index (single-threaded wall-clock), verifies a multi-threaded mixed
+workload completes losslessly, and tables batch-read throughput at
+1/2/4/8 reader threads.  Reads load the published flat plan once and
+descend it without taking the writer lock, so they scale with
+available cores and -- on any machine, GIL or not -- never stall
+behind a writer's critical sections; the contention rows price
+exactly that stall by re-running the same readers forced through
+``exclusive()``.  Right after ``bulk_load`` no plan is published, so
+the first table's scalar ``get`` times the locked tree fallback.
 """
 
 import os
@@ -31,7 +31,7 @@ def test_concurrent_wrapper(cache, scale, benchmark, capsys):
 
     plain = DILI()
     plain.bulk_load(initial)
-    wrapped = ConcurrentDILI(stripes=128)
+    wrapped = ConcurrentDILI()
     wrapped.bulk_load(initial)
 
     def time_lookups(index):
@@ -92,7 +92,7 @@ def test_concurrent_wrapper(cache, scale, benchmark, capsys):
     assert not errors
     assert len(wrapped) == len(initial) + len(pool)
     wrapped.index.validate()
-    # Striped locking should cost well under 10x a bare lookup.
+    # The writer lock should cost well under 10x a bare lookup.
     assert wrapped_us < plain_us * 10
 
     benchmark(wrapped.get, float(initial[77]))

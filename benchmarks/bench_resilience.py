@@ -123,8 +123,6 @@ def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
                 ["repair steps", report.repair_steps, "", ""],
                 ["max rounds degraded", report.max_steps_degraded, "", ""],
                 ["plan splices", report.plan_splices, "", ""],
-                ["lock escalations",
-                 report.lock_stats["escalations"], "", ""],
                 ["plan publishes",
                  report.lock_stats["plan_publishes"], "", ""],
                 ["plan reads",

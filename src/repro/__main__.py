@@ -419,9 +419,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     ]
     if report.lock_stats is not None:
         rows += [
-            ["lock acquisitions", float(report.lock_stats["acquisitions"])],
-            ["lock retries", float(report.lock_stats["retries"])],
-            ["lock escalations", float(report.lock_stats["escalations"])],
+            ["lock stalls", float(report.lock_stats["stalls"])],
             ["plan publishes", float(report.lock_stats["plan_publishes"])],
             ["plan reads", float(report.lock_stats["plan_reads"])],
             ["racing batch reads",
@@ -1195,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=7, help="master seed")
     chaos.add_argument(
         "--no-locks", action="store_true",
-        help="skip the concurrency (stalled stripe) leg",
+        help="skip the concurrency (stalled writer lock) leg",
     )
     chaos.add_argument(
         "-v", "--verbose", action="store_true",

@@ -579,8 +579,8 @@ class ReadScalingMeasurement:
         ops_per_s: Lock-free ``get_batch`` lookups/s by reader count,
             with no writer running.
         contention_lockfree_ops: Lookups/s of 4 lock-free readers while
-            a writer thread churns the tree under stripe/exclusive
-            locks (readers descend the published plan, never block).
+            a writer thread churns the tree under the writer lock
+            (readers descend the published plan, never block).
         contention_locked_ops: Same readers and writer, but every read
             forced through ``exclusive()`` -- the older protocol where
             batch reads serialized against writers and each other.
@@ -721,8 +721,8 @@ def measure_concurrent_read_scaling(
     # Phases 2-3: 4 readers vs one lock-taking writer.  The writer
     # inserts a disjoint pool of fresh keys chunk by chunk, then churns
     # them (update_batch + periodic bulk_insert re-upserts) until the
-    # readers finish, so stripe and exclusive locks stay hot the whole
-    # phase.  Base keys are never touched: reader expectations hold.
+    # readers finish, so the writer lock stays hot the whole phase.
+    # Base keys are never touched: reader expectations hold.
     def run_contended(read_one: Callable, pool: np.ndarray) -> float:
         stop = threading.Event()
         writer_errors: list[BaseException] = []
@@ -736,7 +736,7 @@ def measure_concurrent_read_scaling(
                     chunk = pool[start : start + writer_chunk]
                     index.insert_batch(chunk, values[: len(chunk)])
                 # Structural churn: delete and re-insert rotating
-                # chunks (long stripe/exclusive critical sections --
+                # chunks (long writer-lock critical sections --
                 # the workload the exclusive() protocol stalls reads
                 # behind), plus periodic whole-pool value updates.
                 # Delete/insert always run as a pair so the pool is

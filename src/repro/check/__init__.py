@@ -5,8 +5,9 @@ Three pillars (see ``docs/static_analysis.md``):
 * :mod:`repro.check.invariants` -- :class:`TreeSanitizer` /
   :func:`verify_tree`: deep structural + flat-plan cross-validation,
   amortized for online use via ``DILI.sanitizer``.
-* :mod:`repro.check.locks` -- :class:`LockSanitizer`: lock-order
-  inversion and lock-discipline detection for ``ConcurrentDILI``.
+* :mod:`repro.check.locks` -- :class:`LockSanitizer`: reports every
+  call that reaches ``ConcurrentDILI``'s inner index without its
+  writer lock.
 * :mod:`repro.check.wal_audit` -- :class:`WalAuditor`: offline
   durability-directory framing audit.
 * :mod:`repro.check.plan_audit` -- :class:`PlanAuditor`: offline

@@ -3,8 +3,8 @@
 For every class the rule infers, with no annotations:
 
 1. **Lock attributes**: ``self.X = threading.Lock() / RLock()``
-   assignments (stripe *lists* of locks are not single guards and are
-   skipped -- the runtime LockSanitizer owns striped verification).
+   assignments (a *list* of locks is not a single guard and is
+   skipped).
 2. **Guarded attributes**: any ``self.<attr>`` written at least once
    inside a ``with self.X:`` block (or a block provably lock-held, see
    below) is considered guarded by ``X``.

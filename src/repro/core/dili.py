@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -171,13 +170,6 @@ class DILI:
         self._count = 0
         self._cycles = self.config.cycles
         self._flat: FlatPlan | None = None
-        # Serializes plan compilation/maintenance: concurrent writers
-        # (stripe-locked on different leaves) each produce a new plan
-        # version via the copy-on-write applied_* tiers, and the mutex
-        # makes every version build on the previous one instead of two
-        # successors forking from the same base.  Reentrant because
-        # maintenance falls back to _invalidate_plan while holding it.
-        self._plan_mutex = threading.RLock()
         self._router: InternalRouter | None = None
         # Optional repro.check.invariants.TreeSanitizer; every mutating
         # operation reports the keys it touched (zero cost when None).
@@ -373,22 +365,18 @@ class DILI:
     def _invalidate_plan(self) -> None:
         """Drop the compiled read plan (the incremental-maintenance
         fallback for mutations no patch or subtree recompile covers)."""
-        with self._plan_mutex:
-            self._flat = None
+        self._flat = None
 
     def _sanitize_after(self, keys) -> None:
         """TreeSanitizer hook: report a completed mutation.
 
         ``keys`` are the keys the operation touched (hit or miss --
         coherence of a miss is worth checking too).  A ``None``
-        sanitizer costs one attribute load and a branch.  The check
-        holds the plan mutex, so a stripe-locked writer on another leaf
-        cannot swap in its successor plan mid-check.
+        sanitizer costs one attribute load and a branch.
         """
         san = self.sanitizer
         if san is not None:
-            with self._plan_mutex:
-                san.after_write(self, keys)
+            san.after_write(self, keys)
 
     def _plan(self) -> FlatPlan:
         """The compiled flat read plan, building it on first use.
@@ -401,17 +389,14 @@ class DILI:
         mixed read/write workloads do not pay a full recompile per
         write.
         """
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                if self.root is None:
-                    raise ValueError(
-                        "cannot compile a plan for an empty index"
-                    )
-                plan = compile_plan(self.root)
-                self._flat = plan
-                self.plan_recompiles += 1
-            return plan
+        plan = self._flat
+        if plan is None:
+            if self.root is None:
+                raise ValueError("cannot compile a plan for an empty index")
+            plan = compile_plan(self.root)
+            self._flat = plan
+            self.plan_recompiles += 1
+        return plan
 
     def peek_plan(self) -> FlatPlan | None:
         """The maintained plan *without* compiling one (None if dropped).
@@ -975,41 +960,33 @@ class DILI:
         :meth:`_plan_note_updates`): exactly one call of ``tier``, an
         ``applied_*`` method of :class:`FlatPlan`, per write.
         ``groups`` names every changed top-level leaf with the keys
-        written to it, taken from the caller's own answers, so
-        stripe-locked writers on different leaves cannot mislabel each
-        other's changes.  The tier returns a successor and leaves the
-        current plan, published or not, unchanged; a change it cannot
-        absorb drops the plan.
+        written to it, taken from the caller's own answers.  The tier
+        returns a successor and leaves the current plan, published or
+        not, unchanged; a change it cannot absorb drops the plan.
         """
-        if not groups:
+        plan = self._flat
+        if not groups or plan is None:
             return
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                return
-            done = tier(plan, groups)
-            if done is None:
-                self._invalidate_plan()
-                return
-            self._flat, patches, subtrees = done
-            self.plan_patches += patches
-            self.plan_subtree_recompiles += subtrees
+        done = tier(plan, groups)
+        if done is None:
+            self._invalidate_plan()
+            return
+        self._flat, patches, subtrees = done
+        self.plan_patches += patches
+        self.plan_subtree_recompiles += subtrees
 
     def _plan_note_updates(self, pairs: list) -> None:
         """Maintain the plan after successful value updates (scalar or
         batch): payload-table rewrites only, never a structural one."""
-        if not pairs:
+        plan = self._flat
+        if not pairs or plan is None:
             return
-        with self._plan_mutex:
-            plan = self._flat
-            if plan is None:
-                return
-            new = plan.applied_values(pairs)
-            if new is not None:
-                self._flat = new
-                self.plan_patches += len(pairs)
-            else:
-                self._invalidate_plan()
+        new = plan.applied_values(pairs)
+        if new is None:
+            self._invalidate_plan()
+            return
+        self._flat = new
+        self.plan_patches += len(pairs)
 
     # ------------------------------------------------------------------
     # Value updates and convenience accessors
@@ -1122,12 +1099,10 @@ class DILI:
         state["_flat"] = None
         state["_router"] = None
         state["sanitizer"] = None
-        state["_plan_mutex"] = None  # locks do not pickle; recreated
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.__dict__["_plan_mutex"] = threading.RLock()
         # Files written before the flat plan / batch write path existed
         # lack these fields.
         self.__dict__.setdefault("_flat", None)

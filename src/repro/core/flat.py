@@ -122,6 +122,7 @@ import threading
 import numpy as np
 
 from repro.check.errors import InvariantError
+from repro.core.linear_model import clamp_slot
 from repro.core.local_opt import _SAFE_PRED
 from repro.core.nodes import DenseLeafNode, InternalNode, LeafNode
 from repro.simulate.latency import CyclesPerOp, DEFAULT_CYCLES
@@ -251,44 +252,49 @@ class FlatPlan:
         trace: list | None = [] if record else None
         dense_idx_parts: list[np.ndarray] = []
         dense_node_parts: list[np.ndarray] = []
-        for _ in range(_MAX_DESCENT):
-            if idx.size == 0:
-                break
-            kinds = self.kind[node]
-            dense = kinds == KIND_DENSE
-            if dense.any():
-                dense_idx_parts.append(idx[dense])
-                dense_node_parts.append(node[dense])
-                keep = ~dense
-                idx = idx[keep]
-                node = node[keep]
+        # An infinite key at a zero-slope row (a single-pair leaf's
+        # constant model) predicts 0 * inf = NaN, as plain float
+        # arithmetic does on the scalar path, and the clamp sends it to
+        # slot 0: numpy's invalid-value flag is expected there, not an
+        # error.  One errstate per batch, not per level.
+        with np.errstate(invalid="ignore"):
+            for _ in range(_MAX_DESCENT):
                 if idx.size == 0:
                     break
-            # One multiply-add per in-flight key locates the next slot
-            # (Eq. 1 / Algorithm 5 line 4), floored and clamped exactly
-            # like the scalar predict_slot/child_index.  The clamp runs
-            # in float before the cast, so a prediction past the int64
-            # range lands on the last slot and a NaN one on slot 0.
-            pos = np.floor(self.intercept[node] + self.slope[node] * q[idx])
-            pos = np.fmin(np.fmax(pos, 0), self.size[node] - 1).astype(
-                np.int64
-            )
-            if record:
-                trace.append((idx, node, pos))
-            ref = self.base[node] + pos
-            skind = self.slot_kind[ref]
-            sref = self.slot_ref[ref]
-            is_pair = skind == SLOT_PAIR
-            if is_pair.any():
-                pidx = idx[is_pair]
-                pref = sref[is_pair]
-                hit = self.pair_keys[pref] == q[pidx]
-                out[pidx[hit]] = pref[hit]
-            descend = skind == SLOT_NODE
-            idx = idx[descend]
-            node = sref[descend]
-        else:  # pragma: no cover - defended structural corruption
-            raise RuntimeError("flat plan descent did not terminate")
+                kinds = self.kind[node]
+                dense = kinds == KIND_DENSE
+                if dense.any():
+                    dense_idx_parts.append(idx[dense])
+                    dense_node_parts.append(node[dense])
+                    keep = ~dense
+                    idx = idx[keep]
+                    node = node[keep]
+                    if idx.size == 0:
+                        break
+                # One multiply-add per in-flight key locates the next
+                # slot (Eq. 1 / Algorithm 5 line 4), floored and clamped
+                # exactly like the scalar clamp_slot.  The clamp runs in
+                # float before the cast, so a prediction past the int64
+                # range lands on the last slot and a NaN one on slot 0.
+                pred = self.intercept[node] + self.slope[node] * q[idx]
+                pos = np.fmin(np.fmax(np.floor(pred), 0), self.size[node] - 1)
+                pos = pos.astype(np.int64)
+                if record:
+                    trace.append((idx, node, pos))
+                ref = self.base[node] + pos
+                skind = self.slot_kind[ref]
+                sref = self.slot_ref[ref]
+                is_pair = skind == SLOT_PAIR
+                if is_pair.any():
+                    pidx = idx[is_pair]
+                    pref = sref[is_pair]
+                    hit = self.pair_keys[pref] == q[pidx]
+                    out[pidx[hit]] = pref[hit]
+                descend = skind == SLOT_NODE
+                idx = idx[descend]
+                node = sref[descend]
+            else:  # pragma: no cover - defended structural corruption
+                raise RuntimeError("flat plan descent did not terminate")
         if dense_idx_parts:
             didx = np.concatenate(dense_idx_parts)
             dnode = np.concatenate(dense_node_parts)
@@ -325,6 +331,32 @@ class FlatPlan:
         """Boolean membership array for the key batch."""
         out, _ = self.lookup_batch(keys)
         return out >= 0
+
+    def get(self, key: float) -> object | None:
+        """The payload stored under ``key``, or None (scalar ``get``).
+
+        One scalar descent through :meth:`_locate`, so the plan answers
+        exactly what ``DILI.get`` answers on the tree it was built from;
+        lock-free point reads of
+        :class:`repro.core.concurrent.ConcurrentDILI` use it.
+        """
+        key = float(key)
+        located = self._locate(key)
+        if located is None:  # pragma: no cover - structural corruption
+            raise RuntimeError("flat plan descent did not terminate")
+        row, pos = located
+        if pos < 0:  # dense leaf: search its slice of the key table
+            lo = self.base.item(row)
+            hi = lo + self.size.item(row)
+            i = lo + int(np.searchsorted(self.dense_keys[lo:hi], key))
+            if i < hi and self.dense_keys.item(i) == key:
+                return self.values[self.num_pairs + i]
+            return None
+        ref = self.base.item(row) + pos
+        if self.slot_kind.item(ref) != SLOT_PAIR:
+            return None
+        p = self.slot_ref.item(ref)
+        return self.values[p] if self.pair_keys.item(p) == key else None
 
     # ------------------------------------------------------------------
     # Range counting
@@ -368,8 +400,8 @@ class FlatPlan:
     def _locate(self, key: float) -> tuple[int, int] | None:
         """Scalar descent to ``key``'s terminal ``(node row, slot pos)``.
 
-        Uses the same scalar ``int(math.floor(...))`` arithmetic as the
-        live tree's ``child_index``/``predict_slot``, so the located
+        Uses the live tree's scalar arithmetic (Python floats and
+        :func:`~repro.core.linear_model.clamp_slot`), so the located
         slot is exactly the one the scalar operation touched.  Returns
         ``(row, -1)`` for a dense-leaf terminal, ``None`` if the
         descent does not terminate.
@@ -383,17 +415,14 @@ class FlatPlan:
         slot_ref = self.slot_ref
         row = 0
         for _ in range(_MAX_DESCENT):
-            if kind[row] == KIND_DENSE:
+            if kind.item(row) == KIND_DENSE:
                 return row, -1
-            pos = int(math.floor(intercept[row] + slope[row] * key))
-            last = int(size[row]) - 1
-            if pos < 0:
-                pos = 0
-            elif pos > last:
-                pos = last
-            ref = int(base[row]) + pos
-            if slot_kind[ref] == SLOT_NODE:
-                row = int(slot_ref[ref])
+            pos = clamp_slot(
+                intercept.item(row) + slope.item(row) * key, size.item(row)
+            )
+            ref = base.item(row) + pos
+            if slot_kind.item(ref) == SLOT_NODE:
+                row = slot_ref.item(ref)
                 continue
             return row, pos
         return None
@@ -534,12 +563,13 @@ class FlatPlan:
         kind = self.kind
         row = 0
         for hops in range(_MAX_DESCENT):
-            if kind[row] != KIND_INTERNAL:
+            if kind.item(row) != KIND_INTERNAL:
                 return row, hops
-            pos = int(math.floor(self.intercept[row] + self.slope[row] * key))
-            last = int(self.size[row]) - 1
-            pos = 0 if pos < 0 else (last if pos > last else pos)
-            row = int(self.slot_ref[int(self.base[row]) + pos])
+            pos = clamp_slot(
+                self.intercept.item(row) + self.slope.item(row) * key,
+                self.size.item(row),
+            )
+            row = self.slot_ref.item(self.base.item(row) + pos)
         raise InvariantError("plan descent did not terminate")
 
     def _write_path(self, key, row, node, depth, new, writes) -> None:
@@ -834,7 +864,7 @@ class FlatPlan:
                         break
                     mem(region[v])
                     compute(eta)
-                    hint = int(np.floor(intercept[v] + slope[v] * key))
+                    hint = clamp_slot(intercept[v] + slope[v] * key, m)
                     b = base[v]
                     exp_search_lub(
                         dense_keys[b:b + m], key, hint, tracer,

@@ -29,6 +29,24 @@ _DY_SMALL = {n: np.arange(n, dtype=np.float64) - _RANK_MEAN[n]
              for n in range(3, 8)}
 
 
+def clamp_slot(pred: float, size: int) -> int:
+    """A model prediction floored and clamped into ``[0, size)``.
+
+    The function ``f_D`` of Algorithm 5 line 4, and the one scalar form
+    of the floor-then-clamp rule every descent uses (internal children,
+    leaf slots, dense-leaf search hints, the flat plan's scalar walk).
+    The clamp runs in float before the int cast, like
+    :meth:`repro.core.flat.FlatPlan.lookup_batch`: a prediction at or
+    past ``size`` (+inf included) lands on the last slot, and one below
+    zero (-inf included) or NaN on slot 0, so no key makes it raise.
+    """
+    if pred >= size:
+        return size - 1
+    if pred > 0:
+        return int(pred)  # floor: truncation of a positive float
+    return 0
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """The two-parameter model ``y = intercept + slope * x``.
@@ -48,18 +66,6 @@ class LinearModel:
     def predict_int(self, x: float) -> int:
         """Floor of the prediction, as used by every search algorithm."""
         return int(math.floor(self.intercept + self.slope * x))
-
-    def predict_clamped(self, x: float, fanout: int) -> int:
-        """Prediction floored and clamped into ``[0, fanout)``.
-
-        This is the function ``f_D`` of Algorithm 5 line 4.
-        """
-        pos = int(math.floor(self.intercept + self.slope * x))
-        if pos < 0:
-            return 0
-        if pos >= fanout:
-            return fanout - 1
-        return pos
 
     def inverse(self, y: float) -> float:
         """Key at which the model predicts ``y`` (requires slope != 0)."""

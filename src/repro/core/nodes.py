@@ -19,12 +19,11 @@ Pairs are plain ``(key, value)`` tuples; slot-type dispatch is a cheap
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
 
-from repro.core.linear_model import LinearModel
+from repro.core.linear_model import LinearModel, clamp_slot
 from repro.simulate.tracer import region_id
 
 Pair = tuple  # (key, value)
@@ -54,13 +53,8 @@ class InternalNode:
         Clamping makes out-of-range keys land in the boundary child,
         which is how inserts beyond the bulk-loaded range are absorbed.
         """
-        pos = int(math.floor(self.intercept + self.slope * key))
-        last = len(self.children) - 1
-        if pos < 0:
-            return 0
-        if pos > last:
-            return last
-        return pos
+        pred = self.intercept + self.slope * key
+        return clamp_slot(pred, len(self.children))
 
     def child_bounds(self, index: int) -> tuple[float, float]:
         """Key range [lb, ub) assigned to child ``index``."""
@@ -115,13 +109,7 @@ class LeafNode:
 
     def predict_slot(self, key: float) -> int:
         """``f_D`` of Algorithm 5 line 4: floored, clamped prediction."""
-        pos = int(math.floor(self.intercept + self.slope * key))
-        last = len(self.slots) - 1
-        if pos < 0:
-            return 0
-        if pos > last:
-            return last
-        return pos
+        return clamp_slot(self.intercept + self.slope * key, len(self.slots))
 
     def iter_pairs(self) -> Iterator[Pair]:
         """All pairs under this leaf (including nested leaves), in key order.
@@ -174,8 +162,9 @@ class DenseLeafNode:
         return len(self.keys)
 
     def predict_position(self, key: float) -> int:
-        """Unclamped local position estimate for the exponential search."""
-        return int(math.floor(self.intercept + self.slope * key))
+        """Position estimate for the exponential search, clamped into
+        the key array (the search clamps its start there anyway)."""
+        return clamp_slot(self.intercept + self.slope * key, len(self.keys))
 
     def iter_pairs(self) -> Iterator[Pair]:
         for i in range(len(self.keys)):

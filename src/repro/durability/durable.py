@@ -22,20 +22,16 @@ contract around it:
 
 Composition: with ``concurrent=True`` the inner index is a
 :class:`~repro.core.concurrent.ConcurrentDILI` and each log+apply pair
-runs under the owning leaf's verified stripe lock, so per-key WAL order
-matches per-key apply order; operations on different keys commute, so
-global log order vs. apply order does not matter for replay.
+runs under its writer lock, so WAL order is apply order.
 
-Reads are never logged and -- with ``concurrent=True`` -- the batch
-reads (``get_batch`` / ``contains_batch`` / ``count_range`` /
-``count_range_batch``) are also **lock-free**: they descend the flat
-plan the wrapper last published (see
-:mod:`repro.core.concurrent`), so a long batch read neither blocks a
-concurrent logged write nor waits for one.
-The write path is unchanged: WAL append and apply still run under the
-stripe/exclusive protocol, and each mutator republishes the maintained
-plan before acknowledging, so an acknowledged write is visible to
-every subsequent batch read.
+Reads are never logged and -- with ``concurrent=True`` -- they are
+also **lock-free** whenever a plan is published: ``get`` / ``in`` and
+the batch reads (``get_batch`` / ``contains_batch`` / ``count_range``
+/ ``count_range_batch``) descend the flat plan the wrapper last
+published (see :mod:`repro.core.concurrent`), so a read neither
+blocks a concurrent logged write nor waits for one.  Each mutator
+republishes the maintained plan before acknowledging, so an
+acknowledged write is visible to every subsequent read.
 """
 
 from __future__ import annotations
@@ -88,8 +84,7 @@ class DurableDILI:
             ``snapshot.dili`` and ``wal.log``.
         config: Config for a fresh index when no snapshot exists yet.
         concurrent: Wrap the index in :class:`ConcurrentDILI` and
-            serialize each log+apply under the owning leaf's lock.
-        stripes: Stripe count for the concurrent wrapper.
+            serialize each log+apply under its writer lock.
         sync: fsync the WAL on every append (the durability guarantee;
             turn off only for benchmarks that batch with
             :meth:`sync_wal`).
@@ -103,7 +98,6 @@ class DurableDILI:
         *,
         config: DiliConfig | None = None,
         concurrent: bool = False,
-        stripes: int = 256,
         sync: bool = True,
         validate_on_open: bool = True,
         faults: FaultInjector | None = None,
@@ -122,14 +116,13 @@ class DurableDILI:
             faults=self._faults,
         )
         self._concurrent = concurrent
+        self._plain = self.recovery.index
         if concurrent:
             self._index: DILI | ConcurrentDILI = ConcurrentDILI(
-                stripes=stripes, index=self.recovery.index
+                index=self._plain
             )
-            self._plain = self.recovery.index
         else:
-            self._index = self.recovery.index
-            self._plain = self.recovery.index
+            self._index = self._plain
             # Log+apply for a plain index still needs mutual exclusion
             # against a concurrent snapshot() from another thread.
             self._plain_lock = threading.RLock()
@@ -137,11 +130,6 @@ class DurableDILI:
     # ------------------------------------------------------------------
     # Lock plumbing
     # ------------------------------------------------------------------
-
-    def _op_lock(self, key: float):
-        if self._concurrent:
-            return self._index.locked(key)
-        return self._plain_lock
 
     def _exclusive(self):
         if self._concurrent:
@@ -154,19 +142,19 @@ class DurableDILI:
 
     def insert(self, key: float, value: object) -> bool:
         key = check_key(key)
-        with self._op_lock(key):
+        with self._exclusive():
             self.wal.append(OP_INSERT, _encode(key, value))
             return self._index.insert(key, value)
 
     def delete(self, key: float) -> bool:
         key = check_key(key)
-        with self._op_lock(key):
+        with self._exclusive():
             self.wal.append(OP_DELETE, _encode(key))
             return self._index.delete(key)
 
     def update(self, key: float, value: object) -> bool:
         key = check_key(key)
-        with self._op_lock(key):
+        with self._exclusive():
             self.wal.append(OP_UPDATE, _encode(key, value))
             return self._index.update(key, value)
 

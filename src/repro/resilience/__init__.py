@@ -5,7 +5,8 @@ Four cooperating pieces (see ``docs/resilience.md``):
 * :mod:`repro.resilience.faults` -- process-wide fault registry
   (importable as :mod:`repro.faults`): detectability-verified
   corruption of plan cells, node models, pair slots, dense arrays,
-  stripe locks, plus the memoized durability crash-point injectors.
+  the ``ConcurrentDILI`` writer lock, plus the memoized durability
+  crash-point injectors.
 * :mod:`repro.resilience.repair` -- the online repair engine:
   sanitizer finding -> containing subtree -> quarantine -> bulk-load-
   identical rebuild from authority -> scoped re-verification.

@@ -21,10 +21,10 @@ resilience contract:
   ``ResilientDILI.verify()`` passing and the index content equal to
   the model dict.
 
-:func:`run_lock_chaos` is the concurrency leg: it exercises
-``ConcurrentDILI``'s verified lock acquisition under a stalled stripe
-(:class:`~repro.resilience.faults.StallingLock`) and the empty-tree
-escalation path, returning the wrapper's ``lock_stats``.
+:func:`run_lock_chaos` is the concurrency leg: it runs
+``ConcurrentDILI`` point ops, lock-free reads and rebuilds under a
+stalled writer lock (:class:`~repro.resilience.faults.StallingLock`),
+returning the wrapper's ``lock_stats``.
 
 Both entry points are deterministic per seed and are what the CLI
 (``repro chaos``), the resilience test suite, and the CI ``chaos`` job
@@ -46,8 +46,8 @@ from repro.resilience.faults import (
     TREE_FAULT_KINDS,
     FaultRegistry,
     FaultSchedule,
-    stall_stripe,
-    unstall_stripe,
+    stall_lock,
+    unstall_lock,
 )
 from repro.resilience.health import Health
 from repro.resilience.serving import ResilientDILI
@@ -263,34 +263,26 @@ def run_lock_chaos(
     ops_per_thread: int = 200,
     stall_s: float = 2e-4,
 ) -> dict:
-    """Concurrency chaos: stalled stripe, escalation, lock-free reads.
+    """Concurrency chaos: stalled writer lock, lock-free reads.
 
-    Exercises the paths :class:`ConcurrentDILI`'s ``lock_stats``
-    instruments: the deterministic empty-tree escalation (first insert
-    finds no leaf to lock and must take :meth:`exclusive`), verified
-    acquisition under a :class:`StallingLock`-delayed stripe with
-    concurrent rebuild pressure, and the lock-free ``get_batch`` path
-    racing those writers -- every batch answer for a never-deleted
-    base key must resolve (its original value or a writer's), or the
-    snapshot was torn.  Returns the final ``lock_stats`` (including
-    ``plan_publishes`` and ``plan_reads``, the batch reads answered
-    from the published plan) plus ``stalls`` and ``batch_reads``.
+    Runs point ops, lock-free reads and rebuilds from ``threads``
+    threads while a :class:`StallingLock` delays every acquisition of
+    the writer lock.  Reads race the writers lock-free: base keys are
+    never deleted, so every point ``get`` and every ``get_batch``
+    answer for a base key must resolve (its original value or a
+    writer's) in whatever published plan it loaded, or the snapshot
+    was torn.  Returns the final ``lock_stats`` (``plan_publishes``
+    and ``plan_reads``, the reads answered from the published plan)
+    plus ``stalls`` and ``batch_reads``.
     """
     from repro.check.errors import InvariantError
 
     rng = np.random.default_rng(seed)
     cc = ConcurrentDILI()
-    # Empty tree: descent finds no leaf, locked() must escalate.
-    cc.insert(1.0, "first")
-    if cc.lock_stats["escalations"] < 1:
-        raise InvariantError(
-            "empty-tree insert did not escalate to exclusive locking"
-        )
-
     keys = load_dataset("logn", num_keys, seed=seed + 1)
     cc.bulk_load(keys, list(range(num_keys)))
     cc.get_batch(keys[:8])  # compile + publish the plan
-    wrapper = stall_stripe(cc, 0, stall_s)
+    wrapper = stall_lock(cc, stall_s)
     errors: list[BaseException] = []
     batch_reads = [0]
 
@@ -301,7 +293,10 @@ def run_lock_chaos(
                 key = float(wrng.choice(keys))
                 op = wrng.random()
                 if op < 0.35:
-                    cc.get(key)
+                    if cc.get(key) is None:
+                        raise InvariantError(
+                            f"lock-free get lost base key {key!r}"
+                        )
                 elif op < 0.6:
                     # Lock-free batch read racing the writers below:
                     # base keys are never deleted, so every answer must
@@ -317,8 +312,8 @@ def run_lock_chaos(
                 elif op < 0.8:
                     cc.update(key, "touched")
                 else:
-                    # Rebuild pressure: exactly the race verified
-                    # acquisition exists for.
+                    # Rebuild pressure: a bulk insert may replace the
+                    # whole tree under the writer lock.
                     cc.bulk_insert(
                         wrng.uniform(keys[0], keys[-1], size=4),
                         ["chaos"] * 4,
@@ -335,15 +330,17 @@ def run_lock_chaos(
         t.start()
     for t in pool:
         t.join()
-    unstall_stripe(cc, 0, wrapper)
+    unstall_lock(cc, wrapper)
     if errors:
         raise errors[0]
     stats = dict(cc.lock_stats)
     if stats["plan_publishes"] < 1 or stats["plan_reads"] < 1:
         raise InvariantError(
             "lock-free read path never engaged: no plan publication or "
-            "batch read from the published plan was recorded"
+            "read from the published plan was recorded"
         )
+    if wrapper.stalls < 1:
+        raise InvariantError("the stalled writer lock was never acquired")
     stats["stalls"] = wrapper.stalls
     stats["batch_reads"] = batch_reads[0]
     return stats

@@ -18,8 +18,8 @@ kind               what it corrupts (and which check detects it)
                    walked-vs-tracked pair count diverges)
 ``dense_flip``     two adjacent dense-leaf (DILI-LO) entries swapped
                    jointly (keys array no longer strictly sorted)
-``lock_stall``     a stripe lock delayed on acquire
-                   (:class:`StallingLock`; surfaces in ``lock_stats``)
+``lock_stall``     the ``ConcurrentDILI`` writer lock delayed on
+                   acquire (:class:`StallingLock`; counts its stalls)
 =================  ====================================================
 
 plus scheduled WAL/snapshot I/O failure via memoized durability
@@ -295,10 +295,10 @@ _INJECTORS = {
 class StallingLock:
     """Delegating lock wrapper that sleeps before every acquire.
 
-    Wraps (never replaces) the underlying stripe ``RLock``, so mutual
-    exclusion is preserved: installers swap the wrapper into
-    ``ConcurrentDILI._locks[i]`` and threads that captured the old
-    object simply fail verified acquisition's identity check and retry.
+    Wraps (never replaces) the underlying writer ``RLock``, so mutual
+    exclusion is preserved: a thread that entered the old object
+    before the swap releases that same object, and every later
+    acquisition goes through the wrapper to the same inner lock.
     """
 
     def __init__(self, inner, stall_s: float) -> None:
@@ -322,21 +322,21 @@ class StallingLock:
         self.release()
 
 
-def stall_stripe(concurrent, stripe: int, stall_s: float) -> StallingLock:
-    """Install a :class:`StallingLock` on one stripe of a ConcurrentDILI.
+def stall_lock(concurrent, stall_s: float) -> StallingLock:
+    """Install a :class:`StallingLock` on a ConcurrentDILI's writer lock.
 
-    Returns the wrapper; call :func:`unstall_stripe` with it to restore
+    Returns the wrapper; call :func:`unstall_lock` with it to restore
     the original lock object.
     """
-    wrapper = StallingLock(concurrent._locks[stripe], stall_s)
-    concurrent._locks[stripe] = wrapper
+    wrapper = StallingLock(concurrent._lock, stall_s)
+    concurrent._lock = wrapper
     return wrapper
 
 
-def unstall_stripe(concurrent, stripe: int, wrapper: StallingLock) -> None:
-    """Undo :func:`stall_stripe` (restores the wrapped RLock)."""
-    if concurrent._locks[stripe] is wrapper:
-        concurrent._locks[stripe] = wrapper.inner
+def unstall_lock(concurrent, wrapper: StallingLock) -> None:
+    """Undo :func:`stall_lock` (restores the wrapped RLock)."""
+    if concurrent._lock is wrapper:
+        concurrent._lock = wrapper.inner
 
 
 @dataclass(frozen=True)

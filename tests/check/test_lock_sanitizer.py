@@ -1,6 +1,6 @@
-"""LockSanitizer (satellite: lock-order detector): a clean threaded
-workload records nothing; seeded protocol breaches of each kind are
-reported; detach restores the original locks and index."""
+"""LockSanitizer: a clean threaded workload records nothing; a seeded
+call on the inner index without the writer lock is reported; detach
+restores the original lock and index."""
 
 import threading
 
@@ -24,7 +24,7 @@ def kinds(san):
 class TestCleanWorkload:
     def test_threaded_mixed_workload_is_clean(self):
         keys = _keys(4000)
-        index = ConcurrentDILI(stripes=16)
+        index = ConcurrentDILI()
         san = LockSanitizer(index)
         index.bulk_load(keys)
         errors = []
@@ -64,7 +64,7 @@ class TestCleanWorkload:
 
     def test_batch_and_scan_paths_are_clean(self):
         keys = _keys(1000)
-        index = ConcurrentDILI(stripes=8)
+        index = ConcurrentDILI()
         san = LockSanitizer(index)
         index.bulk_load(keys)
         index.get_batch(keys[:100])
@@ -76,63 +76,43 @@ class TestCleanWorkload:
 
 
 class TestSeededViolations:
-    def test_order_inversion(self):
-        index = ConcurrentDILI(stripes=4)
-        san = LockSanitizer(index)
-        a, b = index._locks[0], index._locks[1]
-        with a:
-            with b:  # establishes the order a -> b
-                pass
-        with b:
-            with a:  # closes the cycle: b -> a
-                pass
-        assert kinds(san) == ["order-inversion"]
-        with pytest.raises(SanitizerViolation, match="order-inversion"):
-            san.assert_clean()
-        san.detach()
-
     def test_unlocked_point_access(self):
         keys = _keys(500)
-        index = ConcurrentDILI(stripes=4)
+        index = ConcurrentDILI()
         san = LockSanitizer(index)
         index.bulk_load(keys)
-        # Bypassing ConcurrentDILI.insert: no stripe is held.
+        # Bypassing ConcurrentDILI.insert: the writer lock is not held.
         index.index.insert(float(keys[-1]) + 1.0, "rogue")
         assert kinds(san) == ["unlocked-access"]
         san.detach()
 
     def test_point_access_on_empty_tree_requires_exclusive(self):
-        index = ConcurrentDILI(stripes=4)
+        index = ConcurrentDILI()
         san = LockSanitizer(index)
         index.index.get(1.0)
         assert kinds(san) == ["unlocked-access"]
         san.detach()
 
-    def test_non_exclusive_scan(self):
+    @pytest.mark.parametrize("op", ["range_query", "get_batch"])
+    def test_unlocked_scan_or_batch(self, op):
         keys = _keys(500)
-        index = ConcurrentDILI(stripes=4)
+        index = ConcurrentDILI()
         san = LockSanitizer(index)
         index.bulk_load(keys)
-        with index._global:  # global alone is not exclusive()
+        if op == "range_query":
             index.index.range_query(float(keys[0]), float(keys[100]))
-        assert kinds(san) == ["non-exclusive-scan"]
-        san.detach()
-
-    def test_single_stripe_is_not_exclusive_for_batches(self):
-        keys = _keys(500)
-        index = ConcurrentDILI(stripes=4)
-        san = LockSanitizer(index)
-        index.bulk_load(keys)
-        with index._locks[0]:
+        else:
             index.index.get_batch(keys[:10])
-        assert kinds(san) == ["non-exclusive-scan"]
+        assert kinds(san) == ["unlocked-access"]
+        with pytest.raises(SanitizerViolation, match="unlocked-access"):
+            san.assert_clean()
         san.detach()
 
 
 class TestEpochPinnedReads:
     def test_lockfree_batch_read_is_clean_and_pinned(self):
         keys = _keys(800)
-        index = ConcurrentDILI(stripes=4)
+        index = ConcurrentDILI()
         san = LockSanitizer(index)
         index.bulk_load(keys, list(range(len(keys))))
         index.get_batch(keys[:4])  # compile + publish
@@ -145,16 +125,14 @@ class TestEpochPinnedReads:
 
 class TestLifecycle:
     def test_detach_restores_originals(self):
-        index = ConcurrentDILI(stripes=4)
-        orig_locks = list(index._locks)
-        orig_global = index._global
+        index = ConcurrentDILI()
+        orig_lock = index._lock
         orig_index = index._index
         san = LockSanitizer(index)
-        assert index._locks[0] is not orig_locks[0]
+        assert index._lock is not orig_lock
         index.bulk_load(_keys(100))
         san.detach()
-        assert index._locks == orig_locks
-        assert index._global is orig_global
+        assert index._lock is orig_lock
         assert index._index is orig_index
         assert isinstance(index._index, DILI)
         # The protocol still works on the restored locks.
@@ -162,6 +140,6 @@ class TestLifecycle:
         assert index.get(1.5) == "post-detach"
 
     def test_assert_clean_on_fresh_sanitizer(self):
-        san = LockSanitizer(ConcurrentDILI(stripes=2))
+        san = LockSanitizer(ConcurrentDILI())
         san.assert_clean()
         san.detach()

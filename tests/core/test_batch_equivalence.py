@@ -127,7 +127,7 @@ class TestConcurrentWrapper:
     @given(keys_set=key_sets)
     def test_concurrent_batch_equivalence(self, keys_set):
         keys = np.array(sorted(float(k) for k in keys_set))
-        index = ConcurrentDILI(stripes=8)
+        index = ConcurrentDILI()
         index.bulk_load(keys)
         probe = np.concatenate([keys, keys + 1.0])
         got = index.get_batch(probe)
@@ -160,4 +160,4 @@ class TestPayloadKinds:
     def test_concurrent(self, kind):
         # Every round maintains a published plan through the
         # copy-on-write tiers.
-        payload_rounds(ConcurrentDILI(stripes=8), kind)
+        payload_rounds(ConcurrentDILI(), kind)

@@ -248,7 +248,7 @@ class TestConcurrentWrapper:
     @given(keys_set=key_sets, ins=write_lists, dels=write_lists)
     def test_concurrent_batches_match_plain(self, keys_set, ins, dels):
         plain, keys = _bulk(keys_set)
-        wrapped = ConcurrentDILI(stripes=8)
+        wrapped = ConcurrentDILI()
         wrapped.bulk_load(
             keys.copy(), [("v", float(k)) for k in keys]
         )

@@ -1,10 +1,9 @@
-"""Tests for the lock-crabbing concurrent wrapper (Appendix A.8)."""
+"""Tests for the concurrent wrapper (Appendix A.8, one writer lock)."""
 
 import sys
 import threading
 
 import numpy as np
-import pytest
 
 from repro.core.concurrent import ConcurrentDILI
 
@@ -46,10 +45,6 @@ class TestBasicOperations:
         index.bulk_load(np.arange(0.0, 10.0))
         added = index.insert_many([(100.0, "a"), (5.0, "dup"), (101.0, "b")])
         assert added == 2
-
-    def test_rejects_bad_stripes(self):
-        with pytest.raises(ValueError):
-            ConcurrentDILI(stripes=0)
 
     def test_update(self):
         index = ConcurrentDILI()
@@ -150,10 +145,10 @@ class TestConcurrency:
         index.index.validate()
 
     def test_parallel_point_inserts_keep_the_published_plan(self):
-        """Stripe-locked writers on different leaves each decide patch
-        vs splice from their own insert; one writer's nested-leaf spawn
-        must not turn another's insert into a plan drop (which would
-        make the next batch read recompile the whole plan)."""
+        """Interleaved point writers each decide patch vs splice from
+        their own insert; one writer's nested-leaf spawn must not turn
+        another's insert into a plan drop (which would make the next
+        batch read recompile the whole plan)."""
         base = _keys(5000, seed=11)
         index = ConcurrentDILI()
         index.bulk_load(base)
@@ -276,13 +271,14 @@ class TestConcurrency:
 
 
 class TestVerifiedLocking:
+    """Point ops racing whole-tree rebuilds, and exclusive() keeping
+    point writers out, under the one writer lock."""
+
     def test_point_ops_race_whole_tree_rebuilds(self):
-        """The lock-verification protocol: bulk rebuilds swap the tree
-        out from under the lock-free descent, so the stripe computed
-        before acquisition can guard a dead leaf.  Verified acquisition
-        must re-descend and retry; no op may be lost or crash."""
+        """Bulk rebuilds swap the whole tree while point writers and
+        point reads run; no op may be lost or crash."""
         base = _keys(1500, seed=20)
-        index = ConcurrentDILI(stripes=16)
+        index = ConcurrentDILI()
         index.bulk_load(base)
         extra = np.setdiff1d(_keys(1500, seed=21), base)
         stop = threading.Event()
@@ -324,7 +320,7 @@ class TestVerifiedLocking:
         index.index.validate()
 
     def test_exclusive_blocks_point_ops(self):
-        index = ConcurrentDILI(stripes=8)
+        index = ConcurrentDILI()
         index.bulk_load(np.arange(0.0, 100.0))
         entered = threading.Event()
         release = threading.Event()
@@ -355,117 +351,144 @@ class TestVerifiedLocking:
         assert order == ["exclusive-done", "write-done"]
 
 
+class TestLockFreePointReads:
+    def test_point_reads_do_not_wait_for_the_writer_lock(self):
+        """With a plan published, ``get`` and ``in`` answer from it
+        while another thread holds exclusive(), and count as plan
+        reads."""
+        keys = _keys(2000, seed=15)
+        index = ConcurrentDILI()
+        index.bulk_load(keys)
+        index.get_batch(keys[:8])  # compile + publish the plan
+        key = float(keys[7])
+        held = threading.Event()
+        release = threading.Event()
+        answers = []
+
+        def holder():
+            with index.exclusive():
+                held.set()
+                release.wait(timeout=30)
+
+        def reader():
+            answers.append(index.get(key))
+            answers.append(key in index)
+            answers.append(index.get(key + 0.5))
+
+        h = threading.Thread(target=holder)
+        r = threading.Thread(target=reader)
+        h.start()
+        try:
+            assert held.wait(timeout=5)
+            reads = index.lock_stats["plan_reads"]
+            r.start()
+            r.join(timeout=5)
+            assert not r.is_alive(), "point read waited for the lock"
+            assert answers == [7, True, None]
+            assert index.lock_stats["plan_reads"] == reads + 3
+        finally:
+            release.set()
+            h.join()
+            if r.ident is not None:
+                r.join()
+
+    def test_point_reads_race_point_writers(self):
+        """Two writers insert (and read each insert back) while two
+        readers get base keys, all lock-free against the published
+        plan: no read misses, and the shared ``plan_reads`` counter
+        counts every one of them exactly once."""
+        base = _keys(5000, seed=17)
+        index = ConcurrentDILI()
+        index.bulk_load(base)
+        index.get_batch(base[:8])  # compile + publish the plan
+        fresh = np.setdiff1d(_keys(2000, seed=18), base)[:600]
+        reads = index.lock_stats["plan_reads"]
+        stop = threading.Event()
+        errors = []
+        gets = [0, 0, 0, 0]
+
+        def reader(r):
+            try:
+                n = 0
+                while not stop.is_set():
+                    for k in base[r::97]:
+                        if index.get(float(k)) is None:
+                            raise AssertionError(f"base key {k!r} missed")
+                        n += 1
+                gets[r] = n
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def writer(w, chunk):
+            try:
+                for k in chunk:
+                    assert index.insert(float(k), "fresh")
+                    assert index.get(float(k)) == "fresh"
+                gets[2 + w] = len(chunk)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        readers = [threading.Thread(target=reader, args=(r,)) for r in (0, 1)]
+        writers = [
+            threading.Thread(target=writer, args=(w, fresh[w::2]))
+            for w in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=120)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert not errors, errors[0]
+        assert index.index.peek_plan() is not None
+        assert index.lock_stats["plan_reads"] - reads == sum(gets)
+        assert len(index) == len(base) + len(fresh)
+        index.index.validate()
+
+    def test_point_reads_without_a_plan_answer_from_the_tree(self):
+        keys = _keys(500, seed=16)
+        index = ConcurrentDILI()
+        index.bulk_load(keys)
+        assert index.published_plan_version is None
+        assert index.get(float(keys[3])) == 3
+        assert float(keys[4]) in index
+        assert index.lock_stats["plan_reads"] == 0
+
+
 class TestLockStats:
     def test_empty_tree_locked_escalates_and_is_counted(self):
-        """locked() on an empty tree finds no leaf to lock (the
-        ``leaf is None`` break) and must fall back to exclusive();
-        the fallback is no longer silent."""
+        """Point writes into an empty tree run under the writer lock,
+        and the publication counters start at zero."""
         index = ConcurrentDILI()
         stats = index.lock_stats
-        assert {stats[k] for k in ("acquisitions", "retries", "escalations")} \
-            == {0}
-        # The publication counters ride along in the same dict.
         for key in ("plan_publishes", "plan_reads"):
             assert stats[key] == 0
         assert index.insert(1.0, "first")
-        assert index.lock_stats["escalations"] == 1
-        assert index.lock_stats["acquisitions"] == 0
-        # With a leaf present, verified acquisition succeeds normally.
         assert index.insert(2.0, "second")
-        assert index.lock_stats["acquisitions"] == 1
-        assert index.lock_stats["escalations"] == 1
 
     def test_single_key_tree_point_ops_use_verified_acquisition(self):
+        """Point ops on a one-key tree answer like the plain index."""
         index = ConcurrentDILI()
         index.bulk_load(np.array([10.0]))
         assert index.get(10.0) == 0
-        assert index.get(11.0) is None  # miss still locks the owner leaf
+        assert index.get(11.0) is None
         assert index.update(10.0, "x")
         assert index.delete(10.0)
-        assert index.lock_stats["acquisitions"] == 4
-        assert index.lock_stats["escalations"] == 0
-        # The root leaf persists after the delete (empty, not None), so
-        # the next point write still verifies instead of escalating.
+        # The root leaf persists after the delete (empty, not None).
         assert index.insert(5.0, "y")
-        assert index.lock_stats["acquisitions"] == 5
-        assert index.lock_stats["escalations"] == 0
-
-    def test_exclusive_partial_acquisition_unwinds(self):
-        """A stripe lock that raises mid-acquisition must not leave the
-        earlier stripes (or the global lock) held."""
-
-        class Boom(RuntimeError):
-            pass
-
-        events = []
-
-        class TrackingLock:
-            def __init__(self, inner, name):
-                self.inner = inner
-                self.name = name
-                self.fail_next = False
-
-            def acquire(self, *args, **kwargs):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise Boom(self.name)
-                result = self.inner.acquire(*args, **kwargs)
-                events.append(("acquire", self.name))
-                return result
-
-            def release(self):
-                self.inner.release()
-                events.append(("release", self.name))
-
-            def __enter__(self):
-                self.acquire()
-                return self
-
-            def __exit__(self, *exc):
-                self.release()
-
-        index = ConcurrentDILI(stripes=8)
-        index.bulk_load(np.arange(0.0, 100.0))
-        wrappers = {}
-
-        def wrap(lock, name):
-            wrappers[name] = TrackingLock(lock, name)
-            return wrappers[name]
-
-        index.instrument_locks(wrap)
-        wrappers["stripe[3]"].fail_next = True
-        events.clear()
-
-        with pytest.raises(Boom):
-            with index.exclusive():
-                pass  # pragma: no cover - never reached
-
-        # Stripes 0..2 were acquired and released in reverse order;
-        # stripe 3 raised before touching its inner lock; the global
-        # lock unwound through its context manager.
-        assert events == [
-            ("acquire", "global"),
-            ("acquire", "stripe[0]"),
-            ("acquire", "stripe[1]"),
-            ("acquire", "stripe[2]"),
-            ("release", "stripe[2]"),
-            ("release", "stripe[1]"),
-            ("release", "stripe[0]"),
-            ("release", "global"),
-        ]
-
-        # Nothing is left held: point ops and full exclusive sections
-        # proceed, including on the stripe that raised.
-        assert index.insert(1000.5, "after")
-        with index.exclusive():
-            pass
-        assert ("acquire", "stripe[3]") in events
 
 
 class TestConcurrentRangeAndMixedOps:
     def test_range_queries_during_writes_are_consistent_snapshots(self):
-        """Scans run under exclusive() (stripe-locked point writers
-        would otherwise mutate a leaf mid-scan), so each one must see a
+        """Scans run under exclusive() (point writers would otherwise
+        mutate a leaf mid-scan), so each one must see a
         sorted, duplicate-free view containing every base key in range
         even while writers run."""
         base = _keys(2000, seed=7)

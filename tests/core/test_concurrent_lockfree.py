@@ -46,7 +46,7 @@ def _fresh(keys, n, seed):
 
 
 def _loaded(keys):
-    index = ConcurrentDILI(stripes=16)
+    index = ConcurrentDILI()
     index.bulk_load(keys, list(range(len(keys))))
     index.get_batch(keys[:4])  # compile + publish
     return index

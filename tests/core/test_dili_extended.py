@@ -112,6 +112,26 @@ class TestPersistence:
         with pytest.raises(ValueError):
             DILI.load(path)
 
+    def test_loads_a_pickle_from_before_the_writer_lock(self):
+        import base64
+        import pickle
+        import zlib
+
+        from repro import ConcurrentDILI
+
+        raw = zlib.decompress(base64.b64decode(_LEGACY_PICKLE))
+        index = pickle.loads(raw)
+        assert sorted(index.__dict__) != sorted(DILI().__dict__)
+        assert [index.get(k) for k in (0.0, 10.0, 55.0)] == ["a", "b", None]
+        assert index.get_batch([20.0, 25.0]) == ["c", None]
+        assert index.insert(25.0, "new")
+        index.validate()
+        wrapped = ConcurrentDILI(index=index)
+        assert wrapped.get(25.0) == "new"
+        assert wrapped.insert(60.0, "g")
+        assert wrapped.get_batch([60.0, 50.0]) == ["g", "f"]
+        index.validate()
+
     def test_rejects_wrong_version(self, tmp_path):
         import pickle
 
@@ -121,6 +141,25 @@ class TestPersistence:
         )
         with pytest.raises(ValueError):
             DILI.load(path)
+
+
+# A six-key DILI (keys 0, 10, ..., 50 -> "a".."f") pickled by the
+# release before ConcurrentDILI took one writer lock: its state still
+# carries the plan lock slot DILI has since dropped.
+_LEGACY_PICKLE = (
+    "eNpdUs1uEzEQTtskbZpWRKiiL8ChXCIhceEClRopilpSJM5o8XonWYP/ZHurthJSuVRF"
+    "8g1zgDfibXgADozX2WRhD6v5Zsbz88131/v+Z6dTf/6RAW3UmCoD44JxFnx3MruYhW/h"
+    "2ZfwOZz4PlVywZah7Pj9CSacJbiO95SAJQlvOiO/Y0oVpq9//YjfT78LkhOzhDA97ay6"
+    "HXIi8oJkpPhYWdcKPOaKEp4p7Zhgt8QxJcOD76/yHvyeJUJzJpfhq+/eKiXQNxTkOtv0"
+    "GK1K9ekN5WCDf5JWs0xUnDgYx5+kN8EPz+qMt2Au9WaRfUpoCZlg1mK1D2k0P0jekrlW"
+    "iwOcBIjJhCqAo//leovkt/ijZWYdaIweNVTDtf4v9LyZOTdE0nJDSJVXue8apVzwo9aJ"
+    "JHbE1fYugCzmaKfx53H+bZ6HaachdLtCdDq7S6hnudLQus2ASQeGgnatNzHL2fA+nGx8"
+    "WyTch/n09GmD84RfNJgm/KrBRcKTBkPCswYvIgY/kJXINGHGhvO+7yGPjtTWJ6I1wUl/"
+    "N0MRrksMIUkGllEX593qPuTIWeUMQJj7AcoGGSU4uz9qkbXWVPCHF9G+1O5dnbY++iCq"
+    "mzOKPuxwKAEPU2QcyBXUnkHUWIE0lRHtJjNShOcZJXUKkC6jqpIuphwwacG0HEOhrrDk"
+    "alVUgeZEZgaoEppFnZ5v+ePaZ6s8LvRPDAvWMU0cyrB29JvafZxnpfXy2PeyBQoc2Rhm"
+    "9QtRObhGuJsZhaaJPFkimWO3EVT5+C+2hWOl"
+)
 
 
 class TestDiskMode:

@@ -276,6 +276,55 @@ class TestBatchReads:
             assert c == index.count_range(float(lo), float(hi))
 
 
+class TestScalarPlanGet:
+    """``FlatPlan.get`` answers exactly what ``DILI.get`` answers."""
+
+    @staticmethod
+    def _assert_matches(index, probe):
+        plan = index.peek_plan()
+        assert plan is not None
+        assert [plan.get(k) for k in probe] == [index.get(k) for k in probe]
+
+    def test_maintained_plan_matches_tree(self):
+        keys = _dataset(3000, seed=31)
+        index = DILI()
+        index.bulk_load(keys, [f"v{i}" for i in range(len(keys))])
+        index.get_batch(keys[:4])  # compile the plan
+        rng = np.random.default_rng(32)
+        fresh = np.setdiff1d(
+            np.unique(rng.uniform(keys[0] - 1e6, keys[-1] + 1e6, 1200)),
+            keys,
+        )
+        rng.shuffle(fresh)
+        written = []
+        for r, chunk in enumerate(np.array_split(fresh, 4)):
+            batch, points = chunk[: len(chunk) // 2], chunk[len(chunk) // 2:]
+            index.insert_batch(batch, [f"b{r}"] * len(batch))
+            for k in points:
+                assert index.insert(float(k), f"p{r}")
+            written.extend(chunk.tolist())
+            gone = rng.choice(written, size=40, replace=False)
+            index.delete_batch(gone[:20])
+            for k in gone[20:]:
+                index.delete(float(k))
+            index.update_batch(keys[r::50], [f"u{r}"] * len(keys[r::50]))
+            assert index.update(float(keys[r]), f"scalar-u{r}")
+            probe = np.concatenate([
+                keys[::7], chunk, gone, keys[::11] + 0.5,
+                [keys[0] - 1e9, keys[-1] + 1e9],
+            ])
+            self._assert_matches(index, probe)
+        assert index.plan_recompiles == 1  # maintained, never recompiled
+
+    def test_dili_lo_plan_matches_tree(self, loaded_dense):
+        index, keys = loaded_dense
+        index.get_batch(keys[:4])  # compile the plan
+        probe = np.concatenate([
+            keys[::5], keys[::13] + 0.5, [keys[0] - 1.0, keys[-1] + 1.0],
+        ])
+        self._assert_matches(index, probe)
+
+
 class TestTracedCostParity:
     @pytest.mark.parametrize("dense", [False, True])
     def test_batch_trace_equals_scalar_trace(self, dense):
@@ -299,6 +348,23 @@ class TestTracedCostParity:
         assert batch.total_cycles == scalar.total_cycles
         assert batch.cache_misses == scalar.cache_misses
         assert batch.mem_accesses == scalar.mem_accesses
+        assert batch.phase_cycles == scalar.phase_cycles
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_non_finite_keys_trace_like_scalar_gets(self, dense):
+        """A NaN or infinite key descends the same clamped path in the
+        scalar and the batch read, so both charge the same cost."""
+        keys = _dataset(3000, seed=22)
+        index = DILI(DiliConfig(local_optimization=not dense))
+        index.bulk_load(keys)
+        probe = [np.nan, np.inf, -np.inf]
+        scalar = CostTracer(CacheSimulator(1024))
+        for k in probe:
+            assert index.get(k, scalar) is None
+        batch = CostTracer(CacheSimulator(1024))
+        assert index.get_batch(probe, batch) == [None] * 3
+        assert batch.total_cycles == scalar.total_cycles
+        assert batch.cache_misses == scalar.cache_misses
         assert batch.phase_cycles == scalar.phase_cycles
 
 

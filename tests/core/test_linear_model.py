@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.linear_model import LinearModel, SegmentStats
+from repro.core.linear_model import LinearModel, SegmentStats, clamp_slot
 
 
 class TestLinearModel:
@@ -66,9 +66,16 @@ class TestLinearModel:
 
     def test_predict_clamped(self):
         m = LinearModel(1.0, 0.0)
-        assert m.predict_clamped(-5.0, 10) == 0
-        assert m.predict_clamped(99.0, 10) == 9
-        assert m.predict_clamped(4.5, 10) == 4
+        assert clamp_slot(m.predict(-5.0), 10) == 0
+        assert clamp_slot(m.predict(99.0), 10) == 9
+        assert clamp_slot(m.predict(4.5), 10) == 4
+        # Clamped in float before the int cast: nothing raises.
+        assert clamp_slot(float("inf"), 10) == 9
+        assert clamp_slot(float("-inf"), 10) == 0
+        assert clamp_slot(float("nan"), 10) == 0
+        assert clamp_slot(1e300, 10) == 9
+        assert clamp_slot(-0.5, 10) == 0
+        assert clamp_slot(9.999, 10) == 9
 
     def test_inverse_round_trips(self):
         m = LinearModel(0.25, -3.0)

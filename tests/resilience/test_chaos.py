@@ -43,7 +43,6 @@ class TestRunLockChaos:
         stats = run_lock_chaos(
             seed=1, num_keys=1_000, threads=3, ops_per_thread=60
         )
-        assert stats["escalations"] >= 1  # the empty-tree break path
-        assert stats["acquisitions"] > 0
-        assert stats["stalls"] > 0  # the stalled stripe was exercised
-        assert stats["retries"] >= 0
+        assert stats["stalls"] > 0  # the stalled writer lock was exercised
+        assert stats["plan_publishes"] >= 1
+        assert stats["plan_reads"] >= 1

@@ -17,8 +17,8 @@ from repro.resilience import (
 from repro.resilience.faults import (
     FAULT_DENSE_FLIP,
     _top_nodes,
-    stall_stripe,
-    unstall_stripe,
+    stall_lock,
+    unstall_lock,
 )
 
 
@@ -96,21 +96,21 @@ class TestStallingLock:
     def test_wraps_counts_and_restores(self):
         from repro import ConcurrentDILI
 
-        cc = ConcurrentDILI(stripes=4)
+        cc = ConcurrentDILI()
         cc.bulk_load(np.arange(0.0, 100.0))
-        original = cc._locks[0]
-        wrapper = stall_stripe(cc, 0, stall_s=0.0)
+        original = cc._lock
+        wrapper = stall_lock(cc, stall_s=0.0)
         assert isinstance(wrapper, StallingLock)
         assert wrapper.inner is original
         with wrapper:
             pass
         assert wrapper.stalls == 1
-        # The wrapper sits in the stripe table, so exclusive() (which
-        # acquires every stripe) goes through it.
+        # The wrapper is the writer lock now, so exclusive() goes
+        # through it.
         with cc.exclusive():
             pass
         assert wrapper.stalls == 2
-        unstall_stripe(cc, 0, wrapper)
-        assert cc._locks[0] is original
-        unstall_stripe(cc, 0, wrapper)  # idempotent
-        assert cc._locks[0] is original
+        unstall_lock(cc, wrapper)
+        assert cc._lock is original
+        unstall_lock(cc, wrapper)  # idempotent
+        assert cc._lock is original

@@ -1,11 +1,13 @@
 """Consolidated edge-case coverage across packages."""
 
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro import ConcurrentDILI, DILI, DiliConfig, DurableDILI
+from repro.data import load_dataset
 from repro.baselines import (
     AlexIndex,
     BPlusTree,
@@ -186,7 +188,7 @@ def _range_counter(front_end, keys, tmp_path):
         else:
             yield index.count_range
     elif front_end == "concurrent":
-        index = ConcurrentDILI(stripes=4)
+        index = ConcurrentDILI()
         index.bulk_load(keys)
         yield index.count_range
     elif front_end == "sharded":
@@ -241,6 +243,47 @@ def _non_finite_call(index, verb, key):
     return getattr(index, verb)(key, "x")
 
 
+class TestNonFiniteReads:
+    """No NaN or infinite key is ever stored, so every read front-end
+    answers one as a miss, without raising or warning, like
+    ``get_batch``.  The logn keys build a single-pair (zero-slope)
+    leaf on the +inf path, where the slot prediction meets 0 * inf."""
+
+    @pytest.mark.parametrize(
+        "front_end",
+        ["dili", "dili-lo", "concurrent", "concurrent-plan", "durable",
+         "durable-concurrent"],
+    )
+    def test_answers_none_without_warnings(self, tmp_path, front_end):
+        keys = load_dataset("logn", 20_000)
+        if front_end.startswith("durable"):
+            index = DurableDILI(
+                tmp_path, concurrent=front_end.endswith("concurrent"),
+                sync=False,
+            )
+        elif front_end.startswith("concurrent"):
+            index = ConcurrentDILI()
+        else:
+            index = DILI(
+                DiliConfig(local_optimization=front_end != "dili-lo")
+            )
+        index.bulk_load(keys)
+        if front_end == "concurrent-plan":
+            index.get_batch(keys[:4])  # compile + publish the plan
+            assert index.published_plan_version is not None
+        probe = [_NON_FINITE[k] for k in sorted(_NON_FINITE)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for key in probe:
+                    assert index.get(key) is None
+                    assert key not in index
+                assert index.get_batch(probe) == [None] * len(probe)
+        finally:
+            if front_end.startswith("durable"):
+                index.close()
+
+
 class TestNonFiniteScalarWrites:
     """A NaN or infinite key is refused before a scalar write touches
     the index, empty or loaded, and the index stays writable."""
@@ -250,7 +293,7 @@ class TestNonFiniteScalarWrites:
     @pytest.mark.parametrize("key", sorted(_NON_FINITE))
     @pytest.mark.parametrize("front_end", ["dili", "concurrent"])
     def test_refused(self, front_end, key, state, verb):
-        index = DILI() if front_end == "dili" else ConcurrentDILI(stripes=4)
+        index = DILI() if front_end == "dili" else ConcurrentDILI()
         if state == "loaded":
             index.bulk_load(np.arange(100.0), list(range(100)))
         with pytest.raises(ValueError, match="keys must be finite"):
