@@ -25,6 +25,7 @@ from repro.resilience import (
     ResilientDILI,
     TREE_FAULT_KINDS,
     run_chaos,
+    run_lock_chaos,
 )
 
 
@@ -99,34 +100,37 @@ def test_degraded_read_tax_and_repair_latency(
 
 def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
     num_keys = min(10_000, scale.num_keys // 5)
+    rounds = 40
+    t0 = time.perf_counter()
     report = run_chaos(
         num_keys=num_keys,
-        rounds=40,
+        rounds=rounds,
         batch=128,
         injections=8,
         seed=7,
-        with_locks=True,
     )
-    assert report.ok, vars(report)
-    assert report.kinds_injected == set(TREE_FAULT_KINDS)
+    wall_s = time.perf_counter() - t0
+    lock = run_lock_chaos(seed=7)
+    assert report.ok, report.to_dict()
+    assert lock.ok, lock.to_dict()
+    counts = report.counts
+    assert all(counts[f"injected.{kind}"] for kind in TREE_FAULT_KINDS)
 
     with capsys.disabled():
         print_table(
             f"Chaos harness, scale={scale.name} ({num_keys:,} keys, "
-            f"{report.rounds} rounds)",
+            f"{rounds} rounds)",
             ["Metric", "value", "", ""],
             [
-                ["rounds/s", report.rounds / report.wall_s, "", ""],
+                ["rounds/s", rounds / wall_s, "", ""],
                 ["reads checked", report.reads, "", ""],
                 ["writes applied", report.writes, "", ""],
-                ["injections", len(report.injected), "", ""],
-                ["repair steps", report.repair_steps, "", ""],
-                ["max rounds degraded", report.max_steps_degraded, "", ""],
-                ["plan splices", report.plan_splices, "", ""],
-                ["plan publishes",
-                 report.lock_stats["plan_publishes"], "", ""],
-                ["plan reads",
-                 report.lock_stats["plan_reads"], "", ""],
+                ["injections", counts["injections"], "", ""],
+                ["repair steps", counts["repair_steps"], "", ""],
+                ["max rounds degraded", counts["max_steps_degraded"], "", ""],
+                ["plan splices", counts["plan_splices"], "", ""],
+                ["plan publishes", lock.counts["plan_publishes"], "", ""],
+                ["plan reads", lock.counts["plan_reads"], "", ""],
                 ["contract", "held" if report.ok else "VIOLATED", "", ""],
             ],
             first_col_width=22,
@@ -139,6 +143,5 @@ def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
             batch=32,
             injections=2,
             seed=1,
-            with_locks=False,
         )
     )

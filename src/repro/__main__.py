@@ -21,33 +21,31 @@ Commands:
   and optionally leave fresh inserts in the WAL tail.
 * ``recover``   -- replay snapshot + WAL from a durable directory and
   report what survived (exit 3 when records failed to replay).
-* ``chaos``     -- run the seeded resilience chaos harness: mixed
-  workload under scheduled fault injection, asserting zero wrong
-  reads, online repair, and convergence back to HEALTHY.
+* ``chaos``     -- run a seeded chaos schedule and check its contract
+  (no wrong read, no lost write, every schedule check held):
+  ``--schedule tree`` (mixed workload under scheduled tree faults,
+  online repair), ``lock`` (stalled writer lock, lock-free reads),
+  ``plan`` (plan-store corruption sweep), ``kill`` (worker SIGKILLs
+  and a mid-rebalance kill) or ``supervision`` (hangs, slow workers,
+  crash loops); no ``--schedule`` runs ``tree`` then ``lock``.
 * ``plan``      -- the memory-mapped plan store: ``plan write``
   publishes the compiled flat plan (and optionally a WAL-tail delta),
-  ``plan open`` opens the serving ladder and reports which rung
-  serves, ``plan audit`` eagerly verifies every plan artifact, and
-  ``plan chaos`` runs the corruption sweep (zero wrong reads on every
-  rung).
+  and ``plan open`` opens the serving ladder and reports which rung
+  serves.
 * ``audit``     -- one-shot offline integrity sweep of a whole state
   directory: snapshot header + WAL framing + plan files and delta
   chains.  Exit 0 clean / 3 recoverable damage / 4 unrecoverable.
 * ``check``     -- static analysis and sanitizers: ``check lint`` runs
-  the CHK rule set over source trees, ``check sanitize`` measures a
-  mixed workload with the tree sanitizer on vs off, and
-  ``check audit-wal`` scans a durability directory for frame/CRC/LSN
-  damage without replaying it.
+  the CHK rule set over source trees, ``check dataflow`` runs only the
+  interprocedural rules, and ``check sanitize`` measures a mixed
+  workload with the tree sanitizer on vs off.
 * ``shard``     -- sharded multi-process serving: ``shard init``
   partitions a dataset into per-shard plan directories, ``shard
   serve`` scatter/gathers an audited read workload over worker
   processes, ``shard bench`` measures batch-read scaling by worker
-  count plus per-shard tuning vs one global config, ``shard status``
-  reports per-shard key counts, plan generations, ops counters,
-  health, restart ledgers and circuit-breaker states, and ``shard
-  chaos`` runs the seeded fault-injection audits (SIGKILL, SIGSTOP
-  hangs, slow workers, crash loops) and exits nonzero unless every
-  read audited clean.
+  count plus per-shard tuning vs one global config, and ``shard
+  status`` reports per-shard key counts, plan generations, ops
+  counters, health, restart ledgers and circuit-breaker states.
 """
 
 from __future__ import annotations
@@ -388,59 +386,65 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.bench.reporting import format_table
-    from repro.resilience import run_chaos
+#: ``repro chaos --schedule`` name -> (module, schedule function).
+CHAOS_SCHEDULES = {
+    "tree": ("repro.resilience.chaos", "run_chaos"),
+    "lock": ("repro.resilience.chaos", "run_lock_chaos"),
+    "plan": ("repro.planstore.chaos", "run_plan_chaos"),
+    "kill": ("repro.sharding.chaos", "run_shard_chaos"),
+    "supervision": ("repro.sharding.chaos", "run_supervision_chaos"),
+}
 
-    report = run_chaos(
-        num_keys=args.keys,
-        rounds=args.rounds,
-        batch=args.batch,
-        write_fraction=args.write_fraction,
-        injections=args.injections,
-        seed=args.seed,
-        with_locks=not args.no_locks,
-        log=print if args.verbose else None,
-    )
-    kinds = ", ".join(sorted(report.kinds_injected)) or "none"
+
+def _print_chaos(report, wall_s: float) -> None:
+    from repro.bench.reporting import format_table
+
     rows = [
-        ["reads checked", float(report.reads)],
-        ["writes applied", float(report.writes)],
-        ["wrong reads", float(report.wrong_reads)],
-        ["injections", float(len(report.injected))],
-        ["undetected", float(report.undetected)],
-        ["false positives", float(report.false_positives)],
-        ["repair steps", float(report.repair_steps)],
-        ["max rounds degraded", float(report.max_steps_degraded)],
-        ["plan splices", float(report.plan_splices)],
-        ["plan drops", float(report.plan_drops)],
-        ["full rebuilds", float(report.full_rebuilds)],
-        ["wall (s)", report.wall_s],
+        ["reads checked", report.reads],
+        ["wrong reads", report.wrong_reads],
+        ["writes", report.writes],
+        ["lost writes", report.lost_writes],
+        *([name, value] for name, value in report.counts.items()),
+        *([f"check {name}", "held" if held else "FAILED"]
+          for name, held in report.checks.items()),
     ]
-    if report.lock_stats is not None:
-        rows += [
-            ["lock stalls", float(report.lock_stats["stalls"])],
-            ["plan publishes", float(report.lock_stats["plan_publishes"])],
-            ["plan reads", float(report.lock_stats["plan_reads"])],
-            ["racing batch reads",
-             float(report.lock_stats.get("batch_reads", 0))],
-        ]
     print(
         format_table(
-            f"Chaos run: {args.keys:,} keys, {args.rounds} rounds, "
-            f"seed {args.seed}",
+            f"Chaos schedule {report.schedule}, seed {report.seed} "
+            f"({wall_s:.1f} s)",
             ["Metric", "value"],
             rows,
-            first_col_width=24,
+            first_col_width=40,
         )
     )
-    print(f"fault kinds injected: {kinds}")
-    print(f"final health: {report.final_health}")
-    if not report.ok:
-        print("chaos contract VIOLATED", file=sys.stderr)
-        return 1
-    print("chaos contract held: zero wrong reads, repaired online")
-    return 0
+    for event in report.events:
+        print(f"  - {event}")
+    print(
+        f"{report.schedule}: contract "
+        f"{'held' if report.ok else 'VIOLATED'}\n"
+    )
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    import importlib
+    import json
+    import time
+
+    reports = []
+    for name in [args.schedule] if args.schedule else ["tree", "lock"]:
+        module, func = CHAOS_SCHEDULES[name]
+        schedule = getattr(importlib.import_module(module), func)
+        start = time.perf_counter()
+        report = schedule(seed=args.seed)
+        reports.append(report)
+        if not args.json:
+            _print_chaos(report, time.perf_counter() - start)
+    if args.json:
+        print(json.dumps([r.to_dict() for r in reports], indent=2))
+    if all(r.ok for r in reports):
+        return 0
+    print("chaos contract VIOLATED", file=sys.stderr)
+    return 1
 
 
 def cmd_plan_write(args: argparse.Namespace) -> int:
@@ -507,62 +511,6 @@ def cmd_plan_open(args: argparse.Namespace) -> int:
         )
     served.close()
     return 0 if served.rung < 4 else 1
-
-
-def cmd_plan_audit(args: argparse.Namespace) -> int:
-    from repro.check import audit_plans
-
-    report = audit_plans(args.dir)
-    print(
-        f"{report.directory}: {report.generations} generation(s) "
-        f"({report.verified_generations} verified clean), "
-        f"{report.deltas} delta(s), {report.quarantined} quarantined"
-    )
-    for finding in report.findings:
-        print(f"  {finding.format()}")
-    if report.clean:
-        print("clean")
-        return 0
-    if report.damaged:
-        print("unrecoverable plan damage", file=sys.stderr)
-        return 4
-    print("recoverable findings only; the serving ladder falls back")
-    return 3
-
-
-def cmd_plan_chaos(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.bench.reporting import format_table
-    from repro.planstore import run_plan_chaos
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-plan-chaos-")
-    result = run_plan_chaos(workdir, seed=args.seed, n_keys=args.keys)
-    rows = [
-        [run.kind, "int64" if run.int_payloads else "pickled",
-         float(run.rung), float(run.expected_rung),
-         ",".join(str(rung) if served else "-"
-                  for rung, served in run.later_readers),
-         float(run.wrong_reads), float(len(run.quarantined))]
-        for run in result.runs
-    ]
-    print(
-        format_table(
-            f"Plan corruption sweep: seed {result.seed}, "
-            f"{args.keys:,} keys per round",
-            ["fault kind", "values", "rung", "expected", "later rungs",
-             "wrong", "quarantined"],
-            rows,
-            first_col_width=22,
-        )
-    )
-    print(f"probes: {sum(run.probes for run in result.runs):,}, "
-          f"wrong reads: {result.wrong_reads}")
-    if not result.ok:
-        print("plan chaos contract VIOLATED", file=sys.stderr)
-        return 1
-    print("plan chaos contract held: every rung correct, zero wrong reads")
-    return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -705,32 +653,6 @@ def cmd_check_sanitize(args: argparse.Namespace) -> int:
         f"({sanitizer.checks} checks, {sanitizer.full_checks} deep verifies)"
     )
     print("final verify_tree() passed")
-    return 0
-
-
-def cmd_check_audit_wal(args: argparse.Namespace) -> int:
-    from repro.check import audit_directory
-
-    try:
-        report = audit_directory(args.dir)
-    except FileNotFoundError as exc:
-        print(f"audit failed: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"{report.directory}: snapshot seqno {report.snapshot_seqno}, "
-        f"{report.wal_records} WAL records "
-        f"({report.wal_valid_bytes:,} valid bytes)"
-    )
-    for finding in report.findings:
-        print(f"  {finding.format()}")
-    if report.clean:
-        print("clean")
-        return 0
-    if report.damaged:
-        print("damage found (not recoverable by WAL replay)",
-              file=sys.stderr)
-        return 1
-    print("recoverable findings only (torn tail); recovery will truncate")
     return 0
 
 
@@ -976,50 +898,6 @@ def cmd_shard_status(args: argparse.Namespace) -> int:
     return 0 if healthy else 1
 
 
-def cmd_shard_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.sharding.chaos import run_shard_chaos, run_supervision_chaos
-
-    clean = True
-    if args.schedule in ("kill", "both"):
-        report = run_shard_chaos(seed=args.seed)
-        clean = clean and report.clean
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            d = report.to_dict()
-            print(
-                f"kill schedule (seed {args.seed}): "
-                f"{d['reads']:,} audited reads, "
-                f"{d['wrong_reads']} wrong, {d['kills']} kills, "
-                f"{d['restarts']} restarts, "
-                f"{d['rebalances']} rebalances -> "
-                f"{'clean' if report.clean else 'DIRTY'}"
-            )
-    if args.schedule in ("supervision", "both"):
-        report = run_supervision_chaos(seed=args.seed)
-        clean = clean and report.clean
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            d = report.to_dict()
-            print(
-                f"supervision schedule (seed {args.seed}): "
-                f"{d['reads']:,} audited reads, "
-                f"{d['wrong_reads']} wrong, "
-                f"{d['unavailable_marks']} exact unavailability marks "
-                f"({d['misreported_unavailability']} misreported), "
-                f"hang replaced in {d['hang_recovery_seconds']:.3f}s, "
-                f"breaker tripped after {d['failures_at_trip']} "
-                f"failures, healed={d['healed']} -> "
-                f"{'clean' if report.clean else 'DIRTY'}"
-            )
-            for event in report.events:
-                print(f"  - {event}")
-    return 0 if clean else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1168,41 +1046,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="mixed workload under scheduled fault injection",
+        help="run a seeded chaos schedule and check its contract",
     )
     chaos.add_argument(
-        "--keys", type=int, default=20_000,
-        help="initial bulk-loaded keys (default: 20000)",
-    )
-    chaos.add_argument(
-        "--rounds", type=int, default=60,
-        help="workload rounds (default: 60)",
-    )
-    chaos.add_argument(
-        "--batch", type=int, default=256,
-        help="operations per batch (default: 256)",
-    )
-    chaos.add_argument(
-        "--write-fraction", type=float, default=0.5,
-        help="write share of the mix (default: 0.5)",
-    )
-    chaos.add_argument(
-        "--injections", type=int, default=12,
-        help="scheduled faults (default: 12)",
+        "--schedule",
+        default=None,
+        choices=list(CHAOS_SCHEDULES),
+        help="schedule to run (default: tree, then lock)",
     )
     chaos.add_argument("--seed", type=int, default=7, help="master seed")
     chaos.add_argument(
-        "--no-locks", action="store_true",
-        help="skip the concurrency (stalled writer lock) leg",
-    )
-    chaos.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print per-injection progress lines",
+        "--json", action="store_true",
+        help="print the report(s) as JSON",
     )
     chaos.set_defaults(func=cmd_chaos)
 
     plan = sub.add_parser(
-        "plan", help="memory-mapped plan store (publish / serve / audit)"
+        "plan", help="memory-mapped plan store (publish / serve)"
     )
     plan_sub = plan.add_subparsers(dest="plan_command", required=True)
 
@@ -1234,31 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="eagerly CRC-verify the served plan's buffers",
     )
     plan_open.set_defaults(func=cmd_plan_open)
-
-    plan_audit = plan_sub.add_parser(
-        "audit",
-        help="eagerly verify every plan file and delta chain",
-    )
-    plan_audit.add_argument(
-        "--dir", required=True, help="durable state directory"
-    )
-    plan_audit.set_defaults(func=cmd_plan_audit)
-
-    plan_chaos = plan_sub.add_parser(
-        "chaos",
-        help="corruption sweep: every fault kind, zero wrong reads",
-    )
-    plan_chaos.add_argument(
-        "--workdir",
-        default=None,
-        help="scratch directory (default: a fresh temp dir)",
-    )
-    plan_chaos.add_argument("--seed", type=int, default=7, help="sweep seed")
-    plan_chaos.add_argument(
-        "--keys", type=int, default=400,
-        help="keys per fault round (default: 400)",
-    )
-    plan_chaos.set_defaults(func=cmd_plan_chaos)
 
     audit_p = sub.add_parser(
         "audit",
@@ -1318,15 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batched insert/read/update/delete rounds (default: 8)",
     )
     sanitize.set_defaults(func=cmd_check_sanitize)
-
-    audit = check_sub.add_parser(
-        "audit-wal",
-        help="scan a durability directory for frame/CRC/LSN damage",
-    )
-    audit.add_argument(
-        "--dir", required=True, help="durable state directory"
-    )
-    audit.set_defaults(func=cmd_check_audit_wal)
 
     shard = sub.add_parser(
         "shard", help="sharded multi-process serving"
@@ -1413,27 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir", required=True, help="sharded state directory"
     )
     shard_status.set_defaults(func=cmd_shard_status)
-
-    shard_chaos = shard_sub.add_parser(
-        "chaos",
-        help="seeded fault-injection audit: kills, hangs, slow "
-        "workers, crash loops; exits nonzero unless clean",
-    )
-    shard_chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed driving the whole schedule (default: 0)",
-    )
-    shard_chaos.add_argument(
-        "--schedule", default="supervision",
-        choices=["kill", "supervision", "both"],
-        help="kill = SIGKILL + mid-rebalance kills; supervision = "
-        "SIGSTOP hangs, slow workers and crash loops (default)",
-    )
-    shard_chaos.add_argument(
-        "--json", action="store_true",
-        help="print the full report(s) as JSON",
-    )
-    shard_chaos.set_defaults(func=cmd_shard_chaos)
 
     return parser
 

@@ -13,6 +13,8 @@ Three pillars (see ``docs/static_analysis.md``):
 * :mod:`repro.check.plan_audit` -- :class:`PlanAuditor`: offline
   plan-store audit (base CRCs, delta chains, staleness); ``repro
   audit DIR`` combines it with the WAL audit.
+* :mod:`repro.check.chaos` -- :class:`ChaosReport`: the one report
+  and read audit every chaos schedule shares (``repro chaos``).
 * :mod:`repro.check.lint` -- pattern rules CHK001-CHK009 over the
   repo's own source (``repro check lint ...``).
 * :mod:`repro.check.dataflow` -- interprocedural dataflow rules
@@ -42,6 +44,7 @@ _LAZY = {
     "PlanAuditor": ("repro.check.plan_audit", "PlanAuditor"),
     "PlanAuditReport": ("repro.check.plan_audit", "PlanAuditReport"),
     "audit_plans": ("repro.check.plan_audit", "audit_plans"),
+    "ChaosReport": ("repro.check.chaos", "ChaosReport"),
     "LintFinding": ("repro.check.lint", "LintFinding"),
     "lint_paths": ("repro.check.lint", "lint_paths"),
     "RULES": ("repro.check.lint", "RULES"),

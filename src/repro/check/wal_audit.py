@@ -15,8 +15,8 @@ to work around -- without constructing an index:
 
 A *torn tail* (truncated final record) is reported as recoverable --
 that is the crash pattern the WAL is designed for -- while everything
-else is flagged as damage.  ``repro check audit-wal DIR`` is the CLI
-wrapper.
+else is flagged as damage.  ``repro audit DIR`` runs it beside the
+plan-store audit (:mod:`repro.check.plan_audit`).
 """
 
 from __future__ import annotations

@@ -16,13 +16,12 @@ Table 9 -- but its main role here is supplying the level layouts
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.cost import CostParams, DEFAULT_COST
-from repro.core.linear_model import LinearModel
+from repro.core.linear_model import LinearModel, clamp_slot
 from repro.core.search_util import exp_search_floor, exp_search_lub
 from repro.core.segmentation import SegmentationResult, greedy_merging
 from repro.simulate.tracer import NULL_TRACER, Tracer, region_id
@@ -269,9 +268,11 @@ class BUTree:
         while not node.is_leaf:
             tracer.mem(node.region)
             tracer.compute(c.linear_model)
-            hint = node.model.predict_int(key) - node.offset
             assert (  # repro-check: allow CHK002 -- type narrowing only
                 node.bounds is not None and node.children is not None
+            )
+            hint = clamp_slot(
+                node.model.predict(key) - node.offset, len(node.bounds)
             )
             idx = exp_search_floor(
                 node.bounds, key, hint, tracer, node.region,
@@ -285,7 +286,7 @@ class BUTree:
         tracer.phase("step2")
         tracer.mem(node.region)
         tracer.compute(c.linear_model)
-        hint = node.model.predict_int(key)
+        hint = clamp_slot(node.model.predict(key), len(self.keys))
         pos = exp_search_lub(
             self.keys, key, hint, tracer, self._keys_region,
             mu_e=c.exp_search_step,

@@ -116,14 +116,12 @@ inside ``FlatPlan.__init__``.
 from __future__ import annotations
 
 import bisect
-import math
 import threading
 
 import numpy as np
 
 from repro.check.errors import InvariantError
-from repro.core.linear_model import clamp_slot
-from repro.core.local_opt import _SAFE_PRED
+from repro.core.linear_model import clamp_slot, clamp_slots
 from repro.core.nodes import DenseLeafNode, InternalNode, LeafNode
 from repro.simulate.latency import CyclesPerOp, DEFAULT_CYCLES
 from repro.simulate.tracer import NULL_TRACER, Tracer
@@ -272,13 +270,11 @@ class FlatPlan:
                     if idx.size == 0:
                         break
                 # One multiply-add per in-flight key locates the next
-                # slot (Eq. 1 / Algorithm 5 line 4), floored and clamped
-                # exactly like the scalar clamp_slot.  The clamp runs in
-                # float before the cast, so a prediction past the int64
-                # range lands on the last slot and a NaN one on slot 0.
-                pred = self.intercept[node] + self.slope[node] * q[idx]
-                pos = np.fmin(np.fmax(np.floor(pred), 0), self.size[node] - 1)
-                pos = pos.astype(np.int64)
+                # slot (Eq. 1 / Algorithm 5 line 4).
+                pos = clamp_slots(
+                    self.intercept[node] + self.slope[node] * q[idx],
+                    self.size[node],
+                )
                 if record:
                     trace.append((idx, node, pos))
                 ref = self.base[node] + pos
@@ -1200,20 +1196,10 @@ class InternalRouter:
         for _ in range(_MAX_DESCENT):
             if idx.size == 0:
                 break
-            v = self.intercept[node] + self.slope[node] * keys[idx]
-            unsafe = ~((v > -_SAFE_PRED) & (v < _SAFE_PRED))
-            if unsafe.any():
-                vs = np.where(unsafe, 0.0, v)
-                pos = np.floor(vs).astype(np.int64)
-                # Slow path reproduces the scalar child_index exactly,
-                # including its exceptions for non-finite keys.
-                for j in np.flatnonzero(unsafe):
-                    p = int(math.floor(float(v[j])))
-                    last = int(self.size[node[j]]) - 1
-                    pos[j] = 0 if p < 0 else (last if p > last else p)
-            else:
-                pos = np.floor(v).astype(np.int64)
-            np.clip(pos, 0, self.size[node] - 1, out=pos)
+            pos = clamp_slots(
+                self.intercept[node] + self.slope[node] * keys[idx],
+                self.size[node],
+            )
             if record:
                 trace.append((idx, node, pos))
             ref = self.base[node] + pos

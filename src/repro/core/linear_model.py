@@ -36,7 +36,7 @@ def clamp_slot(pred: float, size: int) -> int:
     of the floor-then-clamp rule every descent uses (internal children,
     leaf slots, dense-leaf search hints, the flat plan's scalar walk).
     The clamp runs in float before the int cast, like
-    :meth:`repro.core.flat.FlatPlan.lookup_batch`: a prediction at or
+    :func:`clamp_slots`, its array form: a prediction at or
     past ``size`` (+inf included) lands on the last slot, and one below
     zero (-inf included) or NaN on slot 0, so no key makes it raise.
     """
@@ -45,6 +45,16 @@ def clamp_slot(pred: float, size: int) -> int:
     if pred > 0:
         return int(pred)  # floor: truncation of a positive float
     return 0
+
+
+def clamp_slots(pred: np.ndarray, size) -> np.ndarray:
+    """:func:`clamp_slot` over an array of predictions, as int64.
+
+    ``size`` is a scalar or an array matching ``pred``.  ``fmax`` /
+    ``fmin`` clamp in float before the cast, so +-inf and predictions
+    past the int64 range land on the end slots and NaN on slot 0.
+    """
+    return np.fmin(np.fmax(np.floor(pred), 0), size - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -62,10 +72,6 @@ class LinearModel:
     def predict(self, x: float) -> float:
         """Raw (unclamped, unrounded) prediction."""
         return self.intercept + self.slope * x
-
-    def predict_int(self, x: float) -> int:
-        """Floor of the prediction, as used by every search algorithm."""
-        return int(math.floor(self.intercept + self.slope * x))
 
     def inverse(self, y: float) -> float:
         """Key at which the model predicts ``y`` (requires slope != 0)."""

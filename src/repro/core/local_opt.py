@@ -15,18 +15,12 @@ insertion path later compares against to trigger adjustments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.linear_model import LinearModel
+from repro.core.linear_model import LinearModel, clamp_slot, clamp_slots
 from repro.core.nodes import LeafNode, Pair
-
-# Scalar floor+int is only equivalent to numpy's floor/astype(int64) while
-# the prediction is far from the int64 edge; beyond this bound the slow
-# path reproduces the vectorised conversion exactly.
-_SAFE_PRED = 4.0e18
 
 MAX_NESTING_DEPTH = 64
 """Safety valve: with unique keys the model always separates the minimum
@@ -124,55 +118,40 @@ def local_opt(
     if n == 2:
         a = leaf.intercept
         b = leaf.slope
-        v0 = a + b * pairs[0][0]
-        v1 = a + b * pairs[1][0]
-        if -_SAFE_PRED < v0 < _SAFE_PRED and -_SAFE_PRED < v1 < _SAFE_PRED:
-            last = fanout - 1
-            p0 = int(math.floor(v0))
-            p0 = 0 if p0 < 0 else (last if p0 > last else p0)
-            p1 = int(math.floor(v1))
-            p1 = 0 if p1 < 0 else (last if p1 > last else p1)
-            if p0 != p1:
-                slots[p0] = pairs[0]
-                slots[p1] = pairs[1]
-                leaf.delta = 2
-                leaf.kappa = 1.0
-                return
-            # Both keys predict the same slot: one nested group with no
-            # separation progress, which always takes the fallback spread.
-            if stats is not None:
-                stats.conflicts += 2
-                stats.nested_leaves += 1
-                if depth + 1 > stats.max_depth:
-                    stats.max_depth = depth + 1
-            child = LeafNode(pairs[0][0], pairs[1][0])
-            _fallback_spread(child, pairs)
-            slots[p0] = child
-            leaf.delta = 2 + child.delta
-            leaf.kappa = leaf.delta / 2
+        p0 = clamp_slot(a + b * pairs[0][0], fanout)
+        p1 = clamp_slot(a + b * pairs[1][0], fanout)
+        if p0 != p1:
+            slots[p0] = pairs[0]
+            slots[p1] = pairs[1]
+            leaf.delta = 2
+            leaf.kappa = 1.0
             return
+        # Both keys predict the same slot: one nested group with no
+        # separation progress, which always takes the fallback spread.
+        if stats is not None:
+            stats.conflicts += 2
+            stats.nested_leaves += 1
+            if depth + 1 > stats.max_depth:
+                stats.max_depth = depth + 1
+        child = LeafNode(pairs[0][0], pairs[1][0])
+        _fallback_spread(child, pairs)
+        slots[p0] = child
+        leaf.delta = 2 + child.delta
+        leaf.kappa = leaf.delta / 2
+        return
 
     # Bucket pairs by predicted slot: pairs arrive sorted by key and the
     # prediction is monotone (least-squares slopes over ranks are
     # non-negative), so equal-slot pairs are contiguous and one diff
     # pass over the predictions finds the group boundaries.  Small
     # groups (the nested-conflict recursion) predict scalar -- same
-    # model, same floor, same clamp as the vectorised form, with the
-    # int64 edge guarded -- to skip the numpy fixed costs.
-    pred_l: list[int] | np.ndarray | None = None
+    # model, same floor, same clamp as the vectorised form -- to skip
+    # the numpy fixed costs.
+    pred_l: list[int] | np.ndarray
     if n <= 32:
         a = leaf.intercept
         b = leaf.slope
-        last = fanout - 1
-        pred_l = []
-        for p in pairs:
-            v = a + b * p[0]
-            if not (-_SAFE_PRED < v < _SAFE_PRED):
-                pred_l = None
-                break
-            s = int(math.floor(v))
-            pred_l.append(0 if s < 0 else (last if s > last else s))
-    if pred_l is not None:
+        pred_l = [clamp_slot(a + b * p[0], fanout) for p in pairs]
         bounds = [0]
         for i in range(1, n):
             if pred_l[i] != pred_l[i - 1]:
@@ -184,12 +163,8 @@ def local_opt(
         else:
             keys_arr = np.fromiter((p[0] for p in pairs), dtype=np.float64,
                                    count=n)
-        predicted = np.floor(
-            leaf.intercept + leaf.slope * keys_arr
-        ).astype(np.int64)
-        np.clip(predicted, 0, fanout - 1, out=predicted)
-        bounds = [0, *(np.flatnonzero(np.diff(predicted)) + 1).tolist(), n]
-        pred_l = predicted
+        pred_l = clamp_slots(leaf.intercept + leaf.slope * keys_arr, fanout)
+        bounds = [0, *(np.flatnonzero(np.diff(pred_l)) + 1).tolist(), n]
 
     num_groups = len(bounds) - 1
     progress = num_groups > 1 or n == 1

@@ -88,7 +88,6 @@ class DurableDILI:
         sync: fsync the WAL on every append (the durability guarantee;
             turn off only for benchmarks that batch with
             :meth:`sync_wal`).
-        validate_on_open: Run ``validate()`` after recovery.
         faults: Crash-point injector (tests only).
     """
 
@@ -99,15 +98,12 @@ class DurableDILI:
         config: DiliConfig | None = None,
         concurrent: bool = False,
         sync: bool = True,
-        validate_on_open: bool = True,
         faults: FaultInjector | None = None,
     ) -> None:
         self.dirpath = os.fspath(dirpath)
         os.makedirs(self.dirpath, exist_ok=True)
         self._faults = faults if faults is not None else NULL_FAULTS
-        self.recovery: RecoveryResult = recover(
-            self.dirpath, config=config, validate=validate_on_open
-        )
+        self.recovery: RecoveryResult = recover(self.dirpath, config=config)
         self._snap_path = os.path.join(self.dirpath, SNAPSHOT_NAME)
         self.wal = WriteAheadLog(
             os.path.join(self.dirpath, WAL_NAME),
@@ -321,12 +317,12 @@ class DurableDILI:
                 faults=self._faults,
             )
 
-    def serve_mmap(self, **kwargs):
+    def serve_mmap(self):
         """Open a read-only :class:`~repro.planstore.serve.MmapDILI`
         over this directory (the fallback-ladder serving handle)."""
         from repro.planstore.serve import MmapDILI
 
-        return MmapDILI(self.dirpath, **kwargs)
+        return MmapDILI(self.dirpath)
 
     # ------------------------------------------------------------------
     # Reads and plumbing (unlogged)

@@ -28,18 +28,15 @@ physical copy of the buffers through the page cache.
   delta) used by :class:`repro.faults.FaultRegistry` and the chaos
   harness.
 * :mod:`repro.planstore.chaos` -- the seeded corruption sweep asserting
-  every ladder rung serves zero wrong reads (``repro plan chaos``).
+  every ladder rung serves zero wrong reads (``repro chaos --schedule
+  plan``).
 
 This package and :mod:`repro.durability` are the only modules allowed
 to touch ``np.memmap`` / raw ``mmap`` / ``pickle.load`` (lint rule
 CHK007): every byte read here is checksummed before it is trusted.
 """
 
-from repro.planstore.chaos import (
-    PlanChaosResult,
-    PlanChaosRun,
-    run_plan_chaos,
-)
+from repro.planstore.chaos import run_plan_chaos
 from repro.planstore.corrupt import (
     PLAN_FAULT_KINDS,
     PlanFaultReport,
@@ -70,8 +67,6 @@ __all__ = [
     "PLAN_MAGIC",
     "PLAN_VERSION",
     "MmapDILI",
-    "PlanChaosResult",
-    "PlanChaosRun",
     "PlanDirectory",
     "PlanFaultReport",
     "PlanFormatError",

@@ -38,17 +38,20 @@ state holds only ints, whose base files store the int64 value column,
 and the rest hold strings, whose files keep the pickled column, so
 each fault hits both encodings across the sweep.
 
-Runs are fully determined by the seed (``repro plan chaos`` is the CI
-entry point).
+Runs are fully determined by the seed.  :func:`run_plan_chaos` is the
+``plan`` schedule of ``repro chaos`` and returns a
+:class:`~repro.check.chaos.ChaosReport` whose checks and counts are
+named ``<kind>.<term>``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import tempfile
 
 import numpy as np
 
+from repro.check.chaos import ChaosReport
 from repro.durability.durable import DurableDILI
 from repro.durability.recovery import recover
 from repro.planstore.corrupt import (
@@ -58,7 +61,6 @@ from repro.planstore.corrupt import (
     FAULT_PLAN_TORN_HEADER,
     FAULT_PLAN_TRUNCATED_BUFFER,
     PLAN_FAULT_KINDS,
-    PlanFaultReport,
 )
 from repro.planstore.serve import MmapDILI, PlanDirectory, ServingUnavailable
 
@@ -81,56 +83,6 @@ QUARANTINE_KINDS: frozenset[str] = frozenset(
         FAULT_PLAN_STALE_LSN,
     }
 )
-
-
-@dataclass(frozen=True)
-class PlanChaosRun:
-    """Outcome of one (kind, fresh directory) chaos round.
-
-    ``rung``, ``served`` and ``quarantined`` describe the first reader,
-    opened on the damage; ``later_readers`` holds ``(rung, served)`` of
-    the reader opened after each later writer round; ``int_payloads``
-    says the state held only ints (the int64 value column).
-    """
-
-    kind: str
-    int_payloads: bool
-    rung: int
-    expected_rung: int
-    wrong_reads: int
-    probes: int
-    served: bool
-    quarantined: tuple[str, ...]
-    report: PlanFaultReport | None
-    later_readers: tuple[tuple[int, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        if self.wrong_reads != 0 or self.rung != self.expected_rung:
-            return False
-        if self.kind in QUARANTINE_KINDS and not self.quarantined:
-            return False
-        # A publish on top of the damage must be what the next reader
-        # serves: the newest plan, at rung 1.
-        return all(
-            rung == 1 and served for rung, served in self.later_readers
-        )
-
-
-@dataclass
-class PlanChaosResult:
-    """Aggregate of a full sweep; ``ok`` is the CI gate."""
-
-    seed: int
-    runs: list[PlanChaosRun] = field(default_factory=list)
-
-    @property
-    def wrong_reads(self) -> int:
-        return sum(run.wrong_reads for run in self.runs)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.runs) and all(run.ok for run in self.runs)
 
 
 def _payloads(keys, tag: int, ints: bool) -> list:
@@ -190,43 +142,6 @@ def _build_state(
     return keys
 
 
-def _count_wrong_reads(
-    served: MmapDILI,
-    oracle,
-    keys: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, int, bool]:
-    """``(wrong, probes, served_any)`` comparing every read family."""
-    probes = np.concatenate([keys, keys + 0.37, keys - 0.41])
-    rng.shuffle(probes)
-    lo, hi = float(keys.min()) - 2.0, float(keys.max()) + 2.0
-    los = rng.uniform(lo, hi, size=32)
-    his = los + rng.uniform(0.0, (hi - lo) / 2.0, size=32)
-    total = len(probes) * 2 + len(los)
-    wrong = 0
-    try:
-        got_values = served.get_batch(probes)
-        got_contains = served.contains_batch(probes)
-        got_counts = served.count_range_batch(los, his)
-    except ServingUnavailable:
-        # Refusing to serve is degraded, never wrong.
-        return 0, total, False
-    want_values = oracle.get_batch(probes)
-    wrong += sum(
-        1 for g, w in zip(got_values, want_values) if g != w
-    )
-    wrong += int(
-        np.sum(got_contains != oracle.contains_batch(probes))
-    )
-    wrong += int(
-        np.sum(
-            np.asarray(got_counts)
-            != np.asarray(oracle.count_range_batch(los, his))
-        )
-    )
-    return wrong, total, True
-
-
 def _write_round(
     state_dir: str,
     rng: np.random.Generator,
@@ -234,12 +149,12 @@ def _write_round(
     tag: int,
     mode: str,
     ints: bool,
-) -> None:
+) -> int:
     """Delete a quarter of the live keys, update a third of the rest,
     then publish a base (mode ``"base"``) or, while a generation
     survives, a WAL-tail delta.  A ``"checkpoint"`` round snapshots
     after its writes and inserts up to 16 fresh keys before publishing
-    like a ``"tail"`` round."""
+    like a ``"tail"`` round.  Returns the number of keys written."""
     durable = DurableDILI(state_dir)
     live = np.fromiter(
         (key for key, _ in durable.items()), dtype=np.float64
@@ -249,58 +164,96 @@ def _write_round(
     durable.delete_batch(np.sort(live[:cut]))
     updates = np.sort(live[cut:cut + (len(live) - cut) // 3])
     durable.update_batch(updates, _payloads(updates, tag, ints))
+    written = cut + len(updates)
     if mode == "checkpoint":
         durable.snapshot()
         # Stored keys are integers, so these are fresh; the audit's
         # probes (every original key + 0.37) cover them.
         fresh = np.sort(live[-16:]) + 0.37
         durable.insert_batch(fresh, _payloads(fresh, 10 + tag, ints))
+        written += len(fresh)
     plans = PlanDirectory.for_state_dir(state_dir)
     if mode == "base" or not plans.generations():
         durable.publish_plan()
     else:
         durable.publish_tail()
     durable.close()
+    return written
 
 
 def _audit(
-    state_dir: str, keys: np.ndarray, rng: np.random.Generator
-) -> tuple[MmapDILI, int, int, bool]:
-    """Open a fresh reader and compare it with a recovery rebuild;
-    returns the (closed) reader and :func:`_count_wrong_reads`."""
+    state_dir: str,
+    keys: np.ndarray,
+    rng: np.random.Generator,
+    report: ChaosReport,
+) -> tuple[MmapDILI, bool]:
+    """Open a fresh reader and audit every read family against a
+    recovery rebuild; returns the (closed) reader and whether it
+    served.  Refusing to serve is degraded, never wrong."""
     oracle = recover(state_dir).index
+    probes = np.concatenate([keys, keys + 0.37, keys - 0.41])
+    rng.shuffle(probes)
+    lo, hi = float(keys.min()) - 2.0, float(keys.max()) + 2.0
+    los = rng.uniform(lo, hi, size=32)
+    his = los + rng.uniform(0.0, (hi - lo) / 2.0, size=32)
     served = MmapDILI(state_dir)
     try:
-        return (served, *_count_wrong_reads(served, oracle, keys, rng))
+        got = (
+            served.get_batch(probes),
+            served.contains_batch(probes),
+            served.count_range_batch(los, his),
+        )
+    except ServingUnavailable as exc:
+        report.events.append(f"reader refused to serve: {exc}")
+        return served, False
     finally:
         served.close()
+    report.audit(got[0], oracle.get_batch(probes))
+    report.audit(got[1], oracle.contains_batch(probes))
+    report.audit(got[2], oracle.count_range_batch(los, his))
+    return served, True
 
 
 def run_plan_chaos(
-    workdir,
+    workdir=None,
     *,
     seed: int = 0,
     n_keys: int = 400,
     kinds: tuple[str, ...] = PLAN_FAULT_KINDS,
     registry=None,
-) -> PlanChaosResult:
-    """Run the full corruption sweep under ``workdir``.
+) -> ChaosReport:
+    """Run the full corruption sweep (the ``plan`` schedule).
 
     Args:
-        workdir: Scratch directory; one fresh state dir per kind.
+        workdir: Scratch directory; one fresh state dir per kind.  A
+            temporary directory, removed afterwards, when omitted.
         seed: Determines keys, segment splits, injection offsets and
             the writer's later rounds.
         n_keys: Keys per state directory (5 segments are cut from it).
         kinds: Fault kinds to sweep (default: all of them).
         registry: A :class:`repro.faults.FaultRegistry` to record the
             injections in (a private one is created if omitted).
+
+    Per kind, the report's checks are ``<kind>.rung`` (the first
+    reader landed on :data:`EXPECTED_RUNG`), ``<kind>.quarantined``
+    (for :data:`QUARANTINE_KINDS`) and ``<kind>.later_readers`` (every
+    reader after a later writer round served at rung 1); its counts
+    are the first reader's ``rung``, the number of files it
+    ``quarantined`` and ``int_payloads`` (1 when the state held only
+    ints).  ``runs`` checks that some kind was swept.
     """
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-plan-chaos-") as tmp:
+            return run_plan_chaos(
+                tmp, seed=seed, n_keys=n_keys, kinds=kinds, registry=registry
+            )
     if registry is None:
         from repro.resilience.faults import FaultRegistry
 
         registry = FaultRegistry()
     workdir = os.fspath(workdir)
-    result = PlanChaosResult(seed=seed)
+    report = ChaosReport(schedule="plan", seed=seed)
+    report.checks["runs"] = bool(kinds)
     for round_no, kind in enumerate(kinds):
         rng = np.random.default_rng((seed, round_no))
         state_dir = os.path.join(workdir, kind)
@@ -321,29 +274,31 @@ def run_plan_chaos(
             target = plans.delta_path(newest, 1)
         else:
             target = plans.base_path(newest)
-        report = registry.inject_plan(kind, target, rng)
-        served, wrong, probes, was_served = _audit(state_dir, keys, rng)
+        registry.inject_plan(kind, target, rng)
+        served, _ = _audit(state_dir, keys, rng, report)
         later = []
         for tag, mode in enumerate(("tail", "base", "checkpoint"), 1):
-            _write_round(state_dir, rng, tag=tag, mode=mode, ints=ints)
-            reader, more_wrong, more_probes, reader_served = _audit(
-                state_dir, keys, rng
+            report.writes += _write_round(
+                state_dir, rng, tag=tag, mode=mode, ints=ints
             )
-            wrong += more_wrong
-            probes += more_probes
-            later.append((reader.rung, reader_served))
-        result.runs.append(
-            PlanChaosRun(
-                kind=kind,
-                int_payloads=ints,
-                rung=served.rung,
-                expected_rung=EXPECTED_RUNG.get(kind, served.rung),
-                wrong_reads=wrong,
-                probes=probes,
-                served=was_served,
-                quarantined=tuple(served.quarantined),
-                report=report,
-                later_readers=tuple(later),
-            )
+            reader, reader_served = _audit(state_dir, keys, rng, report)
+            later.append(reader.rung if reader_served else 0)
+        report.checks[f"{kind}.rung"] = (
+            served.rung == EXPECTED_RUNG.get(kind, served.rung)
         )
-    return result
+        if kind in QUARANTINE_KINDS:
+            report.checks[f"{kind}.quarantined"] = bool(served.quarantined)
+        # A publish on top of the damage must be what the next reader
+        # serves: the newest plan, at rung 1.
+        report.checks[f"{kind}.later_readers"] = later == [1] * len(later)
+        report.counts[f"{kind}.rung"] = served.rung
+        report.counts[f"{kind}.quarantined"] = len(served.quarantined)
+        report.counts[f"{kind}.int_payloads"] = int(ints)
+        report.events.append(
+            f"{kind} ({'int64' if ints else 'pickled'} payloads): rung "
+            f"{served.rung} (expected {EXPECTED_RUNG.get(kind, '-')}), "
+            f"later readers at rungs "
+            f"{','.join(str(r) if r else '-' for r in later)}, "
+            f"{len(served.quarantined)} file(s) quarantined"
+        )
+    return report

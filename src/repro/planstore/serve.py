@@ -48,7 +48,6 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.core.dili import DiliConfig
 from repro.durability.faultpoints import FaultInjector
 from repro.durability.recovery import SNAPSHOT_NAME, WAL_NAME, recover
 from repro.durability.snapshot import fsync_dir, read_snapshot_header
@@ -64,7 +63,6 @@ from repro.planstore.format import (
 )
 from repro.planstore.store import PlanStore
 from repro.resilience.health import Health, HealthMonitor
-from repro.simulate.latency import DEFAULT_CYCLES, CyclesPerOp
 from repro.simulate.tracer import NULL_TRACER, Tracer
 
 PLANS_SUBDIR = "plans"
@@ -358,19 +356,10 @@ class MmapDILI:
         quarantined: Paths this handle moved aside, in order.
     """
 
-    def __init__(
-        self,
-        dirpath,
-        *,
-        config: DiliConfig | None = None,
-        cycles: CyclesPerOp = DEFAULT_CYCLES,
-        health: HealthMonitor | None = None,
-    ) -> None:
+    def __init__(self, dirpath) -> None:
         self.dirpath = os.fspath(dirpath)
         self.plans = PlanDirectory.for_state_dir(self.dirpath)
-        self.health = health if health is not None else HealthMonitor()
-        self._config = config
-        self._cycles = cycles
+        self.health = HealthMonitor()
         self.events: list[str] = []
         self.quarantined: list[str] = []
         self.rung = 0
@@ -410,7 +399,7 @@ class MmapDILI:
                 )
                 return
         try:
-            result = recover(self.dirpath, config=self._config)
+            result = recover(self.dirpath)
         except Exception as exc:
             self.events.append(f"recovery rebuild failed: {exc}")
             self.rung = 4
@@ -434,7 +423,7 @@ class MmapDILI:
         base = self.plans.base_path(gen)
         try:
             walk = self.plans.walk(gen)
-            store = PlanStore.open(base, cycles=self._cycles)
+            store = PlanStore.open(base)
         except PlanStoreError as exc:
             self._quarantine(base, str(exc))
             return None

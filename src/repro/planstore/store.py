@@ -62,7 +62,7 @@ from repro.durability.wal import (
     OP_UPDATE_BATCH,
 )
 from repro.planstore.format import PlanFormatError, read_plan_header
-from repro.simulate.latency import DEFAULT_CYCLES, CyclesPerOp
+from repro.simulate.latency import DEFAULT_CYCLES
 from repro.simulate.tracer import NULL_TRACER, NullTracer, Tracer
 
 _TOMBSTONE = object()
@@ -136,8 +136,6 @@ class PlanStore:
         path: str,
         header: dict,
         plan: FlatPlan,
-        *,
-        cycles: CyclesPerOp = DEFAULT_CYCLES,
     ) -> None:
         self.path = path
         self.header = header
@@ -145,7 +143,6 @@ class PlanStore:
         #: Highest WAL seqno folded in (advanced by deltas / tail replay).
         self.wal_lsn = int(header["wal_lsn"])
         self._plan = plan
-        self._cycles = cycles
         self._arrays: dict[str, np.ndarray] = {}
         self._verified = False
         self._lock = threading.Lock()
@@ -157,9 +154,7 @@ class PlanStore:
     # ------------------------------------------------------------------
 
     @classmethod
-    def open(
-        cls, path, *, cycles: CyclesPerOp = DEFAULT_CYCLES
-    ) -> "PlanStore":
+    def open(cls, path) -> "PlanStore":
         """Map a plan file, with an empty overlay.
 
         O(1) in the key count: the header is parsed and checked, the
@@ -213,7 +208,7 @@ class PlanStore:
             sorted_keys=sorted_keys,
             depth=int(header["depth"]),
         )
-        store = cls(path, header, plan, cycles=cycles)
+        store = cls(path, header, plan)
         store._arrays = arrays
         return store
 
@@ -373,7 +368,7 @@ class PlanStore:
         record = not isinstance(tracer, NullTracer)
         out, trace = plan.lookup_batch(keys, record=record)
         if record:
-            plan.replay_trace(keys, trace, tracer, self._cycles)
+            plan.replay_trace(keys, trace, tracer, DEFAULT_CYCLES)
         results = plan.gather_values(out)
         overlay = self._overlay
         if overlay:

@@ -13,9 +13,9 @@ Four cooperating pieces (see ``docs/resilience.md``):
 * :mod:`repro.resilience.serving` -- :class:`ResilientDILI`, the
   degraded-mode wrapper whose read path falls back flat plan ->
   scalar tree -> authoritative table and never answers wrong.
-* :mod:`repro.resilience.chaos` -- the seeded whole-stack chaos
-  harness (``repro chaos``) asserting the contract end to end, with
-  :mod:`repro.resilience.oracle` providing the repaired-vs-fresh
+* :mod:`repro.resilience.chaos` -- the seeded ``tree`` and ``lock``
+  chaos schedules (``repro chaos``) checking the contract end to end,
+  with :mod:`repro.resilience.oracle` providing the repaired-vs-fresh
   bit-identity check.
 
 Everything is exported lazily: the fault/chaos machinery imports
@@ -37,7 +37,6 @@ _LAZY = {
     "Finding": ("repro.resilience.repair", "Finding"),
     "PairTable": ("repro.resilience.serving", "PairTable"),
     "ResilientDILI": ("repro.resilience.serving", "ResilientDILI"),
-    "ChaosReport": ("repro.resilience.chaos", "ChaosReport"),
     "run_chaos": ("repro.resilience.chaos", "run_chaos"),
     "run_lock_chaos": ("repro.resilience.chaos", "run_lock_chaos"),
     "tree_signature": ("repro.resilience.oracle", "tree_signature"),

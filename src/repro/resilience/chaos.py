@@ -1,45 +1,43 @@
-"""Whole-stack chaos harness: mixed workload under scheduled faults.
+"""Whole-stack chaos schedules: ``tree`` and ``lock``.
 
-:func:`run_chaos` drives a :class:`~repro.resilience.serving.ResilientDILI`
-through a seeded 50/50 read/write workload while a seeded
+:func:`run_chaos` (the ``tree`` schedule) drives a
+:class:`~repro.resilience.serving.ResilientDILI` through a seeded
+50/50 read/write workload while a seeded
 :class:`~repro.resilience.faults.FaultSchedule` corrupts the serving
 structures mid-flight (one live fault at a time -- a new injection
 waits for the index to return to HEALTHY, like real incidents queue
-behind an ongoing repair).  Throughout the run it checks the
-resilience contract:
+behind an ongoing repair).  Every read is audited against a model dict
+maintained alongside the workload, healthy or degraded, and the
+report's checks hold the rest of the resilience contract:
 
-* **zero wrong reads** -- every answer, healthy or degraded, matches a
-  model dict maintained alongside the workload;
-* **every injection detected** -- the scan that follows an injection
-  must open at least one ticket;
-* **repair is online and scoped** -- health converges back to HEALTHY
-  through ``repair_step`` units, and the engine's ``full_rebuilds``
-  counter stays zero;
-* **no false positives** -- periodic scans while HEALTHY must find
-  nothing;
-* **clean convergence** -- the run ends HEALTHY with
-  ``ResilientDILI.verify()`` passing and the index content equal to
-  the model dict.
+* ``undetected`` -- the scan that follows an injection must open at
+  least one ticket;
+* ``full_rebuilds`` -- repair is online and scoped: health converges
+  back to HEALTHY through ``repair_step`` units and the engine never
+  rebuilds the whole index;
+* ``false_positives`` -- periodic scans while HEALTHY find nothing;
+* ``final_health`` / ``verify_clean`` / ``content_clean`` -- the run
+  ends HEALTHY with ``ResilientDILI.verify()`` passing and the index
+  content equal to the model dict.
 
-:func:`run_lock_chaos` is the concurrency leg: it runs
-``ConcurrentDILI`` point ops, lock-free reads and rebuilds under a
-stalled writer lock (:class:`~repro.resilience.faults.StallingLock`),
-returning the wrapper's ``lock_stats``.
+:func:`run_lock_chaos` (the ``lock`` schedule) runs ``ConcurrentDILI``
+point ops, lock-free reads and rebuilds under a stalled writer lock
+(:class:`~repro.resilience.faults.StallingLock`).
 
-Both entry points are deterministic per seed and are what the CLI
-(``repro chaos``), the resilience test suite, and the CI ``chaos`` job
-run.
+Both return a :class:`~repro.check.chaos.ChaosReport`, are
+deterministic per seed (the lock schedule's interleaving aside), and
+run from ``repro chaos``, the resilience test suite and the CI
+``chaos`` job.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.check.chaos import ChaosReport
 from repro.core.concurrent import ConcurrentDILI
 from repro.data import load_dataset
 from repro.resilience.faults import (
@@ -52,48 +50,7 @@ from repro.resilience.faults import (
 from repro.resilience.health import Health
 from repro.resilience.serving import ResilientDILI
 
-__all__ = ["ChaosReport", "run_chaos", "run_lock_chaos"]
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one :func:`run_chaos` invocation."""
-
-    num_keys: int
-    rounds: int
-    reads: int = 0
-    writes: int = 0
-    wrong_reads: int = 0
-    injected: list = field(default_factory=list)  # [(round, kind), ...]
-    undetected: int = 0
-    false_positives: int = 0
-    repair_steps: int = 0
-    max_steps_degraded: int = 0
-    plan_splices: int = 0
-    plan_drops: int = 0
-    full_rebuilds: int = 0
-    final_health: str = ""
-    verify_clean: bool = False
-    content_clean: bool = False
-    lock_stats: dict | None = None
-    wall_s: float = 0.0
-
-    @property
-    def kinds_injected(self) -> set:
-        return {kind for _, kind in self.injected}
-
-    @property
-    def ok(self) -> bool:
-        """The whole resilience contract, as one boolean."""
-        return (
-            self.wrong_reads == 0
-            and self.undetected == 0
-            and self.false_positives == 0
-            and self.full_rebuilds == 0
-            and self.final_health == "healthy"
-            and self.verify_clean
-            and self.content_clean
-        )
+__all__ = ["run_chaos", "run_lock_chaos"]
 
 
 def run_chaos(
@@ -105,10 +62,8 @@ def run_chaos(
     injections: int = 12,
     kinds: tuple[str, ...] = TREE_FAULT_KINDS,
     seed: int = 0,
-    with_locks: bool = True,
-    log=None,
 ) -> ChaosReport:
-    """Run the chaos workload; returns a :class:`ChaosReport`.
+    """Run the ``tree`` schedule; returns its :class:`ChaosReport`.
 
     Args:
         num_keys: Initial bulk-loaded keys (an equal-sized disjoint
@@ -122,11 +77,7 @@ def run_chaos(
             fires at least once).
         kinds: Fault kinds to schedule.
         seed: Master seed for dataset, schedule, and workload draws.
-        with_locks: Also run :func:`run_lock_chaos` and attach its
-            ``lock_stats``.
-        log: Optional ``print``-like callable for progress lines.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     universe = load_dataset("logn", 2 * num_keys, seed=seed)
     initial = universe[::2].copy()
@@ -148,7 +99,13 @@ def run_chaos(
         by_round.setdefault(int(when), []).append(kind)
     pending: deque[str] = deque()
     registry = FaultRegistry()
-    report = ChaosReport(num_keys=num_keys, rounds=rounds)
+    report = ChaosReport(schedule="tree", seed=seed)
+    counts = report.counts
+    counts["injections"] = 0
+    counts.update({f"injected.{kind}": 0 for kind in kinds})
+    counts.update(
+        undetected=0, false_positives=0, repair_steps=0, max_steps_degraded=0
+    )
     next_value = len(initial)
     degraded_streak = 0
 
@@ -162,18 +119,18 @@ def run_chaos(
             if fault is None:
                 fault = registry.inject_any(index.index, rng, kinds)
             if fault is not None:
-                report.injected.append((r, fault.kind))
+                counts["injections"] += 1
+                counts[f"injected.{fault.kind}"] += 1
                 if index.detect() < 1:
-                    report.undetected += 1
-                if log is not None:
-                    log(
-                        f"round {r:3d}: injected {fault.kind} -> "
-                        f"{index.health.value} "
-                        f"({len(index.engine.tickets)} ticket(s))"
-                    )
+                    counts["undetected"] += 1
+                report.events.append(
+                    f"round {r}: injected {fault.kind} -> "
+                    f"{index.health.value} "
+                    f"({len(index.engine.tickets)} ticket(s))"
+                )
         elif index.health is Health.HEALTHY and r % 10 == 5:
             # Periodic scan while clean: must find nothing.
-            report.false_positives += index.detect()
+            counts["false_positives"] += index.detect()
 
         # -- reads: half present keys, half probes that may miss
         model_keys = np.fromiter(model, dtype=np.float64, count=len(model))
@@ -182,12 +139,10 @@ def run_chaos(
             float(universe[0]), float(universe[-1]), size=batch // 2
         )
         read_keys = np.concatenate([sample, misses])
-        got = index.get_batch(read_keys)
-        for k, actual in zip(read_keys.tolist(), got):
-            expect = model.get(k)
-            if actual is not expect and actual != expect:
-                report.wrong_reads += 1
-        report.reads += len(read_keys)
+        report.audit(
+            index.get_batch(read_keys),
+            [model.get(k) for k in read_keys.tolist()],
+        )
 
         # -- writes: inserts of fresh keys, deletes, updates
         if rng.random() < write_fraction:
@@ -221,37 +176,39 @@ def run_chaos(
         # -- repair: one bounded step per round keeps serving live
         if index.health is not Health.HEALTHY:
             degraded_streak += 1
-            report.max_steps_degraded = max(
-                report.max_steps_degraded, degraded_streak
+            counts["max_steps_degraded"] = max(
+                counts["max_steps_degraded"], degraded_streak
             )
             if index.repair_step():
-                report.repair_steps += 1
+                counts["repair_steps"] += 1
         else:
             degraded_streak = 0
 
     # -- convergence: drain any tail repair, then deep-verify
-    report.repair_steps += index.repair_all()
-    report.final_health = index.health.value
+    counts["repair_steps"] += index.repair_all()
+    health = index.health.value
+    report.events.append(f"final health: {health}")
     try:
         index.verify()
-        report.verify_clean = True
+        verify_clean = True
     except AssertionError:
-        report.verify_clean = False
-    expect_keys = np.fromiter(
-        sorted(model), dtype=np.float64, count=len(model)
-    )
-    got = index.get_batch(expect_keys) if len(expect_keys) else []
-    report.content_clean = len(index) == len(model) and all(
-        actual == model[k] for k, actual in zip(expect_keys.tolist(), got)
-    )
+        verify_clean = False
     stats = index.stats()
-    report.plan_splices = stats["plan_splices"]
-    report.plan_drops = stats["plan_drops"]
-    report.full_rebuilds = stats["full_rebuilds"]
-
-    if with_locks:
-        report.lock_stats = run_lock_chaos(seed=seed)
-    report.wall_s = time.perf_counter() - t0
+    counts.update(
+        plan_splices=stats["plan_splices"],
+        plan_drops=stats["plan_drops"],
+        full_rebuilds=stats["full_rebuilds"],
+    )
+    report.checks.update(
+        undetected=counts["undetected"] == 0,
+        false_positives=counts["false_positives"] == 0,
+        full_rebuilds=counts["full_rebuilds"] == 0,
+        final_health=health == "healthy",
+        verify_clean=verify_clean,
+        content_clean=(
+            len(index) == len(model) and dict(index.index.items()) == model
+        ),
+    )
     return report
 
 
@@ -262,55 +219,49 @@ def run_lock_chaos(
     threads: int = 4,
     ops_per_thread: int = 200,
     stall_s: float = 2e-4,
-) -> dict:
-    """Concurrency chaos: stalled writer lock, lock-free reads.
+) -> ChaosReport:
+    """Run the ``lock`` schedule: stalled writer lock, lock-free reads.
 
     Runs point ops, lock-free reads and rebuilds from ``threads``
     threads while a :class:`StallingLock` delays every acquisition of
-    the writer lock.  Reads race the writers lock-free: base keys are
-    never deleted, so every point ``get`` and every ``get_batch``
-    answer for a base key must resolve (its original value or a
-    writer's) in whatever published plan it loaded, or the snapshot
-    was torn.  Returns the final ``lock_stats`` (``plan_publishes``
-    and ``plan_reads``, the reads answered from the published plan)
-    plus ``stalls`` and ``batch_reads``.
+    the writer lock.  Reads race the writers lock-free; base keys are
+    never deleted and updates rewrite a base key's own value, so every
+    point ``get`` and every ``get_batch`` answer for a base key must be
+    its value in whatever published plan it loaded, or the snapshot
+    was torn.  The answers are audited once the threads are joined.
+    Checks: ``lock_free_reads`` (a plan was published and read from)
+    and ``lock_stalled`` (the stalled lock was taken); counts: the
+    final ``lock_stats`` plus ``stalls`` and ``batch_reads``.
     """
-    from repro.check.errors import InvariantError
-
     rng = np.random.default_rng(seed)
     cc = ConcurrentDILI()
     keys = load_dataset("logn", num_keys, seed=seed + 1)
-    cc.bulk_load(keys, list(range(num_keys)))
+    values = list(range(num_keys))
+    base = dict(zip(keys.tolist(), values))
+    cc.bulk_load(keys, values)
     cc.get_batch(keys[:8])  # compile + publish the plan
     wrapper = stall_lock(cc, stall_s)
     errors: list[BaseException] = []
-    batch_reads = [0]
+    answers: list[tuple[list, list]] = []  # (got, expected) per read
+    writes: list[int] = []
 
     def worker(worker_seed: int) -> None:
         wrng = np.random.default_rng(worker_seed)
+        written = 0
         try:
             for _ in range(ops_per_thread):
                 key = float(wrng.choice(keys))
                 op = wrng.random()
                 if op < 0.35:
-                    if cc.get(key) is None:
-                        raise InvariantError(
-                            f"lock-free get lost base key {key!r}"
-                        )
+                    answers.append(([cc.get(key)], [base[key]]))
                 elif op < 0.6:
-                    # Lock-free batch read racing the writers below:
-                    # base keys are never deleted, so every answer must
-                    # resolve in whatever published plan it loaded.
+                    # Lock-free batch read racing the writers below.
                     probe = wrng.choice(keys, size=16)
-                    got = cc.get_batch(probe)
-                    if any(v is None for v in got):
-                        raise InvariantError(
-                            "lock-free get_batch lost a base key: "
-                            "torn or stale-beyond-publication snapshot"
-                        )
-                    batch_reads[0] += 1
+                    expected = [base[k] for k in probe.tolist()]
+                    answers.append((cc.get_batch(probe), expected))
                 elif op < 0.8:
-                    cc.update(key, "touched")
+                    cc.update(key, base[key])
+                    written += 1
                 else:
                     # Rebuild pressure: a bulk insert may replace the
                     # whole tree under the writer lock.
@@ -319,8 +270,10 @@ def run_lock_chaos(
                         ["chaos"] * 4,
                         rebuild_ratio=0.0,
                     )
+                    written += 4
         except BaseException as exc:  # surfaced by the caller
             errors.append(exc)
+        writes.append(written)
 
     pool = [
         threading.Thread(target=worker, args=(int(rng.integers(2**31)),))
@@ -333,14 +286,20 @@ def run_lock_chaos(
     unstall_lock(cc, wrapper)
     if errors:
         raise errors[0]
-    stats = dict(cc.lock_stats)
-    if stats["plan_publishes"] < 1 or stats["plan_reads"] < 1:
-        raise InvariantError(
-            "lock-free read path never engaged: no plan publication or "
-            "read from the published plan was recorded"
-        )
-    if wrapper.stalls < 1:
-        raise InvariantError("the stalled writer lock was never acquired")
-    stats["stalls"] = wrapper.stalls
-    stats["batch_reads"] = batch_reads[0]
-    return stats
+    report = ChaosReport(schedule="lock", seed=seed, writes=sum(writes))
+    for got, expected in answers:
+        report.audit(got, expected)
+    stats = cc.lock_stats
+    report.counts.update(
+        stalls=wrapper.stalls,
+        plan_publishes=stats["plan_publishes"],
+        plan_reads=stats["plan_reads"],
+        batch_reads=sum(len(expected) > 1 for _, expected in answers),
+    )
+    report.checks.update(
+        lock_free_reads=(
+            stats["plan_publishes"] >= 1 and stats["plan_reads"] >= 1
+        ),
+        lock_stalled=wrapper.stalls >= 1,
+    )
+    return report

@@ -1,30 +1,31 @@
-"""Chaos harness for sharded serving: kills, rebalances, zero wrong reads.
+"""Chaos schedules for sharded serving: ``kill`` and ``supervision``.
 
-Drives a real multi-process :class:`~repro.sharding.coordinator.ShardedDILI`
-through a scripted schedule of batch reads and writes while SIGKILLing
-workers -- including one killed *mid-rebalance*, between the moment the
+:func:`run_shard_chaos` (the ``kill`` schedule) drives a real
+multi-process :class:`~repro.sharding.coordinator.ShardedDILI` through
+a scripted schedule of batch reads and writes while SIGKILLing workers
+-- including one killed *mid-rebalance*, between the moment the
 replacement shard directories are fully built and the atomic router
-swap -- and audits every single read against a shadow dict.  The
-contract under test is the ISSUE 8 acceptance line: **zero wrong
-reads**, surviving shards keep serving, and every dead worker restarts
-from its shard directory via the PR 6 fallback ladder (the restarted
-worker must come back serving a published plan generation, not a
-degraded stub).
+swap -- and audits every single read against a shadow dict: zero wrong
+reads, zero lost writes, surviving shards keep serving, and every dead
+worker restarts from its shard directory through the plan store's
+fallback ladder (the restarted worker must come back serving a
+published plan generation, not a degraded stub).
 
-Deterministic: all scheduling flows from one seeded RNG, so a failure
-reproduces from its seed.
+:func:`run_supervision_chaos` (the ``supervision`` schedule) adds, on
+top of SIGKILL, **hangs** (SIGSTOP -- the process lives, heartbeats
+stop), **slow workers** (the ``set_delay`` verb: serving latency with
+heartbeats flowing) and a **crash loop** (the shard directory poisoned
+into a plain file, so every restart dies at startup), and checks the
+fleet-supervision contract: hung workers are replaced within one
+request deadline, slow workers are *not* killed, the crash-looping
+shard trips its circuit breaker within the restart budget while every
+healthy shard keeps answering, partial-mode reads report exactly the
+unavailable keys, and the fleet heals to HEALTHY once the poison is
+removed.
 
-ISSUE 10 adds the *supervision* chaos schedule
-(:func:`run_supervision_chaos`): on top of SIGKILL it injects **hangs**
-(SIGSTOP -- the process lives, heartbeats stop), **slow workers** (the
-``set_delay`` verb: serving latency with heartbeats flowing) and a
-**crash loop** (the shard directory poisoned into a plain file, so
-every restart dies at startup) and asserts the fleet-supervision
-contract: hung workers are replaced within one request deadline, slow
-workers are *not* killed, the crash-looping shard trips its circuit
-breaker within the restart budget while every healthy shard keeps
-answering, partial-mode reads report exactly the unavailable keys, and
-the fleet heals to HEALTHY once the poison is removed.
+Both return a :class:`~repro.check.chaos.ChaosReport` and are
+deterministic per seed: all scheduling flows from one seeded RNG, so a
+failure reproduces from its seed.
 """
 
 from __future__ import annotations
@@ -32,39 +33,13 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.check.chaos import ChaosReport
 from repro.sharding.breaker import BreakerState, RestartPolicy
 from repro.sharding.coordinator import ShardedDILI
 from repro.sharding.supervision import UNAVAILABLE, ShardUnavailableError
-
-
-@dataclass
-class ShardChaosReport:
-    """What happened, and whether serving stayed correct."""
-
-    seed: int
-    rounds: int = 0
-    reads: int = 0
-    wrong_reads: int = 0
-    writes: int = 0
-    lost_writes: int = 0
-    kills: int = 0
-    restarts: int = 0
-    rebalances: int = 0
-    mid_rebalance_kills: int = 0
-    final_shards: int = 0
-    final_keys: int = 0
-    events: list = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return self.wrong_reads == 0 and self.lost_writes == 0
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "clean": self.clean}
 
 
 def run_shard_chaos(
@@ -78,8 +53,8 @@ def run_shard_chaos(
     rebalance_round: int = 3,
     dirpath=None,
     processes: bool = True,
-) -> ShardChaosReport:
-    """Serve under fire; return the audit.
+) -> ChaosReport:
+    """Serve under fire (the ``kill`` schedule); return the audit.
 
     Schedule per round: audit a read batch (existing + absent keys),
     apply an insert + delete batch, audit again.  Every
@@ -87,10 +62,14 @@ def run_shard_chaos(
     read audit (the next request finds the corpse, restarts it from
     its shard directory, and retries).  On ``rebalance_round`` the
     busiest shard is split with a worker kill injected *between* the
-    build of the replacement directories and the atomic swap.
+    build of the replacement directories and the atomic swap.  Counts:
+    ``rounds``, ``kills``, ``mid_rebalance_kills``, ``restarts``,
+    ``rebalances``, ``final_shards`` and ``final_keys``.
     """
     rng = np.random.default_rng(seed)
-    report = ShardChaosReport(seed=seed)
+    report = ChaosReport(schedule="kill", seed=seed)
+    counts = report.counts
+    counts.update(rounds=0, kills=0, mid_rebalance_kills=0)
     keys = np.unique(rng.integers(0, 10_000_000, size=num_keys)).astype(
         np.float64
     )
@@ -113,11 +92,11 @@ def run_shard_chaos(
             sync=False,
         ) as index:
             for round_no in range(rounds):
-                report.rounds = round_no + 1
+                counts["rounds"] = round_no + 1
                 if kill_every and round_no % kill_every == 1:
                     victim = int(rng.integers(0, index.num_shards))
                     index.kill_worker(victim)
-                    report.kills += 1
+                    counts["kills"] += 1
                     report.events.append(
                         f"round {round_no}: killed worker {victim}"
                     )
@@ -153,8 +132,8 @@ def run_shard_chaos(
 
                     def mid_kill() -> None:
                         index.kill_worker(victim)
-                        report.kills += 1
-                        report.mid_rebalance_kills += 1
+                        counts["kills"] += 1
+                        counts["mid_rebalance_kills"] += 1
                         report.events.append(
                             f"round {round_no}: killed worker {victim} "
                             f"mid-rebalance of shard {busiest}"
@@ -169,12 +148,13 @@ def run_shard_chaos(
             # Closing audit: every surviving key, plus worker health.
             all_keys = np.asarray(sorted(shadow), dtype=np.float64)
             _audit_supervised(index, all_keys, shadow, report)
-            report.restarts = index.restarts
-            report.rebalances = index.rebalances
-            report.final_shards = index.num_shards
-            report.final_keys = len(index)
-            if report.final_keys != len(shadow):
-                report.lost_writes += abs(report.final_keys - len(shadow))
+            counts.update(
+                restarts=index.restarts,
+                rebalances=index.rebalances,
+                final_shards=index.num_shards,
+                final_keys=len(index),
+            )
+            report.lost_writes += abs(len(index) - len(shadow))
             status = index.status()
             for shard in status["shards"]:
                 rung = shard.get("rung")
@@ -191,49 +171,8 @@ def run_shard_chaos(
 
 
 # ----------------------------------------------------------------------
-# Supervision chaos: hangs, slow workers, crash loops (ISSUE 10)
+# Supervision chaos: hangs, slow workers, crash loops
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class SupervisionChaosReport:
-    """Outcome of one :func:`run_supervision_chaos` schedule."""
-
-    seed: int
-    reads: int = 0
-    wrong_reads: int = 0
-    partial_reads: int = 0
-    unavailable_marks: int = 0
-    misreported_unavailability: int = 0
-    kills: int = 0
-    restarts: int = 0
-    hang_recovery_seconds: float = 0.0
-    hung_replaced_within_deadline: bool = False
-    slow_worker_survived: bool = False
-    breaker_tripped_within_budget: bool = False
-    failures_at_trip: int = 0
-    write_rejected_retryable: bool = False
-    healthy_shards_kept_serving: bool = False
-    healed: bool = False
-    final_health: str = ""
-    events: list = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return (
-            self.wrong_reads == 0
-            and self.misreported_unavailability == 0
-            and self.hung_replaced_within_deadline
-            and self.slow_worker_survived
-            and self.breaker_tripped_within_budget
-            and self.write_rejected_retryable
-            and self.healthy_shards_kept_serving
-            and self.healed
-            and self.final_health == "healthy"
-        )
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "clean": self.clean}
 
 
 def poison_shard_dir(dirpath, name: str) -> str:
@@ -278,7 +217,7 @@ def _audit_supervised(
     index: ShardedDILI,
     queries: np.ndarray,
     shadow: dict,
-    report: ShardChaosReport | SupervisionChaosReport,
+    report: ChaosReport,
     *,
     unavailable_shard: int | None = None,
 ) -> None:
@@ -289,31 +228,30 @@ def _audit_supervised(
     this way).  With ``unavailable_shard`` set the read runs in
     partial mode and the audit demands *exact* per-key
     unavailability: every key routed to that shard comes back
-    :data:`UNAVAILABLE`, every other key comes back with its shadow
-    value -- no false unavailability, no silently wrong values.
+    :data:`UNAVAILABLE` (counted in ``unavailable_marks``, and as a
+    read), every other key comes back with its shadow value -- a false
+    or missing mark counts in ``misreported_unavailability``.
     """
-    report.reads += len(queries)
+    expected = [shadow.get(key) for key in queries.tolist()]
     if unavailable_shard is None:
-        got = index.get_batch(queries)
-        for key, value in zip(queries.tolist(), got):
-            if value != shadow.get(key):
-                report.wrong_reads += 1
+        report.audit(index.get_batch(queries), expected)
         return
-    report.partial_reads += 1
-    expected_down = index.router.route(queries) == unavailable_shard
+    counts = report.counts
+    counts["partial_reads"] += 1
+    down = (index.router.route(queries) == unavailable_shard).tolist()
     got = index.get_batch(queries, partial=True)
-    for key, value, down in zip(
-        queries.tolist(), got, expected_down.tolist()
-    ):
-        if down:
-            if value is UNAVAILABLE:
-                report.unavailable_marks += 1
+    got_up, expected_up = [], []  # answers from shards that are up
+    for value, expect, is_down in zip(got, expected, down):
+        if is_down or value is UNAVAILABLE:
+            report.reads += 1
+            if is_down and value is UNAVAILABLE:
+                counts["unavailable_marks"] += 1
             else:
-                report.misreported_unavailability += 1
-        elif value is UNAVAILABLE:
-            report.misreported_unavailability += 1
-        elif value != shadow.get(key):
-            report.wrong_reads += 1
+                counts["misreported_unavailability"] += 1
+        else:
+            got_up.append(value)
+            expected_up.append(expect)
+    report.audit(got_up, expected_up)
 
 
 def run_supervision_chaos(
@@ -328,39 +266,56 @@ def run_supervision_chaos(
     probe_interval: float = 0.1,
     slow_delay: float = 0.25,
     dirpath=None,
-) -> SupervisionChaosReport:
+) -> ChaosReport:
     """Drive the fleet through every supervised failure mode; audit all.
 
-    The seeded schedule mixes the four injectors and asserts the
-    ISSUE 10 contract phase by phase:
+    The seeded ``supervision`` schedule mixes the four injectors and
+    checks the fleet-supervision contract phase by phase (each check
+    below is named after its phase's term):
 
     1. **baseline** -- audited reads on a healthy fleet.
     2. **SIGKILL** -- one worker killed; the next request restarts it
-       transparently (the PR 8 contract still holds under
-       supervision).
+       transparently (the ``kill`` schedule's contract still holds
+       under supervision).
     3. **hang (SIGSTOP)** -- the worker stays alive but heartbeats
        stop; a full-fleet batch read must complete *within one request
        deadline* because the supervisor escalates poll -> SIGTERM ->
-       SIGKILL -> restart mid-request.
+       SIGKILL -> restart mid-request (``hung_replaced_within_deadline``).
     4. **slow** -- injected serving delay with heartbeats flowing.
        Under the deadline the read just succeeds; over the deadline a
        partial-mode read marks exactly the slow shard's keys
        :data:`UNAVAILABLE` -- and the worker is *not* killed (slow is
-       not hung).
+       not hung: ``slow_worker_survived``).
     5. **crash loop** -- the shard directory is poisoned so every
        restart dies at startup; the breaker must trip within the
-       restart budget, writes to the shard must be rejected with a
-       *typed, retryable* error, and the healthy shards must keep
-       serving (fail-fast on their keys, partial over the full
-       keyspace).
+       restart budget (``breaker_tripped_within_budget``), writes to
+       the shard must be rejected with a *typed, retryable* error
+       (``write_rejected_retryable``), and the healthy shards must
+       keep serving (fail-fast on their keys, partial over the full
+       keyspace: ``healthy_shards_kept_serving``).
     6. **heal** -- the poison is removed; the background probe's
-       HALF_OPEN restart must close the breaker and return the fleet
-       to HEALTHY with zero wrong reads on the full keyspace.
+       HALF_OPEN restart must close the breaker (``healed``) and
+       return the fleet to HEALTHY (``final_health``) with zero wrong
+       reads on the full keyspace.
+
+    ``misreported_unavailability`` checks that no partial-mode read
+    marked a key wrongly.
     """
     if num_shards < 3:
         raise ValueError("supervision chaos needs >= 3 shards")
     rng = np.random.default_rng(seed)
-    report = SupervisionChaosReport(seed=seed)
+    report = ChaosReport(schedule="supervision", seed=seed)
+    counts = report.counts
+    counts.update(
+        partial_reads=0,
+        unavailable_marks=0,
+        misreported_unavailability=0,
+        kills=0,
+        hang_recovery_seconds=0.0,
+        failures_at_trip=0,
+    )
+    checks = report.checks
+    checks["write_rejected_retryable"] = False
     policy = RestartPolicy(
         backoff_base=0.05,
         backoff_factor=2.0,
@@ -415,7 +370,7 @@ def run_supervision_chaos(
             # Phase 2: plain SIGKILL -- restart stays transparent.
             kill_victim = int(rng.integers(0, num_shards))
             index.kill_worker(kill_victim)
-            report.kills += 1
+            counts["kills"] += 1
             _audit_supervised(index, draw_queries(), shadow, report)
             report.events.append(f"SIGKILL worker {kill_victim}: served on")
 
@@ -424,21 +379,20 @@ def run_supervision_chaos(
             # one deadline.
             old_pid = _worker_pid(index, hang_victim)
             index.pause_worker(hang_victim)
-            report.kills += 1
+            counts["kills"] += 1
             started = time.monotonic()
             _audit_supervised(index, draw_queries(), shadow, report)
-            report.hang_recovery_seconds = time.monotonic() - started
+            hang_s = time.monotonic() - started
+            counts["hang_recovery_seconds"] = hang_s
             replaced = _wait_until(
                 lambda: _worker_pid(index, hang_victim) not in (None, old_pid),
                 timeout=request_timeout,
             )
-            report.hung_replaced_within_deadline = (
-                replaced
-                and report.hang_recovery_seconds <= request_timeout + 0.5
+            checks["hung_replaced_within_deadline"] = (
+                replaced and hang_s <= request_timeout + 0.5
             )
             report.events.append(
-                f"SIGSTOP worker {hang_victim}: replaced in "
-                f"{report.hang_recovery_seconds:.2f}s"
+                f"SIGSTOP worker {hang_victim}: replaced in {hang_s:.2f}s"
             )
 
             # Phase 4a: slow under the deadline -- reads just succeed.
@@ -456,12 +410,11 @@ def run_supervision_chaos(
                 unavailable_shard=slow_victim,
             )
             index.set_worker_delay(slow_victim, 0.0)
-            report.slow_worker_survived = (
-                _worker_pid(index, slow_victim) == slow_pid
-            )
+            survived = _worker_pid(index, slow_victim) == slow_pid
+            checks["slow_worker_survived"] = survived
             _audit_supervised(index, draw_queries(), shadow, report)
             report.events.append(
-                f"slow worker {slow_victim}: survived={report.slow_worker_survived}"
+                f"slow worker {slow_victim}: survived={survived}"
             )
 
             # Phase 5: crash loop.  Poison the shard directory, kill
@@ -470,14 +423,14 @@ def run_supervision_chaos(
             crash_name = index.manifest.shards[crash_victim].name
             poison_shard_dir(dirpath, crash_name)
             index.kill_worker(crash_victim)
-            report.kills += 1
+            counts["kills"] += 1
             ledger = index.supervisor.ledger(crash_victim)
             _wait_until(
                 lambda: ledger.breaker.state is BreakerState.OPEN,
                 timeout=request_timeout + policy.budget,
             )
-            report.failures_at_trip = ledger.consecutive_failures
-            report.breaker_tripped_within_budget = (
+            counts["failures_at_trip"] = ledger.consecutive_failures
+            checks["breaker_tripped_within_budget"] = (
                 ledger.breaker.state is BreakerState.OPEN
                 and ledger.consecutive_failures <= policy.budget
             )
@@ -496,7 +449,7 @@ def run_supervision_chaos(
                         target, [int(k) * 7 for k in target]
                     )
                 except ShardUnavailableError as exc:
-                    report.write_rejected_retryable = bool(
+                    checks["write_rejected_retryable"] = bool(
                         getattr(exc, "retryable", False)
                     )
                 except Exception as exc:  # cooldown raced: not typed
@@ -512,33 +465,38 @@ def run_supervision_chaos(
                 index, draw_queries(), shadow, report,
                 unavailable_shard=crash_victim,
             )
-            report.healthy_shards_kept_serving = (
+            checks["healthy_shards_kept_serving"] = (
                 report.wrong_reads == before_wrong
-                and report.misreported_unavailability == 0
+                and counts["misreported_unavailability"] == 0
             )
 
             # Phase 6: heal.  The next HALF_OPEN probe restart succeeds,
             # closes the breaker, and the fleet returns to HEALTHY.
             heal_shard_dir(dirpath, crash_name)
-            report.healed = _wait_until(
+            healed = _wait_until(
                 lambda: ledger.up and ledger.breaker.closed,
                 timeout=4.0 * policy.cooldown,
             )
-            if report.healed and len(target):
+            checks["healed"] = healed
+            if healed and len(target):
                 # The previously rejected write now lands.
                 index.update_batch(target, [int(k) * 7 for k in target])
+                report.writes += len(target)
                 for key in target.tolist():
                     shadow[key] = int(key) * 7
             all_keys = np.asarray(sorted(shadow), dtype=np.float64)
             _audit_supervised(
                 index, all_keys, shadow, report,
-                unavailable_shard=None if report.healed else crash_victim,
+                unavailable_shard=None if healed else crash_victim,
             )
             status = index.status()
-            report.restarts = index.restarts
-            report.final_health = status["health"]
+            counts["restarts"] = index.restarts
+            checks["final_health"] = status["health"] == "healthy"
+            checks["misreported_unavailability"] = (
+                counts["misreported_unavailability"] == 0
+            )
             report.events.append(
-                f"healed: health={report.final_health} "
+                f"healed: health={status['health']} "
                 f"open_breakers={status['open_breakers']}"
             )
     finally:

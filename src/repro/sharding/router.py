@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.linear_model import LinearModel
+from repro.core.linear_model import LinearModel, clamp_slots
 
 
 def _as_key_array(keys) -> np.ndarray:
@@ -104,12 +104,13 @@ class ShardRouter:
         self.routed += len(keys)
         if self.num_shards == 1 or len(keys) == 0:
             return np.zeros(len(keys), dtype=np.int64)
-        pred = np.floor(self.model.intercept + self.model.slope * keys)
-        # fmax/fmin clamp a NaN prediction (a NaN key, or an infinite
+        # The clamp sends a NaN prediction (a NaN key, or an infinite
         # one times a zero slope) to shard 0.  A NaN key fails every
         # acceptance window, so it takes the searchsorted last mile
         # like any misprediction and lands where route_naive puts it.
-        pred = np.fmin(np.fmax(pred, 0), self.num_shards - 1).astype(np.int64)
+        pred = clamp_slots(
+            self.model.intercept + self.model.slope * keys, self.num_shards
+        )
         wrong = ~((self._lower[pred] <= keys) & (keys < self._upper[pred]))
         n_wrong = int(np.count_nonzero(wrong))
         if n_wrong:
@@ -181,8 +182,7 @@ class AlignedRouter:
         0, where the flat plan's descent of the global root sends it.
         """
         keys = _as_key_array(keys)
-        pos = np.floor(self.intercept + self.slope * keys)
-        return np.fmin(np.fmax(pos, 0), self.fanout - 1).astype(np.int64)
+        return clamp_slots(self.intercept + self.slope * keys, self.fanout)
 
     def route(self, keys) -> np.ndarray:
         keys = _as_key_array(keys)

@@ -85,6 +85,16 @@ class TestBUTreeLookup:
         assert tree.get(5.0) is None
         assert tree.get(65.0) is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [_uniform, _lognormal])
+    def test_non_finite_keys_answer_none(self, make):
+        # Every descent floors and clamps through clamp_slot, so a
+        # non-finite key is a miss, not a ValueError / OverflowError.
+        keys = make(2000, seed=6)
+        tree = BUTree(keys, list(range(len(keys))))
+        for key in (float("nan"), float("inf"), float("-inf")):
+            assert tree.get(key) is None
+
     def test_traced_lookup_accumulates_cost(self):
         keys = _uniform(1000, seed=4)
         tree = BUTree(keys, list(range(len(keys))))

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.linear_model import LinearModel, SegmentStats, clamp_slot
+from repro.core.linear_model import (
+    LinearModel,
+    SegmentStats,
+    clamp_slot,
+    clamp_slots,
+)
 
 
 class TestLinearModel:
@@ -56,9 +61,9 @@ class TestLinearModel:
         m = LinearModel.from_range(80.0, 160.0, 4)
         assert m.slope == pytest.approx(0.05)
         assert m.intercept == pytest.approx(-4.0)
-        assert m.predict_int(80.0) == 0
-        assert m.predict_int(101.0) == 1
-        assert m.predict_int(159.999) == 3
+        assert clamp_slot(m.predict(80.0), 4) == 0
+        assert clamp_slot(m.predict(101.0), 4) == 1
+        assert clamp_slot(m.predict(159.999), 4) == 3
 
     def test_from_range_rejects_empty_range(self):
         with pytest.raises(ValueError):
@@ -76,6 +81,13 @@ class TestLinearModel:
         assert clamp_slot(1e300, 10) == 9
         assert clamp_slot(-0.5, 10) == 0
         assert clamp_slot(9.999, 10) == 9
+
+    def test_clamp_slots_is_the_array_form(self):
+        preds = [-5.0, -0.5, 0.0, 4.5, 9.999, 99.0, 1e19, 1e300,
+                 float("inf"), float("-inf"), float("nan")]
+        got = clamp_slots(np.array(preds), 10)
+        assert got.dtype == np.int64
+        assert got.tolist() == [clamp_slot(p, 10) for p in preds]
 
     def test_inverse_round_trips(self):
         m = LinearModel(0.25, -3.0)

@@ -63,6 +63,19 @@ class TestPlacementExactness:
             assert _lookup(leaf, key) == value
 
 
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_overflowing_model_places_pairs_where_predict_slot_looks(
+        self, n
+    ):
+        # Every prediction lies past the int64 range: placement and
+        # lookup must clamp it the same way (to the last slot).
+        leaf, pairs = _make_leaf(
+            np.arange(1.0, n + 1.0), fanout=8, model=LinearModel(1e19, 0.0)
+        )
+        for key, value in pairs:
+            assert _lookup(leaf, key) == value
+
+
 class TestBookkeeping:
     def test_empty_leaf(self):
         leaf, _ = _make_leaf(np.array([]))

@@ -1,4 +1,5 @@
-"""The plan-store CLI surface: ``repro plan ...`` and ``repro audit``.
+"""The plan-store CLI surface: ``repro plan ...``, ``repro audit`` and
+``repro chaos --schedule plan``.
 
 Exit codes are the contract scripts depend on: ``repro audit`` returns
 0 for a clean directory, 3 when every finding is recoverable (the
@@ -61,24 +62,23 @@ class TestPlanCommands:
         assert "quarantin" in out
 
     def test_plan_audit_clean_and_damaged(self, state, capsys):
-        assert main(["plan", "audit", "--dir", str(state)]) == 0
+        # The plan auditor reports through the one offline audit.
+        assert main(["audit", str(state)]) == 0
         plans = PlanDirectory.for_state_dir(state)
         inject_plan_fault(
             FAULT_PLAN_FLIPPED_BYTE,
             plans.base_path(1),
             np.random.default_rng(0),
         )
-        assert main(["plan", "audit", "--dir", str(state)]) == 3
+        assert main(["audit", str(state)]) == 3
         out = capsys.readouterr().out
         assert "plan-buffer-crc" in out
 
-    def test_plan_chaos(self, tmp_path, capsys):
-        assert main(
-            ["plan", "chaos", "--workdir", str(tmp_path / "chaos"),
-             "--keys", "200"]
-        ) == 0
+    def test_plan_chaos(self, capsys):
+        assert main(["chaos", "--schedule", "plan"]) == 0
         out = capsys.readouterr().out
         assert "wrong reads" in out
+        assert "plan: contract held" in out
 
 
 class TestAuditCommand:

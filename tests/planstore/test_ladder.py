@@ -39,21 +39,27 @@ class TestCorruptionSweep:
     def test_fault_lands_on_expected_rung_with_zero_wrong_reads(
         self, tmp_path, kind
     ):
-        result = run_plan_chaos(tmp_path, seed=3, n_keys=250, kinds=(kind,))
-        (run,) = result.runs
-        assert run.wrong_reads == 0
-        assert run.rung == EXPECTED_RUNG[kind], run.report
-        assert run.ok
+        report = run_plan_chaos(tmp_path, seed=3, n_keys=250, kinds=(kind,))
+        assert report.wrong_reads == 0
+        assert report.counts[f"{kind}.rung"] == EXPECTED_RUNG[kind], (
+            report.events
+        )
+        assert report.ok, report.to_dict()
         if kind != FAULT_PLAN_MISSING_DELTA:
-            assert len(run.quarantined) >= 1
+            assert report.counts[f"{kind}.quarantined"] >= 1
 
     def test_full_sweep_is_clean(self, tmp_path):
-        result = run_plan_chaos(tmp_path, seed=11, n_keys=200)
-        assert result.ok, [r.report for r in result.runs]
-        assert result.wrong_reads == 0
-        assert len(result.runs) == len(PLAN_FAULT_KINDS)
+        report = run_plan_chaos(tmp_path, seed=11, n_keys=200)
+        assert report.ok, report.events
+        assert report.wrong_reads == 0
+        assert all(f"{k}.rung" in report.counts for k in PLAN_FAULT_KINDS)
         # Faults land on both value encodings across the sweep.
-        assert {run.int_payloads for run in result.runs} == {True, False}
+        assert {
+            report.counts[f"{kind}.int_payloads"] for kind in PLAN_FAULT_KINDS
+        } == {0, 1}
+
+    def test_empty_sweep_is_not_ok(self):
+        assert not run_plan_chaos(kinds=()).ok
 
 
 class TestQuarantine:

@@ -11,14 +11,17 @@ class TestRunChaos:
             batch=64,
             injections=5,
             seed=3,
-            with_locks=False,
         )
-        assert report.ok, vars(report)
+        counts = report.counts
+        assert report.ok, report.to_dict()
         assert report.reads > 0
-        assert len(report.injected) >= len(TREE_FAULT_KINDS)
-        assert report.kinds_injected <= set(TREE_FAULT_KINDS)
-        assert report.repair_steps >= len(report.injected)
-        assert report.final_health == "healthy"
+        assert counts["injections"] >= len(TREE_FAULT_KINDS)
+        # Every injection is of a scheduled kind.
+        assert counts["injections"] == sum(
+            counts[f"injected.{kind}"] for kind in TREE_FAULT_KINDS
+        )
+        assert counts["repair_steps"] >= counts["injections"]
+        assert report.checks["final_health"]
 
     def test_deterministic_per_seed(self):
         kwargs = dict(
@@ -27,22 +30,22 @@ class TestRunChaos:
             batch=32,
             injections=3,
             seed=9,
-            with_locks=False,
         )
         a, b = run_chaos(**kwargs), run_chaos(**kwargs)
-        assert a.injected == b.injected
-        assert (a.reads, a.writes, a.repair_steps) == (
+        assert a.events == b.events  # same injections, same rounds
+        assert (a.reads, a.writes, a.counts["repair_steps"]) == (
             b.reads,
             b.writes,
-            b.repair_steps,
+            b.counts["repair_steps"],
         )
 
 
 class TestRunLockChaos:
     def test_lock_stats_surface_all_three_counters(self):
-        stats = run_lock_chaos(
+        report = run_lock_chaos(
             seed=1, num_keys=1_000, threads=3, ops_per_thread=60
         )
-        assert stats["stalls"] > 0  # the stalled writer lock was exercised
-        assert stats["plan_publishes"] >= 1
-        assert stats["plan_reads"] >= 1
+        assert report.ok, report.to_dict()
+        assert report.counts["stalls"] > 0  # the stalled lock was exercised
+        assert report.counts["plan_publishes"] >= 1
+        assert report.counts["plan_reads"] >= 1

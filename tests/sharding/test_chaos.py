@@ -6,14 +6,15 @@ from repro.sharding.chaos import run_shard_chaos, run_supervision_chaos
 class TestShardChaos:
     def test_chaos_run_is_clean(self):
         report = run_shard_chaos(seed=3)
-        assert report.clean, report.to_dict()
+        counts = report.counts
+        assert report.ok, report.to_dict()
         assert report.wrong_reads == 0
         assert report.lost_writes == 0
         # The schedule actually exercised the failure paths.
-        assert report.kills >= 2
-        assert report.restarts >= 1
-        assert report.mid_rebalance_kills >= 1
-        assert report.rebalances >= 1
+        assert counts["kills"] >= 2
+        assert counts["restarts"] >= 1
+        assert counts["mid_rebalance_kills"] >= 1
+        assert counts["rebalances"] >= 1
         assert report.reads > 1_000
         assert not any(
             "unhealthy" in event for event in report.events
@@ -22,10 +23,10 @@ class TestShardChaos:
     def test_deterministic_given_seed(self):
         a = run_shard_chaos(seed=5, rounds=3, num_keys=800, num_shards=2)
         b = run_shard_chaos(seed=5, rounds=3, num_keys=800, num_shards=2)
-        assert a.clean and b.clean
+        assert a.ok and b.ok
         assert a.reads == b.reads
         assert a.writes == b.writes
-        assert a.final_keys == b.final_keys
+        assert a.counts["final_keys"] == b.counts["final_keys"]
 
     def test_report_dict_shape(self):
         report = run_shard_chaos(
@@ -33,30 +34,33 @@ class TestShardChaos:
             rebalance_round=99,
         )
         d = report.to_dict()
-        assert d["clean"] is True
-        assert d["kills"] == 0
-        assert d["rebalances"] == 0
-        assert d["final_shards"] == 2
+        assert d["ok"] is True
+        assert d["schedule"] == "kill"
+        assert d["counts"]["kills"] == 0
+        assert d["counts"]["rebalances"] == 0
+        assert d["counts"]["final_shards"] == 2
 
 
 class TestSupervisionChaos:
     def test_supervision_chaos_run_is_clean(self):
         report = run_supervision_chaos(seed=7)
-        assert report.clean, report.to_dict()
+        checks, counts = report.checks, report.counts
+        assert report.ok, report.to_dict()
         # Zero wrong reads and *exact* per-key unavailability.
         assert report.wrong_reads == 0
-        assert report.misreported_unavailability == 0
-        assert report.unavailable_marks > 0
+        assert counts["misreported_unavailability"] == 0
+        assert checks["misreported_unavailability"]
+        assert counts["unavailable_marks"] > 0
         # Every injector actually fired and was contained.
-        assert report.hung_replaced_within_deadline
-        assert report.slow_worker_survived
-        assert report.breaker_tripped_within_budget
-        assert report.failures_at_trip <= 2  # the policy budget
-        assert report.write_rejected_retryable
-        assert report.healthy_shards_kept_serving
-        assert report.healed
-        assert report.final_health == "healthy"
-        assert report.kills >= 3
-        assert report.restarts >= 3
+        assert checks["hung_replaced_within_deadline"]
+        assert checks["slow_worker_survived"]
+        assert checks["breaker_tripped_within_budget"]
+        assert counts["failures_at_trip"] <= 2  # the policy budget
+        assert checks["write_rejected_retryable"]
+        assert checks["healthy_shards_kept_serving"]
+        assert checks["healed"]
+        assert checks["final_health"]
+        assert counts["kills"] >= 3
+        assert counts["restarts"] >= 3
         d = report.to_dict()
-        assert d["clean"] is True
+        assert d["ok"] is True

@@ -238,14 +238,22 @@ class TestShardCommands:
         assert "closed/up" in out
 
     def test_chaos_parser_defaults(self):
-        args = build_parser().parse_args(["shard", "chaos"])
-        assert args.schedule == "supervision"
-        assert args.seed == 0
+        args = build_parser().parse_args(["chaos"])
+        assert args.schedule is None  # tree, then lock
+        assert args.seed == 7
         assert args.json is False
+        args = build_parser().parse_args(
+            ["chaos", "--schedule", "supervision"]
+        )
+        assert args.schedule == "supervision"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["shard", "chaos", "--schedule", "lava"]
-            )
+            build_parser().parse_args(["chaos", "--schedule", "lava"])
+        for gone in (["shard", "chaos"], ["plan", "chaos"],
+                     ["plan", "audit", "--dir", "d"],
+                     ["check", "audit-wal", "--dir", "d"],
+                     ["chaos", "--keys", "3000"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(gone)
 
 
 class TestCheckCommands:
