@@ -29,7 +29,7 @@ from repro import ConcurrentDILI
 from repro.bench import print_table
 
 THREADS = (1, 2, 4)
-OPS_PER_THREAD = {False: 4_000, True: 400}  # keyed by "plan published"
+OPS_PER_THREAD = 4_000  # in both plan states
 LATENCY_GETS = 2_000  # p99 then has 20 samples beyond it
 READ_GAP_S = 1e-4
 MAX_LATENCY_INSERTS = 50_000
@@ -198,14 +198,14 @@ def test_point_op_mix(logn, benchmark, capsys):
     keys, blob = logn
     rows = []
     for plan in (False, True):
-        ops = OPS_PER_THREAD[plan]
         for threads in THREADS:
             rates = []
             for run in range(RUNS):
                 index = _serving(blob, keys, plan)
                 recompiles = index.index.plan_recompiles
                 rate, live, gone = _run_mix(
-                    index, keys, threads, ops, seed=100 * threads + run
+                    index, keys, threads, OPS_PER_THREAD,
+                    seed=100 * threads + run,
                 )
                 _check(index, keys, live, gone, plan, recompiles)
                 rates.append(rate)

@@ -4,12 +4,16 @@ Pure stdlib-``ast`` analysis -- no third-party linter frameworks.  Each
 rule encodes an invariant of this codebase that a generic linter cannot
 know:
 
-* **CHK001** -- a flat plan is an immutable value: its
-  structure-of-arrays buffers may only be written by
-  ``FlatPlan.__init__``.  Any other store, subscript-store, or mutating
-  method call on a plan SoA attribute -- including one reached through
-  ``peek_plan()`` / ``export_plan()``, which may be a plan lock-free
-  readers hold -- corrupts the read path silently.
+* **CHK001** -- a flat plan is an immutable value: only
+  ``FlatPlan.__init__`` binds its structure-of-arrays attributes, and
+  no code writes their elements.  The one writer of plan buffers is
+  the arena owner ``_Arenas`` in ``core/flat.py``: its ``append`` and
+  ``rewrite`` methods write only elements no live plan reads.  Any
+  other store, subscript-store, or mutating method call on a plan SoA
+  attribute (including one reached through ``peek_plan()`` /
+  ``export_plan()``, which may be a plan lock-free readers hold) or
+  on an arena buffer (``arena_tables`` / ``slot_copies``) corrupts the
+  read path silently.
 * **CHK002** -- no bare ``assert`` for runtime invariants inside
   ``src/``: ``python -O`` strips them.  Raise
   :class:`repro.check.errors.InvariantError` instead.  Test, example and
@@ -78,7 +82,7 @@ from repro.check.parsing import (
 )
 
 RULES: dict[str, str] = {
-    "CHK001": "flat-plan SoA buffer written outside FlatPlan.__init__",
+    "CHK001": "flat-plan buffer written outside the arena owner",
     "CHK002": "bare assert used for a runtime invariant in src/",
     "CHK003": "hardcoded cost-model cycle literal",
     "CHK004": "float-literal equality comparison in core/",
@@ -108,9 +112,17 @@ SOA_ATTRS = frozenset(
     {
         "kind", "slope", "intercept", "size", "base", "region",
         "slot_kind", "slot_ref", "pair_keys", "dense_keys", "values",
-        "sorted_keys", "num_pairs", "depth",
+        "sorted_keys", "num_pairs", "depth", "arenas", "step",
     }
 )
+
+# The arena owner's buffer attributes, which plans view: the append-only
+# arenas and the two left-right slot-table copies.
+ARENA_ATTRS = frozenset({"arena_tables", "slot_copies"})
+
+# The arena owner and its one writer of buffer elements.
+_ARENA_OWNER = "_Arenas"
+_ARENA_WRITERS = frozenset({"append", "rewrite"})
 
 # Calls that return a FlatPlan: a fresh compile, the index's lazily
 # compiled plan, and the two public ways to reach the maintained one.
@@ -447,6 +459,8 @@ class _Linter(ast.NodeVisitor):
     def _is_plan_expr(self, node: ast.expr) -> bool:
         """Does this expression evaluate to a FlatPlan?"""
         if isinstance(node, ast.Name):
+            if node.id == "self" and self._class_stack[-1:] == ["FlatPlan"]:
+                return True
             return any(node.id in s for s in self._alias_stack)
         if isinstance(node, ast.Attribute):
             return node.attr == "_flat"
@@ -454,54 +468,50 @@ class _Linter(ast.NodeVisitor):
             return _call_name(node.func) in _PLAN_CALLS
         return False
 
-    def _soa_attr_of(self, node: ast.expr) -> ast.Attribute | None:
-        """``<plan>.<soa_attr>`` if that's what ``node`` is."""
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in SOA_ATTRS
-            and self._is_plan_expr(node.value)
-        ):
-            return node
-        return None
-
-    def _in_plan_init(self) -> bool:
-        return (
-            self._class_stack[-1:] == ["FlatPlan"]
-            and self._func_stack[-1:] == ["__init__"]
+    def _in_method(self, cls: str, names) -> bool:
+        return self._class_stack[-1:] == [cls] and any(
+            f in names for f in self._func_stack[-1:]
         )
 
     def _check_soa_mutation(
         self, stmt: ast.AST, target: ast.expr, *, is_call: bool = False
     ) -> None:
-        # `self.<soa> = ...` inside FlatPlan methods.
-        if (
-            isinstance(target, ast.Attribute)
-            and target.attr in SOA_ATTRS
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and self._class_stack
-            and self._class_stack[-1] == "FlatPlan"
-        ):
-            if not self._in_plan_init():
-                verb = "mutated by" if is_call else "assigned in"
+        # A subscript store or a mutating call writes the elements of
+        # the buffer its innermost attribute names; a plain store
+        # rebinds the attribute.
+        base = target
+        while isinstance(base, ast.Subscript):
+            base = base.value
+        if not isinstance(base, ast.Attribute):
+            return
+        element = is_call or base is not target
+        where = self._func_stack[-1] if self._func_stack else "?"
+        if base.attr in ARENA_ATTRS:
+            writers = _ARENA_WRITERS if element else {"__init__"}
+            if not self._in_method(_ARENA_OWNER, writers):
                 self._report(
                     stmt, "CHK001",
-                    f"FlatPlan SoA buffer '{target.attr}' {verb} "
-                    f"'{self._func_stack[-1] if self._func_stack else '?'}'; "
-                    f"only __init__ may write it -- return a successor "
-                    f"plan instead",
+                    f"arena buffer '{base.attr}' written in '{where}'; "
+                    f"only {_ARENA_OWNER}.append / .rewrite write arena "
+                    f"elements, past every live plan's view",
                 )
             return
-        # `<plan expr>.<soa> = ...` anywhere else.
-        attr = self._soa_attr_of(target)
-        if attr is None and isinstance(target, ast.Subscript):
-            attr = self._soa_attr_of(target.value)
-        if attr is not None and not self._in_plan_init():
+        if base.attr not in SOA_ATTRS or not self._is_plan_expr(base.value):
+            return
+        if element:
+            verb = "mutated" if is_call else "written"
             self._report(
                 stmt, "CHK001",
-                f"flat-plan SoA buffer '{attr.attr}' mutated outside "
-                f"FlatPlan.__init__; plans never change once built -- "
-                f"use the applied_* tiers",
+                f"flat-plan buffer '{base.attr}' {verb} in place in "
+                f"'{where}'; plans never change once built -- use the "
+                f"applied_* tiers",
+            )
+        elif not self._in_method("FlatPlan", {"__init__"}):
+            self._report(
+                stmt, "CHK001",
+                f"flat-plan attribute '{base.attr}' assigned in "
+                f"'{where}'; only FlatPlan.__init__ binds it -- return "
+                f"a successor plan instead",
             )
 
     def _note_aliases(self, targets: Sequence[ast.expr], value: ast.expr) -> None:

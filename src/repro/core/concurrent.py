@@ -24,7 +24,7 @@ last reader drops it.  Each read answers from *some* published version
 its version is published, and a writer's own thread always sees its
 completed writes because every mutator republishes before returning.
 Only when no plan is published (empty tree, or a mutation the
-copy-on-write tiers could not absorb) does a read take the writer lock:
+maintenance tiers could not absorb) does a read take the writer lock:
 a point read answers from the tree, a batch read recompiles and
 republishes.
 """

@@ -76,17 +76,32 @@ identical totals.
 Maintenance, garbage and compaction
 -----------------------------------
 A maintained plan's rows are stable: a successor never moves an
-existing node row, slot row or pair entry.  It copies the slot tables
-once, rewrites the slots the write changed, appends node rows, slot
-blocks and pair entries for what is new, and keeps ``sorted_keys`` as
-its own array, edited from the keys the write reports (never derived
-from the stored pair keys).  For each written key the tier walks the
-key's path through the plan and the live tree together and, at the
-first slot where they disagree, writes the live pair, an empty slot or
-a freshly emitted nested subtree -- usually a 2-pair leaf.  Only a
-top-level leaf that adjusted, or was rebuilt, is re-emitted whole; its
-own node row is then overwritten in place, which keeps every parent
-pointer valid and row 0 the root even when the root is a leaf.
+existing node row, slot row or pair entry.  It rewrites the slots the
+write changed, appends node rows, slot blocks and pair entries for
+what is new, and keeps ``sorted_keys`` as its own array, edited from
+the keys the write reports (never derived from the stored pair keys).
+For each written key the tier walks the key's path through the plan
+and the live tree together and, at the first slot where they
+disagree, writes the live pair, an empty slot or a freshly emitted
+nested subtree -- usually a 2-pair leaf.  A value update appends its
+new pair and rewrites the pair's slot the same way.  Only a top-level
+leaf that adjusted, or was rebuilt, is re-emitted whole; its own node
+row is then overwritten, which keeps every parent pointer valid and
+row 0 the root even when the root is a leaf.
+
+None of this copies the plan.  A chain of successors shares its
+buffers through one :class:`_Arenas`: the node columns, ``pair_keys``
+and ``values`` are append-only arenas of which each plan views a
+prefix, and the slot tables are a left-right pair of copies
+(Ramalhete and Correia, 2015).  A successor appends past its parent's
+views and writes its slot rewrites into the copy its parent does not
+read, after replaying the parent's own step into it -- O(write), not
+O(index).  A copy is written in place only once no plan that reads it
+is alive (the chain keeps weak references to its plans); otherwise,
+when an arena is full, when a re-emit overwrites a node row (older
+plans still read it), and for the first successor of a plan outside
+any chain or not its chain's newest, the tables are copied, which
+costs what every write cost before.
 
 Every unreachable row and dead pair entry is garbage, invisible to
 lookups, replay and gathers, which only follow references.
@@ -100,23 +115,25 @@ Versioning and publication
 --------------------------
 A plan is an immutable value.  Every plan carries a globally
 monotonic ``version``, and each maintenance tier returns a new plan
-(with a new version) that shares every SoA buffer it does not
-rewrite: the slot tables are copied for inserts and deletes, the
-node, key and payload tables only when the write appends to them,
-and the payload table for value updates.  A plan that
-:class:`repro.core.concurrent.ConcurrentDILI` has published to
-lock-free readers is therefore maintained exactly like a private one,
-and no reader can see a half-patched plan.  A reader's own reference
-keeps its plan alive, and a superseded plan is freed as soon as the
-last one is dropped (plans accept weak references, so a caller can
-tell when).  Lint rule CHK001 keeps every write to a plan buffer
-inside ``FlatPlan.__init__``.
+(with a new version) whose buffers are views shared with its
+predecessors: no element any existing plan can read is ever written.
+A plan that :class:`repro.core.concurrent.ConcurrentDILI` has
+published to lock-free readers is therefore maintained exactly like a
+private one, and no reader can see a half-patched plan.  A reader's
+own reference keeps its plan alive, and with it the slot copy the
+plan reads; a superseded plan is freed as soon as the last one is
+dropped (plans accept weak references, so a caller can tell when).
+Only plan objects hold a copy back, so no code may keep a plan's
+buffer once it has dropped the plan.  Lint rule CHK001 keeps every
+write to a plan buffer inside ``_Arenas.append`` and
+``_Arenas.rewrite``.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 
 import numpy as np
 
@@ -162,8 +179,120 @@ def next_plan_version() -> int:
 _PLAN_FIELDS = (
     "kind", "slope", "intercept", "size", "base", "region", "slot_kind",
     "slot_ref", "pair_keys", "dense_keys", "values", "sorted_keys",
-    "depth",
+    "depth", "arenas", "step",
 )
+
+#: Capacity growth of a full arena or slot-table copy: the copy that
+#: replaces it has this much room, so appends cost amortized O(write).
+_GROWTH = 1.25
+
+
+def _grown(view: np.ndarray, size: int) -> np.ndarray:
+    """A fresh buffer holding ``view``, with room for ``size`` elements
+    and ``_GROWTH`` times more (object slack is None-filled)."""
+    spare = int(size * _GROWTH) + 1 - len(view)
+    return np.concatenate([view, np.empty(spare, dtype=view.dtype)])
+
+
+class _Arenas:
+    """The buffers one chain of plan versions shares, and their one writer.
+
+    A chain starts at the first successor of a plan that belongs to no
+    chain (a :func:`compile_plan`, :meth:`FlatPlan.compacted` or plan
+    store plan), or that is not its chain's newest plan; every later
+    successor of the newest plan joins it.  ``step`` numbers the chain's
+    plans.  Plans hold prefix views of these buffers and the chain holds
+    only weak references to plans, so a plan still lives exactly as long
+    as its readers' references.
+
+    * ``arena_tables`` -- the node columns, ``pair_keys`` and
+      ``values``, append-only: :meth:`append` writes past the newest
+      plan's views, which no plan reads yet.
+    * ``slot_copies`` -- the slot tables as a left-right pair
+      (Ramalhete and Correia, 2015): step ``s`` writes copy ``s % 2``,
+      the one its parent does not read, and :meth:`rewrite` writes it in
+      place only once no plan reading it is alive (``readers``).
+    """
+
+    __slots__ = ("arena_tables", "slot_copies", "readers", "step", "lag")
+
+    def __init__(self) -> None:
+        self.arena_tables: dict[str, np.ndarray] = {}
+        self.slot_copies: list[dict | None] = [None, None]
+        #: Weak references to the plans that read each slot copy.
+        self.readers: tuple[list, list] = ([], [])
+        self.step = 0
+        #: What the copy the newest plan does not read lacks: the slot
+        #: rows its step rewrote and the first row its step appended.
+        self.lag = (np.empty(0, dtype=np.int64), 0)
+
+    def append(
+        self, views: dict, added: dict, overwrites: list = ()
+    ) -> dict:
+        """``views`` (the newest plan's columns of one arena, or a plan's
+        outside any chain) with ``added`` appended, as prefix views.
+
+        Appends in place while the arena has room; otherwise, and for
+        a first append, copies the views into a grown buffer.  Each
+        ``(row, local)`` in ``overwrites`` copies the ``local``-th
+        appended row over row ``row``; older plans read that row, so the
+        columns are copied first.
+        """
+        n = len(next(iter(views.values())))
+        m = len(next(iter(added.values())))
+        first = next(iter(views))
+        if (
+            overwrites
+            or first not in self.arena_tables
+            or len(self.arena_tables[first]) < n + m
+        ):
+            for name, view in views.items():
+                self.arena_tables[name] = _grown(view, n + m)
+        for name, extra in added.items():
+            self.arena_tables[name][n:n + m] = extra
+            for row, local in overwrites:
+                self.arena_tables[name][row] = self.arena_tables[name][
+                    n + local
+                ]
+        return {name: self.arena_tables[name][:n + m] for name in views}
+
+    def rewrite(self, views: dict, added: dict, at: np.ndarray,
+                what: dict) -> dict:
+        """The next step's slot tables: ``views`` (the newest plan's)
+        with ``added`` appended and rows ``at`` set to ``what``.
+
+        They go to the copy the newest plan does not read.  That copy
+        holds its parent's tables, so it first catches up with the rows
+        the newest plan's step rewrote and appended (``lag``).  While a
+        plan reading it is alive, or it lacks room, the newest plan's
+        tables are copied into a grown buffer for it instead.
+        """
+        side = (self.step + 1) & 1
+        n = len(views["slot_kind"])
+        m = len(added["slot_kind"])
+        copy = self.slot_copies[side]
+        if (
+            copy is None
+            or len(copy["slot_kind"]) < n + m
+            or any(ref() is not None for ref in self.readers[side])
+        ):
+            self.slot_copies[side] = {
+                name: _grown(view, n + m) for name, view in views.items()
+            }
+        else:
+            rows, lo = self.lag
+            for name, view in views.items():
+                self.slot_copies[side][name][lo:n] = view[lo:n]
+                self.slot_copies[side][name][rows] = view[rows]
+        for name, extra in added.items():
+            self.slot_copies[side][name][n:n + m] = extra
+            self.slot_copies[side][name][at] = what[name]
+        self.lag = (at, n)
+        self.readers[side].clear()
+        self.step += 1
+        return {
+            name: self.slot_copies[side][name][:n + m] for name in views
+        }
 
 
 class FlatPlan:
@@ -184,6 +313,8 @@ class FlatPlan:
         "sorted_keys",
         "num_pairs",
         "depth",
+        "arenas",
+        "step",
         "version",
         "__weakref__",
     )
@@ -203,6 +334,8 @@ class FlatPlan:
         values: np.ndarray,
         sorted_keys: np.ndarray,
         depth: int,
+        arenas: _Arenas | None = None,
+        step: int = 0,
     ) -> None:
         self.kind = kind
         self.slope = slope
@@ -218,6 +351,12 @@ class FlatPlan:
         self.sorted_keys = sorted_keys
         self.num_pairs = len(pair_keys)
         self.depth = depth
+        #: The chain whose buffers this plan views (None outside one)
+        #: and its step there; the plan reads slot copy ``step % 2``.
+        self.arenas = arenas
+        self.step = step
+        if arenas is not None:
+            arenas.readers[step & 1].append(weakref.ref(self))
         self.version = next_plan_version()
 
     # ------------------------------------------------------------------
@@ -427,7 +566,7 @@ class FlatPlan:
         """Successor plan (new version) with ``buffers`` swapped in.
 
         Every buffer not named is shared with ``self``, which is safe
-        because no plan is ever written after :meth:`__init__`.
+        because no element a live plan reads is ever written.
         """
         fields = {name: getattr(self, name) for name in _PLAN_FIELDS}
         fields.update(buffers)
@@ -436,11 +575,16 @@ class FlatPlan:
     def applied_values(self, pairs: list) -> "FlatPlan | None":
         """Plan with ``(key, value)`` payload replacements applied.
 
-        Value updates never restructure the tree, so the successor
-        differs only in its payload table: a copy with one entry
-        replaced per pair.  Works on pair and dense terminals alike.
+        Value updates never restructure the tree.  On a pair-only plan
+        each update appends its ``(key, value)`` pair and rewrites the
+        pair's slot to it, as the write path does for a changed pair;
+        the old entry is garbage under the one garbage rule.  Dense
+        terminals (DILI-LO) have no slot to rewrite, so there the
+        successor copies the payload table with one entry replaced per
+        pair.
         """
-        slots = []
+        slots = []  # value index of each pair's current payload
+        refs = []  # its slot row (pair terminals)
         for key, _ in pairs:
             loc = self._locate(key)
             if loc is None:
@@ -462,10 +606,22 @@ class FlatPlan:
             if self.pair_keys[p] != key:
                 return None
             slots.append(p)
-        values = self.values.copy()
-        for i, (_, value) in zip(slots, pairs):
-            values[i] = value
-        return self._replaced(values=values)
+            refs.append(ref)
+        if len(self.dense_keys):
+            values = self.values.copy()
+            for i, (_, value) in zip(slots, pairs):
+                values[i] = value
+            return self._replaced(values=values)
+        new = _PlanBuilder()
+        writes: dict[int, tuple[int, int]] = {}
+        for ref, (key, value) in zip(refs, pairs):
+            writes[ref] = (SLOT_PAIR, self.num_pairs + len(new.pair_keys))
+            new.pair_keys.append(key)
+            new.pair_vals.append(value)
+        try:
+            return self._built(new, writes, [], self.sorted_keys)
+        except InvariantError:
+            return None
 
     def applied_insert_many(self, groups: list) -> "tuple | None":
         """Successor after inserts: ``(plan, patches, subtrees)`` or None.
@@ -511,18 +667,20 @@ class FlatPlan:
         reemits = []  # (row, builder row, builder pair range)
         point = []  # keys of the path-local groups
         try:
-            for leaf, keys, reemit in groups:
-                row, hops = self._top_row(keys[0])
+            rows, hops = self._top_row([keys[0] for _, keys, _ in groups])
+            for (leaf, keys, reemit), row, depth in zip(
+                groups, rows.tolist(), (hops + 1).tolist()
+            ):
                 if int(self.region[row]) != leaf.region:
                     return None  # plan out of sync with the live tree
                 if reemit:
                     p0 = len(new.pair_keys)
-                    local = new.add_node(leaf, hops + 1)
+                    local = new.add_node(leaf, depth)
                     reemits.append((row, local, p0, len(new.pair_keys)))
                     continue
                 point.extend(keys)
                 for key in keys:
-                    self._write_path(key, row, leaf, hops + 1, new, writes)
+                    self._write_path(key, row, leaf, depth, new, writes)
             sorted_keys = self._edited_keys(point, inserted)
             if sorted_keys is None:
                 return None
@@ -535,37 +693,51 @@ class FlatPlan:
                     np.asarray(new.pair_keys[p0:p1], dtype=np.float64),
                     sorted_keys[hi:],
                 ])
-            plan = self._replaced(
-                sorted_keys=sorted_keys,
-                depth=max(self.depth, new.max_depth),
-                **self._appended(new, writes, [r[:2] for r in reemits]),
+            plan = self._built(
+                new, writes, [r[:2] for r in reemits], sorted_keys
             )
-            spawns = sum(1 for kind, _ in writes.values() if kind == SLOT_NODE)
-            # The one garbage rule: compact once dead pair entries
-            # outnumber live keys, so garbage stays below the live size.
-            live = len(sorted_keys)
-            if plan.num_pairs - live > live:
-                plan = plan.compacted()
         except InvariantError:
             return None
+        spawns = sum(1 for kind, _ in writes.values() if kind == SLOT_NODE)
         return plan, len(writes) - spawns, len(reemits) + spawns
 
-    def _top_row(self, key: float) -> tuple[int, int]:
-        """``(row, hops)`` of the top-level leaf ``key`` routes to.
+    def _built(self, new, writes: dict, overwrites: list,
+               sorted_keys: np.ndarray) -> "FlatPlan":
+        """The successor holding what a tier collected, compacted once
+        it crosses the one garbage rule: dead pair entries outnumbering
+        live keys, which keeps garbage below the live size."""
+        plan = self._replaced(
+            sorted_keys=sorted_keys,
+            depth=max(self.depth, new.max_depth),
+            **self._appended(new, writes, overwrites),
+        )
+        live = len(sorted_keys)
+        if plan.num_pairs - live > live:
+            plan = plan.compacted()
+        return plan
 
-        Descends the internal rows only, with the scalar
-        ``child_index`` arithmetic.
+    def _top_row(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, hops)`` of the top-level leaves ``keys`` route to.
+
+        One level-synchronous descent of the internal rows with
+        :func:`~repro.core.linear_model.clamp_slots`, whose float64
+        arithmetic lands on the rows the scalar ``child_index`` does
+        (the identity :class:`InternalRouter` relies on too).
         """
-        kind = self.kind
-        row = 0
-        for hops in range(_MAX_DESCENT):
-            if kind.item(row) != KIND_INTERNAL:
-                return row, hops
-            pos = clamp_slot(
-                self.intercept.item(row) + self.slope.item(row) * key,
-                self.size.item(row),
+        q = np.asarray(keys, dtype=np.float64)
+        rows = np.zeros(len(q), dtype=np.int64)
+        hops = np.zeros(len(q), dtype=np.int64)
+        live = np.arange(len(q))
+        for _ in range(_MAX_DESCENT):
+            live = live[self.kind[rows[live]] == KIND_INTERNAL]
+            if not live.size:
+                return rows, hops
+            at = rows[live]
+            pos = clamp_slots(
+                self.intercept[at] + self.slope[at] * q[live], self.size[at]
             )
-            row = self.slot_ref.item(self.base.item(row) + pos)
+            rows[live] = self.slot_ref[self.base[at] + pos]
+            hops[live] += 1
         raise InvariantError("plan descent did not terminate")
 
     def _write_path(self, key, row, node, depth, new, writes) -> None:
@@ -580,17 +752,17 @@ class FlatPlan:
         """
         while True:
             if (
-                self.slope[row] != node.slope
-                or self.intercept[row] != node.intercept
-                or self.size[row] != len(node.slots)
+                self.slope.item(row) != node.slope
+                or self.intercept.item(row) != node.intercept
+                or self.size.item(row) != len(node.slots)
             ):
                 raise InvariantError(f"plan row {row} model is stale")
             pos = node.predict_slot(key)
-            ref = int(self.base[row]) + pos
+            ref = self.base.item(row) + pos
             if ref in writes:
                 return
             entry = node.slots[pos]
-            kind = self.slot_kind[ref]
+            kind = self.slot_kind.item(ref)
             if entry is None:
                 if kind == SLOT_EMPTY:
                     return
@@ -598,15 +770,16 @@ class FlatPlan:
             elif type(entry) is tuple:
                 if (
                     kind == SLOT_PAIR
-                    and self.pair_keys[self.slot_ref[ref]] == entry[0]
+                    and self.pair_keys.item(self.slot_ref.item(ref))
+                    == entry[0]
                 ):
                     return
                 writes[ref] = (SLOT_PAIR, self.num_pairs + len(new.pair_keys))
                 new.pair_keys.append(entry[0])
                 new.pair_vals.append(entry[1])
             elif kind == SLOT_NODE:
-                row = int(self.slot_ref[ref])
-                if int(self.region[row]) != entry.region:
+                row = self.slot_ref.item(ref)
+                if self.region.item(row) != entry.region:
                     raise InvariantError(f"plan row {row} region is stale")
                 node = entry
                 depth += 1
@@ -619,7 +792,12 @@ class FlatPlan:
 
     def _edited_keys(self, keys: list, inserted: bool) -> "np.ndarray | None":
         """``sorted_keys`` with ``keys`` inserted or deleted; None when
-        one is already present (insert) or missing (delete)."""
+        one is already present (insert) or missing (delete).
+
+        One ``concatenate`` of the runs between the written positions
+        (and, for inserts, the new keys): a single copy of the table,
+        where ``np.insert`` / ``np.delete`` take several passes.
+        """
         sk = self.sorted_keys
         if not keys:
             return sk
@@ -631,39 +809,56 @@ class FlatPlan:
         present = np.zeros(len(ks), dtype=bool)
         present[inside] = sk[at[inside]] == ks[inside]
         if inserted:
-            return None if present.any() else np.insert(sk, at, ks)
-        return np.delete(sk, at) if present.all() else None
+            if present.any():
+                return None
+            cuts = [*at.tolist(), len(sk)]
+            parts = [sk[:cuts[0]]]
+            for i in range(len(ks)):
+                parts += (ks[i:i + 1], sk[cuts[i]:cuts[i + 1]])
+            return np.concatenate(parts)
+        if not present.all():
+            return None
+        cuts = [-1, *at.tolist(), len(sk)]
+        return np.concatenate(
+            [sk[cuts[i] + 1:cuts[i + 1]] for i in range(len(ks) + 1)]
+        )
 
     def _key_run(self, sorted_keys: np.ndarray, row: int) -> tuple[int, int]:
         """``[lo, hi)`` of the keys in ``sorted_keys`` that route to the
         top-level ``row``.  Top-level rows never move, so their order is
         key order and routing is a valid bisection key."""
         def route(key) -> int:
-            return self._top_row(float(key))[0]
+            return int(self._top_row([key])[0][0])
 
         lo = bisect.bisect_left(sorted_keys, row, key=route)
         return lo, bisect.bisect_right(sorted_keys, row, lo=lo, key=route)
 
     def _appended(self, new, writes: dict, overwrites: list) -> dict:
-        """The successor's rewritten buffers: one copy of the slot
-        tables with ``writes`` applied, plus whatever ``new`` appended
-        (node rows, slot blocks, pair entries).  Each ``(row, builder
-        row)`` in ``overwrites`` copies a re-emitted leaf's fresh node
-        row over its old one.  Untouched tables stay shared."""
+        """The successor's rewritten buffers, as views of its chain's
+        (see :class:`_Arenas`): the slot tables with ``writes`` applied,
+        plus whatever ``new`` appended (node rows, slot blocks, pair
+        entries).  Each ``(row, builder row)`` in ``overwrites`` copies a
+        re-emitted leaf's fresh node row over its old one.  Tables the
+        write does not touch stay shared as they are.
+
+        The newest plan of a chain extends it; any other plan starts a
+        new chain, whose first writes copy its tables.
+        """
+        arenas = self.arenas
+        if arenas is None or self.step != arenas.step:
+            arenas = _Arenas()
         n_rows, n_slots = len(self.kind), len(self.slot_kind)
         add_kind = np.asarray(new.slot_kind, dtype=np.int8)
         add_ref = np.asarray(new.slot_ref, dtype=np.int64)
         add_ref[add_kind == SLOT_NODE] += n_rows
         add_ref[add_kind == SLOT_PAIR] += self.num_pairs
-        out = {
-            "slot_kind": np.concatenate([self.slot_kind, add_kind]),
-            "slot_ref": np.concatenate([self.slot_ref, add_ref]),
-        }
-        if writes:
-            at = np.fromiter(writes, dtype=np.int64, count=len(writes))
-            what = np.asarray(list(writes.values()), dtype=np.int64)
-            out["slot_kind"][at] = what[:, 0]
-            out["slot_ref"][at] = what[:, 1]
+        what = np.asarray(list(writes.values()), dtype=np.int64).reshape(-1, 2)
+        out = arenas.rewrite(
+            {"slot_kind": self.slot_kind, "slot_ref": self.slot_ref},
+            {"slot_kind": add_kind, "slot_ref": add_ref},
+            np.fromiter(writes, dtype=np.int64, count=len(writes)),
+            {"slot_kind": what[:, 0], "slot_ref": what[:, 1]},
+        )
         if new.kind:
             columns = (
                 ("kind", np.int8, new.kind),
@@ -673,21 +868,21 @@ class FlatPlan:
                 ("base", np.int64, np.asarray(new.base) + n_slots),
                 ("region", np.int64, new.region),
             )
-            for name, dtype, added in columns:
-                table = np.concatenate(
-                    [getattr(self, name), np.asarray(added, dtype=dtype)]
-                )
-                for row, local in overwrites:
-                    table[row] = table[n_rows + local]
-                out[name] = table
+            out.update(arenas.append(
+                {name: getattr(self, name) for name, _, _ in columns},
+                {name: np.asarray(added, dtype=dtype)
+                 for name, dtype, added in columns},
+                overwrites,
+            ))
         if new.pair_keys:
-            out["pair_keys"] = np.concatenate(
-                [self.pair_keys, np.asarray(new.pair_keys, dtype=np.float64)]
-            )
-            out["values"] = np.concatenate(
-                [self.values, _object_array(new.pair_vals)]
-            )
-        return out
+            out.update(arenas.append(
+                {"pair_keys": self.pair_keys, "values": self.values},
+                {
+                    "pair_keys": np.asarray(new.pair_keys, dtype=np.float64),
+                    "values": _object_array(new.pair_vals),
+                },
+            ))
+        return {**out, "arenas": arenas, "step": arenas.step}
 
     def compacted(self) -> "FlatPlan":
         """The canonical layout, bitwise what ``compile_plan(root)`` builds.
@@ -879,7 +1074,13 @@ class FlatPlan:
                 tracer.phase("step2")
 
     def memory_bytes(self) -> int:
-        """Actual buffer footprint of the plan itself."""
+        """Bytes of the buffer prefixes this plan reads.
+
+        Versions of one chain share their arenas, so each counts the
+        shared prefix again, and none counts an arena's spare capacity
+        or the slot copy it does not read: the figure is what one
+        version reaches, not what a chain holds resident.
+        """
         arrays = (
             self.kind, self.slope, self.intercept, self.size, self.base,
             self.region, self.slot_kind, self.slot_ref, self.pair_keys,

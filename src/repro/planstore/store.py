@@ -1,7 +1,8 @@
-"""Zero-copy plan serving: a :class:`FlatPlan` over ``np.memmap`` buffers.
+"""Zero-copy plan serving: a :class:`FlatPlan` over memory-mapped buffers.
 
 :meth:`PlanStore.open` reads only the CRC-framed header (O(1)), maps
-every buffer read-only, and wraps them in a real
+every buffer read-only (``np.memmap``, handed on as a plain ndarray
+view of the same pages), and wraps them in a real
 :class:`~repro.core.flat.FlatPlan` -- the descent, tracer replay, and
 range-count code paths are literally the in-memory ones, so mmap-served
 reads are trace-identical by construction, not by reimplementation.
@@ -122,6 +123,35 @@ class _IntValues:
         return self._ints[indices].astype(object)
 
 
+class _Overlay(dict):
+    """The key-level overlay, plus its keys as one sorted float64 array.
+
+    :meth:`PlanStore.apply_ops` fills a fresh overlay and :meth:`seal`
+    builds the array once, before the overlay is swapped in; a read
+    that loads the overlay once therefore sees a dict and a key array
+    of the same version.
+    """
+
+    __slots__ = ("key_array",)
+
+    def __init__(self, entries=()) -> None:
+        super().__init__(entries)
+        self.key_array = np.empty(0, dtype=np.float64)
+
+    def seal(self) -> None:
+        self.key_array = np.sort(
+            np.fromiter(self, dtype=np.float64, count=len(self))
+        )
+
+    def positions(self, keys: np.ndarray) -> list[int]:
+        """Positions in ``keys`` of the keys the overlay holds."""
+        sk = self.key_array
+        if not len(sk):
+            return []
+        at = np.minimum(np.searchsorted(sk, keys), len(sk) - 1)
+        return np.flatnonzero(sk[at] == keys).tolist()
+
+
 class PlanStore:
     """A read-only serving handle over one plan file and its overlay.
 
@@ -146,7 +176,7 @@ class PlanStore:
         self._arrays: dict[str, np.ndarray] = {}
         self._verified = False
         self._lock = threading.Lock()
-        self._overlay: dict[float, tuple] = {}
+        self._overlay = _Overlay()
         self._count_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -176,13 +206,17 @@ class PlanStore:
             if desc["count"] == 0:
                 arrays[desc["name"]] = np.empty(0, dtype=dtype)
             else:
+                # A plain ndarray view of the same pages: numpy calls
+                # on a memmap go through the subclass's __getitem__ /
+                # __array_wrap__ on every descent step.  The view's
+                # base keeps the map alive.
                 arrays[desc["name"]] = np.memmap(
                     path,
                     dtype=dtype,
                     mode="r",
                     offset=data_start + desc["offset"],
                     shape=(desc["count"],),
-                )
+                ).view(np.ndarray)
         pair_keys = arrays["pair_keys"]
         sorted_keys = (
             pair_keys if header["sorted_is_pair"] else arrays["sorted_keys"]
@@ -249,7 +283,7 @@ class PlanStore:
         :meth:`~repro.planstore.serve.MmapDILI.refresh`) sees the
         overlay from before it or after it, never part of it.
         """
-        overlay = dict(self._overlay)
+        overlay = _Overlay(self._overlay)
         for opcode, payload in ops:
             args = pickle.loads(payload)
             if opcode == OP_INSERT:
@@ -272,6 +306,7 @@ class PlanStore:
                 raise PlanFormatError(
                     f"{self.path}: unknown overlay opcode {opcode}"
                 )
+        overlay.seal()
         # Only the swap takes the lock: the replay loop above goes
         # through _insert_many -> _base_contains -> _ensure_verified,
         # which acquires self._lock itself (non-reentrant).
@@ -371,14 +406,9 @@ class PlanStore:
             plan.replay_trace(keys, trace, tracer, DEFAULT_CYCLES)
         results = plan.gather_values(out)
         overlay = self._overlay
-        if overlay:
-            for pos in np.nonzero(
-                np.isin(keys, np.fromiter(
-                    overlay, dtype=np.float64, count=len(overlay)
-                ))
-            )[0]:
-                value, _ = overlay[float(keys[pos])]
-                results[pos] = None if value is _TOMBSTONE else value
+        for pos in overlay.positions(keys):
+            value, _ = overlay[float(keys[pos])]
+            results[pos] = None if value is _TOMBSTONE else value
         return results
 
     def contains_batch(self, keys) -> np.ndarray:
@@ -389,14 +419,9 @@ class PlanStore:
         self._ensure_verified()
         result = self._plan.contains_batch(keys)
         overlay = self._overlay
-        if overlay:
-            for pos in np.nonzero(
-                np.isin(keys, np.fromiter(
-                    overlay, dtype=np.float64, count=len(overlay)
-                ))
-            )[0]:
-                value, _ = overlay[float(keys[pos])]
-                result[pos] = value is not _TOMBSTONE
+        for pos in overlay.positions(keys):
+            value, _ = overlay[float(keys[pos])]
+            result[pos] = value is not _TOMBSTONE
         return result
 
     def count_range_batch(self, los, his) -> np.ndarray:

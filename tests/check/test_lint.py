@@ -58,6 +58,51 @@ class TestChk001FlatPlanMutation:
         src = "def corrupt(index):\n    index._flat.values.append(None)\n"
         assert rules(src) == ["CHK001"]
 
+    def test_subscript_store_in_init_or_method_is_flagged(self):
+        # __init__ binds the plan's attributes but writes no element:
+        # buffers are filled by the arena owner before a plan sees them.
+        src = (
+            "class FlatPlan:\n"
+            "    def __init__(self, kind):\n"
+            "        self.kind = kind\n"
+            "        self.kind[0] = 1\n"
+            "    def lookup(self):\n"
+            "        self.slot_ref[3] = 0\n"
+        )
+        assert [(f.rule, f.line) for f in lint_source(src, CORE)] == [
+            ("CHK001", 4), ("CHK001", 6)
+        ]
+
+    def test_arena_writes_outside_append_and_rewrite(self):
+        for source in (
+            "plan.arenas.arena_tables['pair_keys'][0] = 1.0",
+            "plan.arenas.slot_copies[0]['slot_ref'][5] = 2",
+            "plan.arenas.arena_tables['values'].fill(None)",
+            "plan.arenas.slot_copies[1] = None",
+        ):
+            src = f"def corrupt(plan):\n    {source}\n"
+            assert rules(src, CORE) == ["CHK001"], source
+        src = (
+            "class _Arenas:\n"
+            "    def compact(self, n):\n"
+            "        self.arena_tables['pair_keys'][:n] = 0.0\n"
+        )
+        assert rules(src, CORE) == ["CHK001"]
+
+    def test_arena_owner_append_and_rewrite_are_sanctioned(self):
+        src = (
+            "class _Arenas:\n"
+            "    def __init__(self):\n"
+            "        self.arena_tables = {}\n"
+            "        self.slot_copies = [None, None]\n"
+            "    def append(self, name, n, m, extra):\n"
+            "        self.arena_tables[name][n:n + m] = extra\n"
+            "    def rewrite(self, side, name, at, what):\n"
+            "        self.slot_copies[side] = {}\n"
+            "        self.slot_copies[side][name][at] = what\n"
+        )
+        assert rules(src, CORE) == []
+
     def test_plain_local_list_is_not_a_plan(self):
         src = (
             "def build():\n"
