@@ -1,101 +1,80 @@
-"""Resilience bench: degraded-read tax, repair latency, chaos throughput.
+"""Resilience bench: detect and recover per fault kind, chaos throughput.
 
-The self-healing layer trades peak throughput for a serving guarantee:
-while a subtree is quarantined, batch reads abandon the flat plan and
-split per key between the scalar tree and the authoritative table.
-This bench prices that trade:
+An in-memory fault is healed the way a restarted shard worker heals:
+the snapshot and WAL of a ``DurableDILI`` are the authority, the tree
+is derived from them, and reopening the directory rebuilds it.  This
+bench prices that path:
 
-* the **degraded-read tax** -- batch-lookup latency HEALTHY (flat plan)
-  vs DEGRADED (fallback chain) over the same probe set;
-* **repair latency** per fault kind -- wall-clock from detection to a
-  re-verified HEALTHY state, which the repair engine keeps bounded by
-  rebuilding only the quarantined subtree;
-* **chaos throughput** -- rounds/s of the full mixed-workload harness
-  with scheduled injections, plus its contract verdict.
+* **detect** per fault kind -- one deep scan of the damaged tree
+  (``validate()``, which runs ``verify_tree``);
+* **recover** per fault kind -- close and reopen the directory
+  (snapshot load, WAL-tail replay and the same deep check) plus the
+  first ``get_batch``, which compiles the flat plan again;
+* **chaos throughput** -- rounds/s of the ``tree`` schedule with its
+  injections, recoveries and lost writes, plus its contract verdict.
 """
 
 import time
 
 import numpy as np
+import pytest
 
+from repro import DurableDILI
 from repro.bench import print_table
+from repro.check.errors import InvariantError
 from repro.resilience import (
     FaultRegistry,
-    Health,
-    ResilientDILI,
     TREE_FAULT_KINDS,
     run_chaos,
     run_lock_chaos,
 )
 
 
-def _loaded_index(keys):
-    index = ResilientDILI()
-    index.bulk_load(keys, list(range(len(keys))))
-    index.get_batch(keys[:64])  # compile + warm the flat plan
-    return index
-
-
-def test_degraded_read_tax_and_repair_latency(
-    cache, scale, benchmark, capsys
+def test_detect_and_recover_per_fault_kind(
+    cache, scale, benchmark, capsys, tmp_path
 ):
     keys = cache.keys("logn")[: min(40_000, scale.num_keys)]
-    index = _loaded_index(keys)
-    probe = keys[:: max(1, len(keys) // 2_000)]
-
-    t0 = time.perf_counter()
-    healthy_got = index.get_batch(probe)
-    healthy_s = time.perf_counter() - t0
-    assert healthy_got == list(range(0, len(keys), max(1, len(keys) // 2_000)))
+    base, tail = keys[::2], keys[1::2][:512]
+    durable = DurableDILI(tmp_path)
+    durable.bulk_load(base, list(range(len(base))))
+    # A WAL tail for every reopen to replay, as between checkpoints.
+    for chunk in np.split(tail, len(tail) // 64):
+        durable.insert_batch(chunk, [-1] * len(chunk))
+    probe = base[:: max(1, len(base) // 2_000)]
+    expected = durable.get_batch(probe)  # also compiles the flat plan
 
     rng = np.random.default_rng(11)
     registry = FaultRegistry()
     rows = []
-    degraded_s = None
     for kind in TREE_FAULT_KINDS:
-        fault = registry.inject(kind, index.index, rng)
-        assert fault is not None
+        assert registry.inject(kind, durable.index, rng) is not None
         t0 = time.perf_counter()
-        opened = index.detect()
+        with pytest.raises(InvariantError):
+            durable.validate()
         detect_s = time.perf_counter() - t0
-        assert opened >= 1 and index.health is Health.DEGRADED
-
-        if degraded_s is None:  # price the fallback chain once
-            t0 = time.perf_counter()
-            degraded_got = index.get_batch(probe)
-            degraded_s = time.perf_counter() - t0
-            assert degraded_got == healthy_got  # never wrong, just slower
 
         t0 = time.perf_counter()
-        steps = index.repair_all()
-        repair_s = time.perf_counter() - t0
-        assert index.health is Health.HEALTHY
+        durable.close()
+        durable = DurableDILI(tmp_path)
+        got = durable.get_batch(probe)
+        recover_s = time.perf_counter() - t0
+        assert got == expected  # the recovered tree answers exactly
         rows.append(
-            [kind, detect_s * 1e3, steps, repair_s * 1e3]
+            [kind, detect_s * 1e3, durable.recovery.replayed, recover_s * 1e3]
         )
-    index.verify()
-    assert index.stats()["full_rebuilds"] == 0
+    durable.validate()
 
     with capsys.disabled():
         print_table(
-            f"Degraded-read tax, scale={scale.name} "
-            f"({len(keys):,} keys, {len(probe):,} probes)",
-            ["Read path", "batch (ms)", "vs healthy", ""],
-            [
-                ["healthy (plan)", healthy_s * 1e3, 1.0, ""],
-                ["degraded (fallback)", degraded_s * 1e3,
-                 degraded_s / healthy_s, ""],
-            ],
-            first_col_width=20,
-        )
-        print_table(
-            f"Repair latency by fault kind, scale={scale.name}",
-            ["Fault", "detect (ms)", "steps", "repair (ms)"],
+            f"Detect and recover by fault kind, scale={scale.name} "
+            f"({len(base) + len(tail):,} keys, {len(tail)} in the WAL tail)",
+            ["Fault", "detect (ms)", "replayed", "recover (ms)"],
             rows,
             first_col_width=20,
         )
 
-    benchmark(index.get, float(probe[0]))
+    benchmark(durable.validate)  # the clean scan
+    durable.close()
 
 
 def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
@@ -115,6 +94,7 @@ def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
     assert lock.ok, lock.to_dict()
     counts = report.counts
     assert all(counts[f"injected.{kind}"] for kind in TREE_FAULT_KINDS)
+    assert counts["recoveries"] == counts["injections"]
 
     with capsys.disabled():
         print_table(
@@ -126,9 +106,8 @@ def test_chaos_throughput_and_contract(cache, scale, benchmark, capsys):
                 ["reads checked", report.reads, "", ""],
                 ["writes applied", report.writes, "", ""],
                 ["injections", counts["injections"], "", ""],
-                ["repair steps", counts["repair_steps"], "", ""],
-                ["max rounds degraded", counts["max_steps_degraded"], "", ""],
-                ["plan splices", counts["plan_splices"], "", ""],
+                ["recoveries", counts["recoveries"], "", ""],
+                ["lost writes", report.lost_writes, "", ""],
                 ["plan publishes", lock.counts["plan_publishes"], "", ""],
                 ["plan reads", lock.counts["plan_reads"], "", ""],
                 ["contract", "held" if report.ok else "VIOLATED", "", ""],

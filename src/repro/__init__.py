@@ -6,9 +6,9 @@ Public surface:
 * :class:`repro.ConcurrentDILI` -- the Appendix A.8 thread-safe wrapper.
 * :class:`repro.DurableDILI` -- crash-safe persistence (WAL +
   checksummed snapshots + recovery, see :mod:`repro.durability`).
-* :class:`repro.ResilientDILI` -- self-healing wrapper: fault
-  detection, degraded-mode serving, and online repair
-  (see :mod:`repro.resilience`; fault injection via :mod:`repro.faults`).
+* :mod:`repro.resilience` -- health states and the chaos schedules
+  that heal a damaged tree by recovery (fault injection via
+  :mod:`repro.faults`).
 * :mod:`repro.baselines` -- every competitor of Section 7, from scratch.
 * :mod:`repro.data` -- SOSD-shaped synthetic datasets.
 * :mod:`repro.workloads` -- the paper's workload mixes and a runner.
@@ -21,7 +21,6 @@ from repro.core.concurrent import ConcurrentDILI
 from repro.core.dili import DILI, DiliConfig
 from repro.core.mapping import DiliMap
 from repro.durability import DurableDILI
-from repro.resilience import ResilientDILI
 from repro.core.stats import (
     MemoryBreakdown,
     TreeStats,
@@ -36,7 +35,6 @@ __all__ = [
     "DiliMap",
     "ConcurrentDILI",
     "DurableDILI",
-    "ResilientDILI",
     "MemoryBreakdown",
     "TreeStats",
     "describe",

@@ -35,7 +35,6 @@ _LAZY = {
     "TreeSanitizer": ("repro.check.invariants", "TreeSanitizer"),
     "verify_tree": ("repro.check.invariants", "verify_tree"),
     "verify_subtree": ("repro.check.invariants", "verify_subtree"),
-    "verify_internal": ("repro.check.invariants", "verify_internal"),
     "LockSanitizer": ("repro.check.locks", "LockSanitizer"),
     "LockViolation": ("repro.check.locks", "LockViolation"),
     "WalAuditor": ("repro.check.wal_audit", "WalAuditor"),

@@ -188,22 +188,13 @@ def _check_router(index) -> None:
 def verify_subtree(node) -> int:
     """Deep-verify one subtree (any node kind); returns its pair count.
 
-    The scoped form of :func:`verify_tree` used by the online repair
-    engine (:mod:`repro.resilience.repair`) to re-check just a
-    quarantined subtree after rebuilding it.  Raises
+    The scoped form of :func:`verify_tree`, without the tree-wide
+    count, iteration-order, plan and router checks.  The fault
+    registry (:mod:`repro.resilience.faults`) runs it to confirm that
+    an injected model fault is detectable.  Raises
     :class:`SanitizerViolation` on the first broken invariant.
     """
     return _check_node(node)
-
-
-def verify_internal(node: InternalNode) -> None:
-    """Verify one internal node's Eq. 1 model and child array.
-
-    Raises :class:`SanitizerViolation` when the stored model is not
-    exactly the equal-width model of its ``[lb, ub)`` range and fanout
-    -- the check that makes linear-model poisoning detectable.
-    """
-    _check_internal(node)
 
 
 def verify_tree(index, *, check_plan: bool = True,

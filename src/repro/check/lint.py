@@ -46,9 +46,9 @@ know:
   -- in particular the sharding layer (coordinator, router, chaos)
   must touch index state only through the durability/planstore APIs
   (``DurableDILI`` recovery + logged writes, ``MmapDILI`` serving).
-  The factories: ``repro/core`` itself, durability recovery,
-  resilience serving, the lock-check proxy, the bench harness, the
-  CLI, and the sharding build modules ``worker.py`` / ``partition.py``.
+  The factories: ``repro/core`` itself, durability recovery, the
+  lock-check proxy, the bench harness, the CLI, and the sharding
+  build modules ``worker.py`` / ``partition.py``.
   Test, example and benchmark trees are exempt.
 
 CHK008 policed the in-place plan mutators, which no longer exist;
@@ -97,7 +97,6 @@ RULES: dict[str, str] = {
 _DILI_FACTORIES = frozenset(
     {
         ("durability", "recovery.py"),
-        ("resilience", "serving.py"),
         ("check", "locks.py"),
         ("bench", "harness.py"),
         ("repro", "__main__.py"),

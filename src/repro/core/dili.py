@@ -23,11 +23,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.check.errors import InvariantError
-from repro.core.bulk_load import _EMPTY_LEAF_FANOUT, bulk_load
+from repro.core.bulk_load import bulk_load
 from repro.core.cost import CostParams
 from repro.core.flat import FlatPlan, InternalRouter, compile_plan
-from repro.core.linear_model import LinearModel
 from repro.core.local_opt import (
     LocalOptStats,
     fit_leaf_model,
@@ -237,67 +235,6 @@ class DILI:
             values = [p[1] for p in pairs]
             index.bulk_load(keys, values)
         return index
-
-    def rebuild_leaf(self, leaf: LeafNode, pairs: list[Pair]) -> None:
-        """Rebuild one leaf in place, bulk-load-identically.
-
-        Replaces ``leaf``'s model, slot array and bookkeeping with
-        exactly what ``bulk_load`` would construct for ``pairs`` over
-        the same ``[lb, ub)`` range -- the repair engine's primitive for
-        restoring a corrupted subtree from the authoritative pair table
-        (see :mod:`repro.resilience.repair`).  ``pairs`` must be sorted
-        by key.  The leaf *object* is preserved, so the cached router
-        and the flat plan's region cross-check stay valid.  The plan
-        re-emits the whole leaf (or is dropped) through
-        :meth:`_plan_note`.  The caller owns the tree-wide pair count.
-        """
-        if pairs:
-            keys = np.fromiter(
-                (p[0] for p in pairs), dtype=np.float64, count=len(pairs)
-            )
-            local_opt(
-                leaf,
-                pairs,
-                enlarge=self.config.enlarge,
-                stats=self.opt_stats,
-                keys=keys,
-            )
-        else:
-            local_opt(
-                leaf,
-                [],
-                enlarge=self.config.enlarge,
-                fanout=_EMPTY_LEAF_FANOUT,
-                model=LinearModel.from_range(
-                    leaf.lb, leaf.ub, _EMPTY_LEAF_FANOUT
-                ),
-                stats=self.opt_stats,
-            )
-        # local_opt resets delta/kappa but not the adjustment counter; a
-        # freshly bulk-loaded leaf starts at zero.
-        leaf.alpha = 0
-        # Any key routing to the leaf finds its plan row.
-        anchor = pairs[0][0] if pairs else leaf.lb + (leaf.ub - leaf.lb) / 2.0
-        self._plan_note(FlatPlan.applied_recompile_subtrees, [(leaf, anchor)])
-
-    def rebuild_dense_leaf(
-        self, leaf: DenseLeafNode, keys: np.ndarray, values: list
-    ) -> None:
-        """Rebuild one dense (DILI-LO) leaf in place, bulk-load-identically.
-
-        Same contract as :meth:`rebuild_leaf` for the ablation's packed
-        leaves: parallel sorted arrays plus a least-squares model, built
-        exactly as bulk loading builds them, with the leaf object (and
-        its tracer region) preserved.  Plan maintenance declines dense
-        leaves, so a live plan is dropped and recompiled on next use.
-        """
-        keys = np.asarray(keys, dtype=np.float64)
-        model = LinearModel.fit(keys)
-        leaf.keys = keys.copy()
-        leaf.values = list(values)
-        leaf.slope = model.slope
-        leaf.intercept = model.intercept
-        self._invalidate_plan()
 
     # ------------------------------------------------------------------
     # Lookup (Algorithms 1 and 6)
@@ -953,16 +890,16 @@ class DILI:
         return recs
 
     def _plan_note(self, tier, groups: list) -> None:
-        """Maintain the plan after an insert, delete or leaf rebuild.
+        """Maintain the plan after an insert or delete.
 
         The one maintenance path for scalar and batch inserts/deletes
-        and for :meth:`rebuild_leaf` (value updates use
-        :meth:`_plan_note_updates`): exactly one call of ``tier``, an
-        ``applied_*`` method of :class:`FlatPlan`, per write.
-        ``groups`` names every changed top-level leaf with the keys
-        written to it, taken from the caller's own answers.  The tier
-        returns a successor and leaves the current plan, published or
-        not, unchanged; a change it cannot absorb drops the plan.
+        (value updates use :meth:`_plan_note_updates`): exactly one
+        call of ``tier``, an ``applied_*`` method of :class:`FlatPlan`,
+        per write.  ``groups`` names every changed top-level leaf with
+        the keys written to it, taken from the caller's own answers.
+        The tier returns a successor and leaves the current plan,
+        published or not, unchanged; a change it cannot absorb drops
+        the plan.
         """
         plan = self._flat
         if not groups or plan is None:
@@ -1319,28 +1256,19 @@ class DILI:
         return _memory_bytes(self.root)
 
     def validate(self) -> None:
-        """Check structural invariants; raises InvariantError on damage.
+        """Deep-check the tree; raises InvariantError on damage.
 
-        Verifies that every stored pair is found at exactly its predicted
-        slot, that per-leaf pair counts match, and that in-order
-        iteration yields strictly increasing keys.  The raised
-        :class:`repro.check.errors.InvariantError` subclasses
+        Runs :func:`repro.check.invariants.verify_tree`: exact Eq. 1
+        internal models, every pair at its predicted slot, per-leaf and
+        tree-wide pair counts, strictly increasing iteration, and a
+        live flat plan answering like the tree.  Its
+        :class:`~repro.check.errors.SanitizerViolation` subclasses
+        :class:`repro.check.errors.InvariantError`, which subclasses
         ``AssertionError`` but survives ``python -O``.
         """
-        if self.root is None:
-            if self._count != 0:
-                raise InvariantError("empty tree with nonzero count")
-            return
-        total = _validate_node(self.root)
-        if total != self._count:
-            raise InvariantError(
-                f"pair count mismatch: walked {total}, tracked {self._count}"
-            )
-        last = -math.inf
-        for key, _ in self.items():
-            if key <= last:
-                raise InvariantError(f"iteration order broken at {key}")
-            last = key
+        from repro.check.invariants import verify_tree
+
+        verify_tree(self)
 
 
 def _leaf_groups(leaf_of: np.ndarray, leaves: list):
@@ -1465,37 +1393,3 @@ def _memory_bytes(node) -> int:
         if entry is not None and type(entry) is not tuple:
             total += _memory_bytes(entry)
     return total
-
-
-def _validate_node(node) -> int:
-    """Recursively verify a subtree; returns the number of pairs in it."""
-    if type(node) is InternalNode:
-        if len(node.children) < 1:
-            raise InvariantError("internal node without children")
-        return sum(_validate_node(c) for c in node.children)
-    if type(node) is DenseLeafNode:
-        if len(node.keys) != len(node.values):
-            raise InvariantError("dense leaf keys/values length mismatch")
-        if len(node.keys) > 1 and not bool(np.all(np.diff(node.keys) > 0)):
-            raise InvariantError("dense leaf unsorted")
-        return len(node.keys)
-    count = 0
-    for i, entry in enumerate(node.slots):
-        if entry is None:
-            continue
-        if type(entry) is tuple:
-            predicted = node.predict_slot(entry[0])
-            if predicted != i:
-                raise InvariantError(
-                    f"pair {entry[0]} stored at slot {i}, "
-                    f"predicted {predicted}"
-                )
-            count += 1
-        else:
-            count += _validate_node(entry)
-    if count != node.num_pairs:
-        raise InvariantError(
-            f"leaf pair count mismatch: walked {count}, "
-            f"tracked {node.num_pairs}"
-        )
-    return count

@@ -15,9 +15,8 @@ numpy ops -- no per-key Python in the loop.  The plan references the
 live tree's payload objects and is compiled lazily by
 :meth:`repro.core.dili.DILI.get_batch`.  It *survives* mutations
 without ever changing: every write yields one successor plan through
-``applied_insert_many`` / ``applied_delete_many`` /
-``applied_recompile_subtrees`` (inserts, deletes, a rebuilt leaf) or
-``applied_values`` (value updates), whose cost scales with the write,
+``applied_insert_many`` / ``applied_delete_many`` (inserts, deletes)
+or ``applied_values`` (value updates), whose cost scales with the write,
 not the index (see *Maintenance* below).  A full recompile is the last
 resort (see ``DILI._invalidate_plan`` and the ``plan_patches`` /
 ``plan_subtree_recompiles`` / ``plan_recompiles`` counters).
@@ -642,9 +641,15 @@ class FlatPlan:
         )
 
     def applied_recompile_subtrees(self, groups: list) -> "tuple | None":
-        """Successor with whole top-level leaves re-emitted (a rebuilt
-        leaf); ``groups`` holds ``(top_leaf, key)`` with any key that
-        routes to the leaf."""
+        """Successor with whole top-level leaves re-emitted; ``groups``
+        holds ``(top_leaf, key)`` with any key that routes to the leaf.
+
+        No write path calls it (an adjusted leaf re-emits through
+        :meth:`applied_insert_many`).  It stays because the serving
+        benchmark's tracer (``benchmarks/serving/tracing.py``,
+        ``LAYER_CALLS``) wraps it by name as a ``core.flat.maintain``
+        span.
+        """
         return self._successor(
             [(leaf, [key], True) for leaf, key in groups], inserted=False
         )

@@ -12,8 +12,11 @@ The protocol (docs/durability.md):
    snapshot -- a crash between snapshot rename and WAL truncation
    leaves such records behind, and replaying them twice would corrupt
    update/delete semantics for no benefit).
-3. Run ``DILI.validate()`` on the result, so recovery never hands back
-   a structurally broken index.
+3. Run ``DILI.validate()``, the deep check
+   (:func:`repro.check.invariants.verify_tree`), on the result, so
+   recovery never hands back a broken index.  A snapshot checkpointed
+   from a tree damaged in memory passes its CRC check; this step is
+   what refuses it.
 
 Replay applies operations through the public ``DILI`` methods, which
 are deterministic, so the recovered index equals the live index as of
@@ -116,7 +119,7 @@ def recover(
 
     Raises:
         SnapshotError: The snapshot exists but is corrupt.
-        AssertionError: The recovered index fails validation.
+        InvariantError: The recovered index fails validation.
     """
     dirpath = os.fspath(dirpath)
     snap_path = os.path.join(dirpath, SNAPSHOT_NAME)

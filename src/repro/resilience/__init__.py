@@ -1,25 +1,25 @@
-"""Self-healing resilience layer: faults, repair, degraded serving, chaos.
+"""Resilience layer: fault injection, health states, chaos schedules.
 
-Four cooperating pieces (see ``docs/resilience.md``):
+The way back from a damaged in-memory tree is recovery: the snapshot
+and WAL of a :class:`~repro.durability.durable.DurableDILI` are the
+authority, the tree is derived from them, and reopening the directory
+rebuilds it (see ``docs/resilience.md``).  Three pieces:
 
 * :mod:`repro.resilience.faults` -- process-wide fault registry
   (importable as :mod:`repro.faults`): detectability-verified
   corruption of plan cells, node models, pair slots, dense arrays,
   the ``ConcurrentDILI`` writer lock, plus the memoized durability
   crash-point injectors.
-* :mod:`repro.resilience.repair` -- the online repair engine:
-  sanitizer finding -> containing subtree -> quarantine -> bulk-load-
-  identical rebuild from authority -> scoped re-verification.
-* :mod:`repro.resilience.serving` -- :class:`ResilientDILI`, the
-  degraded-mode wrapper whose read path falls back flat plan ->
-  scalar tree -> authoritative table and never answers wrong.
+* :mod:`repro.resilience.health` -- the HEALTHY / DEGRADED / REPAIRING
+  state machine the shard fleet and the plan-store reader report.
 * :mod:`repro.resilience.chaos` -- the seeded ``tree`` and ``lock``
-  chaos schedules (``repro chaos``) checking the contract end to end,
-  with :mod:`repro.resilience.oracle` providing the repaired-vs-fresh
-  bit-identity check.
+  chaos schedules (``repro chaos``) checking the contract end to end:
+  the ``tree`` schedule detects each injected fault with one deep scan
+  and heals it by reopening the durable directory.
 
-Everything is exported lazily: the fault/chaos machinery imports
-benchmark-style dependencies the hot path never needs.
+Everything but the health machine is exported lazily: the fault/chaos
+machinery imports benchmark-style dependencies the hot path never
+needs.
 """
 
 from __future__ import annotations
@@ -32,17 +32,8 @@ _LAZY = {
     "FaultSchedule": ("repro.resilience.faults", "FaultSchedule"),
     "StallingLock": ("repro.resilience.faults", "StallingLock"),
     "TREE_FAULT_KINDS": ("repro.resilience.faults", "TREE_FAULT_KINDS"),
-    "RepairEngine": ("repro.resilience.repair", "RepairEngine"),
-    "RepairTicket": ("repro.resilience.repair", "RepairTicket"),
-    "Finding": ("repro.resilience.repair", "Finding"),
-    "PairTable": ("repro.resilience.serving", "PairTable"),
-    "ResilientDILI": ("repro.resilience.serving", "ResilientDILI"),
     "run_chaos": ("repro.resilience.chaos", "run_chaos"),
     "run_lock_chaos": ("repro.resilience.chaos", "run_lock_chaos"),
-    "tree_signature": ("repro.resilience.oracle", "tree_signature"),
-    "trees_identical": ("repro.resilience.oracle", "trees_identical"),
-    "diff_trees": ("repro.resilience.oracle", "diff_trees"),
-    "simulated_cost": ("repro.resilience.oracle", "simulated_cost"),
 }
 
 __all__ = ["Health", "HealthMonitor", *_LAZY]

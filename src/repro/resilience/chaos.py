@@ -1,24 +1,23 @@
 """Whole-stack chaos schedules: ``tree`` and ``lock``.
 
 :func:`run_chaos` (the ``tree`` schedule) drives a
-:class:`~repro.resilience.serving.ResilientDILI` through a seeded
-50/50 read/write workload while a seeded
-:class:`~repro.resilience.faults.FaultSchedule` corrupts the serving
-structures mid-flight (one live fault at a time -- a new injection
-waits for the index to return to HEALTHY, like real incidents queue
-behind an ongoing repair).  Every read is audited against a model dict
-maintained alongside the workload, healthy or degraded, and the
-report's checks hold the rest of the resilience contract:
+:class:`~repro.durability.durable.DurableDILI` through a seeded 50/50
+read/write workload while a seeded
+:class:`~repro.resilience.faults.FaultSchedule` corrupts its in-memory
+tree mid-flight.  The way back from damage is the one a restarted
+shard worker takes: the snapshot and WAL are the authority and the
+tree is derived from them, so one deep scan (``validate()``) detects
+each fault and reopening the directory heals it (crash-only recovery).
+Both happen in the injection round, before its reads, so one fault is
+live at a time and no read sees a damaged tree.  Every read is audited
+against a model dict maintained alongside the workload, every recovery
+is compared with the model (a key whose recovered value differs is a
+lost write), and the report's checks hold the rest of the contract:
 
-* ``undetected`` -- the scan that follows an injection must open at
-  least one ticket;
-* ``full_rebuilds`` -- repair is online and scoped: health converges
-  back to HEALTHY through ``repair_step`` units and the engine never
-  rebuilds the whole index;
-* ``false_positives`` -- periodic scans while HEALTHY find nothing;
-* ``final_health`` / ``verify_clean`` / ``content_clean`` -- the run
-  ends HEALTHY with ``ResilientDILI.verify()`` passing and the index
-  content equal to the model dict.
+* ``undetected`` -- the scan that follows an injection must fail;
+* ``false_positives`` -- periodic scans of the clean tree pass;
+* ``verify_clean`` / ``content_clean`` -- a final ``validate()``
+  passes and the content equals the model dict.
 
 :func:`run_lock_chaos` (the ``lock`` schedule) runs ``ConcurrentDILI``
 point ops, lock-free reads and rebuilds under a stalled writer lock
@@ -32,14 +31,17 @@ run from ``repro chaos``, the resilience test suite and the CI
 
 from __future__ import annotations
 
+import tempfile
 import threading
 from collections import deque
 
 import numpy as np
 
 from repro.check.chaos import ChaosReport
+from repro.check.errors import InvariantError
 from repro.core.concurrent import ConcurrentDILI
 from repro.data import load_dataset
+from repro.durability.durable import DurableDILI
 from repro.resilience.faults import (
     TREE_FAULT_KINDS,
     FaultRegistry,
@@ -47,10 +49,66 @@ from repro.resilience.faults import (
     stall_lock,
     unstall_lock,
 )
-from repro.resilience.health import Health
-from repro.resilience.serving import ResilientDILI
 
 __all__ = ["run_chaos", "run_lock_chaos"]
+
+
+def _scan(durable: DurableDILI) -> bool:
+    """One deep scan: True when ``validate()`` finds damage."""
+    try:
+        durable.validate()
+    except InvariantError:
+        return True
+    return False
+
+
+def _lost_writes(durable: DurableDILI, model: dict) -> int:
+    """Keys whose recovered value differs from the model: a lost insert
+    or update, or a deleted key that came back."""
+    recovered = dict(durable.items())
+    return sum(
+        1 for key in model.keys() | recovered.keys()
+        if recovered.get(key) != model.get(key)
+    )
+
+
+def _write_batch(
+    durable: DurableDILI, model: dict, pool: deque, rng, batch: int,
+    next_value: int,
+) -> tuple[int, int]:
+    """One write batch: inserts of fresh keys, deletes, updates.
+
+    Every write the store acknowledges is applied to ``model`` too.
+    Returns ``(writes issued, next unused value)``.
+    """
+    model_keys = np.fromiter(model, dtype=np.float64, count=len(model))
+    third = batch // 3
+    ins_keys = [pool.popleft() for _ in range(min(third, len(pool)))]
+    ins_vals = list(range(next_value, next_value + len(ins_keys)))
+    next_value += len(ins_keys)
+    del_keys = rng.choice(
+        model_keys, size=min(third, len(model_keys)), replace=False
+    ).tolist()
+    deleted = set(del_keys)
+    survivors = [k for k in model if k not in deleted]
+    upd_keys = [
+        survivors[int(i)]
+        for i in rng.integers(len(survivors), size=third)
+    ] if survivors else []
+    upd_vals = list(range(next_value, next_value + len(upd_keys)))
+    next_value += len(upd_keys)
+
+    ok = durable.insert_batch(np.array(ins_keys), ins_vals)
+    for i in np.flatnonzero(ok):
+        model[float(ins_keys[int(i)])] = ins_vals[int(i)]
+    ok = durable.delete_batch(np.array(del_keys))
+    for i in np.flatnonzero(ok):
+        model.pop(float(del_keys[int(i)]), None)
+    if upd_keys:
+        ok = durable.update_batch(np.array(upd_keys), upd_vals)
+        for i in np.flatnonzero(ok):
+            model[float(upd_keys[int(i)])] = upd_vals[int(i)]
+    return len(ins_keys) + len(del_keys) + len(upd_keys), next_value
 
 
 def run_chaos(
@@ -69,7 +127,7 @@ def run_chaos(
         num_keys: Initial bulk-loaded keys (an equal-sized disjoint
             pool feeds the insert stream).
         rounds: Workload rounds; each issues one read batch and one
-            write batch and advances any ongoing repair.
+            write batch.
         batch: Operations per batch.
         write_fraction: Fraction of write rounds that actually issue
             the write batch (0.5 gives the 50/50 mix).
@@ -85,130 +143,86 @@ def run_chaos(
     rng.shuffle(pool_keys)
     pool = deque(pool_keys)
 
-    index = ResilientDILI()
-    values = [int(i) for i in range(len(initial))]
-    index.bulk_load(initial, values)
-    model = dict(zip(initial.tolist(), values))
-    index.get_batch(initial[:batch])  # compile + warm the flat plan
-
     schedule = FaultSchedule.random(
         rounds=rounds, injections=injections, kinds=kinds, seed=seed
     )
-    by_round: dict[int, list[str]] = {}
-    for when, kind in schedule.events:
-        by_round.setdefault(int(when), []).append(kind)
-    pending: deque[str] = deque()
+    scheduled = dict(schedule.events)  # round -> kind; rounds distinct
     registry = FaultRegistry()
     report = ChaosReport(schedule="tree", seed=seed)
     counts = report.counts
     counts["injections"] = 0
     counts.update({f"injected.{kind}": 0 for kind in kinds})
-    counts.update(
-        undetected=0, false_positives=0, repair_steps=0, max_steps_degraded=0
-    )
+    counts.update(undetected=0, false_positives=0, recoveries=0)
+    values = [int(i) for i in range(len(initial))]
+    model = dict(zip(initial.tolist(), values))
     next_value = len(initial)
-    degraded_streak = 0
 
-    for r in range(rounds):
-        pending.extend(by_round.get(r, ()))
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as state_dir:
+        durable = DurableDILI(state_dir)
+        try:
+            durable.bulk_load(initial, values)
+            durable.get_batch(initial[:batch])  # compile + warm the plan
+            for r in range(rounds):
+                # -- injection, scan and recovery, all before this
+                #    round's reads: one live fault at a time
+                fault = None
+                if r in scheduled:
+                    fault = registry.inject(scheduled[r], durable.index, rng)
+                    if fault is None:
+                        fault = registry.inject_any(durable.index, rng, kinds)
+                if fault is not None:
+                    counts["injections"] += 1
+                    counts[f"injected.{fault.kind}"] += 1
+                    event = f"round {r}: injected {fault.kind} -> "
+                    if _scan(durable):
+                        durable.close()
+                        durable = DurableDILI(state_dir)
+                        counts["recoveries"] += 1
+                        lost = _lost_writes(durable, model)
+                        report.lost_writes += lost
+                        event += (
+                            f"recovered {len(durable)} keys "
+                            f"({durable.recovery.replayed} WAL records), "
+                            f"{lost} lost"
+                        )
+                    else:
+                        counts["undetected"] += 1
+                        event += "undetected"
+                    report.events.append(event)
+                elif r % 10 == 5:
+                    # Periodic scan of the clean tree: must find nothing.
+                    counts["false_positives"] += _scan(durable)
 
-        # -- injection: one live fault at a time, like queued incidents
-        if pending and index.health is Health.HEALTHY:
-            kind = pending.popleft()
-            fault = registry.inject(kind, index.index, rng)
-            if fault is None:
-                fault = registry.inject_any(index.index, rng, kinds)
-            if fault is not None:
-                counts["injections"] += 1
-                counts[f"injected.{fault.kind}"] += 1
-                if index.detect() < 1:
-                    counts["undetected"] += 1
-                report.events.append(
-                    f"round {r}: injected {fault.kind} -> "
-                    f"{index.health.value} "
-                    f"({len(index.engine.tickets)} ticket(s))"
+                # -- reads: half present keys, half probes that may miss
+                present = np.fromiter(
+                    model, dtype=np.float64, count=len(model)
                 )
-        elif index.health is Health.HEALTHY and r % 10 == 5:
-            # Periodic scan while clean: must find nothing.
-            counts["false_positives"] += index.detect()
+                read_keys = np.concatenate([
+                    rng.choice(present, size=batch // 2, replace=False),
+                    rng.uniform(
+                        float(universe[0]), float(universe[-1]),
+                        size=batch // 2,
+                    ),
+                ])
+                report.audit(
+                    durable.get_batch(read_keys),
+                    [model.get(k) for k in read_keys.tolist()],
+                )
 
-        # -- reads: half present keys, half probes that may miss
-        model_keys = np.fromiter(model, dtype=np.float64, count=len(model))
-        sample = rng.choice(model_keys, size=batch // 2, replace=False)
-        misses = rng.uniform(
-            float(universe[0]), float(universe[-1]), size=batch // 2
-        )
-        read_keys = np.concatenate([sample, misses])
-        report.audit(
-            index.get_batch(read_keys),
-            [model.get(k) for k in read_keys.tolist()],
-        )
+                if rng.random() < write_fraction:
+                    writes, next_value = _write_batch(
+                        durable, model, pool, rng, batch, next_value
+                    )
+                    report.writes += writes
 
-        # -- writes: inserts of fresh keys, deletes, updates
-        if rng.random() < write_fraction:
-            third = batch // 3
-            ins_keys = [pool.popleft() for _ in range(min(third, len(pool)))]
-            ins_vals = list(range(next_value, next_value + len(ins_keys)))
-            next_value += len(ins_keys)
-            del_keys = rng.choice(
-                model_keys, size=min(third, len(model_keys)), replace=False
-            ).tolist()
-            survivors = [k for k in model if k not in set(del_keys)]
-            upd_keys = [
-                survivors[int(i)]
-                for i in rng.integers(len(survivors), size=third)
-            ] if survivors else []
-            upd_vals = list(range(next_value, next_value + len(upd_keys)))
-            next_value += len(upd_keys)
-
-            ok = index.insert_batch(np.array(ins_keys), ins_vals)
-            for i in np.flatnonzero(ok):
-                model[float(ins_keys[int(i)])] = ins_vals[int(i)]
-            ok = index.delete_batch(np.array(del_keys))
-            for i in np.flatnonzero(ok):
-                model.pop(float(del_keys[int(i)]), None)
-            if upd_keys:
-                ok = index.update_batch(np.array(upd_keys), upd_vals)
-                for i in np.flatnonzero(ok):
-                    model[float(upd_keys[int(i)])] = upd_vals[int(i)]
-            report.writes += len(ins_keys) + len(del_keys) + len(upd_keys)
-
-        # -- repair: one bounded step per round keeps serving live
-        if index.health is not Health.HEALTHY:
-            degraded_streak += 1
-            counts["max_steps_degraded"] = max(
-                counts["max_steps_degraded"], degraded_streak
+            report.checks.update(
+                undetected=counts["undetected"] == 0,
+                false_positives=counts["false_positives"] == 0,
+                verify_clean=not _scan(durable),
+                content_clean=dict(durable.items()) == model,
             )
-            if index.repair_step():
-                counts["repair_steps"] += 1
-        else:
-            degraded_streak = 0
-
-    # -- convergence: drain any tail repair, then deep-verify
-    counts["repair_steps"] += index.repair_all()
-    health = index.health.value
-    report.events.append(f"final health: {health}")
-    try:
-        index.verify()
-        verify_clean = True
-    except AssertionError:
-        verify_clean = False
-    stats = index.stats()
-    counts.update(
-        plan_splices=stats["plan_splices"],
-        plan_drops=stats["plan_drops"],
-        full_rebuilds=stats["full_rebuilds"],
-    )
-    report.checks.update(
-        undetected=counts["undetected"] == 0,
-        false_positives=counts["false_positives"] == 0,
-        full_rebuilds=counts["full_rebuilds"] == 0,
-        final_health=health == "healthy",
-        verify_clean=verify_clean,
-        content_clean=(
-            len(index) == len(model) and dict(index.index.items()) == model
-        ),
-    )
+        finally:
+            durable.close()
     return report
 
 

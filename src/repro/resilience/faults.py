@@ -9,7 +9,7 @@ able to damage every serving structure the sanitizers watch:
 kind               what it corrupts (and which check detects it)
 =================  ====================================================
 ``flat_cell``      one ``FlatPlan.pair_keys`` SoA cell (plan sorted-key
-                   table diverges from the tree / authoritative keys)
+                   table diverges from the tree's keys)
 ``leaf_model``     a top-level leaf's linear model (stored pairs no
                    longer sit at their model-predicted slots)
 ``internal_model`` an internal node's Eq. 1 model (exact equal-width
@@ -35,10 +35,11 @@ redraw.  Injections are driven by a seeded
 
 The ``flat_cell`` corruption deliberately stays *order-preserving*: the
 poisoned cell is moved strictly between its own key and the next key of
-the same top-level leaf, so the plan's sorted-key view (which plan
-maintenance binary-searches) stays ordered and concurrent writes to
-*other* leaves keep finding correct positions while the damaged leaf
-is quarantined.
+the same top-level leaf, so every plan table stays ascending and only
+lookups inside that leaf can answer wrongly.  No ordering check sees such
+damage; the deep check (:func:`repro.check.verify_tree`, which
+``DILI.validate()`` runs) finds it by comparing the plan's key table
+with the tree's keys.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ __all__ = [
     "FaultRegistry",
     "FaultSchedule",
     "StallingLock",
-    "DEFAULT_REGISTRY",
 ]
 
 FAULT_FLAT_CELL = "flat_cell"
@@ -102,17 +102,10 @@ class FaultReport:
     Attributes:
         kind: One of the fault-kind constants above.
         message: Human-readable description of the damage.
-        node: The damaged node object (top-level leaf, dense leaf or
-            internal node), or ``None`` for plan-only damage where it
-            is the *containing* top-level leaf.
-        key: A representative key inside the damaged region (used by
-            tests to probe the degraded read path), or ``None``.
     """
 
     kind: str
     message: str
-    node: object
-    key: float | None = None
 
 
 def _top_nodes(root) -> list:
@@ -165,12 +158,9 @@ def _inject_leaf_model(index, rng) -> FaultReport | None:
     for delta in (1.0, -1.0):
         leaf.intercept += delta
         if not _subtree_is_clean(leaf):
-            key = next(leaf.iter_pairs())[0]
             return FaultReport(
                 FAULT_LEAF_MODEL,
                 f"leaf [{leaf.lb}, {leaf.ub}) intercept shifted by {delta}",
-                leaf,
-                key,
             )
         leaf.intercept -= delta  # undetectable: undo and try the other way
     return None
@@ -186,7 +176,6 @@ def _inject_internal_model(index, rng) -> FaultReport | None:
     return FaultReport(
         FAULT_INTERNAL_MODEL,
         f"internal [{node.lb}, {node.ub}) slope scaled by 1.5",
-        node,
     )
 
 
@@ -210,8 +199,6 @@ def _inject_slot_clobber(index, rng) -> FaultReport | None:
     return FaultReport(
         FAULT_SLOT_CLOBBER,
         f"leaf [{leaf.lb}, {leaf.ub}) slot {slot} (key {key}) zeroed",
-        leaf,
-        key,
     )
 
 
@@ -232,8 +219,6 @@ def _inject_dense_flip(index, rng) -> FaultReport | None:
     return FaultReport(
         FAULT_DENSE_FLIP,
         f"dense leaf [{leaf.lb}, {leaf.ub}) entries {i}/{i + 1} swapped",
-        leaf,
-        float(keys[i + 1]),  # the key that is now out of place
     )
 
 
@@ -278,8 +263,6 @@ def _inject_flat_cell(index, rng) -> FaultReport | None:
     return FaultReport(
         FAULT_FLAT_CELL,
         f"plan pair_keys[{p}] moved {kj} -> {mid}",
-        leaf,
-        kj,
     )
 
 
@@ -450,7 +433,3 @@ class FaultRegistry:
                 return report
         return None
 
-
-#: Shared default registry (mirrors ``durability.NULL_FAULTS``' role:
-#: importers that do not need isolation can share one).
-DEFAULT_REGISTRY = FaultRegistry()

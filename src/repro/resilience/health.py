@@ -1,22 +1,28 @@
 """Serving health state machine (HEALTHY -> DEGRADED -> REPAIRING).
 
-The resilience layer's contract is that the *read path knows how much
-to trust each structure*: the compiled flat plan is only used while the
-index is HEALTHY; DEGRADED/REPAIRING reads fall back to the scalar tree
-and, inside quarantined subtrees, to a binary search of the
-authoritative pair table (see :mod:`repro.resilience.serving`).  The
-state machine makes the trust level explicit and its transitions
-auditable:
+The state says how much a serving front-end can be trusted right now,
+and the machine makes its transitions explicit and auditable.  Two
+front-ends drive it:
 
-* ``HEALTHY -> DEGRADED``   -- a scan found at least one violation.
-* ``DEGRADED -> REPAIRING`` -- the repair engine started working.
-* ``REPAIRING -> DEGRADED`` -- a repaired subtree failed re-verification
-  (the ticket reopens and will be rebuilt again).
-* ``REPAIRING -> HEALTHY``  -- every ticket closed and re-verified.
+* the sharded coordinator (``ShardedDILI``): a failed worker takes
+  the fleet HEALTHY -> DEGRADED, respawning it DEGRADED -> REPAIRING,
+  and the target the supervisor derives from its per-shard ledgers
+  (``FleetSupervisor.target_health``) ends the restart at HEALTHY or
+  back at DEGRADED;
+* the plan-store reader (:class:`~repro.planstore.serve.MmapDILI`)
+  goes HEALTHY -> DEGRADED at rung 4, when not even recovery gives it
+  a store to serve.
+
+Legal transitions:
+
+* ``HEALTHY -> DEGRADED``   -- a failure was observed.
+* ``DEGRADED -> REPAIRING`` -- recovery (a worker restart) started.
+* ``REPAIRING -> DEGRADED`` -- the recovery failed.
+* ``REPAIRING -> HEALTHY``  -- the recovery succeeded.
 
 Any other transition is a bug in the caller and raises
 :class:`~repro.check.errors.InvariantError`; same-state transitions are
-no-ops so scans may re-report damage idempotently.
+no-ops so a failure may be re-reported idempotently.
 """
 
 from __future__ import annotations
@@ -77,8 +83,8 @@ class HealthMonitor:
 
         Raises:
             InvariantError: The transition is not in the state machine
-                (e.g. HEALTHY -> REPAIRING without a DEGRADED scan, or
-                DEGRADED -> HEALTHY without a repair pass).
+                (e.g. HEALTHY -> REPAIRING without an observed failure,
+                or DEGRADED -> HEALTHY without a recovery).
         """
         old = self._state
         if new is old:

@@ -2,18 +2,22 @@
 
 A schedule that hides a wrong answer is worse than no schedule, so
 each one is run with a planted wrong answer in the front-end read it
-audits: the report must say so and ``repro chaos`` must exit 1.
+audits: the report must say so and ``repro chaos`` must exit 1.  The
+``tree`` schedule heals every fault by recovery, so it is also run
+with a planted lost write in the WAL replay.
 """
 
 import json
 
 import pytest
 
+import repro.durability.recovery as recovery
 from repro.__main__ import main
 from repro.check.chaos import ChaosReport
 from repro.core.concurrent import ConcurrentDILI
+from repro.durability.durable import DurableDILI
+from repro.durability.wal import OP_INSERT_BATCH
 from repro.planstore.serve import MmapDILI
-from repro.resilience.serving import ResilientDILI
 from repro.sharding.coordinator import ShardedDILI
 
 
@@ -43,7 +47,7 @@ class TestChaosReport:
 
 #: Schedule -> the front-end whose ``get_batch`` answers it audits.
 AUDITED_FRONTENDS = {
-    "tree": ResilientDILI,
+    "tree": DurableDILI,
     "lock": ConcurrentDILI,
     "plan": MmapDILI,
     "kill": ShardedDILI,
@@ -69,3 +73,21 @@ def test_planted_wrong_answer_breaks_the_contract(
     assert report["schedule"] == schedule
     assert report["ok"] is False
     assert report["wrong_reads"] >= 1
+
+
+def test_planted_lost_write_breaks_the_tree_contract(monkeypatch, capsys):
+    real = recovery.apply_record
+    dropped = []
+
+    def drop_one_insert_batch(index, record):
+        if record.opcode == OP_INSERT_BATCH and not dropped:
+            dropped.append(record.seqno)
+            return  # the replay silently loses one logged batch
+        real(index, record)
+
+    monkeypatch.setattr(recovery, "apply_record", drop_one_insert_batch)
+    assert main(["chaos", "--schedule", "tree", "--json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert dropped
+    assert report["ok"] is False
+    assert report["lost_writes"] >= 1

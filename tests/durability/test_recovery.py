@@ -6,7 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import DILI
+from repro import DILI, DurableDILI
+from repro.check.errors import InvariantError
+from repro.data import load_dataset
 from repro.durability.recovery import (
     SNAPSHOT_NAME,
     WAL_NAME,
@@ -19,6 +21,7 @@ from repro.durability.wal import (
     OP_INSERT,
     WriteAheadLog,
 )
+from repro.faults import FaultRegistry
 
 
 def _args(*a):
@@ -116,6 +119,22 @@ class TestRecoverPaths:
     def test_snapshot_of_wrong_object_refused(self, tmp_path):
         write_snapshot({"not": "an index"}, tmp_path / SNAPSHOT_NAME)
         with pytest.raises(SnapshotError, match="does not contain"):
+            recover(tmp_path)
+
+    def test_snapshot_with_poisoned_internal_model_refused(self, tmp_path):
+        # A checkpoint taken after in-memory damage: the snapshot's CRC
+        # is sound, so only the deep check can refuse it.  A recovery
+        # that accepted it would answer about half of these keys wrong.
+        keys = load_dataset("logn", 4_000, seed=0)
+        durable = DurableDILI(tmp_path)
+        durable.bulk_load(keys, list(range(len(keys))))
+        fault = FaultRegistry().inject(
+            "internal_model", durable.index, np.random.default_rng(0)
+        )
+        assert fault is not None
+        durable.snapshot()
+        durable.close()
+        with pytest.raises(InvariantError, match="equal-width model"):
             recover(tmp_path)
 
     def test_recover_is_read_only(self, tmp_path):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import DILI
 from repro.data import load_dataset
-from repro.resilience import ResilientDILI
 
 
 @pytest.fixture
@@ -15,8 +15,8 @@ def keys():
 
 @pytest.fixture
 def loaded(keys):
-    """A ResilientDILI over ``keys`` with a warm flat plan."""
-    index = ResilientDILI()
+    """A DILI over ``keys`` with a warm flat plan."""
+    index = DILI()
     index.bulk_load(keys, list(range(len(keys))))
     index.get_batch(keys[:64])  # compile the plan
     return index

@@ -14,14 +14,16 @@ class TestRunChaos:
         )
         counts = report.counts
         assert report.ok, report.to_dict()
-        assert report.reads > 0
+        assert report.reads > 0 and report.writes > 0
         assert counts["injections"] >= len(TREE_FAULT_KINDS)
         # Every injection is of a scheduled kind.
         assert counts["injections"] == sum(
             counts[f"injected.{kind}"] for kind in TREE_FAULT_KINDS
         )
-        assert counts["repair_steps"] >= counts["injections"]
-        assert report.checks["final_health"]
+        # Every fault is healed by reopening the directory, and no
+        # recovery loses an acknowledged write.
+        assert counts["recoveries"] == counts["injections"]
+        assert report.lost_writes == 0
 
     def test_deterministic_per_seed(self):
         kwargs = dict(
@@ -32,11 +34,12 @@ class TestRunChaos:
             seed=9,
         )
         a, b = run_chaos(**kwargs), run_chaos(**kwargs)
-        assert a.events == b.events  # same injections, same rounds
-        assert (a.reads, a.writes, a.counts["repair_steps"]) == (
+        assert a.events  # at least one injection to compare
+        assert (a.events, a.reads, a.writes, a.counts["recoveries"]) == (
+            b.events,
             b.reads,
             b.writes,
-            b.counts["repair_steps"],
+            b.counts["recoveries"],
         )
 
 

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import DiliConfig
+from repro import DILI, DiliConfig
+from repro.check.errors import InvariantError
 from repro.core.nodes import DenseLeafNode
 from repro.data import load_dataset
 from repro.durability.faultpoints import FaultInjector
 from repro.resilience import (
     FaultRegistry,
     FaultSchedule,
-    ResilientDILI,
     StallingLock,
     TREE_FAULT_KINDS,
 )
@@ -25,35 +25,36 @@ from repro.resilience.faults import (
 class TestInjectors:
     @pytest.mark.parametrize("kind", TREE_FAULT_KINDS)
     def test_injection_is_detected_by_a_scan(self, loaded, rng, kind):
+        loaded.validate()
         registry = FaultRegistry()
-        fault = registry.inject(kind, loaded.index, rng)
+        fault = registry.inject(kind, loaded, rng)
         assert fault is not None and fault.kind == kind
         assert registry.reports == [fault]
-        assert loaded.detect() >= 1
+        with pytest.raises(InvariantError):
+            loaded.validate()
 
     def test_dense_flip_on_pair_tree_is_a_clean_noop(self, loaded, rng):
         registry = FaultRegistry()
-        assert registry.inject(FAULT_DENSE_FLIP, loaded.index, rng) is None
+        assert registry.inject(FAULT_DENSE_FLIP, loaded, rng) is None
         assert registry.reports == []
-        assert loaded.detect() == 0  # guaranteed-unmodified contract
+        loaded.validate()  # guaranteed-unmodified contract
 
     def test_dense_flip_on_dili_lo_tree(self, rng):
         keys = load_dataset("logn", 4_000, seed=0)
-        index = ResilientDILI(DiliConfig(local_optimization=False))
+        index = DILI(DiliConfig(local_optimization=False))
         index.bulk_load(keys)
-        assert any(
-            type(n) is DenseLeafNode for n in _top_nodes(index.index.root)
-        )
-        fault = FaultRegistry().inject(FAULT_DENSE_FLIP, index.index, rng)
+        assert any(type(n) is DenseLeafNode for n in _top_nodes(index.root))
+        fault = FaultRegistry().inject(FAULT_DENSE_FLIP, index, rng)
         assert fault is not None and fault.kind == FAULT_DENSE_FLIP
-        assert index.detect() >= 1
+        with pytest.raises(InvariantError):
+            index.validate()
 
     def test_unknown_kind_raises(self, loaded, rng):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultRegistry().inject("bitsquatting", loaded.index, rng)
+            FaultRegistry().inject("bitsquatting", loaded, rng)
 
     def test_inject_any_picks_an_applicable_kind(self, loaded, rng):
-        fault = FaultRegistry().inject_any(loaded.index, rng)
+        fault = FaultRegistry().inject_any(loaded, rng)
         assert fault is not None
         assert fault.kind in TREE_FAULT_KINDS
 
