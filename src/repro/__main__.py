@@ -671,8 +671,7 @@ def _print_shard_status(status: dict) -> None:
         print(
             f"router: {router.get('kind')} over "
             f"{len(router.get('boundaries', []))} boundary key(s), "
-            f"{router.get('routed', 0):,} routed, "
-            f"{router.get('corrected', 0):,} model misses corrected"
+            f"{router.get('routed', 0):,} routed"
         )
     rows = []
     for i, shard in enumerate(status["shards"]):

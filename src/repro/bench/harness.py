@@ -833,6 +833,10 @@ class ShardedThroughputMeasurement:
         cpu_count: ``os.cpu_count()`` on the measuring machine; process
             scaling is only physically possible when it is >= the
             worker count.
+        median_s: Median seconds of one ``get_batch`` call over the
+            ``rounds`` by worker count.
+        in_process_s: Median seconds of an in-process
+            ``DILI.get_batch`` of the same batch over the same keys.
     """
 
     worker_counts: tuple[int, ...]
@@ -841,6 +845,8 @@ class ShardedThroughputMeasurement:
     num_keys: int
     batch: int
     cpu_count: int
+    median_s: dict[int, float]
+    in_process_s: float
 
     def scaling(self, workers: int) -> float:
         """Throughput at ``workers`` relative to one worker."""
@@ -850,6 +856,15 @@ class ShardedThroughputMeasurement:
     @property
     def scaling_2(self) -> float:
         return self.scaling(2) if 2 in self.ops_per_s else 0.0
+
+    @property
+    def one_worker_ratio(self) -> float:
+        """Median 1-worker sharded read over the in-process read of the
+        same keys (the sharded path aims at 2x or less); 0 when 1
+        worker was not measured."""
+        if 1 not in self.median_s or self.in_process_s <= 0:
+            return 0.0
+        return self.median_s[1] / self.in_process_s
 
 
 def measure_sharded_throughput(
@@ -870,6 +885,8 @@ def measure_sharded_throughput(
     one pre-drawn existing-key batch.  Large batches amortize the pipe
     round-trip the way the paper's batch API amortizes interpreter
     dispatch; every returned value is audited against the loaded data.
+    The same batch is also timed through an in-process ``DILI`` over
+    the same keys, the yardstick of the 1-worker sharded read.
 
     Each worker is pinned to its own CPU (where the platform has
     ``os.sched_setaffinity``), as in the serving benchmark, so the
@@ -887,7 +904,21 @@ def measure_sharded_throughput(
     queries = keys[idx]
     expected = [int(i) for i in idx]
     ops_per_s: dict[int, float] = {}
+    median_s: dict[int, float] = {}
     wrong_reads = 0
+
+    def timed(get_batch) -> tuple[list[float], int]:
+        """Seconds of each of ``rounds`` reads of the batch, and the
+        wrong answers of the last."""
+        get_batch(queries[:256])  # warm pages, workers and the plan
+        times = []
+        got: list = []
+        for _ in range(max(rounds, 1)):
+            t0 = time.perf_counter()
+            got = get_batch(queries)
+            times.append(time.perf_counter() - t0)
+        return times, sum(1 for g, e in zip(got, expected) if g != e)
+
     for workers in worker_counts:
         with tempfile.TemporaryDirectory(
             prefix="repro-shard-bench-"
@@ -908,17 +939,17 @@ def measure_sharded_throughput(
                         os.sched_setaffinity(
                             shard["pid"], {cpus[j % len(cpus)]}
                         )
-                index.get_batch(queries[:256])  # warm pages + workers
-                best = float("inf")
-                got: list = []
-                for _ in range(max(rounds, 1)):
-                    t0 = time.perf_counter()
-                    got = index.get_batch(queries)
-                    best = min(best, time.perf_counter() - t0)
-                wrong_reads += sum(
-                    1 for g, e in zip(got, expected) if g != e
-                )
+                times, wrong = timed(index.get_batch)
+                wrong_reads += wrong
+                best = min(times)
                 ops_per_s[workers] = batch / best if best > 0 else 0.0
+                median_s[workers] = float(np.median(times))
+    # Built after the fleets are gone: alive beside them (and forked
+    # into their workers) it slowed the 1-worker read from about 9 ms
+    # to 14 ms at 60,000 keys.
+    in_process = DILI()
+    in_process.bulk_load(keys, values)
+    in_process_s = float(np.median(timed(in_process.get_batch)[0]))
     return ShardedThroughputMeasurement(
         worker_counts=tuple(worker_counts),
         ops_per_s=ops_per_s,
@@ -926,6 +957,8 @@ def measure_sharded_throughput(
         num_keys=len(keys),
         batch=batch,
         cpu_count=os.cpu_count() or 1,
+        median_s=median_s,
+        in_process_s=in_process_s,
     )
 
 

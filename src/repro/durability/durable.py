@@ -355,7 +355,11 @@ class DurableDILI:
         return self._index.items()
 
     def validate(self) -> None:
-        self._plain.validate()
+        """The deep check (:meth:`repro.core.dili.DILI.validate`), run
+        under the writer lock: a scan beside a write would report the
+        half-applied write as damage."""
+        with self._exclusive():
+            self._plain.validate()
 
     def __len__(self) -> int:
         return len(self._index)

@@ -25,8 +25,9 @@ version switch:
 
 * ``value_ints`` -- one int64 column, written when every payload is an
   exact Python ``int`` (``type(v) is int``) that fits int64.  A read
-  gathers its hits with one fancy index and hands them back as Python
-  ints, so answers are equal and type-equal to the live index's.
+  gathers its hits with one fancy index as int64 and a list answer
+  boxes them as Python ints, so answers are equal and type-equal to
+  the live index's.
 * ``value_bytes`` + ``value_offsets`` -- any other payload set (a bool,
   a numpy integer, an int beyond int64, a string, or any mix): each
   value is pickled *individually* into ``value_bytes`` with

@@ -61,7 +61,7 @@ from repro.planstore.format import (
     write_delta_file,
     write_plan_file,
 )
-from repro.planstore.store import PlanStore
+from repro.planstore.store import PlanStore, hits_pair
 from repro.resilience.health import Health, HealthMonitor
 from repro.simulate.tracer import NULL_TRACER, Tracer
 
@@ -554,21 +554,37 @@ class MmapDILI:
             f"{self.dirpath}: fallback ladder exhausted"
         )
 
-    def _read(self, method: str, *args, **kwargs):
-        def attempt(store, fallback, rung):
-            if rung == 4:
-                raise ServingUnavailable(
-                    f"{self.dirpath}: no plan, no snapshot+WAL rebuild; "
-                    f"serving is DEGRADED"
-                )
-            target = store if store is not None else fallback
-            return getattr(target, method)(*args, **kwargs)
+    def _target(self, store, fallback, rung):
+        """What serves a read: the store, else the rung-3 rebuild."""
+        if rung == 4:
+            raise ServingUnavailable(
+                f"{self.dirpath}: no plan, no snapshot+WAL rebuild; "
+                f"serving is DEGRADED"
+            )
+        return store if store is not None else fallback
+
+    def _read(self, method: str, *args):
+        def attempt(*served):
+            return getattr(self._target(*served), method)(*args)
 
         return self._retry(attempt)
 
-    def get_batch(self, keys, tracer: Tracer = NULL_TRACER) -> list:
-        """Values for a key batch, ``None`` where absent."""
-        return self._read("get_batch", keys, tracer)
+    def get_batch(
+        self, keys, tracer: Tracer = NULL_TRACER, *, arrays: bool = False
+    ):
+        """Values for a key batch, ``None`` where absent.
+
+        ``arrays=True`` answers :meth:`PlanStore.get_batch`'s
+        ``(hits, payload)`` pair instead of the list; the rung-3
+        rebuild answers it with an object payload.
+        """
+        def attempt(store, fallback, rung):
+            if self._target(store, fallback, rung) is store:
+                return store.get_batch(keys, tracer, arrays=arrays)
+            values = fallback.get_batch(keys, tracer)
+            return hits_pair(values) if arrays else values
+
+        return self._retry(attempt)
 
     def contains_batch(self, keys):
         """Boolean membership for a key batch."""

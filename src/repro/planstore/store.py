@@ -15,16 +15,23 @@ same check eagerly for auditors.
 
 Payloads come from one of the file's two value encodings (see
 :mod:`repro.planstore.format`), each wrapped as the mapped counterpart
-of the in-memory plan's payload table: ``get_batch`` goes through the
-same :meth:`FlatPlan.gather_values` as every in-memory front-end,
-which hands ``take`` only the hits.  :meth:`_IntValues.take` gathers
-them from the int64 column with one fancy index and returns Python
-ints; :meth:`_LazyValues.take` unpickles exactly the values it
-returns from the delimited ``value_bytes`` column, never the whole
-column.  ``_LazyValues.take`` holds the package's one waived CHK011
-flow: its ``pickle.loads`` reads mapped bytes that
+of the in-memory plan's payload table, of which ``get_batch`` asks
+only the hits.  :meth:`_IntValues.take` gathers them from the int64
+column with one fancy index and returns them unboxed, as int64;
+:meth:`_LazyValues.take` unpickles exactly the values it returns from
+the delimited ``value_bytes`` column, never the whole column.
+``_LazyValues.take`` holds the package's one waived CHK011 flow: its
+``pickle.loads`` reads mapped bytes that
 :meth:`PlanStore._ensure_verified` has checksummed before any read
 reaches it.
+
+A batch read is first an array pair: ``hits``, a bool mask over the
+keys, and ``payload``, the hits' values in key order -- one int64
+array when the base holds the int column and every overlay hit is an
+exact Python ``int`` within int64, else one 1-D object array.  A shard
+worker ships that pair as it is (``get_batch(..., arrays=True)``);
+every other caller gets the list, built by one masked assignment into
+a ``None``-filled object array, which boxes each int once.
 
 A store maps one base file and nothing else.  The serving ladder
 replays the deltas :meth:`repro.planstore.serve.PlanDirectory.walk`
@@ -62,7 +69,11 @@ from repro.durability.wal import (
     OP_UPDATE,
     OP_UPDATE_BATCH,
 )
-from repro.planstore.format import PlanFormatError, read_plan_header
+from repro.planstore.format import (
+    PlanFormatError,
+    int_column,
+    read_plan_header,
+)
 from repro.simulate.latency import DEFAULT_CYCLES
 from repro.simulate.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -107,8 +118,9 @@ class _LazyValues:
 class _IntValues:
     """Payload table over the int64 value column.
 
-    :meth:`take` returns Python ints (an object array), so answers are
-    equal and type-equal to the live index's.
+    :meth:`take` returns int64, unboxed: a list answer boxes each hit
+    once, as a Python int, so answers are equal and type-equal to the
+    live index's.
     """
 
     __slots__ = ("_ints",)
@@ -120,7 +132,29 @@ class _IntValues:
         return len(self._ints)
 
     def take(self, indices: np.ndarray) -> np.ndarray:
-        return self._ints[indices].astype(object)
+        return self._ints[indices]
+
+
+def hits_list(hits: np.ndarray, payload: np.ndarray) -> list:
+    """The list answer of a ``(hits, payload)`` pair: the payload at
+    the hits, ``None`` elsewhere."""
+    out = np.full(len(hits), None, dtype=object)
+    out[hits] = payload
+    return out.tolist()
+
+
+def hits_pair(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(hits, payload)`` pair of a list answer (``None`` = miss),
+    with an object payload."""
+    hits = np.fromiter(
+        (v is not None for v in values), dtype=bool, count=len(values)
+    )
+    payload = np.fromiter(
+        (v for v in values if v is not None),
+        dtype=object,
+        count=int(np.count_nonzero(hits)),
+    )
+    return hits, payload
 
 
 class _Overlay(dict):
@@ -143,13 +177,14 @@ class _Overlay(dict):
             np.fromiter(self, dtype=np.float64, count=len(self))
         )
 
-    def positions(self, keys: np.ndarray) -> list[int]:
-        """Positions in ``keys`` of the keys the overlay holds."""
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Positions in ``keys`` of the keys the overlay holds,
+        ascending."""
         sk = self.key_array
         if not len(sk):
-            return []
+            return np.empty(0, dtype=np.intp)
         at = np.minimum(np.searchsorted(sk, keys), len(sk) - 1)
-        return np.flatnonzero(sk[at] == keys).tolist()
+        return np.flatnonzero(sk[at] == keys)
 
 
 class PlanStore:
@@ -386,14 +421,16 @@ class PlanStore:
             self.verify()
 
     def get_batch(
-        self, keys, tracer: Tracer = NULL_TRACER
-    ) -> list:
+        self, keys, tracer: Tracer = NULL_TRACER, *, arrays: bool = False
+    ):
         """Values for a key batch, ``None`` where absent.
 
         Mirrors :meth:`repro.core.dili.DILI.get_batch`: with a real
         tracer the recorded base-plan descent is replayed per key in
         batch order, charging the same simulated cycles as the scalar
-        loop over the in-memory index.
+        loop over the in-memory index.  ``arrays=True`` answers the
+        ``(hits, payload)`` pair (see the module docstring) instead of
+        the list.
         """
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 1:
@@ -404,12 +441,38 @@ class PlanStore:
         out, trace = plan.lookup_batch(keys, record=record)
         if record:
             plan.replay_trace(keys, trace, tracer, DEFAULT_CYCLES)
-        results = plan.gather_values(out)
+        hits, payload = self._gather(plan, keys, out)
+        return (hits, payload) if arrays else hits_list(hits, payload)
+
+    def _gather(
+        self, plan: FlatPlan, keys: np.ndarray, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(hits, payload)`` pair for the base plan's answers
+        ``out`` (flat value indices, -1 = miss), with the overlay's
+        entries in place of the base's for the keys it holds."""
+        hits = out >= 0
         overlay = self._overlay
-        for pos in overlay.positions(keys):
-            value, _ = overlay[float(keys[pos])]
-            results[pos] = None if value is _TOMBSTONE else value
-        return results
+        at = overlay.positions(keys)
+        if not len(at):
+            return hits, plan.values.take(out[hits])
+        entries = [overlay[k][0] for k in keys[at].tolist()]
+        live = np.fromiter(
+            (v is not _TOMBSTONE for v in entries),
+            dtype=bool, count=len(entries),
+        )
+        added = [v for v in entries if v is not _TOMBSTONE]
+        from_base = hits.copy()
+        from_base[at] = False
+        hits[at] = live
+        slot = np.cumsum(hits) - 1  # payload index of each hit
+        base_values = plan.values.take(out[from_base])
+        column = int_column(added) if base_values.dtype == np.int64 else None
+        if column is None:
+            column = np.fromiter(added, dtype=object, count=len(added))
+        payload = np.empty(len(base_values) + len(added), dtype=column.dtype)
+        payload[slot[at[live]]] = column
+        payload[slot[from_base]] = base_values
+        return hits, payload
 
     def contains_batch(self, keys) -> np.ndarray:
         """Boolean membership for a key batch (vectorized ``in``)."""
@@ -419,7 +482,7 @@ class PlanStore:
         self._ensure_verified()
         result = self._plan.contains_batch(keys)
         overlay = self._overlay
-        for pos in overlay.positions(keys):
+        for pos in overlay.positions(keys).tolist():
             value, _ = overlay[float(keys[pos])]
             result[pos] = value is not _TOMBSTONE
         return result

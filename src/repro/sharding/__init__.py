@@ -4,15 +4,14 @@ The first GIL-escaping path: the keyspace is cut into contiguous range
 shards, each a full :class:`~repro.durability.durable.DurableDILI`
 state directory whose compiled plan is published through
 :mod:`repro.planstore` and served zero-copy by a dedicated worker
-*process*; a coordinator with a learned Eq.1 router scatter/gathers
-batches over the worker pipes, preserving input order and -- for
-aligned partitions -- per-key simulated costs (±0 cycles vs the
-unsharded index).
+*process*; a coordinator scatter/gathers batches over the worker
+pipes as arrays, preserving input order and -- for aligned partitions
+-- per-key simulated costs (±0 cycles vs the unsharded index).
 
 Modules:
 
-* :mod:`repro.sharding.router` -- learned key-space router with
-  binary-search last mile, plus the bit-exact aligned child router.
+* :mod:`repro.sharding.router` -- the ``searchsorted`` key-space
+  router, plus the bit-exact aligned child router.
 * :mod:`repro.sharding.partition` -- quantile partitioning, per-shard
   distribution tuning (grid search on the local CDF under the
   simulated cost model), and the aligned global-tree split.

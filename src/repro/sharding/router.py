@@ -1,21 +1,19 @@
-"""Learned routing of keys to contiguous range shards.
+"""Routing of keys to contiguous range shards.
 
 Two routers cover the two partitioning modes:
 
 * :class:`ShardRouter` works in **key space**.  The partition is
   described by its interior boundary keys (the smallest stored key of
-  every shard but the first), and the ground truth is
-  ``np.searchsorted(boundaries, keys, side="right")``.  The fast path
-  is a one-level Eq.1-style linear model fit over the boundary keys
-  (the root-model-dispatches-to-sub-index pattern from "The Case for
-  Learned Index Structures"), followed by a *last-mile correction*:
-  every prediction is checked against the predicted shard's key range
-  and only the mispredicted tail falls back to a real binary search.
-  The result is exactly ``searchsorted``-equivalent -- a prediction is
-  accepted only when ``lower[p] <= key < upper[p]``, and for a sorted
-  boundary array that inequality pins the searchsorted answer uniquely
-  (duplicate boundary keys make the shard between them empty, and its
-  degenerate ``lower == upper`` window can never accept a key).
+  every shard but the first), and a key's shard is
+  ``np.searchsorted(boundaries, keys, side="right")``: one vectorised
+  binary search over a few dozen boundaries at most.  Duplicate
+  boundary keys make the shard between them empty, and a NaN key
+  sorts past every boundary, so it routes to the last shard.  A
+  learned Eq.1 model over the boundary keys (the root model of "The
+  Case for Learned Index Structures" dispatching to sub-indexes) does
+  not pay at shard fan-outs: over 1-63 boundaries it mispredicted
+  5-94% of a 4,096-key batch and took longer than the search it had to
+  equal (docs/performance.md).
 
 * :class:`AlignedRouter` works in **child-index space**.  When shards
   are built by splitting one global tree at the root's children (see
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.linear_model import LinearModel, clamp_slots
+from repro.core.linear_model import clamp_slots
 
 
 def _as_key_array(keys) -> np.ndarray:
@@ -48,7 +46,7 @@ def _as_key_array(keys) -> np.ndarray:
 
 
 class ShardRouter:
-    """Key-space router: learned prediction + last-mile binary search.
+    """Key-space router: one ``searchsorted`` over the boundary keys.
 
     Attributes:
         boundaries: Interior boundary keys, non-decreasing, length
@@ -59,8 +57,6 @@ class ShardRouter:
             shard.
         num_shards: Total shard count (>= 1).
         routed: Keys routed since construction (observability).
-        corrected: Keys whose model prediction needed the binary-search
-            last mile.
     """
 
     kind = "range"
@@ -78,54 +74,13 @@ class ShardRouter:
                 f"{self.num_shards - 1} boundaries, "
                 f"got {len(self.boundaries)}"
             )
-        self.model = self._fit_model(self.boundaries)
-        # Acceptance windows for the learned prediction: shard j owns
-        # [lower[j], upper[j]) with infinite sentinels at the extremes.
-        self._lower = np.concatenate(([-np.inf], self.boundaries))
-        self._upper = np.concatenate((self.boundaries, [np.inf]))
         self.routed = 0
-        self.corrected = 0
-
-    @staticmethod
-    def _fit_model(boundaries: np.ndarray) -> LinearModel:
-        # Boundary key boundaries[i] is the first key of shard i + 1,
-        # so the model maps boundary -> owning shard index.
-        if len(boundaries) == 0:
-            return LinearModel(0.0, 0.0)
-        lo, hi = float(boundaries[0]), float(boundaries[-1])
-        if hi <= lo:  # single or duplicate boundary: no usable span
-            return LinearModel(0.0, 1.0)
-        ys = np.arange(1, len(boundaries) + 1, dtype=np.float64)
-        return LinearModel.fit(boundaries, ys)
 
     def route(self, keys) -> np.ndarray:
-        """Shard id per key; exactly searchsorted-right equivalent."""
+        """Shard id per key: ``searchsorted(boundaries, keys, "right")``."""
         keys = _as_key_array(keys)
         self.routed += len(keys)
-        if self.num_shards == 1 or len(keys) == 0:
-            return np.zeros(len(keys), dtype=np.int64)
-        # The clamp sends a NaN prediction (a NaN key, or an infinite
-        # one times a zero slope) to shard 0.  A NaN key fails every
-        # acceptance window, so it takes the searchsorted last mile
-        # like any misprediction and lands where route_naive puts it.
-        pred = clamp_slots(
-            self.model.intercept + self.model.slope * keys, self.num_shards
-        )
-        wrong = ~((self._lower[pred] <= keys) & (keys < self._upper[pred]))
-        n_wrong = int(np.count_nonzero(wrong))
-        if n_wrong:
-            self.corrected += n_wrong
-            pred[wrong] = np.searchsorted(
-                self.boundaries, keys[wrong], side="right"
-            )
-        return pred
-
-    def route_naive(self, keys) -> np.ndarray:
-        """The ground truth the learned path must match exactly."""
-        keys = _as_key_array(keys)
-        return np.searchsorted(self.boundaries, keys, side="right").astype(
-            np.int64
-        )
+        return np.searchsorted(self.boundaries, keys, side="right")
 
     def to_dict(self) -> dict:
         return {
@@ -138,10 +93,7 @@ class ShardRouter:
         return cls(spec["boundaries"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardRouter(shards={self.num_shards}, "
-            f"slope={self.model.slope:.3g})"
-        )
+        return f"ShardRouter(shards={self.num_shards})"
 
 
 class AlignedRouter:
@@ -171,7 +123,6 @@ class AlignedRouter:
             raise ValueError("group start beyond the root's fanout")
         self.num_shards = len(self.group_starts)
         self.routed = 0
-        self.corrected = 0  # parity with ShardRouter's counters
 
     def child_of(self, keys) -> np.ndarray:
         """Root child per key -- InternalNode.child_index, vectorized.

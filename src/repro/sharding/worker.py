@@ -24,6 +24,11 @@ The same :class:`ShardWorker` object serves two transports:
   which the property-based tests use to avoid per-example process
   spawns.
 
+A read replies with arrays, not Python objects: a bool hit mask over
+the keys it was sent and the hits' values as one int64 array (or, for
+any other payload, one object array of the hits only), so the pipe
+carries two buffers and the coordinator boxes each answer once.
+
 Traced reads ship their simulated cost back to the coordinator as
 :class:`~repro.simulate.tracer.RecordingTracer` event tuples, split
 into per-key segments on the ``step1`` phase marker each key's replay
@@ -192,16 +197,20 @@ class ShardWorker:
     # Request handlers (the wire protocol's verbs)
     # ------------------------------------------------------------------
 
-    def get_batch(self, keys, record: bool = False):
+    def get_batch(self, keys, record: bool = False) -> tuple:
+        """The reply ``(hits, payload, segments)``: the served store's
+        hit mask and payload array (:meth:`MmapDILI.get_batch` with
+        ``arrays=True``), and the per-key trace segments when
+        ``record``, else None."""
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         self.ops["reads"] += len(keys)
         self.ops["batches"] += 1
         tracer = RecordingTracer() if record else NULL_TRACER
-        values = self.served.get_batch(keys, tracer)
+        hits, payload = self.served.get_batch(keys, tracer, arrays=True)
         segments = (
             split_trace_segments(tracer.events, len(keys)) if record else None
         )
-        return list(values), segments
+        return hits, payload, segments
 
     def contains_batch(self, keys):
         keys = np.ascontiguousarray(keys, dtype=np.float64)

@@ -1,11 +1,13 @@
 """DurableDILI: logged mutations survive reopen; checkpoints bound replay."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro import DurableDILI
+from repro.data.datasets import load_dataset
 from repro.durability import recover
 
 
@@ -271,4 +273,43 @@ class TestConcurrentComposition:
         assert got == [list(range(16))] and not release.is_set()
         release.set()
         holder.join(timeout=30)
+        d.close()
+
+    def test_validate_beside_a_batch_writer_reports_no_damage(
+        self, tmp_path
+    ):
+        """``validate()`` holds the writer lock, so a scan never sees a
+        half-applied write batch as damage."""
+        keys = load_dataset("logn", 20_000, seed=0)
+        d = DurableDILI(tmp_path, concurrent=True, sync=False)
+        d.bulk_load(keys, list(range(len(keys))))
+        fresh = np.setdiff1d(keys[:-1] + np.diff(keys) / 2, keys)[:64]
+        stop = threading.Event()
+        rounds = []
+        errors = []
+
+        def writer():
+            try:
+                while not stop.is_set():
+                    assert d.insert_batch(fresh, ["w"] * len(fresh)).all()
+                    assert d.delete_batch(fresh).all()
+                    rounds.append(1)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=writer)
+        try:
+            thread.start()
+            for _ in range(20):
+                d.validate()
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not thread.is_alive()
+        assert not errors and rounds
+        d.validate()
+        assert len(d) == len(keys)
         d.close()

@@ -13,7 +13,8 @@ import pytest
 from repro import DILI
 from repro.planstore.corrupt import FAULT_PLAN_TORN_HEADER, inject_plan_fault
 from repro.planstore.serve import PlanDirectory
-from repro.sharding import ShardedDILI, read_manifest
+from repro.sharding import ShardedDILI, ShardWorker, read_manifest
+from tests.payloads import PAYLOAD_KINDS, assert_same_payloads, payloads
 
 
 def make_data(n=3_000, seed=13):
@@ -248,6 +249,104 @@ def test_status_reports_per_shard_counters(tmp_path):
         assert shard["health"] == "healthy"
         assert shard["generations"]
         assert shard["keys"] > 0
+
+
+#: Malformed ``get_batch`` replies, each made from the worker's real
+#: ``(hits, payload, segments)`` reply.
+MALFORMED_REPLIES = {
+    "mask too long": lambda h, p, s: (
+        np.append(h, True), np.append(p, p[:1]), s
+    ),
+    "mask too short": lambda h, p, s: (h[1:], p[int(h[0]):], s),
+    "int mask": lambda h, p, s: (h.astype(np.int64), p, s),
+    "payload short": lambda h, p, s: (h, p[:-1], s),
+    "payload long": lambda h, p, s: (h, np.append(p, p[:1]), s),
+    "payload of one": lambda h, p, s: (h, p[:1], s),
+    "2-D payload": lambda h, p, s: (h, p.reshape(-1, 1), s),
+    "float payload": lambda h, p, s: (h, p.astype(np.float64), s),
+    "2-tuple": lambda h, p, s: (h, p),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(MALFORMED_REPLIES))
+def test_a_malformed_reply_never_becomes_an_answer(
+    tmp_path, monkeypatch, plant
+):
+    index, keys, _ = make_index(tmp_path, num_shards=2)
+    real = ShardWorker.get_batch
+
+    def planted(self, *args):
+        return MALFORMED_REPLIES[plant](*real(self, *args))
+
+    monkeypatch.setattr(ShardWorker, "get_batch", planted)
+    got = []
+    with index:
+        # Hits in both shards, so a length-1 payload could broadcast.
+        with pytest.raises(ValueError, match="malformed get_batch reply"):
+            got.append(index.get_batch(keys[::10]))
+    assert got == []
+
+
+def _payload_fleet_and_dili(tmp_path, values, processes):
+    keys, _ = make_data(n=800, seed=23)
+    fleet = ShardedDILI.create(
+        tmp_path / "fleet", keys, values(0, len(keys)), num_shards=2,
+        tuning="none", processes=processes, sync=False,
+    )
+    reference = DILI()
+    reference.bulk_load(keys, values(0, len(keys)))
+    return fleet, reference, keys
+
+
+@pytest.mark.parametrize("processes", [False, True])
+@pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+def test_payload_kinds_survive_the_fleet(tmp_path, kind, processes):
+    fleet, reference, keys = _payload_fleet_and_dili(
+        tmp_path, lambda start, n: payloads(kind, start, n), processes
+    )
+    added = keys[::3] + 0.5
+    removed = keys[1::4]
+    updated = keys[::5]
+    with fleet:
+        for index in (fleet, reference):
+            index.insert_batch(added, payloads(kind, 5_000, len(added)))
+            index.delete_batch(removed)
+            index.update_batch(updated, payloads(kind, 9_000, len(updated)))
+        probe = np.concatenate([keys, added, keys + 0.25])
+        assert_same_payloads(fleet.get_batch(probe), reference.get_batch(probe))
+
+
+@pytest.mark.parametrize("processes", [False, True])
+def test_int_column_overlay_answers_any_payload_type(tmp_path, processes):
+    """An int-column base with int and non-int overlay hits: each
+    answer keeps its type (the int64 payload is only for exact ints)."""
+    fleet, reference, keys = _payload_fleet_and_dili(
+        tmp_path, lambda start, n: list(range(start, start + n)), processes
+    )
+    odd = [True, np.int64(5), 2**63, "s", ("t", 1)]
+    updated = np.concatenate([keys[:3], keys[-2:]])  # both shards
+    added = keys[::7] + 0.5
+    removed = keys[1::9]
+    with fleet:
+        for index in (fleet, reference):
+            index.insert_batch(added, list(range(7_000, 7_000 + len(added))))
+            index.delete_batch(removed)
+            index.update_batch(updated, odd)
+        probe = np.concatenate([keys, added, keys + 0.25])
+        assert_same_payloads(fleet.get_batch(probe), reference.get_batch(probe))
+        # Each odd payload as its shard's only non-int hit, beside int
+        # hits from the base and from the overlay of both shards.
+        intact = np.setdiff1d(keys, np.concatenate([removed, updated]))
+        for key in updated:
+            few = np.array([key, intact[5], intact[-5], added[1], added[-1]])
+            assert_same_payloads(
+                fleet.get_batch(few), reference.get_batch(few)
+            )
+        # Without the odd keys every answer is a Python int or None.
+        plain = np.setdiff1d(probe, updated)
+        got = fleet.get_batch(plain)
+        assert_same_payloads(got, reference.get_batch(plain))
+        assert {type(v) for v in got} == {int, type(None)}
 
 
 class TestPipeProtocolValidation:

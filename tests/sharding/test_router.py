@@ -1,10 +1,9 @@
-"""The learned shard router: edge cases and searchsorted equivalence.
+"""The shard routers: edge cases and searchsorted equivalence.
 
 The contract is exact: ``ShardRouter.route`` must agree with
-``np.searchsorted(boundaries, keys, side="right")`` on every input --
-the learned model is a fast path whose mispredictions are *corrected*,
-never served.  ``AlignedRouter.child_of`` must agree bit for bit with
-the scalar ``InternalNode.child_index`` arithmetic.
+``np.searchsorted(boundaries, keys, side="right")`` on every input.
+``AlignedRouter.child_of`` must agree bit for bit with the scalar
+``InternalNode.child_index`` arithmetic.
 """
 
 import math
@@ -50,9 +49,9 @@ class TestShardRouterEdges:
 
     def test_all_boundaries_equal(self):
         router = ShardRouter([7.0, 7.0, 7.0])
-        got = router.route(np.linspace(0.0, 14.0, 29))
-        assert got.tolist() == router.route_naive(
-            np.linspace(0.0, 14.0, 29)
+        keys = np.linspace(0.0, 14.0, 29)
+        assert router.route(keys).tolist() == np.searchsorted(
+            router.boundaries, keys, side="right"
         ).tolist()
 
     def test_decreasing_boundaries_rejected(self):
@@ -67,7 +66,6 @@ class TestShardRouterEdges:
         router = ShardRouter([10.0])
         router.route([1.0, 2.0, 3.0])
         assert router.routed == 3
-        assert router.corrected <= 3
 
     def test_round_trip_dict(self):
         router = ShardRouter([10.0, 20.0])
@@ -80,7 +78,7 @@ class TestShardRouterEdges:
         keys = np.array([np.inf, -np.inf, np.nan])
         assert (
             router.route(keys).tolist()
-            == router.route_naive(keys).tolist()
+            == np.searchsorted(router.boundaries, keys, side="right").tolist()
         )
 
 

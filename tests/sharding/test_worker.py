@@ -28,7 +28,9 @@ def wal_ops(state_dir) -> int:
 
 def wrong_reads(worker: ShardWorker, state_dir) -> int:
     probe = np.concatenate([KEYS, FRESH])
-    got, _ = worker.get_batch(probe)
+    hits, payload, _ = worker.get_batch(probe)
+    got = np.full(len(probe), None, dtype=object)
+    got[hits] = payload
     want = recover(state_dir).index.get_batch(probe)
     return sum(g != w for g, w in zip(got, want))
 
