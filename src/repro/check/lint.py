@@ -105,13 +105,16 @@ _DILI_FACTORIES = frozenset(
     }
 )
 
-# FlatPlan's structure-of-arrays attributes (FlatPlan.__slots__ minus
-# the version, which is not a buffer).
+# FlatPlan's structure-of-arrays attributes: its __slots__ minus the
+# version (not a buffer) and ``_key_view`` (the cache the
+# ``sorted_keys`` property fills), plus that property, whose view is
+# the key base itself while the sides are empty.
 SOA_ATTRS = frozenset(
     {
         "kind", "slope", "intercept", "size", "base", "region",
         "slot_kind", "slot_ref", "pair_keys", "dense_keys", "values",
-        "sorted_keys", "num_pairs", "depth", "arenas", "step",
+        "key_base", "key_added", "key_removed", "sorted_keys",
+        "num_pairs", "depth", "arenas", "step",
     }
 )
 

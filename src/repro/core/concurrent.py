@@ -218,8 +218,9 @@ class ConcurrentDILI:
     def count_range(self, lo: float, hi: float) -> int:
         """Count keys in ``[lo, hi)``; lock-free like :meth:`get_batch`.
 
-        Two binary searches over the published plan's sorted key
-        array -- no pairs are materialized and no lock is taken.
+        Binary searches over the published plan's key view (a base
+        and two small sides) -- no pairs are materialized and no lock
+        is taken.
         """
         lo = float(lo)
         hi = float(hi)

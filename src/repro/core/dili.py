@@ -42,6 +42,12 @@ from repro.simulate.tracer import (
 
 logger = logging.getLogger(__name__)
 
+#: The payload :meth:`DILI.insert_batch` and :meth:`DILI.bulk_insert`
+#: store for each key when called without values; anything that
+#: replays such a batch (WAL recovery, plan-store overlays) stores the
+#: same.
+DEFAULT_PAYLOAD = "inserted"
+
 
 @dataclass(frozen=True)
 class DiliConfig:
@@ -637,7 +643,7 @@ class DILI:
         """
         keys = np.asarray(keys, dtype=np.float64)
         if values is None:
-            values = ["inserted"] * len(keys)
+            values = [DEFAULT_PAYLOAD] * len(keys)
         if len(values) != len(keys):
             raise ValueError("values must match keys in length")
         if len(keys) == 0:
@@ -690,13 +696,13 @@ class DILI:
         including duplicate handling, adjustment triggers, counters and
         (with a real ``tracer``) the exact simulated cost trace, which
         is recorded per key during grouped execution and replayed in
-        batch order.  ``values`` defaults to ``"inserted"`` payloads,
-        like :meth:`bulk_insert`.
+        batch order.  ``values`` defaults to :data:`DEFAULT_PAYLOAD`
+        payloads, like :meth:`bulk_insert`.
         """
         keys = check_batch_keys(keys)
         n = len(keys)
         if values is None:
-            values = ["inserted"] * n
+            values = [DEFAULT_PAYLOAD] * n
         elif len(values) != n:
             raise ValueError("values must match keys in length")
         out = np.zeros(n, dtype=bool)
@@ -1001,7 +1007,7 @@ class DILI:
         """Number of keys in [lo, hi).
 
         Counts without materializing pairs: with a compiled flat plan
-        this is two binary searches over the sorted key array; without
+        this is binary searches over the plan's key view; without
         one, the descent recurses only into the two boundary subtrees
         and takes strictly-interior subtrees wholesale from their
         ``num_pairs`` bookkeeping.

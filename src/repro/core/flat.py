@@ -52,15 +52,21 @@ slot_kind  int8   0 empty, 1 pair, 2 child node
 slot_ref   int64  pair index (kind 1) or node row (kind 2)
 =========  =====  =====================================================
 
-``pair_keys`` / ``dense_keys`` hold the keys and ``sorted_keys`` the
-ascending view that range counts bisect.  ``values`` holds every
-payload, pair payloads first, so a lookup resolves to ``values[i]`` for
-a single flat index ``i``.  ``values`` is a 1-D object ndarray (one
-element per payload, whatever its type), so
+``pair_keys`` / ``dense_keys`` hold the keys, and the *key view*
+holds every live key in ascending order for range counts: a base array
+``key_base`` plus two small ascending side arrays, ``key_added`` (live
+keys the base lacks) and ``key_removed`` (base keys deleted since).
+``values`` holds every payload, pair payloads first, so a lookup
+resolves to ``values[i]`` for a single flat index ``i``.  ``values`` is
+a 1-D object ndarray (one element per payload, whatever its type), so
 :meth:`FlatPlan.gather_values` fetches a batch's hits with one
 ``take``: a read costs O(batch), not O(index).  In a compiled plan both
-key tables are ascending (a DFS of the tree visits keys in order) and
-``sorted_keys`` *is* ``pair_keys`` on pair-only trees.
+key tables are ascending (a DFS of the tree visits keys in order), the
+sides are empty and the base *is* ``pair_keys`` on pair-only trees.
+``sorted_keys`` is the whole view as one array: the base while the
+sides are empty, else their merge, built on first access and kept per
+plan for the readers that need it whole (:meth:`FlatPlan.compacted`,
+:meth:`FlatPlan.self_check`, the invariant checker, plan files).
 
 Cost tracing
 ------------
@@ -76,17 +82,25 @@ Maintenance, garbage and compaction
 -----------------------------------
 A maintained plan's rows are stable: a successor never moves an
 existing node row, slot row or pair entry.  It rewrites the slots the
-write changed, appends node rows, slot blocks and pair entries for
-what is new, and keeps ``sorted_keys`` as its own array, edited from
-the keys the write reports (never derived from the stored pair keys).
-For each written key the tier walks the key's path through the plan
-and the live tree together and, at the first slot where they
-disagree, writes the live pair, an empty slot or a freshly emitted
-nested subtree -- usually a 2-pair leaf.  A value update appends its
-new pair and rewrites the pair's slot the same way.  Only a top-level
-leaf that adjusted, or was rebuilt, is re-emitted whole; its own node
-row is then overwritten, which keeps every parent pointer valid and
-row 0 the root even when the root is a leaf.
+write changed and appends node rows, slot blocks and pair entries for
+what is new.  For each written key the tier walks the key's path
+through the plan and the live tree together and, at the first slot
+where they disagree, writes the live pair, an empty slot or a freshly
+emitted nested subtree -- usually a 2-pair leaf.  A value update
+appends its new pair and rewrites the pair's slot the same way.  Only a
+top-level leaf that adjusted, or was rebuilt, is re-emitted whole; its
+own node row is then overwritten, which keeps every parent pointer
+valid and row 0 the root even when the root is a leaf.
+
+The key view is a differential file (Severance and Lohman, 1976),
+edited from the keys the write reports (never derived from the stored
+pair keys; a re-emitted leaf changes it only by the keys its group
+inserted): a successor shares its parent's base and edits only the
+sides, in O(sides + write).  Once the sides hold more than
+sqrt(base) keys they fold into a fresh base with one merge, so the
+O(base) fold comes once per sqrt(base) written keys and the sides stay
+small.  :meth:`FlatPlan.count_range_batch` counts the base, plus the
+added keys in range, minus the removed ones.
 
 None of this copies the plan.  A chain of successors shares its
 buffers through one :class:`_Arenas`: the node columns, ``pair_keys``
@@ -130,7 +144,6 @@ write to a plan buffer inside ``_Arenas.append`` and
 
 from __future__ import annotations
 
-import bisect
 import threading
 import weakref
 
@@ -173,13 +186,18 @@ def next_plan_version() -> int:
     return version
 
 
-#: :class:`FlatPlan` constructor arguments; a successor plan takes
-#: every one its maintenance tier does not rewrite from its parent.
+#: :class:`FlatPlan` attributes a successor plan takes from its parent
+#: unless its maintenance tier rewrites them; each is the constructor
+#: argument of the same name, except ``key_base`` (``sorted_keys``).
 _PLAN_FIELDS = (
     "kind", "slope", "intercept", "size", "base", "region", "slot_kind",
-    "slot_ref", "pair_keys", "dense_keys", "values", "sorted_keys",
-    "depth", "arenas", "step",
+    "slot_ref", "pair_keys", "dense_keys", "values", "key_base",
+    "key_added", "key_removed", "depth", "arenas", "step",
 )
+
+#: The empty side of a key view (shared, never written).
+_NO_KEYS = np.empty(0, dtype=np.float64)
+_NO_KEYS.setflags(write=False)
 
 #: Capacity growth of a full arena or slot-table copy: the copy that
 #: replaces it has this much room, so appends cost amortized O(write).
@@ -309,7 +327,10 @@ class FlatPlan:
         "pair_keys",
         "dense_keys",
         "values",
-        "sorted_keys",
+        "key_base",
+        "key_added",
+        "key_removed",
+        "_key_view",
         "num_pairs",
         "depth",
         "arenas",
@@ -335,6 +356,8 @@ class FlatPlan:
         depth: int,
         arenas: _Arenas | None = None,
         step: int = 0,
+        key_added: np.ndarray = _NO_KEYS,
+        key_removed: np.ndarray = _NO_KEYS,
     ) -> None:
         self.kind = kind
         self.slope = slope
@@ -347,7 +370,12 @@ class FlatPlan:
         self.pair_keys = pair_keys
         self.dense_keys = dense_keys
         self.values = values
-        self.sorted_keys = sorted_keys
+        #: The key view: ``sorted_keys`` is its base (see the module
+        #: docstring); the sides are empty outside a maintained chain.
+        self.key_base = sorted_keys
+        self.key_added = key_added
+        self.key_removed = key_removed
+        self._key_view = None
         self.num_pairs = len(pair_keys)
         self.depth = depth
         #: The chain whose buffers this plan views (None outside one)
@@ -357,6 +385,25 @@ class FlatPlan:
         if arenas is not None:
             arenas.readers[step & 1].append(weakref.ref(self))
         self.version = next_plan_version()
+
+    @property
+    def sorted_keys(self) -> np.ndarray:
+        """Every live key, ascending.
+
+        The base itself while the sides are empty; otherwise their
+        merge, built on first access and kept for this plan.  Only
+        whole-view readers (:meth:`compacted`, :meth:`self_check`, the
+        invariant checker, plan files) ask for it: range counts and
+        maintenance read the base and sides directly.
+        """
+        if not (len(self.key_added) or len(self.key_removed)):
+            return self.key_base
+        view = self._key_view
+        if view is None:
+            view = self._key_view = _merged_keys(
+                self.key_base, self.key_added, self.key_removed
+            )
+        return view
 
     # ------------------------------------------------------------------
     # Batch descent
@@ -505,17 +552,20 @@ class FlatPlan:
     ) -> np.ndarray:
         """Vectorized :meth:`count_range` over paired bound arrays.
 
-        A pair with ``not lo < hi`` counts 0: no key lies in an empty
-        range, nor in one with a NaN bound.
+        Counts the base, plus the added keys in range, minus the removed
+        ones: a ``searchsorted`` pair per non-empty array.  A pair with
+        ``not lo < hi`` counts 0: no key lies in an empty range, nor in
+        one with a NaN bound.
         """
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
         if los.shape != his.shape:
             raise ValueError("los and his must have the same shape")
-        sk = self.sorted_keys
-        counts = np.searchsorted(sk, his, side="left") - np.searchsorted(
-            sk, los, side="left"
-        )
+        counts = _count_in(self.key_base, los, his)
+        if len(self.key_added):
+            counts += _count_in(self.key_added, los, his)
+        if len(self.key_removed):
+            counts -= _count_in(self.key_removed, los, his)
         return np.where(los < his, counts, 0)
 
     # ------------------------------------------------------------------
@@ -569,7 +619,7 @@ class FlatPlan:
         """
         fields = {name: getattr(self, name) for name in _PLAN_FIELDS}
         fields.update(buffers)
-        return FlatPlan(**fields)
+        return FlatPlan(sorted_keys=fields.pop("key_base"), **fields)
 
     def applied_values(self, pairs: list) -> "FlatPlan | None":
         """Plan with ``(key, value)`` payload replacements applied.
@@ -618,7 +668,7 @@ class FlatPlan:
             new.pair_keys.append(key)
             new.pair_vals.append(value)
         try:
-            return self._built(new, writes, [], self.sorted_keys)
+            return self._built(new, writes, [], {})
         except InvariantError:
             return None
 
@@ -627,8 +677,8 @@ class FlatPlan:
 
         ``groups`` holds ``(top_leaf, keys, adjusted)``: a live
         top-level leaf, the keys just inserted into it, and whether it
-        adjusted meanwhile (then the whole leaf is re-emitted).  The
-        keys of every other leaf join ``sorted_keys`` as they are.
+        adjusted meanwhile (then the whole leaf is re-emitted).  Every
+        group's keys join the key view.
         """
         return self._successor(groups, inserted=True)
 
@@ -661,16 +711,18 @@ class FlatPlan:
         the live tree together (:meth:`_write_path`); a re-emitted group
         appends its whole top-level subtree and overwrites the leaf's
         own node row, which keeps every parent pointer (and row 0 the
-        root).  Past the garbage rule the successor is compacted.
-        Returns ``(plan, patches, subtrees)``: slot rewrites and emitted
-        subtrees, for the index's counters.
+        root).  The written keys edit the key view (a re-emitted leaf
+        holds its old keys plus the ones its group inserted).  Past the
+        garbage rule the successor is compacted.  Returns ``(plan,
+        patches, subtrees)``: slot rewrites and emitted subtrees, for
+        the index's counters.
         """
         if len(self.dense_keys):
             return None  # dense leaves have no slots to rewrite
         new = _PlanBuilder()  # appended node rows, slot blocks and pairs
         writes: dict[int, tuple[int, int]] = {}  # slot row -> (kind, ref)
-        reemits = []  # (row, builder row, builder pair range)
-        point = []  # keys of the path-local groups
+        reemits = []  # (row, builder row)
+        written = []  # keys that join or leave the key view
         try:
             rows, hops = self._top_row([keys[0] for _, keys, _ in groups])
             for (leaf, keys, reemit), row, depth in zip(
@@ -679,44 +731,35 @@ class FlatPlan:
                 if int(self.region[row]) != leaf.region:
                     return None  # plan out of sync with the live tree
                 if reemit:
-                    p0 = len(new.pair_keys)
-                    local = new.add_node(leaf, depth)
-                    reemits.append((row, local, p0, len(new.pair_keys)))
-                    continue
-                point.extend(keys)
-                for key in keys:
-                    self._write_path(key, row, leaf, depth, new, writes)
-            sorted_keys = self._edited_keys(point, inserted)
-            if sorted_keys is None:
+                    reemits.append((row, new.add_node(leaf, depth)))
+                    if not inserted:
+                        continue  # a recompile's key only routes
+                else:
+                    for key in keys:
+                        self._write_path(key, row, leaf, depth, new, writes)
+                written.extend(keys)
+            key_fields = self._edited_keys(written, inserted)
+            if key_fields is None:
                 return None
-            for lo, hi, p0, p1 in sorted(
-                (*self._key_run(sorted_keys, row), p0, p1)
-                for row, _, p0, p1 in reemits
-            )[::-1]:
-                sorted_keys = np.concatenate([
-                    sorted_keys[:lo],
-                    np.asarray(new.pair_keys[p0:p1], dtype=np.float64),
-                    sorted_keys[hi:],
-                ])
-            plan = self._built(
-                new, writes, [r[:2] for r in reemits], sorted_keys
-            )
+            plan = self._built(new, writes, reemits, key_fields)
         except InvariantError:
             return None
         spawns = sum(1 for kind, _ in writes.values() if kind == SLOT_NODE)
         return plan, len(writes) - spawns, len(reemits) + spawns
 
     def _built(self, new, writes: dict, overwrites: list,
-               sorted_keys: np.ndarray) -> "FlatPlan":
+               key_fields: dict) -> "FlatPlan":
         """The successor holding what a tier collected, compacted once
         it crosses the one garbage rule: dead pair entries outnumbering
         live keys, which keeps garbage below the live size."""
         plan = self._replaced(
-            sorted_keys=sorted_keys,
             depth=max(self.depth, new.max_depth),
+            **key_fields,
             **self._appended(new, writes, overwrites),
         )
-        live = len(sorted_keys)
+        live = (
+            len(plan.key_base) + len(plan.key_added) - len(plan.key_removed)
+        )
         if plan.num_pairs - live > live:
             plan = plan.compacted()
         return plan
@@ -795,48 +838,41 @@ class FlatPlan:
                 )
             return
 
-    def _edited_keys(self, keys: list, inserted: bool) -> "np.ndarray | None":
-        """``sorted_keys`` with ``keys`` inserted or deleted; None when
-        one is already present (insert) or missing (delete).
+    def _edited_keys(self, keys: list, inserted: bool) -> "dict | None":
+        """The key view's fields once ``keys`` are inserted or deleted;
+        None when one is already live (insert) or not live (delete), or
+        is written twice.
 
-        One ``concatenate`` of the runs between the written positions
-        (and, for inserts, the new keys): a single copy of the table,
-        where ``np.insert`` / ``np.delete`` take several passes.
+        Only the sides change, in O(sides + write): an insert of a
+        removed base key takes it off ``key_removed``, any other insert
+        joins ``key_added``, and a delete does the reverse.  Once the
+        sides hold more than sqrt(base) keys they fold into a fresh base
+        with one merge, so a fold's O(base) copy comes at most once per
+        sqrt(base) written keys.
         """
-        sk = self.sorted_keys
         if not keys:
-            return sk
+            return {}
+        base, added, removed = self.key_base, self.key_added, self.key_removed
         ks = np.sort(np.asarray(keys, dtype=np.float64))
         if len(ks) > 1 and not np.all(ks[1:] > ks[:-1]):
             return None  # a key written twice in one successor
-        at = np.searchsorted(sk, ks)
-        inside = at < len(sk)
-        present = np.zeros(len(ks), dtype=bool)
-        present[inside] = sk[at[inside]] == ks[inside]
+        in_base = _member(base, ks)
+        in_added = _member(added, ks)
+        live = (in_base & ~_member(removed, ks)) | in_added
         if inserted:
-            if present.any():
+            if live.any():
                 return None
-            cuts = [*at.tolist(), len(sk)]
-            parts = [sk[:cuts[0]]]
-            for i in range(len(ks)):
-                parts += (ks[i:i + 1], sk[cuts[i]:cuts[i + 1]])
-            return np.concatenate(parts)
-        if not present.all():
-            return None
-        cuts = [-1, *at.tolist(), len(sk)]
-        return np.concatenate(
-            [sk[cuts[i] + 1:cuts[i + 1]] for i in range(len(ks) + 1)]
-        )
-
-    def _key_run(self, sorted_keys: np.ndarray, row: int) -> tuple[int, int]:
-        """``[lo, hi)`` of the keys in ``sorted_keys`` that route to the
-        top-level ``row``.  Top-level rows never move, so their order is
-        key order and routing is a valid bisection key."""
-        def route(key) -> int:
-            return int(self._top_row([key])[0][0])
-
-        lo = bisect.bisect_left(sorted_keys, row, key=route)
-        return lo, bisect.bisect_right(sorted_keys, row, lo=lo, key=route)
+            added = _union(added, ks[~in_base])
+            removed = _minus(removed, ks[in_base])
+        else:
+            if not live.all():
+                return None
+            added = _minus(added, ks[in_added])
+            removed = _union(removed, ks[~in_added])
+        if (len(added) + len(removed)) ** 2 > len(base):
+            return {"key_base": _merged_keys(base, added, removed),
+                    "key_added": _NO_KEYS, "key_removed": _NO_KEYS}
+        return {"key_added": added, "key_removed": removed}
 
     def _appended(self, new, writes: dict, overwrites: list) -> dict:
         """The successor's rewritten buffers, as views of its chain's
@@ -1089,7 +1125,7 @@ class FlatPlan:
         arrays = (
             self.kind, self.slope, self.intercept, self.size, self.base,
             self.region, self.slot_kind, self.slot_ref, self.pair_keys,
-            self.dense_keys, self.sorted_keys,
+            self.dense_keys, self.key_base, self.key_added, self.key_removed,
         )
         return sum(a.nbytes for a in arrays) + 8 * len(self.values)
 
@@ -1177,6 +1213,50 @@ def _sorted_view(pair_keys: np.ndarray, dense_keys: np.ndarray) -> np.ndarray:
     if len(pair_keys) == 0:
         return dense_keys
     return np.sort(np.concatenate([pair_keys, dense_keys]))
+
+
+def _count_in(keys: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """How many of the ascending ``keys`` lie in each ``[lo, hi)``."""
+    return np.searchsorted(keys, his, side="left") - np.searchsorted(
+        keys, los, side="left"
+    )
+
+
+def _member(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` the ascending ``table`` holds."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    return table.take(np.searchsorted(table, keys), mode="clip") == keys
+
+
+def _union(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ascending ``table`` with the ascending ``keys`` (none of
+    which it holds) merged in."""
+    if not len(keys):
+        return table
+    at = np.searchsorted(table, keys) + np.arange(len(keys))
+    out = np.empty(len(table) + len(keys), dtype=table.dtype)
+    rest = np.ones(len(out), dtype=bool)
+    rest[at] = False
+    out[at] = keys
+    out[rest] = table
+    return out
+
+
+def _minus(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ascending ``table`` without ``keys``, all of which it holds."""
+    if not len(keys):
+        return table
+    keep = np.ones(len(table), dtype=bool)
+    keep[np.searchsorted(table, keys)] = False
+    return table[keep]
+
+
+def _merged_keys(base: np.ndarray, added: np.ndarray,
+                 removed: np.ndarray) -> np.ndarray:
+    """The live keys of a key view, ascending: one merge of its base
+    and sides."""
+    return _union(_minus(base, removed), added)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

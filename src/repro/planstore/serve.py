@@ -5,7 +5,8 @@ state directory: generation-numbered base files (``plan-00000001.plan``)
 with sequence-numbered delta chains (``plan-00000001.0001.delta``),
 published atomically and *quarantined* -- renamed aside, never deleted
 -- when they fail verification, so every corrupt artifact stays
-available for forensics.
+available for forensics.  A checkpoint retires the live generations
+older than its new base (:meth:`PlanDirectory.retire`).
 
 One chain rule: :meth:`PlanDirectory.walk` reads a generation's base
 header and deltas once and stops at the first delta that is missing,
@@ -142,12 +143,14 @@ class PlanDirectory:
 
     Base files are ``plan-<gen:08d>.plan``; deltas extend a base as
     ``plan-<gen:08d>.<seq:04d>.delta`` with ``seq`` starting at 1.
-    Nothing here is ever deleted: failed verification renames the file
-    aside with a ``.quarantined`` suffix.  Numbers are never reused
-    either: a new base is numbered past every generation a file on disk
-    names, quarantined ones included, and a delta is only ever appended
-    to a chain whose :meth:`walk` is complete, so a reader never
-    mistakes an old artifact for part of a new chain.
+    Failed verification renames a file aside with a ``.quarantined``
+    suffix, and nothing quarantined is ever deleted; only
+    :meth:`retire` deletes, and only the live files a checkpoint made
+    useless.  Numbers are never reused: a new base is numbered past
+    every generation a file on disk names, quarantined ones included,
+    and a delta is only ever appended to a chain whose :meth:`walk` is
+    complete, so a reader never mistakes an old artifact for part of a
+    new chain.
     """
 
     def __init__(self, dirpath) -> None:
@@ -314,6 +317,30 @@ class PlanDirectory:
             complete=stop is None and named == len(deltas),
             stop=stop,
         )
+
+    def retire(self, generation: int) -> None:
+        """Delete the live base and delta files of every generation
+        older than ``generation``.
+
+        For a checkpoint: call it once the snapshot after publishing
+        base ``generation`` is written.  Every older generation is then
+        stale (its chain LSN is below the snapshot's ``last_seqno``, so
+        a reader that reaches it quarantines it) or, when nothing was
+        written since its last delta, holds exactly the new base's
+        state.  Quarantined files stay, and the newest number on disk
+        is still ``generation``'s or higher, so numbering is unchanged.
+        """
+        retired = False
+        for name in self._names():
+            m = _BASE_RE.match(name) or _DELTA_RE.match(name)
+            if m and int(m.group(1)) < generation:
+                try:
+                    os.unlink(os.path.join(self.dirpath, name))
+                except FileNotFoundError:
+                    continue  # quarantined meanwhile: it stays
+                retired = True
+        if retired:
+            fsync_dir(self.dirpath)
 
     # -- quarantine ----------------------------------------------------
 

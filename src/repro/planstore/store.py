@@ -59,6 +59,7 @@ import zlib
 
 import numpy as np
 
+from repro.core.dili import DEFAULT_PAYLOAD
 from repro.core.flat import FlatPlan
 from repro.durability.wal import (
     OP_BULK_INSERT,
@@ -328,9 +329,11 @@ class PlanStore:
             elif opcode == OP_UPDATE:
                 self._update_many(overlay, [float(args[0])], [args[1]])
             elif opcode in (OP_BULK_INSERT, OP_INSERT_BATCH):
-                self._insert_many(
-                    overlay, [float(k) for k in args[0]], list(args[1])
-                )
+                keys = [float(k) for k in args[0]]
+                values = args[1]
+                if values is None:  # logged without values, like DILI's
+                    values = [DEFAULT_PAYLOAD] * len(keys)
+                self._insert_many(overlay, keys, list(values))
             elif opcode == OP_DELETE_BATCH:
                 self._delete_many(overlay, [float(k) for k in args[0]])
             elif opcode == OP_UPDATE_BATCH:

@@ -166,14 +166,18 @@ class ShardWorker:
         self.durable.publish_plan()
 
     def _checkpoint(self) -> int:
-        """Publish a new base, snapshot, and serve the new base.
+        """Publish a new base, snapshot, retire the older generations,
+        and serve the new base.
 
         Publishing first stamps the base with the WAL's LSN, which the
         snapshot then records as its ``last_seqno``, so the new base is
-        current, not stale.  Returns the new generation.
+        current, not stale, and every older generation is stale or a
+        duplicate of it (:meth:`PlanDirectory.retire`).  Returns the new
+        generation.
         """
         generation = self.durable.publish_plan()
         self.durable.snapshot()
+        PlanDirectory.for_state_dir(self.dirpath).retire(generation)
         self.ops["republishes"] += 1
         self._tail_ops = 0
         self.served.refresh()

@@ -54,6 +54,20 @@ class TestChk001FlatPlanMutation:
             )
             assert rules(src) == ["CHK001"], source
 
+    def test_key_view_buffers(self):
+        # The key view's base and sides are plan buffers like any other.
+        for source in (
+            "plan.key_added[0] = 1.0",
+            "plan.key_removed.sort()",
+            "plan.key_base = plan.key_base[:-1]",
+        ):
+            src = (
+                "def corrupt(index):\n"
+                "    plan = index.peek_plan()\n"
+                f"    {source}\n"
+            )
+            assert rules(src) == ["CHK001"], source
+
     def test_flat_attribute_mutating_call(self):
         src = "def corrupt(index):\n    index._flat.values.append(None)\n"
         assert rules(src) == ["CHK001"]

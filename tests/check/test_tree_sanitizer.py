@@ -113,7 +113,8 @@ class TestSeededDamage:
         index = _sanitized(keys)
         index.get_batch(keys)
         plan = index._flat
-        plan.sorted_keys = plan.sorted_keys[:-1]  # repro-check test seed
+        # A compiled plan's key view is its base (both sides empty).
+        plan.key_base = plan.key_base[:-1]  # repro-check test seed
         with pytest.raises(SanitizerViolation):
             verify_tree(index)
 

@@ -99,6 +99,23 @@ def _assert_plan_matches_fresh(index):
     assert answers[0] == answers[1]
     _assert_same_trace(*tracers)
     assert np.array_equal(plan.sorted_keys, fresh.sorted_keys)
+    los, his = _range_bounds(fresh.sorted_keys)
+    assert np.array_equal(
+        plan.count_range_batch(los, his), fresh.count_range_batch(los, his)
+    )
+
+
+def _range_bounds(keys):
+    """Bound pairs over ascending ``keys``: every pair of a few edges
+    (so empty, reversed, NaN and infinite bounds too) and a window
+    around each gap between neighbours."""
+    picks = keys[np.linspace(0, len(keys) - 1, 5).astype(int)]
+    edges = np.concatenate([picks, picks + 0.5, [-np.inf, np.inf, np.nan]])
+    los, his = np.meshgrid(edges, edges)
+    return (
+        np.concatenate([los.ravel(), keys[:-1] - 0.25]),
+        np.concatenate([his.ravel(), keys[1:] + 0.25]),
+    )
 
 
 class TestScalarLoopEquivalence:
@@ -241,6 +258,133 @@ class TestPlanMaintenance:
             index.delete_batch(_writes(dict.fromkeys(dels)))
             _assert_plan_matches_fresh(index)
         assert index.plan_recompiles == 1
+
+
+#: Write histories over a small key universe, so that they delete base
+#: keys and insert them again, and fold the key view's sides (past
+#: sqrt(base) keys) and compact the plan (dead pairs past live keys).
+history_keys = st.sets(st.integers(0, 399), min_size=40, max_size=160)
+history = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "insert_batch", "delete_batch", "update_batch", "bulk_insert",
+            "insert", "delete",
+        ]),
+        st.lists(st.integers(0, 399), min_size=1, max_size=30, unique=True),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _apply(front, model: dict, verb: str, raw: list, step: int) -> None:
+    """One history step on ``front`` and on the ``model`` dict."""
+    keys = [float(k) for k in raw]
+    if verb in ("insert", "delete"):
+        keys = keys[:1]
+        if verb == "insert":
+            front.insert(keys[0], step)
+        else:
+            front.delete(keys[0])
+    elif verb == "delete_batch":
+        front.delete_batch(np.asarray(keys))
+    else:
+        getattr(front, verb)(np.asarray(keys), [step] * len(keys))
+    for key in keys:
+        if verb.startswith("delete"):
+            model.pop(key, None)
+        elif verb.startswith("update"):
+            if key in model:
+                model[key] = step
+        else:
+            model.setdefault(key, step)
+
+
+def _model_counts(model: dict, los, his) -> np.ndarray:
+    live = np.array(sorted(model), dtype=np.float64)
+    counts = np.searchsorted(live, his) - np.searchsorted(live, los)
+    return np.where(los < his, counts, 0)
+
+
+class TestKeyView:
+    """A maintained plan's key view -- a shared base plus two small
+    sorted sides -- counts and lists exactly the live keys."""
+
+    @pytest.mark.parametrize("front", ["dili", "concurrent"])
+    @settings(max_examples=25, deadline=None)
+    @given(base=history_keys, steps=history)
+    def test_histories_match_a_fresh_compile_and_a_model(
+        self, front, base, steps
+    ):
+        keys = np.array(sorted(float(k) for k in base))
+        index = DILI() if front == "dili" else ConcurrentDILI()
+        index.bulk_load(keys, [-1] * len(keys))
+        model = dict.fromkeys(keys.tolist(), -1)
+        plain = index if front == "dili" else index.index
+        checked = None
+        for step, (verb, raw) in enumerate(steps):
+            index.get_batch(keys[:2])  # compile a plan if none is alive
+            _apply(index, model, verb, raw, step)
+            live = np.array(sorted(model), dtype=np.float64)
+            los, his = _range_bounds(live)
+            assert np.array_equal(
+                index.count_range_batch(los, his),
+                _model_counts(model, los, his),
+            )
+            plan = plain.peek_plan()
+            if plan is None:
+                continue  # a bulk_insert rebuild dropped the plan
+            if front == "concurrent":
+                assert index._published is plan
+            # Neither a write nor the count built a new plan's merged
+            # view, and the sides stay within the fold rule.
+            assert plan is checked or plan._key_view is None
+            sides = len(plan.key_added) + len(plan.key_removed)
+            assert sides ** 2 <= len(plan.key_base)
+            assert np.array_equal(plan.sorted_keys, live)
+            assert np.array_equal(
+                plan.count_range_batch(los, his),
+                compile_plan(plain.root).count_range_batch(los, his),
+            )
+            checked = plan
+        if plain.peek_plan() is not None:
+            _assert_plan_matches_fresh(plain)
+
+    def test_a_history_folds_the_sides_and_compacts_the_plan(self):
+        """Deleting and re-inserting base keys in small batches grows
+        the sides past sqrt(base) (a fold) and leaves dead pair entries
+        past the live keys (a compaction), with no full recompile."""
+        keys = np.arange(0.0, 400.0)
+        index = DILI()
+        index.bulk_load(keys, [-1] * len(keys))
+        index.get_batch(keys[:2])
+        model = dict.fromkeys(keys.tolist(), -1)
+        folds = compactions = 0
+        rng = np.random.default_rng(5)
+        for step in range(60):
+            before = index.peek_plan()
+            raw = rng.choice(400, size=8, replace=False).tolist()
+            verb = "delete_batch" if step % 2 else "insert_batch"
+            if step % 4 == 3:
+                verb = "update_batch"
+            _apply(index, model, verb, raw, step)
+            plan = index.peek_plan()
+            if plan.arenas is None:
+                compactions += 1
+            elif (plan.key_base is not before.key_base
+                  and before.arenas is not None):
+                folds += 1
+            sides = len(plan.key_added) + len(plan.key_removed)
+            assert sides ** 2 <= len(plan.key_base)
+            live = np.array(sorted(model), dtype=np.float64)
+            los, his = _range_bounds(live)
+            assert np.array_equal(
+                plan.count_range_batch(los, his),
+                _model_counts(model, los, his),
+            )
+        assert folds and compactions, (folds, compactions)
+        assert index.plan_recompiles == 1
+        _assert_plan_matches_fresh(index)
 
 
 class TestConcurrentWrapper:

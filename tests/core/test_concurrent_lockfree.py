@@ -204,6 +204,71 @@ class TestThreadedStress:
         # A lost update in the counter would break this equality.
         assert index.lock_stats["plan_reads"] - before == readers * reads
 
+    def test_lock_free_range_counts_beside_a_writer(self):
+        """Range counts read the published plan's key view (a base and
+        two sorted sides) without the lock while a writer inserts and
+        deletes chunks of fresh keys, folding the sides as it goes.
+        Each chunk is written whole, so every count holds all of a
+        chunk or none of it, and one call's counts agree."""
+        keys = _keys(4000, seed=21)
+        index = _loaded(keys)
+        chunks = np.array_split(np.sort(_fresh(keys, 480, 22)), 8)
+        los = np.array([c[0] for c in chunks] + [-np.inf])
+        his = np.array([np.nextafter(c[-1], np.inf) for c in chunks]
+                       + [np.inf])
+        base_in = np.searchsorted(keys, his) - np.searchsorted(keys, los)
+        sizes = np.array([len(c) for c in chunks])
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        reads = [0]
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    extra = index.count_range_batch(los, his) - base_in
+                    per_chunk = extra[:-1]
+                    whole = (per_chunk == 0) | (per_chunk == sizes)
+                    if not whole.all() or extra[-1] != per_chunk.sum():
+                        raise AssertionError(
+                            f"counts {extra.tolist()} match no published "
+                            f"version"
+                        )
+                    reads[0] += 1
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def writer():
+            try:
+                for r in range(40):
+                    index.insert_batch(chunks[r % 8], [r] * len(chunks[r % 8]))
+                    if r >= 3:
+                        index.delete_batch(chunks[(r - 3) % 8])
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        before = index.lock_stats["plan_reads"]
+        pool = [threading.Thread(target=reader) for _ in range(2)]
+        churn = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in pool:
+                t.start()
+            churn.start()
+            churn.join(timeout=60)
+            stop.set()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [churn, *pool])
+        assert not errors, errors[0]
+        assert reads[0] and index.lock_stats["plan_reads"] - before >= reads[0]
+        final = index.count_range_batch(los, his) - base_in
+        assert final.tolist() == [*(sizes * [0, 0, 0, 0, 0, 1, 1, 1]),
+                                  sizes[5:].sum()]
+        assert index.index.plan_recompiles == 1
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_four_readers_vs_writers_sanitizer_clean(self, seed):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro.planstore.serve as serve
+from repro.core.dili import DEFAULT_PAYLOAD
 from repro.durability.durable import DurableDILI
 from repro.durability.recovery import recover
 from repro.planstore.corrupt import FAULT_PLAN_FLIPPED_BYTE, inject_plan_fault
@@ -174,3 +175,29 @@ def test_a_failed_replay_quarantines_the_base_and_redescends(
     assert served.rung == 3, served.events
     assert wrong_reads(served, tmp_path) == 0
     served.close()
+
+
+@pytest.mark.parametrize("verb", ["insert_batch", "bulk_insert"])
+def test_a_batch_logged_without_values_replays_the_default_payload(
+    tmp_path, durable, verb
+):
+    fresh = np.array([1.0, 3.0])
+    getattr(durable, verb)(fresh)  # logged with values=None
+    assert recover(tmp_path).index.get_batch(fresh) == [DEFAULT_PAYLOAD] * 2
+
+    served = MmapDILI(tmp_path)  # the record sits in the WAL tail
+    assert served.rung == 1, served.events
+    assert served.get_batch(fresh) == [DEFAULT_PAYLOAD] * 2
+    assert wrong_reads(served, tmp_path) == 0
+
+    durable.publish_tail()  # ... and now in a delta
+    getattr(durable, verb)(fresh + 2.0)
+    served.refresh()
+    assert served.rung == 1, served.events
+    assert served.get_batch(fresh + 2.0) == [DEFAULT_PAYLOAD] * 2
+    assert wrong_reads(served, tmp_path) == 0
+    served.close()
+    reopened = MmapDILI(tmp_path)
+    assert reopened.rung == 1, reopened.events
+    assert wrong_reads(reopened, tmp_path) == 0
+    reopened.close()

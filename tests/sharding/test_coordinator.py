@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import DILI
+from repro.core.dili import DEFAULT_PAYLOAD
 from repro.planstore.corrupt import FAULT_PLAN_TORN_HEADER, inject_plan_fault
 from repro.planstore.serve import PlanDirectory
 from repro.sharding import ShardedDILI, ShardWorker, read_manifest
@@ -106,6 +107,19 @@ def test_writes_visible_and_order_preserved(tmp_path):
         assert deleted.tolist() == [True, True]
         assert index.get_batch(fresh) == [None, None, "c2"]
         assert len(index) == len(keys) + 1
+
+
+@pytest.mark.parametrize("processes", [False, True])
+def test_a_valueless_insert_batch_stores_the_default_payload(
+    tmp_path, processes
+):
+    index, keys, values = make_index(tmp_path, processes=processes)
+    with index:
+        fresh = np.array([1.5, 5_000_000.5, 9_999_999.5])
+        assert index.insert_batch(fresh).tolist() == [True, True, True]
+        assert index.get_batch(fresh) == [DEFAULT_PAYLOAD] * 3
+        assert index.get_batch(keys[:50]) == values[:50]
+        assert len(index) == len(keys) + 3
 
 
 def test_count_range_matches_numpy(tmp_path):
