@@ -677,10 +677,13 @@ def _print_shard_status(status: dict) -> None:
     for i, shard in enumerate(status["shards"]):
         ops = shard.get("ops", {})
         sup = shard.get("supervision", {})
+        config = shard.get("config", {})
         rows.append(
             [
                 f"{i}:{shard.get('name', '?')}",
                 float(shard.get("keys", 0)),
+                float(config.get("omega", 0)),
+                float(config.get("rho", 0)),
                 float(shard.get("generation") or 0),
                 float(shard.get("rung") or 0),
                 float(ops.get("reads", 0)),
@@ -696,8 +699,8 @@ def _print_shard_status(status: dict) -> None:
                 str(s.get("health")) for s in status["shards"]
             )
             + ")",
-            ["shard", "keys", "gen", "rung", "reads", "writes", "lsn",
-             "rst"],
+            ["shard", "keys", "omega", "rho", "gen", "rung", "reads",
+             "writes", "lsn", "rst"],
             rows,
             first_col_width=16,
         )

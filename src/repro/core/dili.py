@@ -38,6 +38,7 @@ from repro.simulate.tracer import (
     NullTracer,
     RecordingTracer,
     Tracer,
+    skip_region_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -1055,6 +1056,10 @@ class DILI:
         self.__dict__.setdefault("plan_subtree_recompiles", 0)
         self.__dict__.setdefault("plan_patches", 0)
         self.__dict__.setdefault("sanitizer", None)
+        # The tree may come from another process: later nodes must not
+        # reuse its region ids, or the cost model aliases them.
+        if self.root is not None:
+            skip_region_ids(_max_region(self.root) + 1)
 
     def save(self, path) -> None:
         """Serialize the index to ``path``, atomically and checksummed.
@@ -1366,6 +1371,27 @@ def _iter_node_keys(node) -> Iterator[float]:
                 yield entry[0]
             else:
                 yield from _iter_node_keys(entry)
+
+
+def _max_region(root) -> int:
+    """The largest region id of any node under ``root``."""
+    top = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.region > top:
+            top = node.region
+        if type(node) is InternalNode:
+            entries = node.children
+        elif type(node) is LeafNode:
+            entries = node.slots
+        else:
+            continue
+        stack.extend(
+            entry for entry in entries
+            if entry is not None and type(entry) is not tuple
+        )
+    return top
 
 
 def _iter_node_values(node) -> Iterator[object]:

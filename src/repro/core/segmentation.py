@@ -116,11 +116,37 @@ def greedy_merging(
     if n == 0:
         return SegmentationResult(segments=[], cost=0.0)
     ys = np.arange(n, dtype=np.float64)
-    pieces = _initial_pieces(n)
-    if len(pieces) == 1:
+    if n <= 3:  # a single initial piece (see _initial_pieces)
         seg = _fit_segment(xs, ys, 0, n, sample, sample_piece_threshold)
         return SegmentationResult(segments=[seg], cost=0.0, cost_curve={1: 0.0})
+    k0 = n // 2
+    # The merge loop's state dies with _merge_order, before the cost
+    # curve and the final fits allocate theirs.
+    wle_trace, removed_boundaries = _merge_order(xs, ys, k0, params)
+    cost_curve = _cost_curve(n, k0, wle_trace, height, params)
+    del wle_trace
+    best_k = min(cost_curve, key=lambda kk: (cost_curve[kk], kk))
+    segments = _reconstruct(
+        xs, ys, removed_boundaries[:k0 - best_k], sample,
+        sample_piece_threshold,
+    )
+    return SegmentationResult(
+        segments=segments, cost=cost_curve[best_k], cost_curve=cost_curve
+    )
 
+
+def _merge_order(
+    xs: np.ndarray, ys: np.ndarray, k: int, params: CostParams
+) -> tuple[list[float], list[int]]:
+    """Run the merge loop over the ``k`` initial pieces.
+
+    Returns ``(wle_trace, removed_boundaries)``: the total weighted log
+    error after each merge (entry 0 before any), and the start index of
+    the piece each merge absorbed, in merge order.  Initial piece ``i``
+    starts at ``2i``; the last one also takes the leftover element when
+    ``len(xs)`` is odd.
+    """
+    n = len(xs)
     # The merge loop runs O(n) times, so per-piece state lives in one
     # tuple per piece -- (n, mean_x, mean_y, sxx, syy, sxy, sse, wle) --
     # with the SegmentStats / sse / weighted-log-error math inlined
@@ -129,15 +155,16 @@ def greedy_merging(
     # SegmentStats operation order exactly, keeping the merge schedule
     # (and therefore the produced tree) bit-identical to the object
     # version while dropping its allocation and call overhead.
-    k = len(pieces)
-    k0 = k
-
-    tail_start, tail_end = pieces[-1]
-    even = k - 1 if (tail_end - tail_start) != 2 else k
-    # Piece i starts at 2i (the tail covers three elements when n is odd).
-    starts = list(range(0, 2 * even, 2))
-    if even != k:
-        starts.append(tail_start)
+    #
+    # Transient memory is the other budget (it is nearly all of bulk
+    # load's).  A Python float in a list costs 32 bytes against 8 in a
+    # numpy array, so the two-point pieces keep their moments in arrays
+    # and get their tuple only when the loop first reads them
+    # (``piece``); an absorbed piece's tuple is dropped at once; and
+    # the precomputed 2+2 candidates stay arrays.  The loop reads every
+    # array through a memoryview, which boxes an element twice as fast
+    # as ``ndarray.item``.
+    even = k if n % 2 == 0 else k - 1  # pieces of exactly two
     x0 = xs[0:2 * even:2]
     x1 = xs[1:2 * even:2]
     y0 = ys[0:2 * even:2]
@@ -149,6 +176,7 @@ def greedy_merging(
     sxx_arr = 2.0 * half_dx * half_dx
     syy_arr = 2.0 * half_dy * half_dy
     sxy_arr = 2.0 * half_dx * half_dy
+    del x0, x1, y0, y1, half_dx, half_dy
     # sse = syy - sxy^2/sxx, clamped at zero.  Keys strictly increase so
     # sxx > 0 almost always, but sub-ulp spacing can underflow it to 0;
     # the scalar guard (`sxx <= 0 -> sse = 0`) is replicated by masking,
@@ -160,30 +188,36 @@ def greedy_merging(
 
     log2 = math.log2
     sqrt = math.sqrt
-    sse_l = sse_arr.tolist()
-    wle_l = []
-    wle_append = wle_l.append
+    # log2(sqrt(0) + 1) is exactly 0; two-point pieces fit their line
+    # perfectly, so the clamp above makes zero the common case.
+    wle_l = [
+        0.0 if v == 0.0 else 2 * log2(sqrt(v / 2) + 1.0)
+        for v in sse_arr.tolist()
+    ]
     total_wle = 0.0
-    for sse_v in sse_l:
-        if sse_v == 0.0:
-            # log2(sqrt(0) + 1) is exactly 0; two-point pieces fit their
-            # line perfectly, so the clamp above makes this common.
-            wle_append(0.0)
-        else:
-            wle_v = 2 * log2(sqrt(sse_v / 2) + 1.0)
-            wle_append(wle_v)
-            total_wle += wle_v
-    st = list(zip([2] * even, mx_arr.tolist(), my_arr.tolist(),
-                  sxx_arr.tolist(), syy_arr.tolist(), sxy_arr.tolist(),
-                  sse_l, wle_l))
+    for w in wle_l:
+        total_wle += w
+    wle_v = memoryview(np.array(wle_l))
+    del wle_l
+    mx_v, my_v, sxx_v, syy_v, sxy_v, sse_v = map(
+        memoryview, (mx_arr, my_arr, sxx_arr, syy_arr, sxy_arr, sse_arr)
+    )
+
+    def piece(i: int) -> tuple:
+        """Materialise the state tuple of two-point piece ``i``."""
+        st[i] = state = (2, mx_v[i], my_v[i], sxx_v[i], syy_v[i],
+                         sxy_v[i], sse_v[i], wle_v[i])
+        return state
+
+    st: list = [None] * k
     if even != k:
-        tail = SegmentStats.from_arrays(xs[tail_start:tail_end],
-                                        ys[tail_start:tail_end])
+        tail_start = 2 * even
+        tail = SegmentStats.from_arrays(xs[tail_start:], ys[tail_start:])
         tail_sse = tail.sse()
         tail_wle = tail.n * log2(sqrt(tail_sse / tail.n) + 1.0)
         total_wle += tail_wle
-        st.append((tail.n, tail.mean_x, tail.mean_y, tail.sxx, tail.syy,
-                   tail.sxy, tail_sse, tail_wle))
+        st[k - 1] = (tail.n, tail.mean_x, tail.mean_y, tail.sxx, tail.syy,
+                     tail.sxy, tail_sse, tail_wle)
 
     nxt = list(range(1, k)) + [-1]
     prv = [-1] + list(range(k - 1))
@@ -204,13 +238,7 @@ def greedy_merging(
     # them exactly as tuple comparison would, and popping the smaller of
     # the sorted head and the heap top reproduces the single-heap pop
     # order (all entries are distinct, so the order is strict).
-    init_d: list[float] = []
-    mxm_l: list[float] = []
-    mym_l: list[float] = []
-    m_sxx_l: list[float] = []
-    m_syy_l: list[float] = []
-    m_sxy_l: list[float] = []
-    m_sse_l: list[float] = []
+    init_d = np.empty(0)
     if even >= 2 and 4 <= max_piece:
         dx = np.diff(mx_arr)
         dy = np.diff(my_arr)
@@ -223,22 +251,22 @@ def greedy_merging(
             m_sse = m_syy - (m_sxy * m_sxy) / m_sxx
         np.maximum(m_sse, 0.0, out=m_sse)
         m_sse[m_sxx <= 0.0] = 0.0
-        init_d = (m_sse - sse_arr[:-1] - sse_arr[1:]).tolist()
+        init_d = m_sse - sse_arr[:-1] - sse_arr[1:]
         # Merged means and moments of every 2+2 candidate, precomputed
         # with the same operations the scalar merge body would run, so a
         # still-valid initial merge can skip its moment math entirely.
-        mxm_l = (mx_arr[:-1] + dx * 2 / 4).tolist()
-        mym_l = (my_arr[:-1] + dy * 2 / 4).tolist()
-        m_sxx_l = m_sxx.tolist()
-        m_syy_l = m_syy.tolist()
-        m_sxy_l = m_sxy.tolist()
-        m_sse_l = m_sse.tolist()
+        mxm_v, mym_v, m_sxx_v, m_syy_v, m_sxy_v, m_sse_v = map(
+            memoryview,
+            (mx_arr[:-1] + dx * 2 / 4, my_arr[:-1] + dy * 2 / 4,
+             m_sxx, m_syy, m_sxy, m_sse),
+        )
+        del dx, dy
     if even != k and k >= 2:
         # Initial candidate between the last two pieces (two-point piece
         # and the three-point tail), scored like the inline pushes below.
         # Its position in init_d is even-1 == k-2, so position == i holds
         # for every initial candidate.
-        na, mxa, mya, sxxa, syya, sxya, ssea, _wa = st[k - 2]
+        na, mxa, mya, sxxa, syya, sxya, ssea, _wa = piece(even - 1)
         nb, mxb, myb, sxxb, syyb, sxyb, sseb, _wb = st[k - 1]
         nm0 = na + nb
         if nm0 <= max_piece:
@@ -254,11 +282,9 @@ def greedy_merging(
                 sse0 = syy0 - (sxy0 * sxy0) / sxx0
                 if sse0 <= 0.0:
                     sse0 = 0.0
-            init_d.append(sse0 - ssea - sseb)
-    init_order = (
-        np.argsort(np.asarray(init_d), kind="stable").tolist()
-        if init_d else []
-    )
+            init_d = np.append(init_d, sse0 - ssea - sseb)
+    init_order = memoryview(np.argsort(init_d, kind="stable"))
+    init_d = memoryview(init_d)
     n_init = len(init_order)
     ptr = 0
     heap: list[tuple[float, int, int, int, int]] = []
@@ -312,14 +338,14 @@ def greedy_merging(
                 # Valid 2+2 merge: both pieces untouched, so the merged
                 # moments precomputed above still apply verbatim.
                 nm = 4
-                mxm = mxm_l[i]
-                mym = mym_l[i]
-                sxx = m_sxx_l[i]
-                syy = m_syy_l[i]
-                sxy = m_sxy_l[i]
-                sse = m_sse_l[i]
+                mxm = mxm_v[i]
+                mym = mym_v[i]
+                sxx = m_sxx_v[i]
+                syy = m_syy_v[i]
+                sxy = m_sxy_v[i]
+                sse = m_sse_v[i]
                 wle = 0.0 if sse == 0.0 else 4 * log2(sqrt(sse / 4) + 1.0)
-                total_wle -= wle_l[i] + wle_l[j]
+                total_wle -= wle_v[i] + wle_v[j]
                 total_wle += wle
                 st[i] = (4, mxm, mym, sxx, syy, sxy, sse, wle)
                 fast = True
@@ -328,8 +354,8 @@ def greedy_merging(
             if version[i] != vi or version[j] != vj or nxt[i] != j:
                 continue
         if not fast:
-            ni, mxi, myi, sxxi, syyi, sxyi, ssei, wlei = st[i]
-            nj, mxj, myj, sxxj, syyj, sxyj, ssej, wlej = st[j]
+            ni, mxi, myi, sxxi, syyi, sxyi, ssei, wlei = st[i] or piece(i)
+            nj, mxj, myj, sxxj, syyj, sxyj, ssej, wlej = st[j] or piece(j)
             nm = ni + nj
             # No size re-check: every candidate was pushed only after a
             # <= max_piece test and matching versions mean the sizes have
@@ -353,7 +379,8 @@ def greedy_merging(
             mxm = mxi + dx * nj / nm
             mym = myi + dy * nj / nm
             st[i] = (nm, mxm, mym, sxx, syy, sxy, sse, wle)
-        removed_append(starts[j])
+        st[j] = None
+        removed_append(2 * j)
         j2 = nxt[j]
         nxt[i] = j2
         if j2 != -1:
@@ -366,7 +393,7 @@ def greedy_merging(
         # Re-score (i, nxt[i]) then (prv[i], i), exactly as two
         # push_candidate calls would.
         if j2 != -1:
-            nb, mxb, myb, sxxb, syyb, sxyb, sseb, _wb = st[j2]
+            nb, mxb, myb, sxxb, syyb, sxyb, sseb, _wb = st[j2] or piece(j2)
             nmc = nm + nb
             if nmc <= max_piece:
                 dxc = mxb - mxm
@@ -384,7 +411,7 @@ def greedy_merging(
                 heappush(heap, (ssec - sse - sseb, i, j2, vi, version[j2]))
         p = prv[i]
         if p != -1:
-            na, mxa, mya, sxxa, syya, sxya, ssea, _wa = st[p]
+            na, mxa, mya, sxxa, syya, sxya, ssea, _wa = st[p] or piece(p)
             nmc = na + nm
             if nmc <= max_piece:
                 dxc = mxm - mxa
@@ -400,15 +427,7 @@ def greedy_merging(
                     if ssec <= 0.0:
                         ssec = 0.0
                 heappush(heap, (ssec - ssea - sse, p, i, version[p], vi))
-
-    cost_curve = _cost_curve(n, k0, wle_trace, height, params)
-    best_k = min(cost_curve, key=lambda kk: (cost_curve[kk], kk))
-    segments = _reconstruct(
-        xs, ys, pieces, removed_boundaries, best_k, sample, sample_piece_threshold
-    )
-    return SegmentationResult(
-        segments=segments, cost=cost_curve[best_k], cost_curve=cost_curve
-    )
+    return wle_trace, removed_boundaries
 
 
 def _cost_curve(
@@ -485,20 +504,17 @@ def _cost_curve(
 def _reconstruct(
     xs: np.ndarray,
     ys: np.ndarray,
-    initial_pieces: list[tuple[int, int]],
     removed_boundaries: list[int],
-    best_k: int,
     sample: bool,
     sample_piece_threshold: int,
 ) -> list[Segment]:
-    """Rebuild the piece list at ``best_k`` from the recorded merge order."""
+    """Rebuild the piece list left after the first merges, whose
+    absorbed boundaries are ``removed_boundaries``."""
     n = len(xs)
-    k0 = len(initial_pieces)
-    n_merges = k0 - best_k
-    boundary_set = {start for start, _ in initial_pieces}
-    for start in removed_boundaries[:n_merges]:
-        boundary_set.discard(start)
+    boundary_set = {start for start, _ in _initial_pieces(n)}
+    boundary_set.difference_update(removed_boundaries)
     starts = sorted(boundary_set)
+    del boundary_set
     segments = []
     for idx, start in enumerate(starts):
         end = starts[idx + 1] if idx + 1 < len(starts) else n

@@ -17,7 +17,8 @@ Modules:
   simulated cost model), and the aligned global-tree split.
 * :mod:`repro.sharding.manifest` -- the atomic ``shards.json``.
 * :mod:`repro.sharding.worker` -- the per-shard worker process (the
-  only sharding module allowed to touch index state; CHK009), with a
+  only sharding module allowed to touch index state; CHK009): it builds
+  its shard from a ``ShardBuild`` or recovers it, then serves, with a
   heartbeat thread so the coordinator can tell hung from slow.
 * :mod:`repro.sharding.coordinator` -- ``ShardedDILI``: scatter /
   gather, supervised worker restart, and the split/merge rebalancer.
@@ -55,7 +56,7 @@ from repro.sharding.partition import (
     split_aligned,
 )
 from repro.sharding.router import AlignedRouter, ShardRouter, router_from_dict
-from repro.sharding.worker import ShardWorker
+from repro.sharding.worker import ShardBuild, ShardWorker
 
 __all__ = [
     "AlignedRouter",
@@ -66,6 +67,7 @@ __all__ = [
     "FleetSupervisor",
     "Manifest",
     "RestartPolicy",
+    "ShardBuild",
     "ShardRouter",
     "ShardUnavailableError",
     "ShardWorker",

@@ -39,11 +39,17 @@ Guarantees:
   at-least-once (the final state is idempotent because the WAL logs
   validated ops, but the returned inserted/deleted flags can
   understate if the first attempt had partially applied).
-* **Rebalancing is atomic**: splits and merges build fully published
-  replacement shard directories first, then swap the shard table and
-  router inside the coordinator lock, then stop the old workers.  A
-  reader never observes a half-updated router, and old directories
-  are kept on disk, never deleted.
+* **Builds are all-or-nothing**: a range shard is built by the worker
+  that serves it (:class:`~repro.sharding.worker.ShardBuild`).
+  ``create``, ``split_shard`` and ``merge_shards`` start every new
+  worker at once and wait until each has reported ready; if one
+  fails, all of them are put down, and neither a manifest nor a
+  topology swap follows.
+* **Rebalancing is atomic**: splits and merges start the replacement
+  workers first, each building and publishing its own shard directory,
+  then swap the shard table and router inside the coordinator lock,
+  then stop the old workers.  A reader never observes a half-updated
+  router, and old directories are kept on disk, never deleted.
 """
 
 from __future__ import annotations
@@ -66,11 +72,7 @@ from repro.sharding.manifest import (
     read_manifest,
     write_manifest,
 )
-from repro.sharding.partition import (
-    build_range_shards,
-    fit_shard_config,
-    split_aligned,
-)
+from repro.sharding.partition import build_range_shards, split_aligned
 from repro.sharding.router import ShardRouter, router_from_dict
 from repro.sharding.supervision import (
     HEARTBEAT_RID,
@@ -90,7 +92,9 @@ from repro.sharding.supervision import (
 )
 from repro.sharding.worker import (
     HEARTBEAT_INTERVAL,
+    ShardBuild,
     ShardWorker,
+    config_summary,
     replay_segment,
     worker_main,
 )
@@ -190,6 +194,8 @@ class ProcessHandle:
         ctx=None,
         heartbeat: float = HEARTBEAT_INTERVAL,
         term_grace: float = 1.0,
+        build: ShardBuild | None = None,
+        region_base: int = 0,
     ) -> None:
         self.dirpath = os.fspath(dirpath)
         self.heartbeat = heartbeat
@@ -198,7 +204,7 @@ class ProcessHandle:
         parent, child = ctx.Pipe()
         self.process = ctx.Process(
             target=worker_main,
-            args=(self.dirpath, child, sync, heartbeat),
+            args=(self.dirpath, child, sync, heartbeat, build, region_base),
             daemon=True,
         )
         self.process.start()
@@ -358,12 +364,16 @@ class LocalHandle:
     """In-process transport: same protocol, no pipe, no process.
 
     Used by property-based tests (no per-example spawn cost) and by
-    ``processes=False`` coordinators.  Never "dies".
+    ``processes=False`` coordinators.  Never "dies".  It builds (or
+    recovers) its shard while it is made, so in-process shards build
+    one after another.
     """
 
-    def __init__(self, dirpath, *, sync: bool) -> None:
+    def __init__(
+        self, dirpath, *, sync: bool, build: ShardBuild | None = None
+    ) -> None:
         self.dirpath = os.fspath(dirpath)
-        self.worker = ShardWorker(dirpath, sync=sync)
+        self.worker = ShardWorker(dirpath, sync=sync, build=build)
         self._results: dict[int, object] = {}
         self._next_req = 0
         self.heartbeat = 0.0
@@ -406,18 +416,22 @@ def _shard_dir_name(number: int) -> str:
     return f"shard-{number:04d}"
 
 
-def _config_summary(config: DiliConfig) -> dict:
-    return {"omega": config.omega, "rho": config.rho}
+#: Region ids per shard.  The worker processes of shard ``shard-NNNN``
+#: allocate from ``(NNNN + 1) * _REGION_SPAN`` on, clear of every other
+#: shard's range and of the ids the coordinator's process reaches.
+_REGION_SPAN = 1 << 40
 
 
-def _build_shard_dir(
-    dirpath, keys, values, config: DiliConfig
-) -> None:
-    """Bulk-load one shard directory and publish its first plan."""
-    with DurableDILI(dirpath, config=config) as durable:
-        if len(keys):
-            durable.bulk_load(keys, values)
-            durable.publish_plan()
+def _region_base(name: str) -> int:
+    return (int(name.rpartition("-")[2]) + 1) * _REGION_SPAN
+
+
+def _items_build(items) -> ShardBuild:
+    """A tuned build of a rebalanced shard from its sorted items."""
+    return ShardBuild(
+        np.asarray([k for k, _ in items], dtype=np.float64),
+        [v for _, v in items],
+    )
 
 
 class ShardedDILI:
@@ -451,6 +465,11 @@ class ShardedDILI:
     of failing; writes touching an isolated shard always fail fast
     with a retryable
     :class:`~repro.sharding.supervision.ShardUnavailableError`.
+
+    ``builds`` (one :class:`~repro.sharding.worker.ShardBuild` per
+    manifest shard, as :meth:`create` passes them) makes each worker
+    build its shard first; ``shards.json`` is written once all are
+    ready.
     """
 
     def __init__(
@@ -466,6 +485,7 @@ class ShardedDILI:
         policy: RestartPolicy | None = None,
         supervise: bool | None = None,
         probe_interval: float = 0.5,
+        builds: list[ShardBuild] | None = None,
     ) -> None:
         self.dirpath = os.fspath(dirpath)
         self.manifest = manifest
@@ -486,9 +506,19 @@ class ShardedDILI:
         self.rebalances = 0
         self._ctx = _mp_context() if processes else None
         self._lock = threading.RLock()
-        self._handles = [
-            self._spawn(entry.name) for entry in manifest.shards
-        ]
+        if builds is None:
+            self._handles = [
+                self._spawn(entry.name) for entry in manifest.shards
+            ]
+        else:
+            self._handles, manifest.shards = self._start_builds(
+                [entry.name for entry in manifest.shards], builds
+            )
+            try:
+                write_manifest(self.dirpath, manifest)
+            except BaseException:
+                self._put_down(self._handles)
+                raise
         self.ops_counts = [0] * len(self._handles)
         self.supervise = processes if supervise is None else supervise
         self._probe_interval = probe_interval
@@ -518,69 +548,79 @@ class ShardedDILI:
         seed: int = 0,
         **open_kwargs,
     ) -> "ShardedDILI":
-        """Partition ``keys``, build + publish every shard, and serve.
+        """Partition ``keys``, build every shard in its worker, and serve.
 
         Args:
-            partition: ``"range"`` quantile-partitions the keys and
-                bulk-loads each shard independently (``tuning`` picks
-                per-shard vs global cost parameters);  ``"aligned"``
-                splits one global tree at the root's children, which
-                preserves ±0 trace parity with the unsharded index.
+            partition: ``"range"`` quantile-partitions the keys and has
+                each shard's worker bulk-load it, all shards at once
+                (``tuning`` picks per-shard vs global cost parameters;
+                ``"local"`` fits each shard's in its worker);
+                ``"aligned"`` splits one global tree at the root's
+                children, which preserves ±0 trace parity with the
+                unsharded index.
             num_shards: Shard count (aligned mode caps it at the root
                 fanout).
             open_kwargs: Forwarded to the constructor (``processes``,
                 ``sync``, ``request_timeout``).
+
+        Raises:
+            What the failed worker call raised: :class:`WorkerDied`,
+            or the build's own error as for any worker verb.  Every
+            worker is put down first, and ``shards.json`` is not
+            written.
         """
         dirpath = os.fspath(dirpath)
         os.makedirs(dirpath, exist_ok=True)
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        entries: list[ShardEntry] = []
         if partition == "range":
+            # The client plans the cuts only; a "local" fit runs in
+            # each shard's worker.
             plan = build_range_shards(
-                keys, values, num_shards, tuning=tuning, base=config,
-                seed=seed,
+                keys, values, num_shards,
+                tuning="none" if tuning == "local" else tuning,
+                base=config, seed=seed,
             )
-            for j, spec in enumerate(plan.shards):
-                name = _shard_dir_name(j)
-                _build_shard_dir(
-                    os.path.join(dirpath, name),
-                    spec.keys,
-                    spec.values,
-                    spec.config,
-                )
-                entries.append(
-                    ShardEntry(name, len(spec.keys),
-                               _config_summary(spec.config))
-                )
-            router = plan.router
-        elif partition == "aligned":
-            from repro.durability.recovery import SNAPSHOT_NAME
-            from repro.durability.snapshot import write_snapshot
-
-            part = split_aligned(keys, values, num_shards, config=config)
-            for j, shard in enumerate(part.shards):
-                name = _shard_dir_name(j)
-                shard_dir = os.path.join(dirpath, name)
-                os.makedirs(shard_dir, exist_ok=True)
-                write_snapshot(
-                    shard.index,
-                    os.path.join(shard_dir, SNAPSHOT_NAME),
-                    last_seqno=0,
-                )
-                with DurableDILI(shard_dir, config=config) as durable:
-                    if durable.index.root is not None:
-                        durable.publish_plan()
-                entries.append(
-                    ShardEntry(name, shard.count,
-                               _config_summary(shard.index.config))
-                )
-            router = part.router
-        else:
+            manifest = Manifest(
+                router=plan.router.to_dict(),
+                shards=[
+                    ShardEntry(_shard_dir_name(j), len(spec.keys))
+                    for j, spec in enumerate(plan.shards)
+                ],
+                next_shard=len(plan.shards),
+                partition=partition,
+            )
+            builds = [
+                ShardBuild(spec.keys, spec.values, spec.config,
+                           tune=tuning == "local", seed=seed + j)
+                for j, spec in enumerate(plan.shards)
+            ]
+            return cls(dirpath, manifest, builds=builds, **open_kwargs)
+        if partition != "aligned":
             raise ValueError(f"unknown partition mode {partition!r}")
+        from repro.durability.recovery import SNAPSHOT_NAME
+        from repro.durability.snapshot import write_snapshot
+
+        part = split_aligned(keys, values, num_shards, config=config)
+        entries: list[ShardEntry] = []
+        for j, shard in enumerate(part.shards):
+            name = _shard_dir_name(j)
+            shard_dir = os.path.join(dirpath, name)
+            os.makedirs(shard_dir, exist_ok=True)
+            write_snapshot(
+                shard.index,
+                os.path.join(shard_dir, SNAPSHOT_NAME),
+                last_seqno=0,
+            )
+            with DurableDILI(shard_dir, config=config) as durable:
+                if durable.index.root is not None:
+                    durable.publish_plan()
+            entries.append(
+                ShardEntry(name, shard.count,
+                           config_summary(shard.index.config))
+            )
         manifest = Manifest(
-            router=router.to_dict(),
+            router=part.router.to_dict(),
             shards=entries,
-            generation=1,
             next_shard=len(entries),
             partition=partition,
         )
@@ -600,7 +640,7 @@ class ShardedDILI:
     def num_shards(self) -> int:
         return len(self._handles)
 
-    def _spawn(self, name: str):
+    def _spawn(self, name: str, build: ShardBuild | None = None):
         shard_dir = os.path.join(self.dirpath, name)
         if self.processes:
             return ProcessHandle(
@@ -609,8 +649,51 @@ class ShardedDILI:
                 ctx=self._ctx,
                 heartbeat=self.heartbeat_interval,
                 term_grace=self.policy.term_grace,
+                build=build,
+                region_base=_region_base(name),
             )
-        return LocalHandle(shard_dir, sync=self.sync)
+        return LocalHandle(shard_dir, sync=self.sync, build=build)
+
+    def _put_down(self, handles) -> None:
+        for handle in handles:
+            try:
+                handle.put_down(self.policy.term_grace)
+            except Exception:
+                pass
+
+    def _start_builds(
+        self, names: list[str], builds: list[ShardBuild]
+    ) -> tuple[list, list[ShardEntry]]:
+        """Start one worker per build and wait until all report ready.
+
+        Every worker is started before the first is waited on, so the
+        shards build in parallel.  Ready is the worker's ``status``
+        reply, which carries the config it built with.  Returns the
+        handles and the shards' manifest entries.  If any worker fails
+        to build, every one of them is put down and the error
+        propagates: nothing is left serving, or revived into, a
+        half-built directory.
+        """
+        handles: list = []
+        try:
+            for name, build in zip(names, builds):
+                handles.append(self._spawn(name, build))
+            deadline = self._deadline()
+            rids = [handle.send("status") for handle in handles]
+            ready = [
+                handle.recv(
+                    rid, deadline=deadline, hang_timeout=self.hang_timeout
+                )
+                for handle, rid in zip(handles, rids)
+            ]
+        except BaseException:
+            self._put_down(handles)
+            raise
+        entries = [
+            ShardEntry(name, len(build.keys), status["config"])
+            for name, build, status in zip(names, builds, ready)
+        ]
+        return handles, entries
 
     def _alive(self, index: int) -> bool:
         return self._handles[index].alive()
@@ -1079,11 +1162,13 @@ class ShardedDILI:
     def split_shard(self, index: int, *, mid_hook=None) -> dict:
         """Split shard ``index`` at its median key into two shards.
 
-        Both replacement shards are bulk-loaded with configs re-fit to
-        their *local* key distribution and fully published through
-        their own PlanDirectory before the router flips.  ``mid_hook``
-        (tests only) runs after the new directories are built but
-        before the swap -- the chaos harness kills workers there.
+        Two replacement workers each build one half, with a config
+        re-fit to its *local* key distribution, and publish it through
+        their own PlanDirectory, both at once, before the router flips.
+        If either build fails, both are put down and the old topology
+        keeps serving.  ``mid_hook`` (tests only) runs after the new
+        workers are ready but before the swap -- the chaos harness
+        kills workers there.
         """
         with self._lock:
             if not 0 <= index < self.num_shards:
@@ -1095,24 +1180,11 @@ class ShardedDILI:
                     f"shard {index} has {len(items)} keys; nothing to split"
                 )
             mid = len(items) // 2
-            halves = [items[:mid], items[mid:]]
             split_key = float(items[mid][0])
             names = self._fresh_shard_names(2)
-            entries = []
-            for name, half in zip(names, halves):
-                half_keys = np.asarray([k for k, _ in half], dtype=np.float64)
-                half_values = [v for _, v in half]
-                config, _ = fit_shard_config(half_keys)
-                _build_shard_dir(
-                    os.path.join(self.dirpath, name),
-                    half_keys,
-                    half_values,
-                    config,
-                )
-                entries.append(
-                    ShardEntry(name, len(half_keys), _config_summary(config))
-                )
-            handles = [self._spawn(name) for name in names]
+            handles, entries = self._start_builds(
+                names, [_items_build(items[:mid]), _items_build(items[mid:])]
+            )
             if mid_hook is not None:
                 mid_hook()
             new_boundaries = np.insert(boundaries, index, split_key)
@@ -1135,20 +1207,10 @@ class ShardedDILI:
             items = list(self._call(index, "items")) + list(
                 self._call(index + 1, "items")
             )
-            merged_keys = np.asarray([k for k, _ in items], dtype=np.float64)
-            merged_values = [v for _, v in items]
             name = self._fresh_shard_names(1)[0]
-            config, _ = fit_shard_config(merged_keys)
-            _build_shard_dir(
-                os.path.join(self.dirpath, name),
-                merged_keys,
-                merged_values,
-                config,
+            handles, entries = self._start_builds(
+                [name], [_items_build(items)]
             )
-            entries = [
-                ShardEntry(name, len(merged_keys), _config_summary(config))
-            ]
-            handles = [self._spawn(name)]
             new_boundaries = np.delete(boundaries, index)
             self._swap_topology(
                 index, 2, [name], handles, entries, new_boundaries

@@ -4,17 +4,24 @@ A worker owns exactly one shard directory -- a standard
 :class:`~repro.durability.durable.DurableDILI` state dir.  It is the
 **only** place in the sharding layer allowed to touch index state, and
 it does so exclusively through the durability/planstore APIs (lint
-rule CHK009 enforces this): recovery and logged writes go through
-``DurableDILI``, and every read is served zero-copy from the published
-plan via one :class:`~repro.planstore.serve.MmapDILI` handle (the plan
-store's fallback ladder), opened at start and kept open.  Every write
-batch publishes a WAL-tail delta and refreshes that handle, which
-replays the batch's WAL record into its overlay.  Once the tail
+rule CHK009 enforces this): its build, recovery and logged writes go
+through ``DurableDILI``, and every read is served zero-copy from the
+published plan via one :class:`~repro.planstore.serve.MmapDILI` handle
+(the plan store's fallback ladder), opened at start and kept open.
+Every write batch publishes a WAL-tail delta and refreshes that handle,
+which replays the batch's WAL record into its overlay.  Once the tail
 reaches :data:`REPUBLISH_THRESHOLD` ops (or no base survives) the
 write checkpoints instead: it publishes a fresh base generation, takes
 a snapshot that truncates the WAL, and the refresh moves the handle to
 the new base -- so the WAL that each write scans, and that a restart
 replays, stays within the threshold.
+
+A shard has one build path: the worker that serves it.  Handed a
+:class:`ShardBuild` (its key slice, and how to tune), a starting worker
+fits the shard's config, bulk-loads its ``DurableDILI`` (which writes
+the snapshot), publishes the first plan base and opens its serving
+handle; without one it recovers the directory.  The coordinator starts
+all of a fleet's workers at once, so the shards build in parallel.
 
 The same :class:`ShardWorker` object serves two transports:
 
@@ -43,14 +50,20 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.dili import DiliConfig
 from repro.durability.durable import DurableDILI
 from repro.planstore.serve import PlanDirectory
+from repro.sharding.partition import fit_shard_config
 from repro.sharding.supervision import HEARTBEAT_RID, STARTUP_RID
-from repro.simulate.tracer import NULL_TRACER, RecordingTracer
+from repro.simulate.tracer import (
+    NULL_TRACER,
+    RecordingTracer,
+    skip_region_ids,
+)
 
 #: WAL-tail ops accumulated before a write checkpoints (a new base
 #: generation and a snapshot) instead of publishing another delta.
@@ -73,6 +86,32 @@ _DELAYABLE = frozenset(
         "items",
     }
 )
+
+
+@dataclass(frozen=True)
+class ShardBuild:
+    """What a starting worker builds its shard from.
+
+    Attributes:
+        keys: The shard's sorted unique keys.
+        values: Their payloads.
+        config: The bulk-load config; with ``tune``, the base that
+            :func:`~repro.sharding.partition.fit_shard_config` perturbs.
+        tune: Fit the config to the shard's own keys first.
+        seed: The fit's probe seed.
+    """
+
+    keys: np.ndarray
+    values: list
+    config: DiliConfig = field(default_factory=DiliConfig)
+    tune: bool = True
+    seed: int = 0
+
+
+def config_summary(config: DiliConfig) -> dict:
+    """The tuned knobs of a shard's config, as status and the manifest
+    report them."""
+    return {"omega": config.omega, "rho": config.rho}
 
 
 def split_trace_segments(events: list, n: int) -> list:
@@ -130,19 +169,23 @@ class ShardWorker:
 
     Args:
         dirpath: The shard's DurableDILI state directory.
-        config: Config for a fresh index when the directory is empty.
         sync: fsync the WAL on every append (see DurableDILI).
+        build: Build the shard from these items (and publish its first
+            plan base) instead of recovering what the directory holds.
     """
 
     def __init__(
         self,
         dirpath,
         *,
-        config: DiliConfig | None = None,
         sync: bool = True,
+        build: ShardBuild | None = None,
     ) -> None:
         self.dirpath = os.fspath(dirpath)
-        self.durable = DurableDILI(self.dirpath, config=config, sync=sync)
+        if build is None:
+            self.durable = DurableDILI(self.dirpath, sync=sync)
+        else:
+            self.durable = _build_shard(self.dirpath, build, sync)
         self.ops = {
             "reads": 0,
             "writes": 0,
@@ -261,6 +304,7 @@ class ShardWorker:
             "pid": os.getpid(),
             "dir": self.dirpath,
             "keys": len(self.durable),
+            "config": config_summary(self.durable.index.config),
             "generations": generations,
             "generation": served.generation,
             "rung": served.rung,
@@ -307,6 +351,26 @@ class ShardWorker:
         return getattr(self, method)(*args)
 
 
+def _build_shard(dirpath: str, build: ShardBuild, sync: bool) -> DurableDILI:
+    """Tune, bulk-load (which snapshots) and publish a first plan base.
+
+    The base is published even over older generations a directory may
+    hold, so the serving handle opens the tree just built.
+    """
+    config = build.config
+    if build.tune:
+        config, _ = fit_shard_config(build.keys, base=config, seed=build.seed)
+    durable = DurableDILI(dirpath, config=config, sync=sync)
+    try:
+        if len(build.keys):
+            durable.bulk_load(build.keys, build.values)
+            durable.publish_plan()
+    except BaseException:
+        durable.close()
+        raise
+    return durable
+
+
 def _validate_request(frame) -> tuple:
     """Verify a request frame's shape before dispatching on it.
 
@@ -332,38 +396,40 @@ def worker_main(
     conn,
     sync: bool = True,
     heartbeat: float = HEARTBEAT_INTERVAL,
+    build: ShardBuild | None = None,
+    region_base: int = 0,
 ) -> None:
-    """Process entry point: serve ``dirpath`` over a pipe.
+    """Process entry point: build or recover ``dirpath``, serve it over
+    a pipe.
 
     Protocol: requests are ``(req_id, method, args)``; responses are
     ``(req_id, ok, payload)`` where a failed call carries
     ``(exception_type_name, message)``.  ``stop`` acknowledges, closes
     the shard cleanly, and exits; losing the pipe (coordinator death)
-    exits too.
+    exits too.  A start-up that raises reports on ``STARTUP_RID`` and
+    exits.
 
     A daemon thread additionally sends a heartbeat frame (req_id
-    ``HEARTBEAT_RID``) every ``heartbeat`` seconds.  Heartbeats flow
-    even while a verb is sleeping or grinding (the GIL is released in
-    both), so the coordinator can tell *slow* (heartbeats arriving:
-    leave the worker alone, let the caller's deadline decide) from
-    *hung* (SIGSTOP, deadlock: heartbeats stop with the process --
-    escalate SIGTERM -> SIGKILL -> restart).  Both threads share one
-    send lock so frames never interleave on the pipe.
+    ``HEARTBEAT_RID``) every ``heartbeat`` seconds, from before the
+    build or recovery starts: a long start-up is slow, not hung.
+    Heartbeats flow even while a verb is sleeping or grinding (the GIL
+    is released in both), so the coordinator can tell *slow*
+    (heartbeats arriving: leave the worker alone, let the caller's
+    deadline decide) from *hung* (SIGSTOP, deadlock: heartbeats stop
+    with the process -- escalate SIGTERM -> SIGKILL -> restart).  Both
+    threads share one send lock so frames never interleave on the pipe.
+
+    Every region id the process allocates is at least ``region_base``
+    (the coordinator gives each shard a range of its own), so nodes
+    that two workers create never share an id in a merged trace.
     """
+    skip_region_ids(region_base)
     send_lock = threading.Lock()
 
     def _send(frame) -> None:
         with send_lock:
             conn.send(frame)
 
-    try:
-        worker = ShardWorker(dirpath, sync=sync)
-    except Exception as exc:  # startup failure must reach the coordinator
-        try:
-            _send((STARTUP_RID, False, (type(exc).__name__, str(exc))))
-        except (OSError, BrokenPipeError):
-            pass
-        return
     stop_beating = threading.Event()
 
     def _beat() -> None:
@@ -377,6 +443,15 @@ def worker_main(
         threading.Thread(
             target=_beat, name="shard-heartbeat", daemon=True
         ).start()
+    try:
+        worker = ShardWorker(dirpath, sync=sync, build=build)
+    except Exception as exc:  # startup failure must reach the coordinator
+        stop_beating.set()
+        try:
+            _send((STARTUP_RID, False, (type(exc).__name__, str(exc))))
+        except (OSError, BrokenPipeError):
+            pass
+        return
     try:
         while True:
             try:

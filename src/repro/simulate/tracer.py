@@ -24,12 +24,26 @@ simulation is stateful); replayers must emit events in batch order.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from typing import Hashable
 
 from repro.simulate.cache import CacheSimulator
 from repro.simulate.latency import CACHE_LINE_BYTES, DEFAULT_CYCLES, CyclesPerOp
 
 _region_counter = itertools.count(1)
+
+
+def _fresh_skip_lock() -> None:
+    global _skip_lock
+    _skip_lock = threading.Lock()
+
+
+_fresh_skip_lock()
+if hasattr(os, "register_at_fork"):
+    # A child forked while another thread held the lock would keep it
+    # held forever; shard workers are forked and skip at start-up.
+    os.register_at_fork(after_in_child=_fresh_skip_lock)
 
 
 def region_id() -> int:
@@ -40,6 +54,21 @@ def region_id() -> int:
     cache lines *within* the region by byte offset.
     """
     return next(_region_counter)
+
+
+def skip_region_ids(below: int) -> None:
+    """Never hand out a region id below ``below`` again.
+
+    Ids are unique within one process only, and the cache simulator
+    takes two nodes with one id for one region.  So a process that
+    loads a tree written elsewhere skips past the tree's ids, and each
+    shard worker process allocates from a range of its own shard's.
+    Skipping may leave an unused id behind; only id equality matters.
+    """
+    global _region_counter
+    with _skip_lock:
+        if next(_region_counter) < below:
+            _region_counter = itertools.count(below)
 
 
 class Tracer:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.check.errors import InvariantError
+from repro.data.datasets import lognormal
 from repro.resilience.health import Health, HealthMonitor
 from repro.sharding.breaker import BreakerState, CircuitBreaker, RestartPolicy
 from repro.sharding.coordinator import ShardedDILI
@@ -647,3 +648,26 @@ class TestBoundedShutdown:
         assert elapsed < 15.0
         assert not any(proc.is_alive() for proc in procs)
         index.close()  # idempotent
+
+
+class TestStartUpHeartbeats:
+    def test_a_start_up_longer_than_the_hang_timeout_is_not_a_hang(
+        self, tmp_path
+    ):
+        """A worker heartbeats from its first instant, so a build or a
+        recovery that outlasts ``hang_timeout`` (ten heartbeats) is
+        slow, not hung: the first read answers without a restart."""
+        keys = lognormal(400_000, 0)
+        queries = keys[::101]
+        want = list(range(0, len(keys), 101))
+        options = {"heartbeat_interval": 0.05, "sync": False}
+        started = time.monotonic()
+        with ShardedDILI.create(
+            tmp_path / "s", keys, num_shards=2, tuning="none", **options
+        ) as fleet:
+            assert time.monotonic() - started > 2 * fleet.hang_timeout
+            assert fleet.get_batch(queries) == want
+            assert fleet.restarts == 0
+        with ShardedDILI.open(tmp_path / "s", **options) as fleet:
+            assert fleet.get_batch(queries) == want
+            assert fleet.restarts == 0

@@ -1,16 +1,41 @@
 """Tests for the cost tracer and cycle model."""
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.core.dili import DILI
 from repro.simulate.cache import CacheSimulator
 from repro.simulate.latency import CACHE_LINE_BYTES, CyclesPerOp, DEFAULT_CYCLES
-from repro.simulate.tracer import NULL_TRACER, CostTracer, region_id
+from repro.simulate.tracer import (
+    NULL_TRACER,
+    CostTracer,
+    region_id,
+    skip_region_ids,
+)
 
 
 class TestRegionId:
     def test_ids_are_unique(self):
         ids = {region_id() for _ in range(1000)}
         assert len(ids) == 1000
+
+    def test_skipping_moves_only_forward(self):
+        start = region_id()
+        skip_region_ids(start + 100)
+        assert region_id() == start + 100
+        skip_region_ids(start)
+        assert region_id() > start + 100
+
+    def test_an_unpickled_trees_ids_are_not_handed_out_again(self):
+        """A tree written by another process may hold ids this
+        process has not reached; loading it skips past them."""
+        index = DILI()
+        index.bulk_load(np.arange(1_000, dtype=np.float64))
+        index.root.region = region_id() + 1_000
+        loaded = pickle.loads(pickle.dumps(index))
+        assert region_id() > loaded.root.region
 
 
 class TestNullTracer:
