@@ -16,6 +16,12 @@ Three contracts, each a hard failure:
   the same published state; both must report rung 1 and return
   byte-identical answers, which must equal the oracle computed from
   the writer's live index.
+* **O(write) upkeep** -- a writer publishes ``WRITE_STEPS`` deltas onto
+  one chain and refreshes an open reader after each.  Counted, not
+  timed: the writer must read back no delta file, and each
+  ``publish_tail`` and each ``refresh`` must read at most the one WAL
+  record just logged (plus the 4-byte CRC of the record it resumes
+  after), and the reader must answer like a recovery rebuild.
 
 Run locally with::
 
@@ -24,6 +30,7 @@ Run locally with::
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import subprocess
@@ -37,10 +44,14 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
+import repro.durability.wal as wal_module  # noqa: E402
+import repro.planstore.serve as serve_module  # noqa: E402
 from repro import DILI  # noqa: E402
 from repro.durability.durable import DurableDILI  # noqa: E402
+from repro.durability.recovery import recover  # noqa: E402
 from repro.planstore.chaos import run_plan_chaos  # noqa: E402
 from repro.planstore.format import write_plan_file  # noqa: E402
+from repro.planstore.serve import MmapDILI  # noqa: E402
 from repro.planstore.store import PlanStore  # noqa: E402
 
 SMALL_KEYS = 10_000
@@ -49,6 +60,11 @@ OPEN_RATIO = 3.0
 OPEN_FLOOR_MS = 2.0  # absolute slack: sub-ms opens jitter more than 3x
 SMOKE_KEYS = 50_000
 SMOKE_PROBES = 4_096
+WRITE_STEPS = 32
+WRITE_BATCH = 256
+#: What a scan resumes after: the CRC of the record before it, or the
+#: log's 8-byte header when none precedes it.
+WAL_CRC_BYTES, WAL_HEADER_BYTES = 4, 8
 
 _READER = """
 import json, sys
@@ -189,6 +205,98 @@ def check_cross_process(workdir: Path, failures: list[str]) -> None:
                 )
 
 
+class _CountedFile:
+    """A WAL file opened for reading that counts the bytes read."""
+
+    def __init__(self, fh, counts: dict) -> None:
+        self._fh = fh
+        self._counts = counts
+
+    def read(self, n=-1):
+        data = self._fh.read(n)
+        self._counts["wal_bytes"] += len(data)
+        return data
+
+    def seek(self, *args):
+        return self._fh.seek(*args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def check_write_cost(workdir: Path, failures: list[str]) -> None:
+    rng = np.random.default_rng(3)
+    keys = np.unique(rng.uniform(0.0, 1e9, SMOKE_KEYS))
+    state = workdir / "write-cost"
+    durable = DurableDILI(state, sync=False)
+    durable.bulk_load(keys, list(range(len(keys))))
+    durable.publish_plan()
+    served = MmapDILI(state)
+
+    counts = {"wal_bytes": 0, "deltas_read": 0}
+    real_read_delta = serve_module.read_delta_file
+
+    def counted_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return _CountedFile(fh, counts) if mode == "rb" else fh
+
+    def counted_read_delta(path):
+        counts["deltas_read"] += 1
+        return real_read_delta(path)
+
+    wal_module.open = counted_open
+    serve_module.read_delta_file = counted_read_delta
+    worst = {"publish_tail": 0, "refresh": 0}
+    try:
+        for step in range(WRITE_STEPS):
+            fresh = np.sort(rng.uniform(1e9, 2e9, WRITE_BATCH))
+            before = os.path.getsize(durable.wal.path)
+            durable.insert_batch(fresh, list(range(WRITE_BATCH)))
+            record = os.path.getsize(durable.wal.path) - before
+            lead = (
+                WAL_HEADER_BYTES if before == WAL_HEADER_BYTES
+                else WAL_CRC_BYTES
+            )
+            for name, call in (
+                ("publish_tail", durable.publish_tail),
+                ("refresh", served.refresh),
+            ):
+                counts["wal_bytes"] = 0
+                call()
+                over = counts["wal_bytes"] - record - lead
+                worst[name] = max(worst[name], over)
+    finally:
+        del wal_module.open
+        serve_module.read_delta_file = real_read_delta
+    print(
+        f"write cost: {WRITE_STEPS} deltas of {WRITE_BATCH} keys, "
+        f"{counts['deltas_read']} delta file(s) read back, WAL bytes "
+        f"read past one record: publish_tail {worst['publish_tail']}, "
+        f"refresh {worst['refresh']}"
+    )
+    if counts["deltas_read"]:
+        failures.append(
+            f"write cost: the writer read back {counts['deltas_read']} "
+            f"delta file(s) -- publish_tail must extend its own chain "
+            f"without walking it"
+        )
+    for name, over in worst.items():
+        if over > 0:
+            failures.append(
+                f"write cost: a {name} read {over} WAL bytes beyond the "
+                f"record just logged -- it must resume past the record "
+                f"it last read"
+            )
+    probe = np.concatenate([keys[::7], rng.uniform(1e9, 2e9, 512)])
+    if served.get_batch(probe) != recover(state).index.get_batch(probe):
+        failures.append("write cost: the refreshed reader answers wrong")
+    served.close()
+    durable.close()
+
+
 def main() -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -196,6 +304,7 @@ def main() -> int:
         check_open_latency(workdir, failures)
         check_corruption_sweep(workdir, failures)
         check_cross_process(workdir, failures)
+        check_write_cost(workdir, failures)
     if failures:
         print("\nPLAN STORE CHECK FAILED:", file=sys.stderr)
         for line in failures:

@@ -44,6 +44,7 @@ from repro.durability.wal import (
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE,
+    WalCursor,
     WalRecord,
     WalScan,
     WriteAheadLog,
@@ -63,6 +64,7 @@ __all__ = [
     "RecoveryResult",
     "SimulatedCrash",
     "SnapshotError",
+    "WalCursor",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",

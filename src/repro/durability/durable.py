@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +61,35 @@ from repro.durability.wal import (
     OP_INSERT_BATCH,
     OP_UPDATE,
     OP_UPDATE_BATCH,
+    WalCursor,
     WriteAheadLog,
+    scan_wal,
 )
 
 
 def _encode(*args) -> bytes:
     return pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class _Chain(NamedTuple):
+    """The plan chain a writer last published or walked, and what it
+    trusts to still hold: :meth:`DurableDILI.publish_tail`'s memo.
+
+    ``lsn`` is the chain's LSN and ``wal`` where the WAL records past
+    it begin (None: at the log's start).  ``files`` is what
+    :meth:`~repro.planstore.serve.PlanDirectory.chain_files` read for
+    the base and deltas ``1..seq``.  ``snapshot_seqno`` is the
+    snapshot's ``last_seqno`` then, and ``next_generation`` the number
+    the next new base would take.
+    """
+
+    generation: int
+    seq: int
+    lsn: int
+    wal: WalCursor | None
+    files: tuple
+    snapshot_seqno: int
+    next_generation: int
 
 
 class DurableDILI:
@@ -112,6 +136,7 @@ class DurableDILI:
             faults=self._faults,
         )
         self._concurrent = concurrent
+        self._chain: _Chain | None = None
         self._plain = self.recovery.index
         if concurrent:
             self._index: DILI | ConcurrentDILI = ConcurrentDILI(
@@ -214,6 +239,7 @@ class DurableDILI:
         """
         with self._exclusive():
             self._index.bulk_load(keys, values)
+            self._chain = None
             self._snapshot_locked()
 
     # ------------------------------------------------------------------
@@ -226,15 +252,22 @@ class DurableDILI:
             self._snapshot_locked()
 
     def _snapshot_locked(self) -> None:
+        # The tail memo survives its own checkpoint: the chain stays
+        # current unless the snapshot passed its LSN (stale), and the
+        # records past it now start at the truncated log's start.
+        chain, self._chain = self._chain, None
+        seqno = self.wal.last_seqno
         write_snapshot(
             self._plain,
             self._snap_path,
-            last_seqno=self.wal.last_seqno,
+            last_seqno=seqno,
             faults=self._faults,
         )
         self._faults.fire("before_wal_truncate")
         self.wal.truncate()
         self._faults.fire("after_wal_truncate")
+        if chain is not None and chain.lsn >= seqno:
+            self._chain = chain._replace(wal=None, snapshot_seqno=seqno)
 
     def sync_wal(self) -> None:
         """fsync the WAL now (for ``sync=False`` batching)."""
@@ -261,11 +294,18 @@ class DurableDILI:
         from repro.planstore.serve import PlanDirectory
 
         with self._exclusive():
-            return PlanDirectory.for_state_dir(self.dirpath).publish_base(
+            plans = PlanDirectory.for_state_dir(self.dirpath)
+            self._chain = None
+            generation = plans.publish_base(
                 self._plain.export_plan(),
                 wal_lsn=self.wal.last_seqno,
                 faults=self._faults,
             )
+            self._chain = self._chain_at(
+                plans, generation, 0, self.wal.last_seqno, self.wal.cursor,
+                next_generation=generation + 1,
+            )
+            return generation
 
     def publish_tail(self) -> str | None:
         """Publish WAL records past the newest plan chain as one delta.
@@ -276,46 +316,105 @@ class DurableDILI:
         ``None`` when the chain is already at the WAL's LSN.  A delta
         only extends a chain whose
         :meth:`~repro.planstore.serve.PlanDirectory.walk` is complete
-        and not stale; any other chain (a gap, a bad, quarantined or
-        lost delta, an LSN behind a later snapshot, or a newest base
-        whose header fails verification) gets a new base instead,
-        numbered past every file on disk, and its path is returned.
-        Quarantining a damaged base stays the reader's job.
+        and not stale; any other chain (none at all, a gap, a bad,
+        quarantined or lost delta, an LSN behind a later snapshot, or a
+        newest base whose header fails verification) gets a new base
+        instead, numbered past every file on disk, and its path is
+        returned.  Quarantining a damaged base stays the reader's job.
+
+        The cost is the write's, not the chain's: the writer remembers
+        the chain it published last (its files' directory entries, its
+        base header, the snapshot's ``last_seqno`` and where its WAL
+        records end) and reads only the WAL bytes past that point.  It
+        walks the chain again, and scans the whole WAL, only when that
+        memo no longer matches the disk (docs/durability.md).
 
         Raises:
-            ValueError: No base generation has been published yet.
+            ValueError: No base exists and the index is empty.
         """
-        from repro.durability.wal import scan_wal
-        from repro.planstore.format import PlanStoreError
         from repro.planstore.serve import PlanDirectory
 
         with self._exclusive():
             plans = PlanDirectory.for_state_dir(self.dirpath)
-            generations = plans.generations()
-            if not generations:
-                raise ValueError("no plan generation published yet")
-            try:
-                walk = plans.walk(generations[-1])
-                extend = walk.complete and not walk.stale
-            except PlanStoreError:
-                extend = False
-            if not extend:
+            chain = self._chain
+            if chain is None or not self._chain_holds(plans, chain):
+                chain = self._walk_chain(plans)
+            if chain is None:
                 return plans.base_path(self.publish_plan())
-            scan = scan_wal(self.wal.path)
+            scan = scan_wal(self.wal.path, after=chain.wal)
             ops = [
                 (record.opcode, record.payload)
                 for record in scan.records
-                if record.seqno > walk.lsn
+                if record.seqno > chain.lsn
             ]
             if not ops:
+                self._chain = chain._replace(wal=scan.cursor)
                 return None
-            return plans.publish_delta(
-                walk.generation,
+            self._chain = None
+            path = plans.publish_delta(
+                chain.generation,
                 ops,
-                seq=len(walk.deltas) + 1,
+                seq=chain.seq + 1,
                 wal_lsn=scan.last_seqno,
                 faults=self._faults,
             )
+            self._chain = chain._replace(
+                seq=chain.seq + 1,
+                lsn=scan.last_seqno,
+                wal=scan.cursor,
+                files=chain.files + (plans.file_id(path),),
+            )
+            return path
+
+    def _chain_at(
+        self, plans, generation, seq, lsn, wal, *, next_generation
+    ) -> _Chain | None:
+        """The memo for ``generation``'s chain as it is on disk now
+        (None when one of its files is already gone)."""
+        from repro.planstore.serve import _snapshot_seqno
+
+        files = plans.chain_files(generation, seq)
+        if files is None:
+            return None
+        return _Chain(
+            generation, seq, lsn, wal, files,
+            _snapshot_seqno(self.dirpath), next_generation,
+        )
+
+    def _chain_holds(self, plans, chain: _Chain) -> bool:
+        """Is the disk still as the memo has it?  No listing: a stat of
+        each chain file, one header read, one snapshot-header read, and
+        two names that must not exist yet -- the chain's next delta
+        and the next new base, which another writer would have taken."""
+        from repro.planstore.serve import _snapshot_seqno
+
+        return (
+            plans.chain_files(chain.generation, chain.seq) == chain.files
+            and _snapshot_seqno(self.dirpath) == chain.snapshot_seqno
+            and not os.path.exists(
+                plans.delta_path(chain.generation, chain.seq + 1)
+            )
+            and not os.path.exists(plans.base_path(chain.next_generation))
+        )
+
+    def _walk_chain(self, plans) -> _Chain | None:
+        """Walk the newest generation's chain: its memo when the chain
+        is complete and not stale, else None (a new base is due)."""
+        from repro.planstore.format import PlanStoreError
+
+        generations = plans.generations()
+        if not generations:
+            return None
+        try:
+            walk = plans.walk(generations[-1])
+        except PlanStoreError:
+            return None
+        if not walk.complete or walk.stale:
+            return None
+        return self._chain_at(
+            plans, walk.generation, len(walk.deltas), walk.lsn, None,
+            next_generation=plans.next_generation(),
+        )
 
     def serve_mmap(self):
         """Open a read-only :class:`~repro.planstore.serve.MmapDILI`

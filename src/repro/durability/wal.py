@@ -18,6 +18,14 @@ can truncate the garbage tail before appending.  Acknowledged writes
 are exactly those whose record (including its CRC) was fsynced, so
 "stop at the first bad record" can only ever drop unacknowledged
 operations.
+
+A scan can resume where an earlier one ended: a :class:`WalCursor`
+names the end of a valid record (its offset, seqno and CRC), and
+``scan_wal(path, after=cursor)`` reads only the bytes past it, once the
+four bytes before the cursor still hold that record's CRC.  A log that
+was truncated or rewritten since fails that check and is scanned from
+its start, so a resumed scan never answers from a log that no longer
+holds the cursor's record.
 """
 
 from __future__ import annotations
@@ -71,25 +79,45 @@ class WalRecord:
 
 
 @dataclass(frozen=True)
+class WalCursor:
+    """The end of one valid record: where a later scan resumes.
+
+    Attributes:
+        offset: Byte offset just past the record.
+        seqno: The record's sequence number.
+        crc: The record's CRC32, the last four bytes before ``offset``.
+    """
+
+    offset: int
+    seqno: int
+    crc: int
+
+
+@dataclass(frozen=True)
 class WalScan:
     """Result of scanning a WAL file.
 
     Attributes:
-        records: Every valid record, in log order.
+        records: Every valid record the scan read, in log order (with
+            ``after=``, only those past the cursor).
         valid_offset: Byte offset just past the last valid record;
             truncating the file here removes any torn/corrupt tail.
         truncated: True when the scan stopped before the end of file.
         reason: Why the scan stopped early (None for a clean file).
+        cursor: The end of the last valid record, where the next scan
+            resumes; None when the log holds no record.
     """
 
     records: list[WalRecord]
     valid_offset: int
     truncated: bool
     reason: str | None
+    cursor: WalCursor | None = None
 
     @property
     def last_seqno(self) -> int:
-        return self.records[-1].seqno if self.records else 0
+        """Seqno of the log's last valid record (0 when it has none)."""
+        return self.cursor.seqno if self.cursor is not None else 0
 
 
 def encode_record(seqno: int, opcode: int, payload: bytes) -> bytes:
@@ -99,49 +127,72 @@ def encode_record(seqno: int, opcode: int, payload: bytes) -> bytes:
     return head + payload + _REC_CRC.pack(crc)
 
 
-def scan_wal(path) -> WalScan:
+def scan_wal(path, after: WalCursor | None = None) -> WalScan:
     """Read every valid record; stop cleanly at the first bad one.
+
+    With ``after``, read only the records past that cursor, provided
+    the log still holds the cursor's record (the four bytes before its
+    offset are its CRC); otherwise -- the log was truncated or
+    rewritten since -- scan it from the start.  Either way a record is
+    returned only if it continues the seqno chain.
 
     A missing file scans as empty.  A file without the magic header is
     rejected with ``ValueError`` -- that is a wrong file, not a torn
     one.
     """
-    records: list[WalRecord] = []
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
-        return WalScan(records, 0, False, None)
+        return WalScan([], 0, False, None)
     with fh:
+        if after is not None and after.offset > len(WAL_MAGIC):
+            fh.seek(after.offset - _REC_CRC.size)
+            if fh.read(_REC_CRC.size) == _REC_CRC.pack(after.crc):
+                return _scan_records(fh, after)
+            fh.seek(0)
         magic = fh.read(len(WAL_MAGIC))
         if len(magic) < len(WAL_MAGIC):
             # A file this short cannot hold the header we always write
             # (and fsync) at creation; treat it as an empty torn log.
-            return WalScan(records, 0, True, "short file header")
+            return WalScan([], 0, True, "short file header")
         if magic != WAL_MAGIC:
             raise ValueError(f"{path} is not a DILI write-ahead log")
-        offset = len(WAL_MAGIC)
-        expected_seqno: int | None = None
-        while True:
-            head = fh.read(_REC_HEADER.size)
-            if not head:
-                return WalScan(records, offset, False, None)
-            if len(head) < _REC_HEADER.size:
-                return WalScan(records, offset, True, "torn record header")
-            seqno, opcode, length = _REC_HEADER.unpack(head)
-            if opcode not in VALID_OPCODES or length > MAX_PAYLOAD:
-                return WalScan(records, offset, True, "corrupt record header")
-            if expected_seqno is not None and seqno != expected_seqno:
-                return WalScan(records, offset, True, "sequence break")
-            body = fh.read(length + _REC_CRC.size)
-            if len(body) < length + _REC_CRC.size:
-                return WalScan(records, offset, True, "torn record body")
-            payload, crc_bytes = body[:length], body[length:]
-            crc = zlib.crc32(payload, zlib.crc32(head))
-            if crc != _REC_CRC.unpack(crc_bytes)[0]:
-                return WalScan(records, offset, True, "CRC mismatch")
-            records.append(WalRecord(seqno, opcode, payload))
-            offset += _REC_HEADER.size + length + _REC_CRC.size
-            expected_seqno = seqno + 1
+        return _scan_records(fh, None)
+
+
+def _scan_records(fh, after: WalCursor | None) -> WalScan:
+    """Scan records from the file position, which is just past the
+    magic (``after`` None) or at ``after.offset``."""
+    records: list[WalRecord] = []
+    cursor = after
+    offset = after.offset if after is not None else len(WAL_MAGIC)
+    expected_seqno = after.seqno + 1 if after is not None else None
+
+    def stop(reason: str | None) -> WalScan:
+        return WalScan(records, offset, reason is not None, reason, cursor)
+
+    while True:
+        head = fh.read(_REC_HEADER.size)
+        if not head:
+            return stop(None)
+        if len(head) < _REC_HEADER.size:
+            return stop("torn record header")
+        seqno, opcode, length = _REC_HEADER.unpack(head)
+        if opcode not in VALID_OPCODES or length > MAX_PAYLOAD:
+            return stop("corrupt record header")
+        if expected_seqno is not None and seqno != expected_seqno:
+            return stop("sequence break")
+        body = fh.read(length + _REC_CRC.size)
+        if len(body) < length + _REC_CRC.size:
+            return stop("torn record body")
+        payload, crc_bytes = body[:length], body[length:]
+        crc = zlib.crc32(payload, zlib.crc32(head))
+        if crc != _REC_CRC.unpack(crc_bytes)[0]:
+            return stop("CRC mismatch")
+        records.append(WalRecord(seqno, opcode, payload))
+        offset += _REC_HEADER.size + length + _REC_CRC.size
+        cursor = WalCursor(offset, seqno, crc)
+        expected_seqno = seqno + 1
 
 
 class WriteAheadLog:
@@ -191,6 +242,7 @@ class WriteAheadLog:
             self._fh = open(self.path, "ab")
         self._next_seqno = max(min_next_seqno, scan.last_seqno + 1)
         self._record_count = len(scan.records)
+        self._cursor = scan.cursor
 
     # ------------------------------------------------------------------
 
@@ -201,6 +253,13 @@ class WriteAheadLog:
     @property
     def last_seqno(self) -> int:
         return self._next_seqno - 1
+
+    @property
+    def cursor(self) -> WalCursor | None:
+        """The end of the last record in the file (None when it holds
+        none): ``scan_wal(path, after=cursor)`` reads only what is
+        appended after this point."""
+        return self._cursor
 
     def __len__(self) -> int:
         """Number of records appended and durable in this file."""
@@ -238,6 +297,12 @@ class WriteAheadLog:
                 os.fsync(self._fh.fileno())
             self._next_seqno = seqno + 1
             self._record_count += 1
+            start = self._cursor.offset if self._cursor else len(WAL_MAGIC)
+            self._cursor = WalCursor(
+                start + len(record),
+                seqno,
+                _REC_CRC.unpack_from(record, len(record) - _REC_CRC.size)[0],
+            )
             self._faults.fire("after_wal_append")
             return seqno
 
@@ -255,6 +320,7 @@ class WriteAheadLog:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self._record_count = 0
+            self._cursor = None
 
     def sync_now(self) -> None:
         """fsync the log (for ``sync=False`` batching callers)."""

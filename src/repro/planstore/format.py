@@ -252,6 +252,21 @@ def _atomic_write(
     return len(data)
 
 
+def read_header_frame(path) -> bytes:
+    """A base file's magic, frame and header bytes, unchecked: what a
+    publisher compares to tell that a header it verified is unchanged.
+
+    Raises:
+        OSError: The file cannot be read.
+    """
+    with open(path, "rb") as fh:
+        prefix = fh.read(_PREFIX_SIZE)
+        if len(prefix) < _PREFIX_SIZE:
+            return prefix
+        header_len = min(_FRAME.unpack(prefix[8:])[0], MAX_HEADER_LEN)
+        return prefix + fh.read(header_len)
+
+
 def read_plan_header(path) -> dict:
     """Parse and fully sanity-check a base-file header -- O(1).
 

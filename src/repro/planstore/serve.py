@@ -52,12 +52,13 @@ from typing import NamedTuple
 from repro.durability.faultpoints import FaultInjector
 from repro.durability.recovery import SNAPSHOT_NAME, WAL_NAME, recover
 from repro.durability.snapshot import fsync_dir, read_snapshot_header
-from repro.durability.wal import WalScan, scan_wal
+from repro.durability.wal import WalCursor, WalScan, scan_wal
 from repro.planstore.format import (
     PlanFormatError,
     PlanStaleError,
     PlanStoreError,
     read_delta_file,
+    read_header_frame,
     read_plan_header,
     write_delta_file,
     write_plan_file,
@@ -197,6 +198,36 @@ class PlanDirectory:
             if m
         ]
 
+    def next_generation(self) -> int:
+        """The number a new base takes: one past the highest generation
+        any file here names."""
+        return 1 + max((gen for gen, _ in self._used_numbers()), default=0)
+
+    @staticmethod
+    def file_id(path) -> tuple[int, int, int]:
+        """A file's directory entry: ``(size, mtime_ns, inode)``."""
+        st = os.stat(path)
+        return st.st_size, st.st_mtime_ns, st.st_ino
+
+    def chain_files(self, generation: int, seq: int) -> tuple | None:
+        """The base header's bytes, then :meth:`file_id` of the base
+        and of deltas ``1..seq`` -- None when one of them is gone.
+
+        A publisher compares two of these to tell whether a chain it
+        walked is still as it was, with ``seq + 1`` stats and one
+        header read and no listing (docs/durability.md).
+        """
+        base = self.base_path(generation)
+        paths = [base] + [
+            self.delta_path(generation, n) for n in range(1, seq + 1)
+        ]
+        try:
+            return (read_header_frame(base),) + tuple(
+                map(self.file_id, paths)
+            )
+        except OSError:
+            return None
+
     def quarantined(self) -> list[str]:
         """Every quarantined artifact in the directory, sorted."""
         return sorted(
@@ -221,9 +252,7 @@ class PlanDirectory:
         base adopt that base's deltas.
         """
         os.makedirs(self.dirpath, exist_ok=True)
-        generation = 1 + max(
-            (gen for gen, _ in self._used_numbers()), default=0
-        )
+        generation = self.next_generation()
         write_plan_file(
             self.base_path(generation),
             plan,
@@ -394,6 +423,8 @@ class MmapDILI:
         self._max_gen_seen = 0
         self._store: PlanStore | None = None
         self._fallback = None
+        # Where the WAL records the store has not replayed begin.
+        self._wal: WalCursor | None = None
         self._lock = threading.Lock()
         with self._lock:
             self._descend()
@@ -408,6 +439,7 @@ class MmapDILI:
         self._fallback = None
         self.generation = None
         scan = scan_wal(os.path.join(self.dirpath, WAL_NAME))
+        self._wal = scan.cursor
         candidates = list(reversed(self.plans.generations()))
         # Rung 1 means the newest base this handle has *ever* seen --
         # falling back past a generation quarantined mid-read is rung 2
@@ -495,8 +527,11 @@ class MmapDILI:
         of opening a new handle.  It replays the WAL records past the
         served store's LSN into the open overlay with one
         :meth:`PlanStore.apply_ops` call and keeps the store's
-        verified-CRC memo.  It re-descends the ladder instead, as a
-        fresh open would, when replaying would be wrong:
+        verified-CRC memo.  It reads only the WAL bytes past the record
+        it last replayed (``scan_wal(after=...)``), and the whole log
+        again only when the log was truncated or rewritten since.  It
+        re-descends the ladder instead, as a fresh open would, when
+        replaying would be wrong:
 
         * the served generation is no longer the newest base in
           ``plans/`` (a republish, or the served base is gone);
@@ -530,12 +565,16 @@ class MmapDILI:
             return False
         if _snapshot_seqno(self.dirpath) > store.wal_lsn:
             return False
-        records = scan_wal(os.path.join(self.dirpath, WAL_NAME)).records
+        scan = scan_wal(
+            os.path.join(self.dirpath, WAL_NAME), after=self._wal
+        )
+        records = scan.records
         if records and records[0].seqno > store.wal_lsn + 1:
             return False
         tail = [
             (r.opcode, r.payload) for r in records if r.seqno > store.wal_lsn
         ]
+        self._wal = scan.cursor
         if not tail:
             return True
         try:

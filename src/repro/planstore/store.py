@@ -36,19 +36,26 @@ a ``None``-filled object array, which boxes each int once.
 A store maps one base file and nothing else.  The serving ladder
 replays the deltas :meth:`repro.planstore.serve.PlanDirectory.walk`
 accepted, then the WAL tail, through :meth:`PlanStore.apply_ops` into
-a key-level *overlay* (the buffers themselves are immutable):
+a key-level *overlay* (the buffers themselves are immutable).  The
+overlay is four parallel arrays sorted by key, one row per key written
+since the base was published:
 
-* ``overlay[k] = (value, in_base)`` -- ``k`` was inserted (``in_base``
-  False) or updated (True) after the base was published;
-* ``overlay[k] = (_TOMBSTONE, True)`` -- ``k`` was deleted.  By
-  invariant a tombstone only exists for base-resident keys: deleting an
-  overlay-only insert just removes its entry.
+* ``keys`` -- float64, ascending;
+* ``payloads`` -- the row's value: int64 while every overlay value is
+  an exact Python ``int`` within int64, else a 1-D object array;
+* ``live`` -- False for a tombstone (the key was deleted);
+* ``in_base`` -- the base holds the key.  By invariant a tombstone only
+  exists for base-resident keys: deleting an overlay-only insert just
+  removes its row.
 
-``count_range_batch`` is then the base count (two ``searchsorted``)
-plus overlay-inserted keys in range minus tombstoned keys in range.
-Tracer replay charges the *base* descent only, so trace-identity to
-the in-memory plan is exact for overlay-free stores (the property the
-parity tests pin down) and approximate once deltas apply.
+A read finds its keys' rows with one ``searchsorted`` and gathers
+their payloads with one fancy index.  ``count_range_batch`` is the
+base count (two ``searchsorted``) plus overlay-inserted keys in range
+minus tombstoned keys in range, from two sorted columns built with the
+overlay.  Tracer replay charges the *base* descent only, so
+trace-identity to the in-memory plan is exact for overlay-free stores
+(the property the parity tests pin down) and approximate once deltas
+apply.
 """
 
 from __future__ import annotations
@@ -78,7 +85,20 @@ from repro.planstore.format import (
 from repro.simulate.latency import DEFAULT_CYCLES
 from repro.simulate.tracer import NULL_TRACER, NullTracer, Tracer
 
-_TOMBSTONE = object()
+_INSERT, _DELETE, _UPDATE = "insert", "delete", "update"
+
+#: What each logged opcode does to the overlay.
+_OP_KIND = {
+    OP_INSERT: _INSERT,
+    OP_INSERT_BATCH: _INSERT,
+    OP_BULK_INSERT: _INSERT,
+    OP_DELETE: _DELETE,
+    OP_DELETE_BATCH: _DELETE,
+    OP_UPDATE: _UPDATE,
+    OP_UPDATE_BATCH: _UPDATE,
+}
+#: Opcodes logged with one key (and value), not a list of them.
+_SCALAR_OPS = frozenset({OP_INSERT, OP_DELETE, OP_UPDATE})
 
 
 class _LazyValues:
@@ -158,43 +178,163 @@ def hits_pair(values: list) -> tuple[np.ndarray, np.ndarray]:
     return hits, payload
 
 
-class _Overlay(dict):
-    """The key-level overlay, plus its keys as one sorted float64 array.
+def _column(values) -> np.ndarray:
+    """Payloads as one array: int64 when every one is an exact int
+    within int64, else 1-D object (a tuple stays one element)."""
+    ints = int_column(values)
+    if ints is not None:
+        return ints
+    return np.fromiter(values, dtype=object, count=len(values))
 
-    :meth:`PlanStore.apply_ops` fills a fresh overlay and :meth:`seal`
-    builds the array once, before the overlay is swapped in; a read
-    that loads the overlay once therefore sees a dict and a key array
-    of the same version.
+
+def _blank(n: int, dtype) -> np.ndarray:
+    """Payload placeholders for tombstone rows."""
+    if dtype == object:
+        return np.full(n, None, dtype=object)
+    return np.zeros(n, dtype=dtype)
+
+
+class _Overlay:
+    """The key-level overlay (see the module docstring), never changed
+    once built: :meth:`PlanStore.apply_ops` builds a new one and swaps
+    it in, so a read that loads the overlay once sees one version.
+
+    ``added`` (live keys the base lacks) and ``removed`` (tombstoned
+    keys) are the sorted columns range counts subtract and add.
     """
 
-    __slots__ = ("key_array",)
+    __slots__ = ("keys", "payloads", "live", "in_base", "added", "removed")
 
-    def __init__(self, entries=()) -> None:
-        super().__init__(entries)
-        self.key_array = np.empty(0, dtype=np.float64)
+    def __init__(self, keys, payloads, live, in_base) -> None:
+        self.keys = keys
+        self.payloads = payloads
+        self.live = live
+        self.in_base = in_base
+        self.added = keys[live & ~in_base]
+        self.removed = keys[~live]
 
-    def seal(self) -> None:
-        self.key_array = np.sort(
-            np.fromiter(self, dtype=np.float64, count=len(self))
+    @classmethod
+    def empty(cls) -> "_Overlay":
+        return cls(
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=bool),
+            np.empty(0, dtype=bool),
         )
 
-    def positions(self, keys: np.ndarray) -> np.ndarray:
-        """Positions in ``keys`` of the keys the overlay holds,
-        ascending."""
-        sk = self.key_array
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def rows(self) -> tuple:
+        return self.keys, self.payloads, self.live, self.in_base
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(at, rows)``: the positions in ``keys`` of the keys the
+        overlay holds, ascending, and those keys' rows."""
+        sk = self.keys
         if not len(sk):
-            return np.empty(0, dtype=np.intp)
-        at = np.minimum(np.searchsorted(sk, keys), len(sk) - 1)
-        return np.flatnonzero(sk[at] == keys)
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty
+        pos = np.minimum(np.searchsorted(sk, keys), len(sk) - 1)
+        at = np.flatnonzero(sk[pos] == keys)
+        return at, pos[at]
+
+
+def _applied(rows: tuple, kind: str, keys, values, base_contains) -> tuple:
+    """Overlay rows after one logged op, as the scalar loop would leave
+    them: an insert of a present key and a delete or update of an
+    absent one do nothing, and of a key repeated in the batch the
+    first insert and the last update win.
+
+    ``base_contains`` answers membership in the base for keys the
+    overlay does not hold.  No row is re-sorted: edited rows are
+    written in copies, and removed and new rows are spliced in at their
+    ``searchsorted`` positions.
+    """
+    okeys, payloads, live, in_base = rows
+    keys = np.asarray(keys, dtype=np.float64)
+    pick = np.argsort(keys, kind="stable")
+    keys = keys[pick]
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        # Of a repeated key the last update wins; the first insert or
+        # delete acts and the rest find it done.
+        if kind == _UPDATE:
+            once = np.concatenate((~repeat, [True]))
+        else:
+            once = np.concatenate(([True], ~repeat))
+        keys, pick = keys[once], pick[once]
+    column = None if kind == _DELETE else _column(values)[pick]
+    pos = np.searchsorted(okeys, keys)
+    if len(okeys):
+        held = okeys[np.minimum(pos, len(okeys) - 1)] == keys
+    else:
+        held = np.zeros(len(keys), dtype=bool)
+    fresh = ~held
+    present = np.zeros(len(keys), dtype=bool)
+    present[held] = live[pos[held]]
+    fresh_in_base = base_contains(keys[fresh])
+    present[fresh] = fresh_in_base
+    act = ~present if kind == _INSERT else present
+    if not act.any():
+        return rows
+    if column is not None and payloads.dtype != column.dtype:
+        payloads = payloads.astype(object)
+        column = column.astype(object)
+    edit = held & act
+    if edit.any():
+        at = pos[edit]
+        live, payloads = live.copy(), payloads.copy()
+        if kind == _INSERT:
+            live[at] = True  # a tombstoned base key, inserted again
+        if column is not None:
+            payloads[at] = column[edit]
+        else:
+            gone = at[~in_base[at]]  # overlay-only inserts: undo them
+            tomb = at[in_base[at]]
+            live[tomb] = False
+            payloads[tomb] = _blank(len(tomb), payloads.dtype)
+            if len(gone):
+                keep = np.ones(len(okeys), dtype=bool)
+                keep[gone] = False
+                okeys, payloads = okeys[keep], payloads[keep]
+                live, in_base = live[keep], in_base[keep]
+    new = fresh & act
+    if not new.any():
+        return okeys, payloads, live, in_base
+    new_keys = keys[new]
+    # Row i of the new rows lands at its searchsorted slot, shifted by
+    # the i new rows before it.
+    slots = np.searchsorted(okeys, new_keys) + np.arange(len(new_keys))
+    is_new = np.zeros(len(okeys) + len(new_keys), dtype=bool)
+    is_new[slots] = True
+    is_old = ~is_new
+
+    def spliced(old: np.ndarray, fresh_rows) -> np.ndarray:
+        out = np.empty(len(is_new), dtype=old.dtype)
+        out[is_new] = fresh_rows
+        out[is_old] = old
+        return out
+
+    return (
+        spliced(okeys, new_keys),
+        spliced(
+            payloads,
+            column[new] if column is not None
+            else _blank(len(new_keys), payloads.dtype),
+        ),
+        spliced(live, kind != _DELETE),
+        spliced(in_base, fresh_in_base[new[fresh]]),
+    )
 
 
 class PlanStore:
     """A read-only serving handle over one plan file and its overlay.
 
     Construct via :meth:`open`.  Thread-safe for reads after open; the
-    only internal mutations are the verification memo, the overlay
-    count cache and :meth:`apply_ops`'s swap of the overlay (a dict
-    never changed once swapped in), all under a lock.
+    only internal mutations are the verification memo and
+    :meth:`apply_ops`'s swap of the overlay (never changed once swapped
+    in), both under a lock.
     """
 
     def __init__(
@@ -212,8 +352,7 @@ class PlanStore:
         self._arrays: dict[str, np.ndarray] = {}
         self._verified = False
         self._lock = threading.Lock()
-        self._overlay = _Overlay()
-        self._count_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._overlay = _Overlay.empty()
 
     # ------------------------------------------------------------------
     # Opening
@@ -313,107 +452,41 @@ class PlanStore:
         """Replay ``(opcode, payload)`` frames into the overlay.
 
         The same frames the WAL stores; payloads must come from a
-        CRC-verified source (delta file or WAL scan).  The frames are
-        replayed into a copy that replaces the overlay in one step, so
-        a read running beside the replay (a
+        CRC-verified source (delta file or WAL scan).  Each frame is
+        applied to the overlay's arrays at once, with the scalar loop's
+        semantics (see :func:`_applied`), into copies that replace the
+        overlay in one step, so a read running beside the replay (a
         :meth:`~repro.planstore.serve.MmapDILI.refresh`) sees the
         overlay from before it or after it, never part of it.
         """
-        overlay = _Overlay(self._overlay)
+        overlay = self._overlay
+        if ops:
+            # Outside the lock: verify() takes it (non-reentrant).
+            self._ensure_verified()
+        rows = start = overlay.rows()
         for opcode, payload in ops:
-            args = pickle.loads(payload)
-            if opcode == OP_INSERT:
-                self._insert_many(overlay, [float(args[0])], [args[1]])
-            elif opcode == OP_DELETE:
-                self._delete_many(overlay, [float(args[0])])
-            elif opcode == OP_UPDATE:
-                self._update_many(overlay, [float(args[0])], [args[1]])
-            elif opcode in (OP_BULK_INSERT, OP_INSERT_BATCH):
-                keys = [float(k) for k in args[0]]
-                values = args[1]
-                if values is None:  # logged without values, like DILI's
-                    values = [DEFAULT_PAYLOAD] * len(keys)
-                self._insert_many(overlay, keys, list(values))
-            elif opcode == OP_DELETE_BATCH:
-                self._delete_many(overlay, [float(k) for k in args[0]])
-            elif opcode == OP_UPDATE_BATCH:
-                self._update_many(
-                    overlay, [float(k) for k in args[0]], list(args[1])
-                )
-            else:
+            kind = _OP_KIND.get(opcode)
+            if kind is None:
                 raise PlanFormatError(
                     f"{self.path}: unknown overlay opcode {opcode}"
                 )
-        overlay.seal()
-        # Only the swap takes the lock: the replay loop above goes
-        # through _insert_many -> _base_contains -> _ensure_verified,
-        # which acquires self._lock itself (non-reentrant).
+            args = pickle.loads(payload)
+            if opcode in _SCALAR_OPS:
+                keys, values = [args[0]], list(args[1:]) or None
+            else:
+                keys, values = args[0], args[1] if len(args) > 1 else None
+            if values is None and kind == _INSERT:
+                # Logged without values, like DILI's.
+                values = [DEFAULT_PAYLOAD] * len(keys)
+            rows = _applied(
+                rows, kind, keys, values, self._plan.contains_batch
+            )
+        if rows is not start:
+            overlay = _Overlay(*rows)
         with self._lock:
             self._overlay = overlay
             if wal_lsn is not None and wal_lsn > self.wal_lsn:
                 self.wal_lsn = wal_lsn
-            self._count_cache = None
-
-    def _base_contains(self, keys: list[float]) -> np.ndarray:
-        self._ensure_verified()
-        return self._plan.contains_batch(
-            np.asarray(keys, dtype=np.float64)
-        )
-
-    @staticmethod
-    def _present(overlay: dict, key: float, in_base: bool) -> bool:
-        entry = overlay.get(key)
-        if entry is not None:
-            return entry[0] is not _TOMBSTONE
-        return in_base
-
-    def _insert_many(
-        self, overlay: dict, keys: list[float], values: list
-    ) -> None:
-        in_base = self._base_contains(keys)
-        for key, value, inb in zip(keys, values, in_base):
-            if not self._present(overlay, key, bool(inb)):
-                overlay[key] = (value, bool(inb))
-
-    def _delete_many(self, overlay: dict, keys: list[float]) -> None:
-        in_base = self._base_contains(keys)
-        for key, inb in zip(keys, in_base):
-            if not self._present(overlay, key, bool(inb)):
-                continue
-            entry = overlay.get(key)
-            if entry is not None and not entry[1]:
-                del overlay[key]  # overlay-only insert: undo it
-            else:
-                overlay[key] = (_TOMBSTONE, True)
-
-    def _update_many(
-        self, overlay: dict, keys: list[float], values: list
-    ) -> None:
-        in_base = self._base_contains(keys)
-        for key, value, inb in zip(keys, values, in_base):
-            if self._present(overlay, key, bool(inb)):
-                entry = overlay.get(key)
-                overlay[key] = (
-                    value, entry[1] if entry is not None else bool(inb)
-                )
-
-    def _count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted (overlay-inserted, tombstoned) key arrays for counting."""
-        with self._lock:
-            cached = self._count_cache
-            if cached is None:
-                added = np.sort(np.asarray(
-                    [k for k, (v, inb) in self._overlay.items()
-                     if v is not _TOMBSTONE and not inb],
-                    dtype=np.float64,
-                ))
-                removed = np.sort(np.asarray(
-                    [k for k, (v, _) in self._overlay.items()
-                     if v is _TOMBSTONE],
-                    dtype=np.float64,
-                ))
-                cached = self._count_cache = (added, removed)
-            return cached
 
     # ------------------------------------------------------------------
     # Reads
@@ -455,24 +528,22 @@ class PlanStore:
         entries in place of the base's for the keys it holds."""
         hits = out >= 0
         overlay = self._overlay
-        at = overlay.positions(keys)
+        at, rows = overlay.find(keys)
         if not len(at):
             return hits, plan.values.take(out[hits])
-        entries = [overlay[k][0] for k in keys[at].tolist()]
-        live = np.fromiter(
-            (v is not _TOMBSTONE for v in entries),
-            dtype=bool, count=len(entries),
-        )
-        added = [v for v in entries if v is not _TOMBSTONE]
+        live = overlay.live[rows]
         from_base = hits.copy()
         from_base[at] = False
         hits[at] = live
         slot = np.cumsum(hits) - 1  # payload index of each hit
         base_values = plan.values.take(out[from_base])
-        column = int_column(added) if base_values.dtype == np.int64 else None
-        if column is None:
-            column = np.fromiter(added, dtype=object, count=len(added))
-        payload = np.empty(len(base_values) + len(added), dtype=column.dtype)
+        column = overlay.payloads[rows[live]]
+        if base_values.dtype != np.int64:
+            column = column.astype(object, copy=False)
+        elif column.dtype == object:
+            ints = int_column(column)
+            column = column if ints is None else ints
+        payload = np.empty(len(base_values) + len(column), dtype=column.dtype)
         payload[slot[at[live]]] = column
         payload[slot[from_base]] = base_values
         return hits, payload
@@ -485,9 +556,8 @@ class PlanStore:
         self._ensure_verified()
         result = self._plan.contains_batch(keys)
         overlay = self._overlay
-        for pos in overlay.positions(keys).tolist():
-            value, _ = overlay[float(keys[pos])]
-            result[pos] = value is not _TOMBSTONE
+        at, rows = overlay.find(keys)
+        result[at] = overlay.live[rows]
         return result
 
     def count_range_batch(self, los, his) -> np.ndarray:
@@ -499,8 +569,9 @@ class PlanStore:
             raise ValueError("los and his must have the same shape")
         self._ensure_verified()
         counts = self._plan.count_range_batch(los, his).astype(np.int64)
-        if self._overlay:
-            added, removed = self._count_arrays()
+        overlay = self._overlay
+        if len(overlay):
+            added, removed = overlay.added, overlay.removed
             if len(added):
                 counts += np.searchsorted(added, his, side="left")
                 counts -= np.searchsorted(added, los, side="left")
@@ -512,14 +583,12 @@ class PlanStore:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        base = int(self.header["value_count"])
-        delta = 0
-        for value, in_base in self._overlay.values():
-            if value is _TOMBSTONE:
-                delta -= 1
-            elif not in_base:
-                delta += 1
-        return base + delta
+        overlay = self._overlay
+        return (
+            int(self.header["value_count"])
+            + len(overlay.added)
+            - len(overlay.removed)
+        )
 
     @property
     def overlay_size(self) -> int:

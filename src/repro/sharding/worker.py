@@ -56,6 +56,7 @@ import numpy as np
 
 from repro.core.dili import DiliConfig
 from repro.durability.durable import DurableDILI
+from repro.durability.recovery import SNAPSHOT_NAME, WAL_NAME
 from repro.planstore.serve import PlanDirectory
 from repro.sharding.partition import fit_shard_config
 from repro.sharding.supervision import HEARTBEAT_RID, STARTUP_RID
@@ -227,12 +228,20 @@ class ShardWorker:
         return generation
 
     def _after_write(self, n: int) -> None:
+        """Publish the write and bring the serving handle up to it.
+
+        A delta costs what the write costs: ``publish_tail`` reads back
+        only the WAL record just logged, and ``refresh`` replays only
+        that record, so the one listing of ``plans/`` is the refresh's
+        check for a newer base.  A handle serving no generation (none
+        survived, or the shard was empty) means no base to extend: the
+        write checkpoints instead, as it does at the threshold.
+        """
         self.ops["writes"] += n
         self._tail_ops += n
         if self.durable.index.root is not None:
-            plans = PlanDirectory.for_state_dir(self.dirpath)
             if (
-                not plans.generations()
+                self.served.generation is None
                 or self._tail_ops >= REPUBLISH_THRESHOLD
             ):
                 self._checkpoint()
@@ -354,12 +363,23 @@ class ShardWorker:
 def _build_shard(dirpath: str, build: ShardBuild, sync: bool) -> DurableDILI:
     """Tune, bulk-load (which snapshots) and publish a first plan base.
 
-    The base is published even over older generations a directory may
-    hold, so the serving handle opens the tree just built.
+    A build starts from the items it was handed: whatever shard state
+    the directory held (an earlier fleet's, or a failed build's) is
+    discarded first -- its snapshot, its WAL and its live plan files --
+    so nothing of it is recovered, replayed or served, and the index is
+    built with the config fitted or asked for.  Quarantined plan files
+    stay, and keep their numbers spent.
     """
     config = build.config
     if build.tune:
         config, _ = fit_shard_config(build.keys, base=config, seed=build.seed)
+    for name in (SNAPSHOT_NAME, WAL_NAME):
+        try:
+            os.unlink(os.path.join(dirpath, name))
+        except FileNotFoundError:
+            pass
+    plans = PlanDirectory.for_state_dir(dirpath)
+    plans.retire(plans.next_generation())
     durable = DurableDILI(dirpath, config=config, sync=sync)
     try:
         if len(build.keys):
@@ -422,8 +442,18 @@ def worker_main(
     Every region id the process allocates is at least ``region_base``
     (the coordinator gives each shard a range of its own), so nodes
     that two workers create never share an id in a merged trace.
+
+    Where the platform has it (Linux), the worker runs under
+    ``SCHED_BATCH``, set before the heartbeat thread starts: a worker
+    woken by its request never preempts the coordinator, which is
+    still sending the fan-out's other parts from the same CPU.
     """
     skip_region_ids(region_base)
+    if hasattr(os, "sched_setscheduler"):
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except OSError:
+            pass  # a sandbox may refuse it; the worker serves the same
     send_lock = threading.Lock()
 
     def _send(frame) -> None:

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.dili import DiliConfig
 from repro.durability.durable import DurableDILI
 from repro.sharding import ShardedDILI, build_range_shards, read_manifest
 from repro.sharding import worker as worker_mod
@@ -200,3 +201,89 @@ def test_process_and_in_process_fleets_trace_alike(tmp_path):
         assert fleet.restarts == int(processes)
         fleet.close()
     assert traces[0] == traces[1]
+
+
+def _omegas(fleet, state) -> tuple[list, list]:
+    return (
+        [s["config"]["omega"] for s in fleet.status()["shards"]],
+        [e.config["omega"] for e in read_manifest(state).shards],
+    )
+
+
+def test_create_over_an_old_fleet_builds_from_the_items_handed(tmp_path):
+    """A second create over a directory that holds shard state builds
+    with the config it asks for and answers only its own items."""
+    state = tmp_path / "s"
+    old = mixed_keys(n=3_000, seed=1)
+    with ShardedDILI.create(
+        state, old, num_shards=2, tuning="none",
+        config=DiliConfig(omega=512), processes=False, sync=False,
+    ) as fleet:
+        fleet.insert_batch(old[:50] + 0.25)  # a WAL tail, and a delta
+        assert _omegas(fleet, state) == ([512, 512], [512, 512])
+    new = mixed_keys(n=3_000, seed=2)
+    with ShardedDILI.create(
+        state, new, num_shards=2, tuning="none",
+        processes=False, sync=False,
+    ) as fleet:
+        want = DiliConfig().omega
+        assert _omegas(fleet, state) == ([want, want], [want, want])
+        stale = np.setdiff1d(np.concatenate((old, old[:50] + 0.25)), new)
+        assert fleet.get_batch(stale) == [None] * len(stale)
+        assert fleet.get_batch(new) == list(range(len(new)))
+        assert len(fleet) == len(new)
+
+
+def test_a_retried_create_builds_from_the_items_handed(
+    tmp_path, monkeypatch
+):
+    """A create that failed after one shard was built leaves that
+    shard's state behind; the retry builds over it from scratch."""
+    state = tmp_path / "s"
+    real = DurableDILI.bulk_load
+
+    def bulk_load(self, keys, values=None):
+        if os.path.basename(self.dirpath) == "shard-0001":
+            raise ValueError("planted build failure")
+        return real(self, keys, values)
+
+    monkeypatch.setattr(DurableDILI, "bulk_load", bulk_load)
+    with pytest.raises(ValueError, match="planted"):
+        ShardedDILI.create(
+            state, mixed_keys(n=3_000, seed=1), num_shards=2,
+            tuning="none", config=DiliConfig(omega=512),
+            processes=False, sync=False,
+        )
+    monkeypatch.setattr(DurableDILI, "bulk_load", real)
+    new = mixed_keys(n=3_000, seed=2)
+    with ShardedDILI.create(
+        state, new, num_shards=2, tuning="none",
+        config=DiliConfig(omega=1024), processes=False, sync=False,
+    ) as fleet:
+        assert _omegas(fleet, state) == ([1024, 1024], [1024, 1024])
+        old = np.setdiff1d(mixed_keys(n=3_000, seed=1), new)
+        assert fleet.get_batch(old) == [None] * len(old)
+        assert fleet.get_batch(new) == list(range(len(new)))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getscheduler"),
+    reason="no scheduling policies on this platform",
+)
+@pytest.mark.parametrize("processes", [False, True])
+def test_workers_never_preempt_their_coordinator(tmp_path, processes):
+    """Process workers run under SCHED_BATCH; an in-process fleet leaves
+    the caller's policy alone."""
+    before = os.sched_getscheduler(0)
+    with ShardedDILI.create(
+        tmp_path / "s", mixed_keys(n=2_000), num_shards=2,
+        tuning="none", processes=processes, sync=False,
+    ) as fleet:
+        pids = [s["pid"] for s in fleet.status()["shards"]]
+        policies = {os.sched_getscheduler(pid) for pid in pids}
+    if processes:
+        assert policies == {os.SCHED_BATCH}
+    else:
+        assert pids == [os.getpid()] * 2
+        assert policies == {before}
+    assert os.sched_getscheduler(0) == before
