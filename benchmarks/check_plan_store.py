@@ -1,6 +1,6 @@
 """CI gate for the crash-safe plan store (the ``plan-store`` job).
 
-Three contracts, each a hard failure:
+Five contracts, each a hard failure:
 
 * **O(1) open** -- ``PlanStore.open`` parses and checks a framed header
   and memory-maps the buffers; it never deserializes them.  Opening a
@@ -22,6 +22,10 @@ Three contracts, each a hard failure:
   ``publish_tail`` and each ``refresh`` must read at most the one WAL
   record just logged (plus the 4-byte CRC of the record it resumes
   after), and the reader must answer like a recovery rebuild.
+* **Aligned buffers** -- every base published above (the open-latency
+  plans, the cross-process state and the write-cost chain) must map
+  each of its buffers 64-byte aligned.  Counted, not timed: a column
+  mapped unaligned sends numpy down its unaligned loops.
 
 Run locally with::
 
@@ -51,7 +55,7 @@ from repro.durability.durable import DurableDILI  # noqa: E402
 from repro.durability.recovery import recover  # noqa: E402
 from repro.planstore.chaos import run_plan_chaos  # noqa: E402
 from repro.planstore.format import write_plan_file  # noqa: E402
-from repro.planstore.serve import MmapDILI  # noqa: E402
+from repro.planstore.serve import MmapDILI, PlanDirectory  # noqa: E402
 from repro.planstore.store import PlanStore  # noqa: E402
 
 SMALL_KEYS = 10_000
@@ -65,6 +69,8 @@ WRITE_BATCH = 256
 #: What a scan resumes after: the CRC of the record before it, or the
 #: log's 8-byte header when none precedes it.
 WAL_CRC_BYTES, WAL_HEADER_BYTES = 4, 8
+#: Every mapped buffer's address must be a multiple of this.
+ALIGN = 64
 
 _READER = """
 import json, sys
@@ -297,6 +303,31 @@ def check_write_cost(workdir: Path, failures: list[str]) -> None:
     durable.close()
 
 
+def check_aligned_buffers(workdir: Path, failures: list[str]) -> None:
+    bases = sorted(workdir.glob("plan-*.plan"))
+    for state in ("smoke-state", "write-cost"):
+        plans = PlanDirectory.for_state_dir(workdir / state)
+        bases += [plans.base_path(g) for g in plans.generations()]
+    mapped = misaligned = 0
+    for path in bases:
+        store = PlanStore.open(path)
+        for arr in store._arrays.values():
+            if arr.size:
+                mapped += 1
+                misaligned += arr.ctypes.data % ALIGN != 0
+        store.close()
+    print(
+        f"aligned buffers: {len(bases)} base(s), {mapped} buffers mapped, "
+        f"{misaligned} not {ALIGN}-byte aligned"
+    )
+    if len(bases) < 4 or misaligned:
+        failures.append(
+            f"aligned buffers: {misaligned} of {mapped} buffers in "
+            f"{len(bases)} base(s) map unaligned -- every buffer must "
+            f"start at a {ALIGN}-byte-aligned file offset"
+        )
+
+
 def main() -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -305,6 +336,7 @@ def main() -> int:
         check_corruption_sweep(workdir, failures)
         check_cross_process(workdir, failures)
         check_write_cost(workdir, failures)
+        check_aligned_buffers(workdir, failures)
     if failures:
         print("\nPLAN STORE CHECK FAILED:", file=sys.stderr)
         for line in failures:

@@ -48,6 +48,7 @@ from repro.durability.wal import (
     WalRecord,
     WalScan,
     WriteAheadLog,
+    WriterLockedError,
     scan_wal,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
+    "WriterLockedError",
     "read_snapshot",
     "read_snapshot_header",
     "recover",

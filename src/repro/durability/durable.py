@@ -54,6 +54,7 @@ from repro.durability.recovery import (
 )
 from repro.durability.snapshot import write_snapshot
 from repro.durability.wal import (
+    LOCK_NAME,
     OP_BULK_INSERT,
     OP_DELETE,
     OP_DELETE_BATCH,
@@ -63,7 +64,9 @@ from repro.durability.wal import (
     OP_UPDATE_BATCH,
     WalCursor,
     WriteAheadLog,
+    lock_writer,
     scan_wal,
+    unlock_writer,
 )
 
 
@@ -103,9 +106,13 @@ class DurableDILI:
         index.snapshot()                       # truncate the WAL
         index.close()
 
+    A directory has one writer: the open takes the directory's writer
+    lock (:func:`repro.durability.wal.lock_writer`) before it reads
+    anything, and :meth:`close` (or the process's death) releases it.
+
     Args:
         dirpath: State directory (created if missing) holding
-            ``snapshot.dili`` and ``wal.log``.
+            ``snapshot.dili``, ``wal.log`` and the lock file.
         config: Config for a fresh index when no snapshot exists yet.
         concurrent: Wrap the index in :class:`ConcurrentDILI` and
             serialize each log+apply under its writer lock.
@@ -113,6 +120,9 @@ class DurableDILI:
             turn off only for benchmarks that batch with
             :meth:`sync_wal`).
         faults: Crash-point injector (tests only).
+
+    Raises:
+        WriterLockedError: Another writer holds the directory.
     """
 
     def __init__(
@@ -127,14 +137,24 @@ class DurableDILI:
         self.dirpath = os.fspath(dirpath)
         os.makedirs(self.dirpath, exist_ok=True)
         self._faults = faults if faults is not None else NULL_FAULTS
-        self.recovery: RecoveryResult = recover(self.dirpath, config=config)
+        # One writer per directory, locked before recovery reads
+        # anything; the log owns the lock from here on.
+        lock = lock_writer(os.path.join(self.dirpath, LOCK_NAME))
+        try:
+            self.recovery: RecoveryResult = recover(
+                self.dirpath, config=config
+            )
+            self.wal = WriteAheadLog(
+                os.path.join(self.dirpath, WAL_NAME),
+                sync=sync,
+                min_next_seqno=self.recovery.next_seqno,
+                faults=self._faults,
+                lock=lock,
+            )
+        except BaseException:
+            unlock_writer(lock)
+            raise
         self._snap_path = os.path.join(self.dirpath, SNAPSHOT_NAME)
-        self.wal = WriteAheadLog(
-            os.path.join(self.dirpath, WAL_NAME),
-            sync=sync,
-            min_next_seqno=self.recovery.next_seqno,
-            faults=self._faults,
-        )
         self._concurrent = concurrent
         self._chain: _Chain | None = None
         self._plain = self.recovery.index

@@ -26,20 +26,33 @@ four bytes before the cursor still hold that record's CRC.  A log that
 was truncated or rewritten since fails that check and is scanned from
 its start, so a resumed scan never answers from a log that no longer
 holds the cursor's record.
+
+A state directory has one writer.  :func:`lock_writer` takes an
+exclusive, non-blocking ``flock`` on the directory's lock file
+(:data:`LOCK_NAME`, never unlinked), and a :class:`WriteAheadLog`
+opened with that lock owns it: :meth:`WriteAheadLog.close` unlocks it,
+and so does the death of the process.  The log's handle appends with
+``O_APPEND`` for its whole life and truncates in place.  Readers (a
+scan, recovery, a mapped plan) take no lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from typing import BinaryIO
 
 from repro.durability.faultpoints import NULL_FAULTS, FaultInjector
 from repro.durability.snapshot import fsync_dir
 
 WAL_MAGIC = b"DILIWAL1"
+
+#: The writer lock's file in a state directory.
+LOCK_NAME = "writer.lock"
 
 _REC_HEADER = struct.Struct("<QBI")  # seqno, opcode, payload length
 _REC_CRC = struct.Struct("<I")
@@ -67,6 +80,45 @@ VALID_OPCODES = frozenset({
     OP_DELETE_BATCH,
     OP_UPDATE_BATCH,
 })
+
+
+class WriterLockedError(RuntimeError):
+    """Another writer holds the state directory's writer lock."""
+
+
+def lock_writer(path) -> BinaryIO:
+    """Take the exclusive writer lock on the lock file at ``path``.
+
+    The lock is an ``flock`` on the open file, so a second
+    :func:`lock_writer` of the same file fails whether it comes from
+    this process or another, until the holder calls
+    :func:`unlock_writer` or every descriptor of its open file is
+    closed (as at process death).  Returns the open lock file.
+
+    Raises:
+        WriterLockedError: Another writer holds the lock; nothing was
+            changed.
+    """
+    fh = open(path, "ab")
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        fh.close()
+        raise WriterLockedError(
+            f"{path}: another writer holds this directory"
+        ) from None
+    return fh
+
+
+def unlock_writer(lock: BinaryIO) -> None:
+    """Release a :func:`lock_writer` lock, then close its file.
+
+    Unlocking first releases the lock even when a forked child still
+    holds a copy of the descriptor.
+    """
+    if not lock.closed:
+        fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
+        lock.close()
 
 
 @dataclass(frozen=True)
@@ -202,7 +254,9 @@ class WriteAheadLog:
     appends are never hidden behind garbage), and continues the seqno
     chain.  ``min_next_seqno`` lets recovery push the chain past the
     seqno recorded in a snapshot even when the log itself was truncated
-    at that snapshot.
+    at that snapshot.  The file is opened once, for appending
+    (``O_APPEND``), and every truncation is done in place through that
+    handle.
 
     Args:
         path: Log file location; created (with its magic header) if
@@ -212,6 +266,8 @@ class WriteAheadLog:
             still can never be *corrupt*, only short.
         min_next_seqno: Lower bound for the next sequence number.
         faults: Crash-point injector (tests only).
+        lock: The directory's writer lock (:func:`lock_writer`), which
+            the log then owns and :meth:`close` releases.
     """
 
     def __init__(
@@ -221,28 +277,27 @@ class WriteAheadLog:
         sync: bool = True,
         min_next_seqno: int = 1,
         faults: FaultInjector | None = None,
+        lock: BinaryIO | None = None,
     ) -> None:
         self.path = os.fspath(path)
         self.sync = sync
         self._faults = faults if faults is not None else NULL_FAULTS
         self._lock = threading.Lock()
         scan = scan_wal(self.path)
-        if not os.path.exists(self.path) or scan.valid_offset == 0:
-            self._fh = open(self.path, "wb")
+        self._fh = open(self.path, "ab")
+        if scan.valid_offset == 0:  # missing, or shorter than its header
+            self._fh.truncate(0)
             self._fh.write(WAL_MAGIC)
             self._fh.flush()
             os.fsync(self._fh.fileno())
             fsync_dir(os.path.dirname(self.path))
-        else:
-            if scan.truncated:
-                with open(self.path, "r+b") as trunc:
-                    trunc.truncate(scan.valid_offset)
-                    trunc.flush()
-                    os.fsync(trunc.fileno())
-            self._fh = open(self.path, "ab")
+        elif scan.truncated:
+            self._fh.truncate(scan.valid_offset)
+            os.fsync(self._fh.fileno())
         self._next_seqno = max(min_next_seqno, scan.last_seqno + 1)
         self._record_count = len(scan.records)
         self._cursor = scan.cursor
+        self._writer_lock = lock
 
     # ------------------------------------------------------------------
 
@@ -314,10 +369,7 @@ class WriteAheadLog:
         must still sort after every snapshotted operation.
         """
         with self._lock:
-            self._fh.close()
-            self._fh = open(self.path, "wb")
-            self._fh.write(WAL_MAGIC)
-            self._fh.flush()
+            self._fh.truncate(len(WAL_MAGIC))
             os.fsync(self._fh.fileno())
             self._record_count = 0
             self._cursor = None
@@ -334,10 +386,14 @@ class WriteAheadLog:
             return os.path.getsize(self.path)
 
     def close(self) -> None:
+        """Close the log and release the writer lock it owns."""
         with self._lock:
             if not self._fh.closed:
                 self._fh.flush()
                 self._fh.close()
+            if self._writer_lock is not None:
+                unlock_writer(self._writer_lock)
+                self._writer_lock = None
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -5,8 +5,8 @@ Base file (little-endian; see ``docs/durability.md``)::
     8s   magic "DILIPLN1"
     u32  header_len
     u32  header_crc32            -- over the header JSON bytes
-    ...  header JSON, header_len bytes
-    ...  buffer regions, 8-byte aligned, in header order
+    ...  header JSON, header_len bytes, padded to a multiple of 64
+    ...  buffer regions, 64-byte aligned, in header order
     8s   commit marker "DILICMT1" -- the last 8 bytes of the file
 
 The header carries the format version, the source WAL LSN (staleness
@@ -18,6 +18,21 @@ done at every open) and the buffer CRCs (O(n), done lazily on first
 read or eagerly by the auditor).  The payload is **never** pickled:
 buffers are raw numpy memory, written with ``tofile`` semantics and
 mapped back with ``np.memmap``.
+
+Every buffer starts at a 64-byte-aligned *absolute* file offset: the
+header's ``pad`` key holds the spaces that end the header frame on a
+multiple of 64, and each buffer's offset from there is a multiple of
+64.  A map's base is page-aligned, so every mapped column is 64-byte
+aligned and numpy reads it on its aligned paths (an unaligned float64
+column costs a copy of the whole column per ``searchsorted``).  The
+padding is a JSON value, not whitespace after the JSON, so a header
+parsed and dumped again with ``json.dumps(header, sort_keys=True)``
+keeps its length.  Readers need no change: descriptors always carried
+their offsets and unknown keys are ignored, so ``PLAN_VERSION`` stays
+1.  A file written with the older 8-byte layout (offsets aligned only
+relative to a header of any length) opens and answers the same, on
+numpy's unaligned paths, until a new base replaces it (a shard
+worker's next checkpoint).
 
 Values (payloads) take one of two encodings, chosen per file by the
 writer and named by the buffer descriptors, so the reader needs no
@@ -105,8 +120,12 @@ class PlanStaleError(PlanStoreError):
     to bring it current were truncated away and are gone forever."""
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
+#: Buffer alignment: a cache line, and a multiple of every dtype's.
+ALIGN = 64
+
+
+def _aligned(n: int) -> int:
+    return -(-n // ALIGN) * ALIGN
 
 
 def int_column(values) -> np.ndarray | None:
@@ -175,13 +194,13 @@ def write_plan_file(
         buffers.append(("value_offsets", value_offsets))
         buffers.append(("value_bytes", value_bytes))
 
-    # Lay the buffers out twice: descriptor offsets depend on the header
-    # length, which depends on the descriptors.  Offsets are relative to
-    # the end of the header frame, so one pass suffices.
+    # Offsets are relative to the end of the header frame, which the
+    # header's padding puts on a multiple of ALIGN, so one pass lays
+    # the buffers out.
     descs = []
     rel = 0
     for name, arr in buffers:
-        rel = _align8(rel)
+        rel = _aligned(rel)
         descs.append(
             {
                 "name": name,
@@ -193,7 +212,7 @@ def write_plan_file(
             }
         )
         rel += int(arr.nbytes)
-    buffers_len = _align8(rel)
+    buffers_len = _aligned(rel)
 
     header = {
         "version": PLAN_VERSION,
@@ -204,25 +223,26 @@ def write_plan_file(
         "value_count": len(plan.values),
         "sorted_is_pair": bool(sorted_is_pair),
         "buffers": descs,
+        "pad": "",
+        "file_size": 0,
     }
-    # file_size participates in its own header: fix it by iterating the
-    # encoding until the length stabilizes (two rounds, since only the
-    # digit count of file_size can change).
-    for _ in range(3):
-        blob = json.dumps(header, sort_keys=True).encode("ascii")
-        file_size = (
-            _PREFIX_SIZE + len(blob) + buffers_len + len(COMMIT_MARKER)
-        )
-        if header.get("file_size") == file_size:
+    # file_size participates in its own header: iterate the unpadded
+    # encoding until the size is stable (it only grows, by the digits
+    # of file_size), then pad the header to end on the aligned start.
+    while True:
+        unpadded = _PREFIX_SIZE + len(json.dumps(header, sort_keys=True))
+        data_start = _aligned(unpadded)
+        file_size = data_start + buffers_len + len(COMMIT_MARKER)
+        if header["file_size"] == file_size:
             break
         header["file_size"] = file_size
+    header["pad"] = " " * (data_start - unpadded)
     blob = json.dumps(header, sort_keys=True).encode("ascii")
 
     out = bytearray()
     out += PLAN_MAGIC
     out += _FRAME.pack(len(blob), zlib.crc32(blob))
     out += blob
-    data_start = len(out)
     out += b"\0" * buffers_len
     for desc, (_, arr) in zip(descs, buffers):
         lo = data_start + desc["offset"]

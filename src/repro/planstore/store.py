@@ -48,6 +48,10 @@ since the base was published:
   exists for base-resident keys: deleting an overlay-only insert just
   removes its row.
 
+Whether the base holds a key (for ``in_base``, for an insert of a key
+the base holds, which does nothing, and for ``contains_batch``) is one
+``searchsorted`` of the base's sorted key view, not a descent.
+
 A read finds its keys' rows with one ``searchsorted`` and gathers
 their payloads with one fancy index.  ``count_range_batch`` is the
 base count (two ``searchsorted``) plus overlay-inserted keys in range
@@ -67,7 +71,7 @@ import zlib
 import numpy as np
 
 from repro.core.dili import DEFAULT_PAYLOAD
-from repro.core.flat import FlatPlan
+from repro.core.flat import FlatPlan, _member
 from repro.durability.wal import (
     OP_BULK_INSERT,
     OP_DELETE,
@@ -478,9 +482,7 @@ class PlanStore:
             if values is None and kind == _INSERT:
                 # Logged without values, like DILI's.
                 values = [DEFAULT_PAYLOAD] * len(keys)
-            rows = _applied(
-                rows, kind, keys, values, self._plan.contains_batch
-            )
+            rows = _applied(rows, kind, keys, values, self._base_contains)
         if rows is not start:
             overlay = _Overlay(*rows)
         with self._lock:
@@ -495,6 +497,12 @@ class PlanStore:
     def _ensure_verified(self) -> None:
         if not self._verified:
             self.verify()
+
+    def _base_contains(self, keys: np.ndarray) -> np.ndarray:
+        """Membership in the base: one ``searchsorted`` of its sorted
+        key view, which answers what a descent would (the descent,
+        :meth:`FlatPlan.contains_batch`, is the tests' reference)."""
+        return _member(self._plan.key_base, keys)
 
     def get_batch(
         self, keys, tracer: Tracer = NULL_TRACER, *, arrays: bool = False
@@ -554,7 +562,7 @@ class PlanStore:
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
         self._ensure_verified()
-        result = self._plan.contains_batch(keys)
+        result = self._base_contains(keys)
         overlay = self._overlay
         at, rows = overlay.find(keys)
         result[at] = overlay.live[rows]

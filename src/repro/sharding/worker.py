@@ -57,6 +57,7 @@ import numpy as np
 from repro.core.dili import DiliConfig
 from repro.durability.durable import DurableDILI
 from repro.durability.recovery import SNAPSHOT_NAME, WAL_NAME
+from repro.durability.wal import LOCK_NAME, lock_writer, unlock_writer
 from repro.planstore.serve import PlanDirectory
 from repro.sharding.partition import fit_shard_config
 from repro.sharding.supervision import HEARTBEAT_RID, STARTUP_RID
@@ -368,18 +369,26 @@ def _build_shard(dirpath: str, build: ShardBuild, sync: bool) -> DurableDILI:
     discarded first -- its snapshot, its WAL and its live plan files --
     so nothing of it is recovered, replayed or served, and the index is
     built with the config fitted or asked for.  Quarantined plan files
-    stay, and keep their numbers spent.
+    stay, and keep their numbers spent.  The discard runs under the
+    directory's writer lock, so a directory another writer holds is
+    refused (:class:`~repro.durability.wal.WriterLockedError`) before
+    anything of it is deleted.
     """
     config = build.config
     if build.tune:
         config, _ = fit_shard_config(build.keys, base=config, seed=build.seed)
-    for name in (SNAPSHOT_NAME, WAL_NAME):
-        try:
-            os.unlink(os.path.join(dirpath, name))
-        except FileNotFoundError:
-            pass
-    plans = PlanDirectory.for_state_dir(dirpath)
-    plans.retire(plans.next_generation())
+    os.makedirs(dirpath, exist_ok=True)
+    lock = lock_writer(os.path.join(dirpath, LOCK_NAME))
+    try:
+        for name in (SNAPSHOT_NAME, WAL_NAME):
+            try:
+                os.unlink(os.path.join(dirpath, name))
+            except FileNotFoundError:
+                pass
+        plans = PlanDirectory.for_state_dir(dirpath)
+        plans.retire(plans.next_generation())
+    finally:
+        unlock_writer(lock)
     durable = DurableDILI(dirpath, config=config, sync=sync)
     try:
         if len(build.keys):

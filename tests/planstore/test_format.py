@@ -1,9 +1,12 @@
 """On-disk plan/delta framing: round-trips, and every way a file can lie."""
 
+import json
 import pickle
 
+import numpy as np
 import pytest
 
+from repro import DILI, DiliConfig
 from repro.durability.wal import OP_DELETE, OP_INSERT
 from repro.planstore.format import (
     COMMIT_MARKER,
@@ -17,6 +20,7 @@ from repro.planstore.format import (
     write_delta_file,
     write_plan_file,
 )
+from repro.planstore.store import PlanStore
 
 
 def _enc(*args):
@@ -55,6 +59,61 @@ class TestPlanRoundTrip:
             for i in range(len(values))
         ]
         assert out == values
+
+
+class TestAlignedLayout:
+    """Every buffer starts at a 64-byte-aligned file offset, so every
+    column a store maps is 64-byte aligned, whatever the header's
+    length, the value encoding or the tree's shape."""
+
+    #: wal_lsn / generation pairs across digit counts: headers of many
+    #: lengths, so the padding takes many values.
+    STAMPS = [
+        (lsn, gen)
+        for lsn in (0, 7, 42, 999, 12_345, 10**9 + 1, 2**62)
+        for gen in (0, 3, 10**4, 987_654_321)
+    ]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["pairs", "dense"])
+    @pytest.mark.parametrize(
+        "ints", [True, False], ids=["value_ints", "pickled"]
+    )
+    def test_every_mapped_buffer_is_64_byte_aligned(
+        self, tmp_path, dense, ints
+    ):
+        rng = np.random.default_rng(5)
+        keys = np.unique(rng.lognormal(0.0, 1.0, 3000) * 1e6)
+        values = (
+            list(range(len(keys))) if ints
+            else [f"v{i}" for i in range(len(keys))]
+        )
+        index = DILI(DiliConfig(local_optimization=not dense))
+        index.bulk_load(keys, values)
+        plan = index.export_plan()
+        assert (plan.num_pairs == 0) == dense
+        pads = set()
+        for lsn, gen in self.STAMPS:
+            path = tmp_path / f"p-{lsn}-{gen}.plan"
+            write_plan_file(path, plan, wal_lsn=lsn, generation=gen)
+            header = read_plan_header(path)
+            names = {d["name"] for d in header["buffers"]}
+            assert ("value_ints" in names) == ints
+            assert ("sorted_keys" in names) == dense
+            assert header["data_start"] % 64 == 0
+            assert all(d["offset"] % 64 == 0 for d in header["buffers"])
+            # The padding is a JSON value: the header dumps again to
+            # its own length.
+            pads.add(len(header["pad"]))
+            data_start = header.pop("data_start")
+            assert 16 + len(json.dumps(header, sort_keys=True)) == data_start
+            store = PlanStore.open(path)
+            assert set(store._arrays) == names
+            mapped = [a for a in store._arrays.values() if a.size]
+            assert [a.ctypes.data % 64 for a in mapped] == [0] * len(mapped)
+            probe = np.concatenate([keys[::97], keys[::89] + 0.5])
+            assert store.get_batch(probe) == index.get_batch(probe)
+            store.close()
+        assert len(pads) > 8
 
 
 class TestPlanRejection:

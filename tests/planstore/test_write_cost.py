@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.durability.wal as wal_mod
@@ -384,3 +384,80 @@ def test_array_overlay_answers_like_a_dict_model(base_plan, history, cut):
     ]
     assert len(store) == len(model)
     store.close()
+
+
+# ----------------------------------------------------------------------
+# Base membership: the key view against the descent
+# ----------------------------------------------------------------------
+
+#: Keys inside the base's range, both zeros (the base holds 0.0), and
+#: keys below and above it.
+_edge_key = st.one_of(_key, st.sampled_from([-0.0, -1e9, -3.0, 0.5, 1e9]))
+_edge_op = st.one_of(
+    st.tuples(
+        st.just(OP_INSERT_BATCH),
+        st.lists(st.tuples(_edge_key, _payload), max_size=6),
+    ),
+    st.tuples(st.just(OP_DELETE_BATCH), st.lists(_edge_key, max_size=6)),
+    st.tuples(
+        st.just(OP_UPDATE_BATCH),
+        st.lists(st.tuples(_edge_key, _payload), max_size=6),
+    ),
+)
+
+
+def _descent_store(path) -> PlanStore:
+    """A store whose base membership is a descent of the base plan
+    (``FlatPlan.contains_batch``): the reference for the key view."""
+    store = PlanStore.open(path)
+    store._base_contains = store._plan.contains_batch
+    return store
+
+
+def _bits(overlay) -> tuple:
+    keys, payloads, live, in_base = overlay.rows()
+    return (
+        keys.view(np.uint64).tolist(),  # tells -0.0 from 0.0
+        payloads.dtype.str,
+        [(type(v), v) for v in payloads.tolist()],
+        live.tolist(),
+        in_base.tolist(),
+    )
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(history=st.lists(_edge_op, max_size=12), cut=st.integers(0, 12))
+@example(
+    # A tombstoned base key inserted again, repeats within a batch, both
+    # zeros and keys outside the base's range.
+    history=[
+        (OP_DELETE_BATCH, [3.0, 3.0, -0.0, 1e9]),
+        (OP_INSERT_BATCH, [(3.0, 1), (3.0, 2), (0.0, 9), (-1e9, 4)]),
+        (OP_UPDATE_BATCH, [(-1e9, 5), (3.0, 6), (3.0, 7), (-0.0, 8)]),
+        (OP_DELETE_BATCH, [-1e9, 0.0]),
+    ],
+    cut=2,
+)
+def test_key_view_membership_builds_the_descents_overlay(
+    base_plan, history, cut
+):
+    frames = [_frame(opcode, items) for opcode, items in history]
+    store, reference = PlanStore.open(base_plan), _descent_store(base_plan)
+    for replica in (store, reference):
+        replica.apply_ops(frames[:cut])
+        replica.apply_ops(frames[cut:])
+    assert _bits(store._overlay) == _bits(reference._overlay)
+
+    probe = np.concatenate(
+        [[-1e9, -3.0, -0.0, 0.0, 5e-324, 1e9], np.arange(0.0, 64.0, 0.5)]
+    )
+    want = reference._plan.contains_batch(probe)
+    at, rows = store._overlay.find(probe)
+    want[at] = store._overlay.live[rows]
+    assert store.contains_batch(probe).tolist() == want.tolist()
+    store.close()
+    reference.close()
